@@ -27,9 +27,9 @@ import numpy as np
 import scipy.linalg
 
 from . import globalization as glob
-from .geometry import active_set, project_box
+from .geometry import active_set, box_complementarity, project_box
 from .normal_step import compute_normal_step
-from .problem import BoxSet, ProblemInstance, apply_scaling
+from .problem import BoxSet, EvaluationError, ProblemInstance, apply_scaling
 from .tangential import TangentialError, solve_tangential
 
 __all__ = [
@@ -128,30 +128,13 @@ class KktParts:
         return max(self.stationarity, self.feasibility, self.complementarity)
 
 
-def _complementarity_vector(x, z, box: BoxSet) -> np.ndarray:
-    """Componentwise complementarity residual, box-generalized.
-
-    On the nonnegative orthant this reduces to |min(x_i, -z_i)|; a dual
-    pointing at an infinite bound is a pure sign violation of size |z_i|.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    out = np.zeros(x.shape[0])
-    fixed = box.lower == box.upper
-    for i in range(x.shape[0]):
-        if fixed[i] or z[i] == 0.0:
-            continue
-        if z[i] < 0:
-            out[i] = min(x[i] - box.lower[i], -z[i]) if np.isfinite(box.lower[i]) else -z[i]
-        else:
-            out[i] = min(box.upper[i] - x[i], z[i]) if np.isfinite(box.upper[i]) else z[i]
-    return out
-
-
 def _kkt_parts(g, c_val, J, box: BoxSet, x, y, z, g_r) -> KktParts:
     stat = float(np.linalg.norm(g + g_r + J.T @ y + z))
     feas = float(np.linalg.norm(c_val))
-    comp = float(np.linalg.norm(_complementarity_vector(x, z, box)))
+    # the two parts are disjoint per component; on the nonnegative orthant
+    # their sum reduces to |min(x_i, -z_i)|
+    comp, sign = box_complementarity(x, z, box.lower, box.upper)
+    comp = float(np.linalg.norm(comp + sign))
     return KktParts(stationarity=stat, feasibility=feas, complementarity=comp)
 
 
@@ -348,12 +331,20 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     g_r = np.zeros(p.n)
 
     def finish(status_, iters):
-        c_unscaled = (scale_info.unscale_constraints(c_val) if scale_info is not None else c_val)
-        f_un = (scale_info.unscale_objective(f_val) if scale_info is not None else f_val)
-        r_un = (scale_info.unscale_objective(r_val) if scale_info is not None else r_val)
-        chi_fin = records[-1].chi if records else np.inf
+        # the report speaks the caller's units: multipliers of the scaled
+        # problem are mapped back and chi is re-evaluated on p itself
+        y_un, z_un, g_r_un = y.copy(), z.copy(), g_r.copy()
+        c_unscaled, f_un, r_un = c_val, f_val, r_val
+        if scale_info is not None:
+            f_fac = scale_info.objective_factor
+            y_un = scale_info.constraint_factors * y / f_fac
+            z_un, g_r_un = z / f_fac, g_r / f_fac
+            c_unscaled = scale_info.unscale_constraints(c_val)
+            f_un = scale_info.unscale_objective(f_val)
+            r_un = scale_info.unscale_objective(r_val)
+        chi_fin = kkt_residual(p, x, y_un, z_un, g_r_un)[0] if records else np.inf
         report = SolveReport(
-            status=status_, x=x.copy(), y=y.copy(), z=z.copy(), g_r=g_r.copy(),
+            status=status_, x=x.copy(), y=y_un, z=z_un, g_r=g_r_un,
             chi=chi_fin, c_norm=float(np.linalg.norm(c_unscaled)),
             iterations=iters, records=records, objective=f_un + r_un,
             f_unscaled=f_un, wall_time=time.perf_counter() - t_start,
@@ -417,13 +408,18 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         tau_tr = glob.tau_trial(A_k, c_norm, cJs_norm, cfg.sigma_c)
         tau_new = glob.update_tau(merit.tau, tau_tr, cfg.eps_tau)
 
-        f_w = work.f(w)
         r_w = work.reg.value(w)
-        c_w = work.c(w)
         phi_old = glob.merit_from_parts(f_val, r_val, c_norm, tau_new)
-        phi_new = glob.merit_from_parts(f_w, r_w, float(np.linalg.norm(c_w)), tau_new)
-        accepted = glob.sufficient_decrease(phi_new, phi_old, tau_new, alpha, s,
-                                            c_norm, cJs_norm, cfg.eta_phi, cfg.sigma_c)
+        try:
+            f_w = work.f(w)
+            c_w = work.c(w)
+        except EvaluationError:
+            # a non-finite trial value rejects the step; alpha then shrinks
+            phi_new, accepted = np.inf, False
+        else:
+            phi_new = glob.merit_from_parts(f_w, r_w, float(np.linalg.norm(c_w)), tau_new)
+            accepted = glob.sufficient_decrease(phi_new, phi_old, tau_new, alpha, s,
+                                                c_norm, cJs_norm, cfg.eta_phi, cfg.sigma_c)
 
         if monitor is not None:
             monitor.check_iteration(
@@ -469,7 +465,6 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             f_val, r_val, c_val = f_w, r_w, c_w
             g_val = work.g(x)
             J_val = work.J(x)
-        merit.record()
         if not (accepted and vanished):
             # a vanishing accepted step says nothing about the proximal
             # scale; growing alpha on it would reset the stationarity streak

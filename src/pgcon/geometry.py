@@ -19,6 +19,7 @@ __all__ = [
     "project_tangent_cone",
     "compute_delta",
     "active_set",
+    "box_complementarity",
     "default_active_tol",
 ]
 
@@ -99,3 +100,20 @@ def active_set(x, box: BoxSet, tol_active=None) -> ActiveSet:
         at_upper=tuple(np.flatnonzero(at_hi).tolist()),
         tol_active=float(np.max(tol)) if np.ndim(tol) else float(tol),
     )
+
+
+def box_complementarity(x, z, lower, upper):
+    """Per-component (comp, sign) residuals of bound duals z at x.
+
+    A nonzero z_i pointing at a finite bound (z_i < 0 at lower, z_i > 0 at
+    upper) gives comp_i = min(slack_i, |z_i|); one pointing at an infinite
+    bound gives sign_i = |z_i|, a pure sign violation.  Fixed variables and
+    z_i == 0 give 0 in both, so the two parts never overlap.
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    slack = np.where(z < 0, x - lower, upper - x)  # inf where that bound is infinite
+    m = np.minimum(slack, np.abs(z))
+    m[(z == 0.0) | (lower == upper)] = 0.0
+    comp = np.where(np.isfinite(slack), m, 0.0)
+    return comp, m - comp

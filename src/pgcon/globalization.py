@@ -9,7 +9,7 @@ on rejected steps and, depending on the rule, may grow on accepted ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +38,6 @@ ALPHA_RULES = ("hold", "min_cap", "verbatim_max")
 class MeritState:
     tau: float
     alpha: float
-    tau_history: list = field(default_factory=list)
-    alpha_history: list = field(default_factory=list)
-
-    def record(self):
-        self.tau_history.append(self.tau)
-        self.alpha_history.append(self.alpha)
 
 
 def merit_from_parts(f_val: float, r_val: float, c_norm: float, tau: float) -> float:

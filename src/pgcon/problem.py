@@ -121,14 +121,6 @@ class L1Regularizer:
         return bool(np.all(np.abs(g_r[nz] - w[nz] * np.sign(x[nz])) <= tol))
 
 
-def reg_value(reg: L1Regularizer, x) -> float:
-    return reg.value(x)
-
-
-def reg_subgradient_check(reg: L1Regularizer, x, g_r, tol: float) -> bool:
-    return reg.is_subgradient(x, g_r, tol)
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """Immutable bundle of evaluators defining one problem.

@@ -5,12 +5,20 @@ Solves
     min 0.5 x'Hx + q'x   s.t.  Aeq x = beq,  lower <= x <= upper
 
 by a primal active-set method on the bound constraints with direct KKT
-solves per working set and least-index (Bland-style) anti-cycling.  The
-point of owning this code instead of calling an off-the-shelf first-order
-solver is exactness: bound-active components are exact zeros and the
-returned duals satisfy the KKT system to factorization accuracy, which
-the outer solver's sparsity metrics and multiplier-based diagnostics rely
-on.
+solves per working set and least-index (Bland-style) anti-cycling: both
+the ratio test and the choice of the bound to release break ties by the
+least index.  The point of owning this code instead of calling an
+off-the-shelf first-order solver is exactness: bound-active components
+are exact zeros and the returned duals satisfy the KKT system to
+factorization accuracy, which the outer solver's sparsity metrics and
+multiplier-based diagnostics rely on.
+
+Each working set is solved by one chain (``_solve_subspace``): the KKT
+system is assembled once and tried with sparse LU (with tiny inertia
+shifts) or a dense symmetric solve, then QR least squares.  A working set
+with no stationary point yields a curvature-free descent ray instead of a
+target, and a target exploding along a numerically null direction is
+re-solved on the same system with that direction truncated.
 
 Dual sign convention:  H x + q + Aeq' y + z = 0  with  z_i <= 0 when x_i
 is at its lower bound, z_i >= 0 at its upper bound, z_i = 0 otherwise.
@@ -31,6 +39,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .geometry import box_complementarity
+
 __all__ = ["QpProblem", "QpSolution", "QpKktReport", "solve_qp", "verify_kkt"]
 
 _FREE, _LO, _HI, _FIX = 0, 1, 2, 3
@@ -47,7 +57,6 @@ class QpProblem:
     lower: np.ndarray
     upper: np.ndarray
     gram: Optional[tuple] = None  # (G, c0): objective 0.5*||c0 + G x||^2
-    strong_convexity: float = 0.0
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
@@ -112,18 +121,12 @@ def _matvec(M, x):
     return np.asarray(M @ x).ravel()
 
 
-def _is_sparse(M) -> bool:
-    return sp.issparse(M)
-
-
-def _rows(M, idx):
-    if _is_sparse(M):
-        return M.tocsr()[idx]
-    return np.asarray(M)[idx]
+def _dense(M) -> np.ndarray:
+    return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
 
 
 def _submatrix(M, rows, cols):
-    if _is_sparse(M):
+    if sp.issparse(M):
         return M.tocsr()[rows][:, cols]
     return np.asarray(M)[np.ix_(rows, cols)]
 
@@ -134,37 +137,22 @@ def _eq_residual(qp: QpProblem, x) -> np.ndarray:
     return _matvec(qp.Aeq, x) - qp.beq
 
 
-def verify_kkt(qp: QpProblem, sol: QpSolution, tol: float = 0.0) -> QpKktReport:
+def verify_kkt(qp: QpProblem, sol: QpSolution) -> QpKktReport:
     """Residual breakdown for a candidate primal/dual pair.
 
     Complementarity per component is min(active-slack, |dual|); a dual
-    whose sign points at an infinite (or wrong-side) bound is charged to
-    the dual_sign residual at magnitude |z_i|.
+    whose sign points at an infinite bound is charged to the dual_sign
+    residual at magnitude |z_i| (see geometry.box_complementarity).
     """
     x, y, z = sol.primal, sol.eq_duals, sol.bound_duals
     grad = qp.grad(x)
     if qp.n_eq:
-        grad = grad + _matvec(qp.Aeq.T if not _is_sparse(qp.Aeq) else qp.Aeq.T, y)
+        grad = grad + _matvec(qp.Aeq.T, y)
     stat = float(np.linalg.norm(grad + z))
     eqf = float(np.linalg.norm(_eq_residual(qp, x)))
     boxf = float(max(np.max(np.maximum(qp.lower - x, 0.0), initial=0.0),
                      np.max(np.maximum(x - qp.upper, 0.0), initial=0.0)))
-    comp = np.zeros(qp.dim)
-    sign = np.zeros(qp.dim)
-    fixed = qp.lower == qp.upper
-    for i in range(qp.dim):
-        if fixed[i] or z[i] == 0.0:
-            continue
-        if z[i] < 0:
-            if np.isfinite(qp.lower[i]):
-                comp[i] = min(x[i] - qp.lower[i], -z[i])
-            else:
-                sign[i] = -z[i]
-        else:
-            if np.isfinite(qp.upper[i]):
-                comp[i] = min(qp.upper[i] - x[i], z[i])
-            else:
-                sign[i] = z[i]
+    comp, sign = box_complementarity(x, z, qp.lower, qp.upper)
     return QpKktReport(
         stationarity=stat,
         eq_feasibility=eqf,
@@ -186,7 +174,7 @@ def _repair_rounds(qp: QpProblem, x, tol_eq, pinned, rounds):
         if free.size == 0:
             break
         A_f = _submatrix(qp.Aeq, np.arange(qp.n_eq), free)
-        if _is_sparse(A_f):
+        if sp.issparse(A_f):
             dx = spla.lsqr(A_f, -r, atol=1e-14, btol=1e-14)[0]
         else:
             dx = np.linalg.lstsq(np.asarray(A_f, dtype=float), -r, rcond=None)[0]
@@ -228,7 +216,7 @@ def _phase1(qp: QpProblem, x_ref, mu):
     s.t. Aeq x + a = beq, x in box.  The elastic start is exactly feasible,
     so the recursive solve cannot re-enter phase 1."""
     d, p = qp.dim, qp.n_eq
-    Aeq = np.asarray(qp.Aeq.toarray() if _is_sparse(qp.Aeq) else qp.Aeq, dtype=float)
+    Aeq = _dense(qp.Aeq)
     H = np.zeros((d + p, d + p))
     H[:d, :d] = mu * np.eye(d)
     H[d:, d:] = np.eye(p)
@@ -265,13 +253,23 @@ def _feasible_start(qp: QpProblem, warm_start, tol_eq):
 def _solve_subspace(qp: QpProblem, free, x):
     """Minimize over the free variables with working-set variables fixed.
 
-    Returns (x_target_free, y, descent_ray).  Uses a direct KKT
-    factorization, falling back to rank-revealing least squares when the
-    system is singular (PSD Hessian blocks or rank-deficient equality
-    rows); a solution exploding along a numerically-null direction is
-    re-solved with that direction truncated.  When the working set admits
-    no stationary point at all, a curvature-free feasible descent ray is
-    returned instead of a target.
+    Returns (x_target_free, y, descent_ray).  The KKT system
+
+        [H_ff  A_f'] [x_f]   [-(q_f + H_fw x_w)]
+        [A_f    0  ] [ y ] = [  beq - A_w x_w   ]
+
+    is assembled once and solved by the first method whose residual
+    passes: sparse LU, retried with tiny inertia shifts, when H or Aeq is
+    sparse, a dense symmetric solve otherwise, then QR least squares,
+    which also covers the consistent singular systems of PSD Hessian
+    blocks and rank-deficient equality rows.  If least squares still
+    leaves a residual, the working set has no stationary point and a
+    curvature-free feasible descent ray is returned instead of a target.
+    Otherwise a solution beyond 1e7*(1 + ||x||inf + ||q||inf) is
+    near-null-space noise from rank-deficient data and is re-solved on
+    the same K with singular values below 1e-9 (relative) truncated.
+    The gram form has no equality rows and goes straight to
+    rank-truncated least squares.
     """
     p = qp.n_eq
     nf = free.shape[0]
@@ -298,8 +296,7 @@ def _solve_subspace(qp: QpProblem, free, x):
     if nf == 0:
         if p == 0:
             return np.zeros(0), np.zeros(0), None
-        At = qp.Aeq.toarray().T if _is_sparse(qp.Aeq) else np.asarray(qp.Aeq).T
-        y = np.linalg.lstsq(At, -qp.grad(x), rcond=None)[0]
+        y = np.linalg.lstsq(_dense(qp.Aeq).T, -qp.grad(x), rcond=None)[0]
         return np.zeros(0), y, None
 
     rhs_top = -(qp.q[free] + (_matvec(_submatrix(qp.H, free, fixed), x[fixed]) if fixed.size else 0.0))
@@ -310,69 +307,76 @@ def _solve_subspace(qp: QpProblem, free, x):
     else:
         A_f = None
         rhs = rhs_top
+    rhs_scale = 1.0 + np.linalg.norm(rhs, ord=np.inf)
 
     H_ff = _submatrix(qp.H, free, free)
-    use_sparse = _is_sparse(qp.H) or _is_sparse(qp.Aeq)
-
-    if use_sparse:
+    sol = None
+    if sp.issparse(qp.H) or sp.issparse(qp.Aeq):
         H_ff = sp.csc_matrix(H_ff)
         if p:
             A_f = sp.csc_matrix(A_f)
             K = sp.bmat([[H_ff, A_f.T], [A_f, None]], format="csc")
         else:
             K = H_ff.tocsc()
-        rhs_scale = 1.0 + np.linalg.norm(rhs, ord=np.inf)
         for shift in (0.0, 1e-11, 1e-8):
             # tiny inertia shifts resolve exactly-singular working sets far
             # cheaper than a dense rank-revealing fallback
             Ks = K if shift == 0.0 else (K + shift * sp.eye(K.shape[0], format="csc"))
             try:
-                sol = spla.splu(Ks).solve(rhs)
+                trial = spla.splu(Ks).solve(rhs)
             except RuntimeError:
                 continue
-            if np.all(np.isfinite(sol)):
-                res = np.linalg.norm(K @ sol - rhs, ord=np.inf)
-                if res <= 1e-8 * rhs_scale:
-                    return sol[:nf], sol[nf:], None
-        K = K.toarray()
+            if _solves(K, trial, rhs, rhs_scale):
+                sol = trial
+                break
     else:
         if p:
-            A_fd = np.asarray(A_f, dtype=float)
-            K = np.block([[np.asarray(H_ff, dtype=float), A_fd.T],
-                          [A_fd, np.zeros((p, p))]])
+            A_fd = _dense(A_f)
+            K = np.block([[_dense(H_ff), A_fd.T], [A_fd, np.zeros((p, p))]])
         else:
-            K = np.asarray(H_ff, dtype=float)
+            K = _dense(H_ff)
         try:
             with warnings.catch_warnings():
                 # near-singular systems are caught by the residual check below
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                sol = scipy.linalg.solve(K, rhs, assume_a="sym")
-            if np.all(np.isfinite(sol)):
-                res = np.linalg.norm(K @ sol - rhs, ord=np.inf)
-                if res <= 1e-8 * (1.0 + np.linalg.norm(rhs, ord=np.inf)):
-                    return sol[:nf], sol[nf:], None
+                trial = scipy.linalg.solve(K, rhs, assume_a="sym")
+            if _solves(K, trial, rhs, rhs_scale):
+                sol = trial
         except (scipy.linalg.LinAlgError, ValueError):
             pass
 
-    # QR-based least squares: minimum-norm on the (consistent) singular systems
-    # that arise from PSD Hessian blocks, and immune to SVD non-convergence
-    K = np.asarray(K, dtype=float)
-    sol = scipy.linalg.lstsq(K, rhs, lapack_driver="gelsy")[0]
-    if np.linalg.norm(K @ sol - rhs, ord=np.inf) > 1e-7 * (1.0 + np.linalg.norm(rhs, ord=np.inf)):
-        # no stationary point on this working set: the objective descends
-        # linearly along a curvature-free equality-feasible ray.  Hand the
-        # caller that ray so the ratio test can run to a blocking bound.
-        H_d = np.asarray(H_ff.toarray() if _is_sparse(H_ff) else H_ff, dtype=float)
-        stack = H_d if not p else np.vstack(
-            [H_d, np.asarray(A_f.toarray() if _is_sparse(A_f) else A_f, dtype=float)])
-        N = scipy.linalg.null_space(stack)
-        if N.size:
-            g_free = qp.grad(x)[free]
-            direction = -N @ (N.T @ g_free)
-            dn = float(np.max(np.abs(direction), initial=0.0))
-            if dn > 1e-12 * (1.0 + np.max(np.abs(g_free), initial=0.0)):
-                return None, np.zeros(p), direction / dn
+    if sol is None:
+        # QR-based least squares: minimum-norm on the (consistent) singular
+        # systems that arise from PSD Hessian blocks, and immune to SVD
+        # non-convergence
+        K = _dense(K)
+        sol = scipy.linalg.lstsq(K, rhs, lapack_driver="gelsy")[0]
+        if np.linalg.norm(K @ sol - rhs, ord=np.inf) > 1e-7 * rhs_scale:
+            # no stationary point on this working set: the objective descends
+            # linearly along a curvature-free equality-feasible ray.  Hand the
+            # caller that ray so the ratio test can run to a blocking bound.
+            stack = _dense(H_ff) if not p else np.vstack([_dense(H_ff), _dense(A_f)])
+            N = scipy.linalg.null_space(stack)
+            if N.size:
+                g_free = qp.grad(x)[free]
+                direction = -N @ (N.T @ g_free)
+                dn = float(np.max(np.abs(direction), initial=0.0))
+                if dn > 1e-12 * (1.0 + np.max(np.abs(g_free), initial=0.0)):
+                    return None, np.zeros(p), direction / dn
+
+    # explosion guard: a solution far beyond the problem's own scale is
+    # noise along a numerically null direction of rank-deficient data
+    limit = 1e7 * (1.0 + float(np.max(np.abs(x), initial=0.0))
+                   + float(np.max(np.abs(qp.q), initial=0.0)))
+    if not float(np.max(np.abs(sol))) <= limit:
+        sol = scipy.linalg.lstsq(_dense(K), rhs, cond=1e-9, lapack_driver="gelsy")[0]
     return sol[:nf], sol[nf:], None
+
+
+def _solves(K, sol, rhs, rhs_scale) -> bool:
+    """Residual acceptance of a direct factorization's solution."""
+    return bool(np.all(np.isfinite(sol))
+                and np.linalg.norm(K @ sol - rhs, ord=np.inf) <= 1e-8 * rhs_scale)
 
 
 def _refine_duals(qp: QpProblem, x, state):
@@ -387,11 +391,8 @@ def _refine_duals(qp: QpProblem, x, state):
     """
     d, p = qp.dim, qp.n_eq
     wset = np.flatnonzero(state != _FREE)
-    grad0 = (qp.grad(x) if p == 0 else qp.grad(x))  # H x + q only
-    if p:
-        At = qp.Aeq.toarray().T if _is_sparse(qp.Aeq) else np.asarray(qp.Aeq, dtype=float).T
-    else:
-        At = np.zeros((d, 0))
+    grad0 = qp.grad(x)  # H x + q only
+    At = _dense(qp.Aeq).T if p else np.zeros((d, 0))
     E = np.zeros((d, wset.size))
     E[wset, np.arange(wset.size)] = 1.0
     G = np.hstack([At, E])
@@ -412,39 +413,21 @@ def _refine_duals(qp: QpProblem, x, state):
     return y, z
 
 
-def _subspace_with_guard(qp: QpProblem, free, x):
-    """Subspace solve plus an explosion guard: targets vastly beyond the
-    problem's own scale are near-null-space noise from rank-deficient data
-    and get re-solved with the tiny singular values truncated away."""
-    xf, y, ray = _solve_subspace(qp, free, x)
-    if ray is not None or xf.size == 0 or qp.gram is not None:
-        return xf, y, ray
-    scale = 1e7 * (1.0 + float(np.max(np.abs(x), initial=0.0))
-                   + float(np.max(np.abs(qp.q), initial=0.0)))
-    if (float(np.max(np.abs(xf), initial=0.0)) <= scale
-            and float(np.max(np.abs(y), initial=0.0)) <= scale):
-        return xf, y, ray
-    p = qp.n_eq
-    nf = free.shape[0]
-    mask = np.zeros(qp.dim, dtype=bool)
-    mask[free] = True
-    fixed = np.flatnonzero(~mask)
-    rhs_top = -(qp.q[free] + (_matvec(_submatrix(qp.H, free, fixed), x[fixed]) if fixed.size else 0.0))
-    if p:
-        A_f = np.asarray(_submatrix(qp.Aeq, np.arange(p), free).toarray()
-                         if _is_sparse(qp.Aeq) else _submatrix(qp.Aeq, np.arange(p), free),
-                         dtype=float)
-        rhs_bot = qp.beq - (_matvec(_submatrix(qp.Aeq, np.arange(p), fixed), x[fixed]) if fixed.size else 0.0)
-        rhs = np.concatenate([rhs_top, rhs_bot])
-        H_d = np.asarray(_submatrix(qp.H, free, free).toarray()
-                         if _is_sparse(qp.H) else _submatrix(qp.H, free, free), dtype=float)
-        K = np.block([[H_d, A_f.T], [A_f, np.zeros((p, p))]])
-    else:
-        rhs = rhs_top
-        K = np.asarray(_submatrix(qp.H, free, free).toarray()
-                       if _is_sparse(qp.H) else _submatrix(qp.H, free, free), dtype=float)
-    sol = scipy.linalg.lstsq(K, rhs, cond=1e-9, lapack_driver="gelsy")[0]
-    return sol[:nf], sol[nf:], None
+def _ratio_test(x, step, lo, hi):
+    """(t, blocking): the step length in [0, 1] to the first bound hit
+    along step, and that bound's index, or (1, -1) when none is hit first.
+
+    Among step lengths within 1e-15 of the shortest, the least index
+    blocks (anti-cycling).  Zero steps (all of the working set) and
+    infinite bounds give infinite step lengths.
+    """
+    ratios = np.divide(np.where(step > 0, hi, lo) - x, step,
+                       out=np.full(step.shape[0], np.inf), where=step != 0.0)
+    t = ratios.min(initial=np.inf)
+    if t < 1.0 - 1e-15:
+        j = int(np.argmax((ratios - 1e-15 <= t) & (ratios < 1.0 - 1e-15)))
+        return max(ratios[j], 0.0), j
+    return 1.0, -1
 
 
 def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
@@ -499,7 +482,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
             history.append(qp.objective(x))
         free = np.flatnonzero(state == _FREE)
         if need_solve:
-            xf_target, y, descent = _subspace_with_guard(qp, free, x)
+            xf_target, y, descent = _solve_subspace(qp, free, x)
         step = np.zeros(d)
         if descent is not None:
             # working set admits no stationary point: ride the descent ray
@@ -549,19 +532,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
             need_solve = True
             continue
 
-        # ratio test along the step toward the subspace minimizer
-        t = 1.0
-        blocking = -1
-        for i in free:
-            if step[i] > 0 and np.isfinite(hi[i]):
-                ti = (hi[i] - x[i]) / step[i]
-            elif step[i] < 0 and np.isfinite(lo[i]):
-                ti = (lo[i] - x[i]) / step[i]
-            else:
-                continue
-            if ti < t - 1e-15:
-                t, blocking = ti, i
-        t = max(t, 0.0)
+        t, blocking = _ratio_test(x, step, lo, hi)
         if t * step_inf > 1e-13 * (1.0 + np.max(np.abs(x), initial=0.0)):
             visited.clear()  # real progress: cycle bookkeeping restarts
             tabu.clear()

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .geometry import box_complementarity
 from .problem import BoxSet, L1Regularizer
 from .qp import QpProblem, QpSolution, solve_qp
 
@@ -114,8 +115,7 @@ def build_tangential_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
             Aeq[m + r, n + r] = -1.0
             Aeq[m + r, n + nr + r] = 1.0
     beq = np.concatenate([np.zeros(m), -base[reg_idx]])
-    return QpProblem(H=H, q=q_lin, Aeq=Aeq, beq=beq, lower=lo, upper=hi,
-                     strong_convexity=0.0), reg_idx
+    return QpProblem(H=H, q=q_lin, Aeq=Aeq, beq=beq, lower=lo, upper=hi), reg_idx
 
 
 def _default_start(base, reg_idx, n):
@@ -222,23 +222,7 @@ def verify_tangential_kkt(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     boxf = float(max(np.max(np.maximum(box.lower - w, 0.0), initial=0.0),
                      np.max(np.maximum(w - box.upper, 0.0), initial=0.0)))
 
-    comp = np.zeros(w.shape[0])
-    sign = np.zeros(w.shape[0])
-    fixed = box.lower == box.upper
-    for i in range(w.shape[0]):
-        if fixed[i] or z[i] == 0.0:
-            continue
-        if z[i] < 0:
-            if np.isfinite(box.lower[i]):
-                comp[i] = min(w[i] - box.lower[i], -z[i])
-            else:
-                sign[i] = -z[i]
-        else:
-            if np.isfinite(box.upper[i]):
-                comp[i] = min(box.upper[i] - w[i], z[i])
-            else:
-                sign[i] = z[i]
-
+    comp, sign = box_complementarity(w, z, box.lower, box.upper)
     return TangentialKktReport(
         stationarity=stat,
         nullspace=nullspace,

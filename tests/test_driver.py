@@ -10,7 +10,7 @@ from pgcon.driver import (
     solve,
 )
 from pgcon.geometry import active_set
-from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
+from pgcon.problem import BoxSet, EvaluationError, L1Regularizer, ProblemInstance
 
 
 class TestConfig:
@@ -178,6 +178,71 @@ class TestSolveBehavior:
         for a, b in zip(alphas, alphas[1:]):
             assert b <= a + 1e-15
         assert rep.invariant_violations == []
+
+
+class TestReportUnits:
+    """The report is about the problem the caller passed in: multipliers and
+    chi are in its units even when the solver works on a rescaled copy, and
+    a non-finite trial evaluation is a rejected step, not an exception."""
+
+    @staticmethod
+    def scaled_twin(p, factor):
+        return ProblemInstance(
+            name=p.name + "-scaled", n=p.n, m=p.m,
+            f_eval=lambda x: factor * p.f_eval(x),
+            g_eval=lambda x: factor * np.asarray(p.g_eval(x)),
+            c_eval=p.c_eval, J_eval=p.J_eval,
+            reg=L1Regularizer(factor * p.reg.weights), box=p.box, x0=p.x0)
+
+    def test_multipliers_and_chi_unscaled(self):
+        p = self.scaled_twin(get_instance("eq-quad-1").problem, 1e3)
+        cfg = SolverConfig()
+        rep = solve(p, cfg)
+        plain = solve(p, SolverConfig(scaling=False))
+        assert rep.status == plain.status == "KktPoint"
+        chi, _ = kkt_residual(p, rep.x, rep.y, rep.z, rep.g_r)
+        assert chi == rep.chi
+        assert chi <= cfg.tol_stat
+        np.testing.assert_allclose(rep.y, plain.y, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(rep.z, plain.z, rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("where", ["f", "c"])
+    def test_nonfinite_trial_is_rejected_step(self, where):
+        # f or c is NaN outside the ball |x| <= 2; the first full steps from
+        # the origin leave it, so they must be rejected with alpha halved
+        center = np.array([1.0, -0.5])
+
+        def inside(x):
+            return float(x @ x) <= 4.0
+
+        def f(x):
+            val = 0.5 * float((x - center) @ (x - center))
+            return val if where != "f" or inside(x) else np.nan
+
+        def c(x):
+            val = x[0] + x[1] - 0.5
+            return np.array([val if where != "c" or inside(x) else np.nan])
+
+        p = ProblemInstance(
+            name="nan-ball", n=2, m=1, f_eval=f, g_eval=lambda x: x - center,
+            c_eval=c, J_eval=lambda x: np.ones((1, 2)),
+            reg=L1Regularizer(np.zeros(2)), box=BoxSet.free(2), x0=np.zeros(2))
+        rep = solve(p, SolverConfig(alpha0=10.0))
+        assert rep.status == "KktPoint"
+        first = rep.records[0]
+        assert not first.accepted and first.merit_after == np.inf
+        assert rep.records[1].alpha == 0.5 * first.alpha
+        assert "inf" in ledger_to_csv(rep.records).splitlines()[1]
+        np.testing.assert_allclose(rep.x, center, atol=1e-3)
+
+    def test_nonfinite_start_still_raises(self):
+        p = ProblemInstance(
+            name="nan-start", n=1, m=0, f_eval=lambda x: np.nan,
+            g_eval=lambda x: np.zeros(1), c_eval=lambda x: np.zeros(0),
+            J_eval=lambda x: np.zeros((0, 1)), reg=L1Regularizer(np.zeros(1)),
+            box=BoxSet.free(1))
+        with pytest.raises(EvaluationError):
+            solve(p, SolverConfig())
 
 
 class TestTrackers:

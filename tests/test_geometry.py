@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from pgcon.driver import kkt_residual
 from pgcon.geometry import (
     active_set,
+    box_complementarity,
     compute_delta,
     project_box,
     project_tangent_cone,
 )
-from pgcon.problem import BoxSet
-from pgcon.qp import QpProblem, solve_qp
+from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
+from pgcon.qp import QpProblem, QpSolution, solve_qp, verify_kkt
+from pgcon.tangential import verify_tangential_kkt
 
 
 def cone_projection_oracle(d, x, box, tol=1e-12):
@@ -129,3 +132,129 @@ class TestActiveSet:
         aset = active_set([1.0, 2.0], box)
         assert 0 in aset.at_lower and 0 not in aset.at_upper
         assert 1 in aset.at_upper
+
+
+def box_complementarity_loop(x, z, lower, upper):
+    """Scalar reference: the per-component loop box_complementarity replaced."""
+    comp = np.zeros(x.shape[0])
+    sign = np.zeros(x.shape[0])
+    for i in range(x.shape[0]):
+        if lower[i] == upper[i] or z[i] == 0.0:
+            continue
+        if z[i] < 0:
+            if np.isfinite(lower[i]):
+                comp[i] = min(x[i] - lower[i], -z[i])
+            else:
+                sign[i] = -z[i]
+        else:
+            if np.isfinite(upper[i]):
+                comp[i] = min(upper[i] - x[i], z[i])
+            else:
+                sign[i] = z[i]
+    return comp, sign
+
+
+def random_box_case(rng, n):
+    """Box with -inf/finite lower, finite/+inf upper and fixed components;
+    x on, inside or outside its bounds; z negative, zero, positive."""
+    lo = np.where(rng.random(n) < 0.6, rng.standard_normal(n) - 1.0, -np.inf)
+    hi = np.where(rng.random(n) < 0.6, rng.standard_normal(n) + 1.0, np.inf)
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    fixed = (rng.random(n) < 0.2) & np.isfinite(lo)
+    hi[fixed] = lo[fixed]
+    x = rng.standard_normal(n)
+    on_lo = (rng.random(n) < 0.3) & np.isfinite(lo)
+    x[on_lo] = lo[on_lo]
+    on_hi = (rng.random(n) < 0.3) & np.isfinite(hi)
+    x[on_hi] = hi[on_hi]
+    z = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 10.0], size=n)
+    z[rng.random(n) < 0.3] = 0.0
+    return BoxSet(lo, hi), x, z
+
+
+# hand-built cases of test_driver.TestKktResidual, test_qp.TestVerifyKkt and
+# test_tangential.TestVerify, as (x, z, lower, upper, comp norm, sign max)
+HAND_BUILT = [
+    ([0.0, 1.0], [-2.0, 0.0], [0.0, 0.0], [np.inf, np.inf], 0.0, 0.0),
+    ([0.5, 0.0], [-2.0, 0.0], [0.0, 0.0], [np.inf, np.inf], 0.5, 0.0),
+    ([0.0], [0.3], [-np.inf], [np.inf], 0.0, 0.3),
+    ([1.0], [2.0], [0.0], [1.0], 0.0, 0.0),
+    ([0.0], [1.0], [0.0], [np.inf], 0.0, 1.0),
+    ([0.0], [0.5], [0.0], [np.inf], 0.0, 0.5),
+    ([0.5], [3.0], [0.5], [0.5], 0.0, 0.0),
+    # zero duals and a fixed variable charge nothing
+    ([3.0, 1.0, 2.0], [0.0, -5.0, 0.0], [0.0, 1.0, -np.inf], [np.inf, 1.0, np.inf], 0.0, 0.0),
+]
+
+
+class TestBoxComplementarity:
+    def test_matches_scalar_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            box, x, z = random_box_case(rng, int(rng.integers(1, 12)))
+            comp, sign = box_complementarity(x, z, box.lower, box.upper)
+            ref_comp, ref_sign = box_complementarity_loop(x, z, box.lower, box.upper)
+            np.testing.assert_array_equal(comp, ref_comp)
+            np.testing.assert_array_equal(sign, ref_sign)
+            # the parts never overlap, so their sum loses nothing
+            assert not np.any((comp != 0.0) & (sign != 0.0))
+
+    @pytest.mark.parametrize("case", HAND_BUILT)
+    def test_hand_built_cases(self, case):
+        x, z, lo, hi = (np.asarray(v, dtype=float) for v in case[:4])
+        comp_norm, sign_max = case[4:]
+        comp, sign = box_complementarity(x, z, lo, hi)
+        ref_comp, ref_sign = box_complementarity_loop(x, z, lo, hi)
+        np.testing.assert_array_equal(comp, ref_comp)
+        np.testing.assert_array_equal(sign, ref_sign)
+        assert float(np.linalg.norm(comp)) == comp_norm
+        assert float(np.max(sign, initial=0.0)) == sign_max
+
+
+class TestComplementarityConsumers:
+    """driver.kkt_residual, qp.verify_kkt and verify_tangential_kkt report
+    exactly the numbers of the scalar loop they each used to carry."""
+
+    def cases(self):
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            n = int(rng.integers(1, 8))
+            box, x, z = random_box_case(rng, n)
+            yield n, box, x, z
+        for x, z, lo, hi, _, _ in HAND_BUILT:
+            x = np.asarray(x, dtype=float)
+            yield x.shape[0], BoxSet(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)), \
+                x, np.asarray(z, dtype=float)
+
+    def test_driver_kkt_residual(self):
+        for n, box, x, z in self.cases():
+            p = ProblemInstance(
+                name="c", n=n, m=0, f_eval=lambda v: 0.0, g_eval=lambda v: np.zeros(v.shape[0]),
+                c_eval=lambda v: np.zeros(0), J_eval=lambda v: np.zeros((0, v.shape[0])),
+                reg=L1Regularizer(np.zeros(n)), box=box)
+            _, parts = kkt_residual(p, x, np.zeros(0), z, np.zeros(n))
+            comp, sign = box_complementarity_loop(x, z, box.lower, box.upper)
+            assert parts.complementarity == float(np.linalg.norm(comp + sign))
+
+    def test_verify_kkt(self):
+        for n, box, x, z in self.cases():
+            qp = QpProblem(H=np.eye(n), q=np.zeros(n), Aeq=np.zeros((0, n)), beq=np.zeros(0),
+                           lower=box.lower, upper=box.upper)
+            sol = QpSolution(primal=x, eq_duals=np.zeros(0), bound_duals=z,
+                             kkt_residual=0.0, iterations=0, status="solved")
+            rep = verify_kkt(qp, sol)
+            comp, sign = box_complementarity_loop(x, z, box.lower, box.upper)
+            assert rep.complementarity == float(np.linalg.norm(comp))
+            assert rep.dual_sign == float(np.max(sign, initial=0.0))
+
+    def test_verify_tangential_kkt(self):
+        for n, box, x, z in self.cases():
+            u = 0.1 * np.ones(n)
+            rep = verify_tangential_kkt(x - u, np.zeros(n), np.zeros(n), np.zeros((0, n)), 1.0,
+                                        L1Regularizer(np.zeros(n)), box,
+                                        u=u, y=np.zeros(0), z=z, g_r=np.zeros(n))
+            # the residual is taken at the trial point w = x + v + u
+            w = (x - u) + u
+            comp, sign = box_complementarity_loop(w, z, box.lower, box.upper)
+            assert rep.complementarity == float(np.linalg.norm(comp))
+            assert rep.dual_sign == float(np.max(sign, initial=0.0))

@@ -13,8 +13,6 @@ from pgcon.problem import (
     check_derivatives,
     load_problem,
     problem_to_dict,
-    reg_subgradient_check,
-    reg_value,
 )
 
 
@@ -45,10 +43,10 @@ class TestBox:
 class TestRegularizer:
     def test_value_and_nonnegativity(self):
         reg = L1Regularizer(np.array([1.0, 1.0]))
-        assert reg_value(reg, np.array([2.0, -3.0])) == 5.0
+        assert reg.value(np.array([2.0, -3.0])) == 5.0
         rng = np.random.default_rng(0)
         for _ in range(50):
-            assert reg_value(reg, rng.standard_normal(2)) >= 0.0
+            assert reg.value(rng.standard_normal(2)) >= 0.0
 
     def test_convexity_random(self):
         rng = np.random.default_rng(1)
@@ -62,17 +60,17 @@ class TestRegularizer:
 
     def test_subgradient_at_nonzero(self):
         reg = L1Regularizer(np.array([1.0, 1.0]))
-        assert reg_subgradient_check(reg, np.array([2.0, -3.0]), np.array([1.0, -1.0]), 1e-10)
+        assert reg.is_subgradient(np.array([2.0, -3.0]), np.array([1.0, -1.0]), 1e-10)
 
     def test_subgradient_zero_weight_component(self):
         reg = L1Regularizer(np.array([1.0, 0.0]))
         x = np.array([0.0, 4.0])
-        assert reg_subgradient_check(reg, x, np.array([0.5, 0.0]), 1e-10)
-        assert not reg_subgradient_check(reg, x, np.array([1.5, 0.0]), 1e-10)
+        assert reg.is_subgradient(x, np.array([0.5, 0.0]), 1e-10)
+        assert not reg.is_subgradient(x, np.array([1.5, 0.0]), 1e-10)
 
     def test_subdifferential_boundary_at_zero(self):
         reg = L1Regularizer(np.array([2.0, 2.0]))
-        assert reg_subgradient_check(reg, np.zeros(2), np.array([2.0, -2.0]), 1e-12)
+        assert reg.is_subgradient(np.zeros(2), np.array([2.0, -2.0]), 1e-12)
 
 
 class TestDerivativeCheck:

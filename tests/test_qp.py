@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
-from pgcon.qp import QpProblem, solve_qp, verify_kkt
+from pgcon.qp import QpProblem, _ratio_test, _solve_subspace, solve_qp, verify_kkt
 from qp_oracle import enumerate_qp
 
 
@@ -164,3 +167,106 @@ class TestOracleEquivalence:
         again = solve_qp(qp, warm_start=sol.primal)
         assert again.iterations <= 2
         np.testing.assert_allclose(again.primal, sol.primal, atol=1e-10)
+
+
+class TestSubspaceBranches:
+    """Each branch of the working-set solve chain in qp._solve_subspace."""
+
+    def test_curvature_free_descent_ray(self):
+        # zero curvature along x2 with q pulling it up: the free working set
+        # has no stationary point, so the solve hands back a descent ray and
+        # the ratio test rides it to the upper bound
+        for H in (np.diag([1.0, 0.0]), sp.csr_matrix(np.diag([1.0, 0.0]))):
+            qp = QpProblem(H=H, q=np.array([0.0, -1.0]), Aeq=np.zeros((0, 2)),
+                           beq=np.zeros(0), lower=-np.ones(2), upper=np.ones(2))
+            xf, y, ray = _solve_subspace(qp, np.arange(2), np.zeros(2))
+            assert xf is None and y.size == 0
+            np.testing.assert_array_equal(ray, [0.0, 1.0])
+            sol = solve_qp(qp)
+            ref = enumerate_qp(np.diag([1.0, 0.0]), qp.q, qp.Aeq, qp.beq, qp.lower, qp.upper)
+            assert sol.status == "solved"
+            np.testing.assert_array_equal(sol.primal, ref[0])
+            np.testing.assert_allclose(sol.bound_duals, ref[2], atol=1e-12)
+            assert verify_kkt(qp, sol).overall <= 1e-12
+
+    def test_explosion_guard_truncates_near_null_direction(self):
+        # equality rows dependent up to 1e-12: the direct solve returns
+        # multipliers near 3e12, far beyond 1e7*(1 + |x| + |q|), and the
+        # guard re-solves the same system with that direction truncated
+        A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0 + 1e-12]])
+        K = np.block([[np.eye(3), A.T], [A, np.zeros((2, 2))]])
+        rhs = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            direct = scipy.linalg.solve(K, rhs, assume_a="sym")
+        assert np.max(np.abs(direct)) > 1e7 * 2.0
+        truncated = scipy.linalg.lstsq(K, rhs, cond=1e-9, lapack_driver="gelsy")[0]
+        for Aeq in (A, sp.csr_matrix(A)):
+            qp = QpProblem(H=np.eye(3), q=np.array([0.0, 0.0, -1.0]), Aeq=Aeq,
+                           beq=np.ones(2), lower=np.full(3, -np.inf), upper=np.full(3, np.inf))
+            xf, y, ray = _solve_subspace(qp, np.arange(3), np.zeros(3))
+            assert ray is None
+            np.testing.assert_allclose(np.concatenate([xf, y]), truncated, rtol=0, atol=1e-15)
+            sol = solve_qp(qp)
+            ref = enumerate_qp(np.eye(3), qp.q, A, qp.beq, qp.lower, qp.upper)
+            assert sol.status == "solved"
+            np.testing.assert_allclose(sol.primal, ref[0], atol=1e-9)
+            assert verify_kkt(qp, sol).overall <= 1e-9
+
+    @pytest.mark.parametrize("upper1", [2.0, np.nextafter(2.0, 0.0)])
+    def test_ratio_tie_blocks_least_index(self, upper1):
+        # from the interior point 0 toward the target (2, 4) both upper
+        # bounds are reached at step length 0.5, exactly or one ulp apart
+        # (within the 1e-15 tie tolerance): index 0 blocks first either way
+        qp = QpProblem(H=np.eye(2), q=np.array([-2.0, -4.0]), Aeq=np.zeros((0, 2)),
+                       beq=np.zeros(0), lower=-np.ones(2), upper=np.array([1.0, upper1]))
+        one_step = solve_qp(qp, max_iter=1)
+        assert one_step.status == "max_iter"
+        assert one_step.primal[0] == 1.0
+        assert one_step.bound_duals[0] != 0.0 and one_step.bound_duals[1] == 0.0
+        sol = solve_qp(qp)
+        ref = enumerate_qp(qp.H, qp.q, qp.Aeq, qp.beq, qp.lower, qp.upper)
+        assert sol.status == "solved"
+        np.testing.assert_array_equal(sol.primal, ref[0])
+        np.testing.assert_allclose(sol.bound_duals, ref[2], atol=1e-12)
+
+
+def ratio_test_loop(x, step, lo, hi):
+    """Scalar reference: the per-index loop _ratio_test replaced."""
+    t, blocking = 1.0, -1
+    for i in range(x.shape[0]):
+        if step[i] > 0 and np.isfinite(hi[i]):
+            ti = (hi[i] - x[i]) / step[i]
+        elif step[i] < 0 and np.isfinite(lo[i]):
+            ti = (lo[i] - x[i]) / step[i]
+        else:
+            continue
+        if ti < t - 1e-15:
+            t, blocking = ti, i
+    return max(t, 0.0), blocking
+
+
+def test_ratio_test_matches_loop():
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        d = int(rng.integers(1, 10))
+        lo = np.where(rng.random(d) < 0.7, -rng.random(d) - 0.1, -np.inf)
+        hi = np.where(rng.random(d) < 0.7, rng.random(d) + 0.1, np.inf)
+        x = rng.uniform(np.maximum(lo, -1.0), np.minimum(hi, 1.0))
+        on_bound = rng.random(d) < 0.2
+        x[on_bound] = np.where(np.isfinite(lo), lo, x)[on_bound]
+        step = rng.standard_normal(d) * rng.choice([0.1, 1.0, 10.0])
+        step[rng.random(d) < 0.2] = 0.0
+        if d >= 2 and rng.random() < 0.5:
+            # two indices reaching a bound at the same step length, exactly
+            # or a few ulps apart
+            i, j = rng.choice(d, size=2, replace=False)
+            r = rng.uniform(0.0, 1.2)
+            lo[[i, j]], hi[[i, j]] = -np.inf, np.inf
+            x[[i, j]] = 0.0
+            step[[i, j]] = np.abs(step[[i, j]]) + 0.1
+            hi[i] = r * step[i]
+            hi[j] = (hi[i] / step[i]) * step[j]
+            for _ in range(int(rng.integers(-3, 4))):
+                hi[j] = np.nextafter(hi[j], np.inf)
+        assert _ratio_test(x, step, lo, hi) == ratio_test_loop(x, step, lo, hi)
