@@ -1,16 +1,16 @@
-"""Benchmark harness: run suites of instances across seeds, collect result
-rows, and emit the results table and performance-profile CSV.
+"""Benchmark harness: run solves as cells (one problem and config each),
+collect result rows, and emit the results table and performance-profile
+CSV.  Every CLI solve runs through here: ``pgcon bench`` runs a suite,
+``pgcon scca`` an SCCA grid, and ``pgcon solve`` a single cell.
 
-Cells (instance x seed) are independent solves and may run in parallel;
+Cells are independent solves and may run on up to ``threads`` workers;
 the merge is by sorted key, so the output is independent of scheduling.
-The PGCON_THREADS environment variable caps worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import io
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,16 +18,17 @@ from typing import Callable, Optional
 
 from . import scca as scca_mod
 from .corpus import corpus
-from .driver import SolverConfig, solve
+from .driver import SolveReport, SolverConfig, solve
 
 __all__ = ["BenchCell", "BenchResult", "scca_suite", "corpus_suite",
-           "run_benchmark", "results_to_csv", "profile_to_csv",
+           "run_benchmark", "result_row", "results_to_csv", "profile_to_csv",
            "RESULT_COLUMNS"]
 
 RESULT_COLUMNS = [
     "instance", "n", "m", "lambda", "seed", "status", "iters", "time_s",
     "chi", "c_norm", "rho_xy", "sr_x", "sr_y", "sr", "sl", "voc_x", "voc_y",
 ]
+_METRIC_COLUMNS = RESULT_COLUMNS[RESULT_COLUMNS.index("rho_xy"):]
 
 
 @dataclass
@@ -43,34 +44,38 @@ class BenchCell:
 
 @dataclass
 class BenchResult:
+    """One cell's outcome.  A cell whose factory, solve or metrics raised
+    has status "Error", the message in ``error`` and None for every value
+    it did not reach."""
+
     instance: str
     seed: int
-    status: str
-    n: int
-    m: int
     lam: float
-    iters: int
-    time_s: float
-    chi: float
-    c_norm: float
-    metrics: Optional[scca_mod.SccaMetrics]
+    status: str
+    n: Optional[int] = None
+    m: Optional[int] = None
+    iters: Optional[int] = None
+    time_s: Optional[float] = None
+    chi: Optional[float] = None
+    c_norm: Optional[float] = None
+    metrics: Optional[scca_mod.SccaMetrics] = None
+    report: Optional[SolveReport] = None
     error: str = ""
 
 
-def _cfg_with(cfg: SolverConfig, **overrides) -> SolverConfig:
-    d = cfg.to_dict()
-    d.update(overrides)
-    return SolverConfig.from_dict(d)
-
-
-def scca_suite(sizes, lams, seeds, base_cfg: Optional[SolverConfig] = None) -> list[BenchCell]:
-    base = base_cfg or SolverConfig(alpha0=1e-3)
+def scca_suite(sizes, lams, seeds, base_cfg: Optional[SolverConfig] = None,
+               samples: Optional[int] = None) -> list[BenchCell]:
+    """SCCA cells over sizes x lambdas x seeds; ``samples`` (N) defaults
+    to the size."""
+    base = base_cfg or SolverConfig(alpha0=scca_mod.ALPHA0)
     cells = []
     for n in sizes:
+        if n % 8:
+            raise ValueError(f"SCCA size {n} is not divisible by 8")
         for lam in lams:
             for seed in (seeds or [0]):
                 def make(n=n, lam=lam, seed=seed):
-                    data = scca_mod.scca_generate(n, n, n, seed)
+                    data = scca_mod.scca_generate(n, n, samples or n, seed)
                     prob = scca_mod.scca_problem(data, lam)
 
                     def metrics(report, wall):
@@ -95,35 +100,31 @@ def corpus_suite(base_cfg: Optional[SolverConfig] = None) -> list[BenchCell]:
             return inst.problem, None
         cells.append(BenchCell(
             instance=inst.name, seed=0, make=make,
-            config=_cfg_with(base, **inst.config_overrides),
+            config=dataclasses.replace(base, **inst.config_overrides),
         ))
     return cells
 
 
 def _run_cell(cell: BenchCell) -> BenchResult:
+    res = BenchResult(instance=cell.instance, seed=cell.seed, lam=cell.lam,
+                      status="Error")
     try:
         prob, metrics_fn = cell.make()
+        res.n, res.m = prob.n, prob.m
         t0 = time.perf_counter()
         report = solve(prob, cell.config)
-        wall = time.perf_counter() - t0
-        metrics = metrics_fn(report, wall) if metrics_fn is not None else None
-        return BenchResult(
-            instance=cell.instance, seed=cell.seed, status=report.status,
-            n=prob.n, m=prob.m, lam=cell.lam, iters=report.iterations,
-            time_s=wall, chi=report.chi, c_norm=report.c_norm, metrics=metrics,
-        )
+        res.time_s = time.perf_counter() - t0
+        res.status, res.report = report.status, report
+        res.iters, res.chi, res.c_norm = report.iterations, report.chi, report.c_norm
+        if metrics_fn is not None:
+            res.metrics = metrics_fn(report, res.time_s)
     except Exception as exc:  # individual failures recorded, suite continues
-        return BenchResult(
-            instance=cell.instance, seed=cell.seed, status="Error",
-            n=-1, m=-1, lam=cell.lam, iters=0, time_s=0.0, chi=float("inf"),
-            c_norm=float("inf"), metrics=None, error=f"{type(exc).__name__}: {exc}",
-        )
+        res.status, res.error = "Error", f"{type(exc).__name__}: {exc}"
+    return res
 
 
-def run_benchmark(cells: list[BenchCell], threads: Optional[int] = None) -> list[BenchResult]:
+def run_benchmark(cells: list[BenchCell], threads: int = 1) -> list[BenchResult]:
     """Execute all cells; results come back sorted by (instance, lam, seed)."""
-    if threads is None:
-        threads = int(os.environ.get("PGCON_THREADS", "1"))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_cell, cells))
@@ -133,24 +134,31 @@ def run_benchmark(cells: list[BenchCell], threads: Optional[int] = None) -> list
     return results
 
 
+def result_row(r: BenchResult) -> dict:
+    """The ``RESULT_COLUMNS`` values of one result plus its ``error``;
+    None where a value does not exist (no lambda, no metrics, an error)."""
+    row = {"instance": r.instance, "n": r.n, "m": r.m,
+           "lambda": r.lam if r.lam == r.lam else None, "seed": r.seed,
+           "status": r.status, "iters": r.iters, "time_s": r.time_s,
+           "chi": r.chi, "c_norm": r.c_norm}
+    for col in _METRIC_COLUMNS:
+        row[col] = None if r.metrics is None else getattr(r.metrics, col)
+    row["error"] = r.error or None
+    return row
+
+
+def _csv_field(v) -> str:
+    if v is None:
+        return ""
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
 def results_to_csv(results: list[BenchResult]) -> str:
     buf = io.StringIO()
     buf.write(",".join(RESULT_COLUMNS) + "\n")
     for r in results:
-        met = r.metrics
-        row = [
-            r.instance, str(r.n), str(r.m),
-            repr(r.lam) if r.lam == r.lam else "",
-            str(r.seed), r.status, str(r.iters), repr(r.time_s), repr(r.chi),
-            repr(r.c_norm),
-        ]
-        if met is not None:
-            row += [repr(float(met.rho_xy)), repr(float(met.sr_x)),
-                    repr(float(met.sr_y)), repr(float(met.sr)), str(met.sl),
-                    repr(float(met.voc_x)), repr(float(met.voc_y))]
-        else:
-            row += [""] * 7
-        buf.write(",".join(row) + "\n")
+        row = result_row(r)
+        buf.write(",".join(_csv_field(row[c]) for c in RESULT_COLUMNS) + "\n")
     return buf.getvalue()
 
 
@@ -161,5 +169,5 @@ def profile_to_csv(results: list[BenchResult], config_label: str) -> str:
     buf.write("instance,config,time_s,solved\n")
     for r in results:
         solved = int(r.status in ("KktPoint", "InfeasibleStationary"))
-        buf.write(f"{r.instance}-s{r.seed},{config_label},{r.time_s!r},{solved}\n")
+        buf.write(f"{r.instance}-s{r.seed},{config_label},{_csv_field(r.time_s)},{solved}\n")
     return buf.getvalue()

@@ -2,13 +2,19 @@
 
 Subcommands:
   solve         solve one problem from a JSON problem file
-  scca          generate + solve a synthetic sparse-CCA instance
+  scca          generate + solve synthetic sparse-CCA instances
   bench         run a benchmark suite (corpus and/or an SCCA grid)
   corpus-check  validate every built-in oracle instance
 
+solve, scca and bench build cells and run them through
+``bench.run_benchmark``, so every solve is loaded, timed, guarded and
+tabulated by the same code; a solver exception becomes an "Error" row
+(or report), never a traceback.
+
 Exit codes: 0 success (KKT point / suite completed / corpus valid),
-2 certified infeasible stationary point, 1 limits or failures,
-64 usage errors.  A machine-readable JSON report is always written.
+2 certified infeasible stationary point, 1 limits or failures (a solver
+exception included), 64 usage errors.  A machine-readable JSON report is
+always written.
 """
 
 from __future__ import annotations
@@ -17,15 +23,14 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
-from .bench import (corpus_suite, profile_to_csv, results_to_csv, run_benchmark,
-                    scca_suite)
-from .corpus import corpus, validate_corpus
-from .driver import SolverConfig, ledger_to_csv, report_to_json, solve
+from . import scca
+from .bench import (BenchCell, corpus_suite, profile_to_csv, result_row,
+                    results_to_csv, run_benchmark, scca_suite)
+from .corpus import validate_corpus
+from .driver import SolverConfig, ledger_to_csv, report_to_json
 from .problem import load_problem
-from .scca import scca_generate, scca_metrics, scca_problem
 
 USAGE_ERROR = 64
 
@@ -39,40 +44,33 @@ def _parse_override(text: str):
     return key.strip(), raw.strip()
 
 
-def _coerce(key: str, raw: str, field_types: dict):
-    if key not in field_types:
+def _coerce(key: str, raw: str, defaults: dict):
+    if key not in defaults:
         raise ValueError(f"unknown config key {key!r}")
-    ftype = field_types[key]
-    if ftype is bool:
+    kind = type(defaults[key])
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-    if ftype is int:
-        return int(raw)
-    if ftype is float:
-        return float(raw)
-    if ftype is str:
-        return raw
+    if kind in (int, float, str):
+        return kind(raw)
     return json.loads(raw)
 
 
 def load_config(path=None, overrides=(), **direct) -> SolverConfig:
-    """Defaults, then a JSON config file, then key=value overrides."""
+    """Defaults, then a JSON config file, then key=value overrides, each
+    typed by its field's default."""
     data = {}
     if path:
         with open(path) as fh:
             data.update(json.load(fh))
     data.update(direct)
-    field_types = {}
-    for f in dataclasses.fields(SolverConfig):
-        field_types[f.name] = (f.type if isinstance(f.type, type)
-                               else {"float": float, "int": int, "bool": bool,
-                                     "str": str}.get(str(f.type).split("[")[0].strip(), None))
+    defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
     for item in overrides:
         key, raw = _parse_override(item)
-        data[key] = _coerce(key, raw, field_types)
+        data[key] = _coerce(key, raw, defaults)
     return SolverConfig.from_dict(data)
 
 
@@ -97,17 +95,29 @@ def _flag_overrides(args) -> dict:
     return out
 
 
+def _print_results(results):
+    for r in results:
+        line = f"{r.instance} seed={r.seed}: {r.status}"
+        if r.time_s is not None:
+            line += f" ({r.time_s:.1f}s)"
+        if r.metrics is not None:
+            line += f" rho={r.metrics.rho_xy:.4f} sr={r.metrics.sr:.4f} sl={r.metrics.sl}"
+        if r.error:
+            line += f"  [{r.error}]"
+        print(line)
+
+
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config, args.set, **_flag_overrides(args))
     prob = load_problem(args.problem)
+    res, = run_benchmark([BenchCell(prob.name, 0, lambda: (prob, None), cfg)])
     out = _out_dir(args)
-    try:
-        report = solve(prob, cfg)
-    except Exception as exc:
+    report = res.report
+    if report is None:
         (out / "report.json").write_text(json.dumps(
-            {"status": "Error", "problem": prob.name,
-             "error": f"{type(exc).__name__}: {exc}"}, indent=2))
-        raise
+            {"status": "Error", "problem": prob.name, "error": res.error}, indent=2))
+        print(f"pgcon: {res.error}", file=sys.stderr)
+        return 1
     (out / "ledger.csv").write_text(ledger_to_csv(report.records))
     (out / "report.json").write_text(report_to_json(report, {"problem": prob.name}))
     if args.verbose:
@@ -119,51 +129,19 @@ def _cmd_solve(args) -> int:
 def _cmd_scca(args) -> int:
     cfg = load_config(args.config, args.set, alpha0=args.alpha0,
                       **_flag_overrides(args))
-    seeds = args.seed or [0]
-    rows = []
-    status_worst = 0
+    results = run_benchmark(scca_suite([args.n], [args.lam], args.seed or [0], cfg,
+                                       samples=args.N))
     out = _out_dir(args)
-    for seed in seeds:
-        data = scca_generate(args.n, args.n, args.N or args.n, seed)
-        prob = scca_problem(data, args.lam)
-        t0 = time.perf_counter()
-        try:
-            report = solve(prob, cfg)
-        except Exception as exc:
-            rows.append({"instance": prob.name, "seed": seed, "status": "Error",
-                         "iters": 0, "time_s": time.perf_counter() - t0,
-                         "chi": float("inf"), "c_norm": float("inf"),
-                         "rho_xy": 0.0, "sr_x": 0.0, "sr_y": 0.0, "sr": 0.0,
-                         "sl": -1, "voc_x": 0.0, "voc_y": 0.0,
-                         "error": f"{type(exc).__name__}: {exc}"})
-            status_worst = 1
-            continue
-        wall = time.perf_counter() - t0
-        met = scca_metrics(report.x[:args.n], report.x[args.n:2 * args.n], data,
-                           wall_time=wall)
-        rows.append({
-            "instance": prob.name, "seed": seed, "status": report.status,
-            "iters": report.iterations, "time_s": wall, "chi": report.chi,
-            "c_norm": report.c_norm, "rho_xy": met.rho_xy, "sr_x": met.sr_x,
-            "sr_y": met.sr_y, "sr": met.sr, "sl": met.sl,
-            "voc_x": met.voc_x, "voc_y": met.voc_y,
-        })
-        (out / f"ledger-seed{seed}.csv").write_text(ledger_to_csv(report.records))
-        status_worst = max(status_worst, _STATUS_EXIT.get(report.status, 1))
-        if args.verbose:
-            r = rows[-1]
-            print(f"seed {seed}: {r['status']} rho={r['rho_xy']:.4f} "
-                  f"sr={r['sr']:.4f} sl={r['sl']} t={wall:.1f}s")
+    for r in results:
+        if r.report is not None:
+            (out / f"ledger-seed{r.seed}.csv").write_text(ledger_to_csv(r.report.records))
     (out / "scca.json").write_text(json.dumps(
-        {"config_hash": cfg.config_hash(), "rows": rows}, indent=2, sort_keys=True))
-    header = ["instance", "seed", "status", "iters", "time_s", "chi", "c_norm",
-              "rho_xy", "sr_x", "sr_y", "sr", "sl", "voc_x", "voc_y"]
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(",".join(repr(float(r[h])) if isinstance(r[h], float)
-                              else str(r[h]) for h in header))
-    (out / "scca.csv").write_text("\n".join(lines) + "\n")
-    return status_worst
+        {"config_hash": cfg.config_hash(), "rows": [result_row(r) for r in results]},
+        indent=2, sort_keys=True))
+    (out / "scca.csv").write_text(results_to_csv(results))
+    if args.verbose:
+        _print_results(results)
+    return max(_STATUS_EXIT.get(r.status, 1) for r in results)
 
 
 def _cmd_bench(args) -> int:
@@ -172,7 +150,7 @@ def _cmd_bench(args) -> int:
     if args.suite in ("corpus", "all"):
         cells += corpus_suite(cfg)
     if args.suite in ("scca", "all"):
-        scfg = load_config(args.config, args.set, alpha0=1e-3,
+        scfg = load_config(args.config, args.set, alpha0=scca.ALPHA0,
                            **_flag_overrides(args))
         cells += scca_suite(args.n or [200], args.lam or [1e-2, 1e-3, 1e-4],
                             args.seed or [0], scfg)
@@ -187,9 +165,7 @@ def _cmd_bench(args) -> int:
         "statuses": {r.instance + f"-s{r.seed}": r.status for r in results},
     }, indent=2, sort_keys=True))
     if args.verbose:
-        for r in results:
-            print(f"{r.instance} seed={r.seed}: {r.status} ({r.time_s:.1f}s)"
-                  + (f"  [{r.error}]" if r.error else ""))
+        _print_results(results)
     return 1 if n_err else 0
 
 
@@ -232,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=None, help="samples (default n)")
     sp.add_argument("--lambda", dest="lam", type=float, default=1e-2)
     sp.add_argument("--seed", type=int, action="append", help="repeatable")
-    sp.add_argument("--alpha0", type=float, default=1e-3)
+    sp.add_argument("--alpha0", type=float, default=scca.ALPHA0)
     common(sp)
     sp.set_defaults(func=_cmd_scca)
 
@@ -241,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, action="append", help="SCCA sizes (repeatable)")
     sp.add_argument("--lambda", dest="lam", type=float, action="append")
     sp.add_argument("--seed", type=int, action="append")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="parallel cells (default PGCON_THREADS or 1)")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="cells solved in parallel (default 1)")
     common(sp)
     sp.set_defaults(func=_cmd_bench)
 

@@ -169,7 +169,6 @@ class IterationRecord:
     active_lower: tuple
     active_upper: tuple
     sign_pattern: str
-    wall_time: float
 
 
 @dataclass
@@ -188,10 +187,6 @@ class SolveReport:
     wall_time: float
     invariant_violations: list = field(default_factory=list)
     config_hash: str = ""
-
-    @property
-    def success(self) -> bool:
-        return self.status == "KktPoint"
 
 
 def _hash_point(x) -> str:
@@ -322,7 +317,6 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     monitor = _InvariantMonitor(cfg, box.is_orthant()) if cfg.check_invariants else None
     records: list[IterationRecord] = []
     warm = None
-    prev_active = None
     isp_streak = 0
     isp_last_alpha = np.inf
     stall_streak = 0
@@ -358,7 +352,6 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     for k in range(cfg.max_iter):
         if time.perf_counter() - t_start > cfg.time_limit:
             return finish("TimeLimit", k)
-        t_iter = time.perf_counter()
 
         alpha = merit.alpha
         normal = compute_normal_step(
@@ -378,12 +371,10 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         else:
             isp_streak = 0
 
-        cur_active = active_set(x + normal.v, box)
         try:
-            tang, raw_primal = solve_tangential(
+            tang, warm = solve_tangential(
                 x, normal.v, g_val, J_val, alpha, work.reg, box,
-                warm=(warm if prev_active == cur_active else None),
-                qp_tol=cfg.qp_tol,
+                warm=warm, qp_tol=cfg.qp_tol,
             )
         except TangentialError as exc:
             # subproblem failure (degenerate or numerically rank-deficient
@@ -391,7 +382,6 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             warnings.warn(f"{p.name}: tangential subproblem failed at "
                           f"iteration {k}: {exc}")
             return finish("Stalled", k)
-        warm, prev_active = raw_primal, cur_active
         y, z, g_r = tang.y, tang.z, tang.g_r
         w = tang.w
         s = w - x
@@ -413,13 +403,15 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         try:
             f_w = work.f(w)
             c_w = work.c(w)
-        except EvaluationError:
-            # a non-finite trial value rejects the step; alpha then shrinks
-            phi_new, accepted = np.inf, False
-        else:
             phi_new = glob.merit_from_parts(f_w, r_w, float(np.linalg.norm(c_w)), tau_new)
             accepted = glob.sufficient_decrease(phi_new, phi_old, tau_new, alpha, s,
                                                 c_norm, cJs_norm, cfg.eta_phi, cfg.sigma_c)
+            if accepted:
+                g_w, J_w = work.g(w), work.J(w)
+        except EvaluationError:
+            # a non-finite value or derivative at the trial point rejects
+            # the step; alpha then shrinks
+            phi_new, accepted = np.inf, False
 
         if monitor is not None:
             monitor.check_iteration(
@@ -440,7 +432,6 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             chi_bar=comp_v1, c_norm=c_norm, f_val=f_val, r_val=r_val,
             active_lower=aset.at_lower, active_upper=aset.at_upper,
             sign_pattern=_sign_pattern(x, work.reg.weights),
-            wall_time=time.perf_counter() - t_iter,
         ))
 
         if (parts.feasibility <= cfg.tol_c and parts.stationarity <= cfg.tol_stat
@@ -463,8 +454,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         if accepted:
             x = w
             f_val, r_val, c_val = f_w, r_w, c_w
-            g_val = work.g(x)
-            J_val = work.J(x)
+            g_val, J_val = g_w, J_w
         if not (accepted and vanished):
             # a vanishing accepted step says nothing about the proximal
             # scale; growing alpha on it would reset the stationarity streak

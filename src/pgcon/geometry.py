@@ -39,13 +39,6 @@ class ActiveSet:
     at_upper: tuple
     tol_active: float
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.at_lower or i in self.at_upper
-
-    @property
-    def indices(self) -> tuple:
-        return tuple(sorted(set(self.at_lower) | set(self.at_upper)))
-
 
 def _active_masks(x, box: BoxSet, tol_active=None):
     x = np.asarray(x, dtype=float)

@@ -97,19 +97,6 @@ class L1Regularizer:
     def value(self, x) -> float:
         return float(np.dot(self.weights, np.abs(x)))
 
-    def subgradient_margin(self, x, g_r) -> float:
-        """Max violation of g_r being a subgradient of r at x.
-
-        Componentwise, g_r is valid when |g_r_i| <= w_i and, at nonzero
-        x_i, g_r_i = w_i * sign(x_i).  Returns 0 for exact membership.
-        """
-        x = np.asarray(x, dtype=float)
-        g_r = np.asarray(g_r, dtype=float)
-        w = self.weights
-        viol = np.maximum(np.abs(g_r) - w, 0.0)
-        at_nonzero = np.abs(g_r - w * np.sign(x))
-        return float(np.max(np.where(x != 0.0, np.maximum(viol, at_nonzero), viol), initial=0.0))
-
     def is_subgradient(self, x, g_r, tol: float) -> bool:
         """Tolerance version: nonzero classification also uses tol on |x_i|."""
         x = np.asarray(x, dtype=float)
@@ -174,10 +161,6 @@ class ProblemInstance:
             i, j = np.argwhere(~np.isfinite(v))[0]
             raise EvaluationError(f"{self.name}: Jacobian entry ({i},{j}) is not finite")
         return v
-
-    def objective(self, x) -> float:
-        """f(x) + r(x)."""
-        return self.f(x) + self.reg.value(x)
 
 
 @dataclass(frozen=True)

@@ -508,7 +508,9 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
                 # rows at a degenerate point): re-derive sign-feasible ones
                 y2, z2 = _refine_duals(qp, x, state)
                 stat = qp.grad(x) + (_matvec(qp.Aeq.T, y2) if p else 0.0) + z2
-                if float(np.max(np.abs(stat[free]), initial=0.0)) <= 10 * tol * scale:
+                # the whole vector: a refit that leaves the working-set rows
+                # unbalanced would certify a point that is not stationary
+                if float(np.max(np.abs(stat), initial=0.0)) <= 10 * tol * scale:
                     bad_lo = (state == _LO) & (z2 > tol * scale)
                     bad_hi = (state == _HI) & (z2 < -tol * scale)
                     if not np.any(bad_lo | bad_hi):

@@ -25,6 +25,7 @@ from scipy.special import ndtri
 from .problem import ProblemInstance, add_slacks
 
 __all__ = [
+    "ALPHA0",
     "SccaData",
     "SccaMetrics",
     "scca_generate",
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 NOISE_STD = 0.1  # entry variance 0.01
+ALPHA0 = 1e-3  # initial proximal parameter of every SCCA solve the CLI runs
 
 
 def _standard_normal(rng: np.random.Generator, size) -> np.ndarray:

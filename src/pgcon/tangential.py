@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import box_complementarity
+from .geometry import box_complementarity, project_box
 from .problem import BoxSet, L1Regularizer
 from .qp import QpProblem, QpSolution, solve_qp
 
@@ -174,6 +174,9 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     # assemble the trial point with exact zeros/bounds, then make u consistent
     w = base + u
     w[reg_idx] = p - q
+    # p - q meets the linking row only to the QP's equality tolerance,
+    # which can put a split component a hair outside its bound
+    w = project_box(w, box)
     snap = 1e-11 * (1.0 + np.abs(base))
     at_lo = np.isfinite(box.lower) & (np.abs(w - box.lower) <= snap)
     at_hi = np.isfinite(box.upper) & (np.abs(w - box.upper) <= snap)

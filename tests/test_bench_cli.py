@@ -77,6 +77,16 @@ class TestBench:
         args = build_parser().parse_args(["solve", "--problem", "x.json"])
         assert load_config(None, []).alpha0 == 10.0
 
+    def test_scca_samples_set_n(self):
+        cells = scca_suite([64], [1e-2], [0], samples=32)
+        prob, _ = cells[0].make()
+        assert "-N32-" in prob.name
+        assert cells[0].config.alpha0 == 1e-3
+
+    def test_scca_size_not_divisible_by_8_rejected(self):
+        with pytest.raises(ValueError, match="divisible by 8"):
+            scca_suite([60], [1e-2], [0])
+
     def test_empty_seed_list_single_run(self):
         cells = scca_suite([64], [1e-2], [], SolverConfig(alpha0=1e-3))
         assert len(cells) == 1
@@ -98,6 +108,9 @@ class TestConfigIO:
         assert cfg.max_iter == 77
         assert cfg.scaling is False
         assert cfg.alpha_rule == "hold"
+        assert load_config(None, ["x0=[1, 2]"]).x0.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            load_config(None, ["max_iter=1.5"])
 
     def test_out_of_range_rejected_with_name(self):
         with pytest.raises(ValueError, match="xi"):
@@ -134,7 +147,42 @@ class TestCli:
                     "time_s", "status"):
             assert key in rows[0]
         header = (out / "scca.csv").read_text().splitlines()[0]
-        assert header.split(",")[0] == "instance"
+        assert header == ",".join(RESULT_COLUMNS)
+        assert set(RESULT_COLUMNS) <= set(rows[0])
+        assert (out / "ledger-seed7.csv").exists()
+
+    def test_scca_error_row_holds_nulls(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["scca", "--n", "64", "--N", "-1", "--out", str(out)])
+        assert code == 1
+        row, = json.loads((out / "scca.json").read_text())["rows"]
+        assert row["status"] == "Error"
+        assert "N must be at least 1" in row["error"]
+        for key in ("n", "iters", "time_s", "chi", "c_norm", "rho_xy", "sl"):
+            assert row[key] is None
+        line = (out / "scca.csv").read_text().splitlines()[1].split(",")
+        assert line[RESULT_COLUMNS.index("status")] == "Error"
+        assert line[RESULT_COLUMNS.index("chi")] == ""
+        assert not list(out.glob("ledger-*.csv"))
+
+    def test_solver_exception_writes_error_report(self, tmp_path, monkeypatch):
+        # a ValueError from inside the solver is a failure (1), not a usage
+        # error (64), and leaves a report behind
+        import pgcon.bench
+
+        def broken(prob, cfg):
+            raise ValueError("box has lower_i > upper_i")
+
+        monkeypatch.setattr(pgcon.bench, "solve", broken)
+        prob = {"name": "x", "kind": "analytic:box-qp-1"}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(prob))
+        out = tmp_path / "o"
+        assert main(["solve", "--problem", str(path), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "Error"
+        assert report["error"] == "ValueError: box has lower_i > upper_i"
+        assert not (out / "ledger.csv").exists()
 
     def test_corpus_check_exit_zero(self, tmp_path):
         assert main(["corpus-check", "--out", str(tmp_path / "o")]) == 0

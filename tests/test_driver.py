@@ -235,6 +235,28 @@ class TestReportUnits:
         assert "inf" in ledger_to_csv(rep.records).splitlines()[1]
         np.testing.assert_allclose(rep.x, center, atol=1e-3)
 
+    def test_nonfinite_gradient_at_accepted_trial_is_rejected_step(self):
+        # f and c are finite everywhere, the gradient is NaN outside
+        # |x|inf <= 0.1: the first trial from (0.05, 0.05) passes the merit
+        # test and then fails its gradient evaluation
+        center = np.array([2.0, 0.0])
+
+        def g(x):
+            return x - center if np.max(np.abs(x)) <= 0.1 else np.full(2, np.nan)
+
+        p = ProblemInstance(
+            name="nan-grad", n=2, m=1,
+            f_eval=lambda x: 0.5 * float((x - center) @ (x - center)), g_eval=g,
+            c_eval=lambda x: np.array([x[0] + x[1] - 0.1]),
+            J_eval=lambda x: np.ones((1, 2)),
+            reg=L1Regularizer(np.zeros(2)), box=BoxSet.free(2), x0=np.full(2, 0.05))
+        rep = solve(p, SolverConfig(alpha0=1.0, scaling=False))
+        assert rep.status in ("KktPoint", "InfeasibleStationary", "MaxIter",
+                              "TimeLimit", "Stalled", "MeritCollapse")
+        first = rep.records[0]
+        assert not first.accepted and first.merit_after == np.inf
+        assert rep.records[1].alpha == 0.5 * first.alpha
+
     def test_nonfinite_start_still_raises(self):
         p = ProblemInstance(
             name="nan-start", n=1, m=0, f_eval=lambda x: np.nan,
@@ -243,6 +265,68 @@ class TestReportUnits:
             box=BoxSet.free(1))
         with pytest.raises(EvaluationError):
             solve(p, SolverConfig())
+
+
+def rank_deficient_l1(seed, n_lo, n_hi):
+    """Random l1 problem whose last equality row is an integer combination
+    of the others, so every Jacobian is rank deficient."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(n_lo, n_hi))
+    m0 = int(rng.integers(1, max(2, min(4, n // 2))))
+    A0 = rng.standard_normal((m0, n)) * (rng.random((m0, n)) < 0.5)
+    A = np.vstack([A0, rng.integers(-2, 3, m0).astype(float) @ A0])  # a dependent row
+    b = A @ (rng.standard_normal(n) * (rng.random(n) < 0.3))
+    center = rng.standard_normal(n) * 2
+    w = np.where(rng.random(n) < 0.9, rng.random(n), 0.0)
+    lo = np.where(rng.random(n) < 0.3, -1.0, -np.inf)
+    hi = np.where(rng.random(n) < 0.3, 1.0, np.inf)
+    return ProblemInstance(
+        name=f"rd{seed}", n=n, m=A.shape[0],
+        f_eval=lambda x: 0.5 * float((x - center) @ (x - center)),
+        g_eval=lambda x: x - center,
+        c_eval=lambda x: A @ x - b, J_eval=lambda x: A.copy(),
+        reg=L1Regularizer(w), box=BoxSet(lo, hi), x0=np.clip(rng.standard_normal(n), lo, hi))
+
+
+class TestRankDeficientJacobian:
+    def test_trial_point_stays_in_box(self):
+        # p - q of a split component met its linking row only to 1e-10 and
+        # left the box (x = -1.00000000002894 against lower -1), which made
+        # the next normal step raise instead of returning a status
+        p = rank_deficient_l1(22, 40, 100)
+        assert (p.n, p.m) == (86, 3)
+        rep = solve(p, SolverConfig(alpha0=1.0, max_iter=200))
+        assert rep.status == "KktPoint"
+        assert np.all(rep.x >= p.box.lower) and np.all(rep.x <= p.box.upper)
+
+    def test_singular_working_sets_rescued_by_inertia_shift(self, monkeypatch):
+        # the sparse tangential KKT systems of this instance are exactly
+        # singular at shift 0; the 1e-11 shift solves every one of them, so
+        # the dense least-squares fallback is never reached
+        import scipy.linalg
+        import scipy.sparse.linalg as spla
+
+        lstsq_calls, splu_failures = [], []
+        lstsq, splu = scipy.linalg.lstsq, spla.splu
+
+        def counting_lstsq(*args, **kwargs):
+            lstsq_calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        def counting_splu(*args, **kwargs):
+            try:
+                return splu(*args, **kwargs)
+            except RuntimeError:
+                splu_failures.append(1)
+                raise
+
+        monkeypatch.setattr(scipy.linalg, "lstsq", counting_lstsq)
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        p = rank_deficient_l1(1, 110, 160)
+        rep = solve(p, SolverConfig(alpha0=1.0, max_iter=200))
+        assert rep.status == "KktPoint"
+        assert splu_failures
+        assert not lstsq_calls
 
 
 class TestTrackers:

@@ -270,3 +270,45 @@ def test_ratio_test_matches_loop():
             for _ in range(int(rng.integers(-3, 4))):
                 hi[j] = np.nextafter(hi[j], np.inf)
         assert _ratio_test(x, step, lo, hi) == ratio_test_loop(x, step, lo, hi)
+
+
+class TestRefinedDuals:
+    """Degenerate QPs with redundant equality rows, where the working-set
+    multipliers are not unique and _refine_duals re-derives them."""
+
+    H = 1e-3 * np.eye(6)
+
+    def test_refined_duals_must_balance_every_row(self):
+        # warm-started at a point whose working set revisits; refined duals
+        # that balance only the free rows used to certify x_4 = 1 as
+        # optimal, 2 above the true minimum
+        qp = QpProblem(
+            H=self.H, q=np.array([3.0, -3, 3, 3, 2, 2]),
+            Aeq=np.array([[-1.0, 1, 1, -2, 0, 0], [0, 0, -1, 2, 0, 1],
+                          [1, -1, 1, -2, 0, -2], [1, -1, 3, -6, 0, -4],
+                          [0, 0, -1, 2, 0, 1]]),
+            beq=np.array([1.0, -1, 1, 3, -1]),
+            lower=np.array([0, 0, -np.inf, -np.inf, 0, 0]),
+            upper=np.array([np.inf, 1, np.inf, np.inf, 1, np.inf]))
+        sol = solve_qp(qp, warm_start=np.array([0.0, 0, 1, 0, 1, 0]))
+        ref = enumerate_qp(self.H, qp.q, qp.Aeq, qp.beq, qp.lower, qp.upper)
+        assert sol.status == "solved"
+        assert sol.kkt_residual <= 1e-8
+        assert qp.objective(sol.primal) == pytest.approx(qp.objective(ref[0]), abs=1e-6)
+        np.testing.assert_allclose(sol.primal, ref[0], atol=1e-6)
+
+    def test_refined_duals_rescue_cold_start(self):
+        # without the sign-feasible refit the working set cycles to max_iter
+        qp = QpProblem(
+            H=self.H, q=np.array([3.0, -3, 0, -2, 3, -3]),
+            Aeq=np.array([[-4.0, -1, 0, -3, 0, 1], [-2, -2, 0, -2, -2, 2],
+                          [-1, 2, 2, 2, 2, 0], [2, -1, 0, 1, -2, 1]]),
+            beq=np.zeros(4),
+            lower=np.array([0, 0, -np.inf, 0, 0, 0]),
+            upper=np.array([np.inf, np.inf, np.inf, np.inf, 1, np.inf]))
+        sol = solve_qp(qp)
+        ref = enumerate_qp(self.H, qp.q, qp.Aeq, qp.beq, qp.lower, qp.upper)
+        assert sol.status == "solved"
+        assert sol.kkt_residual <= 1e-8
+        assert qp.objective(sol.primal) == pytest.approx(-6000.0, abs=1e-6)
+        assert qp.objective(ref[0]) == pytest.approx(-6000.0, abs=1e-6)

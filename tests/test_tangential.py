@@ -162,3 +162,43 @@ class TestVerify:
         # z flipped positive at a lower-bound-active component with no
         # upper bound: pure sign violation of size |z|
         assert rep.dual_sign == pytest.approx(0.5, abs=1e-12)
+
+
+class TestWarmStart:
+    """The previous raw primal is offered every iteration; the feasibility
+    check in solve_tangential alone decides whether it is used."""
+
+    @staticmethod
+    def instance(seed):
+        rng = np.random.default_rng(seed)
+        n, m = 12, 2
+        x = rng.standard_normal(n)
+        v = 0.1 * rng.standard_normal(n)
+        g = rng.standard_normal(n)
+        J = rng.standard_normal((m, n))
+        reg = L1Regularizer(np.where(rng.random(n) < 0.7, rng.random(n), 0.0))
+        lo = np.where(rng.random(n) < 0.4, np.minimum(x + v, 0) - rng.random(n), -np.inf)
+        return x, v, g, J, 1.0, reg, BoxSet(lo, np.full(n, np.inf))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_feasible_warm_primal_adopted(self, seed):
+        args = self.instance(seed)
+        cold, raw = solve_tangential(*args)
+        warm, _ = solve_tangential(*args, warm=raw)
+        for name in ("u", "y", "z", "g_r", "w"):
+            np.testing.assert_allclose(getattr(warm, name), getattr(cold, name),
+                                       rtol=0, atol=1e-12)
+        # starting on the optimal working set leaves one confirming iteration
+        assert warm.qp_iterations < cold.qp_iterations
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_infeasible_warm_primal_ignored(self, seed):
+        args = self.instance(seed)
+        cold, raw = solve_tangential(*args)
+        bad = raw.copy()
+        bad[0] += 1.0  # breaks the nullspace rows
+        again, raw_again = solve_tangential(*args, warm=bad)
+        assert again.qp_iterations == cold.qp_iterations
+        assert np.array_equal(raw_again, raw)
+        for name in ("u", "y", "z", "g_r", "w"):
+            assert np.array_equal(getattr(again, name), getattr(cold, name))
