@@ -29,7 +29,7 @@ import scipy.linalg
 from . import globalization as glob
 from .geometry import active_set, box_complementarity, project_box
 from .normal_step import compute_normal_step
-from .problem import BoxSet, EvaluationError, ProblemInstance, apply_scaling
+from .problem import BoxSet, EvaluationError, ProblemInstance, ScaleInfo, apply_scaling
 from .tangential import TangentialError, solve_tangential
 
 __all__ = [
@@ -46,8 +46,7 @@ __all__ = [
 
 _UNIT_INTERVAL_FIELDS = ("sigma_c", "eps_tau", "xi", "gamma", "eta_phi", "eta_m")
 _POSITIVE_FIELDS = ("alpha0", "tau_init", "kappa_v", "kappa_v_inf", "tol_c",
-                    "tol_stat", "tol_comp", "tol_step", "time_limit", "alpha_cap",
-                    "qp_tol", "tol_infeas_c")
+                    "tol_stat", "tol_comp", "tol_step", "time_limit", "alpha_cap", "tol_infeas_c")
 
 
 @dataclass
@@ -74,7 +73,6 @@ class SolverConfig:
     time_limit: float = 3600.0
     alpha_rule: str = "min_cap"
     alpha_cap: float = 10.0
-    qp_tol: float = 1e-10
     max_backtracks: int = 60
     scaling: bool = True
     check_invariants: bool = False
@@ -301,10 +299,8 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     if not np.array_equal(x, np.asarray(x_init, dtype=float)):
         warnings.warn(f"{p.name}: starting point projected into the box")
 
-    scale_info = None
-    work = p
-    if cfg.scaling:
-        work, scale_info = apply_scaling(p, x)
+    work, scale_info = (apply_scaling(p, x) if cfg.scaling
+                        else (p, ScaleInfo(objective_factor=1.0, constraint_factors=np.ones(p.m))))
 
     box = work.box
     merit = glob.MeritState(tau=cfg.tau_init, alpha=cfg.alpha0)
@@ -327,19 +323,13 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     def finish(status_, iters):
         # the report speaks the caller's units: multipliers of the scaled
         # problem are mapped back and chi is re-evaluated on p itself
-        y_un, z_un, g_r_un = y.copy(), z.copy(), g_r.copy()
-        c_unscaled, f_un, r_un = c_val, f_val, r_val
-        if scale_info is not None:
-            f_fac = scale_info.objective_factor
-            y_un = scale_info.constraint_factors * y / f_fac
-            z_un, g_r_un = z / f_fac, g_r / f_fac
-            c_unscaled = scale_info.unscale_constraints(c_val)
-            f_un = scale_info.unscale_objective(f_val)
-            r_un = scale_info.unscale_objective(r_val)
+        y_un, z_un, g_r_un = scale_info.unscale_multipliers(y, z, g_r)
+        f_un = scale_info.unscale_objective(f_val)
+        r_un = scale_info.unscale_objective(r_val)
         chi_fin = kkt_residual(p, x, y_un, z_un, g_r_un)[0] if records else np.inf
         report = SolveReport(
-            status=status_, x=x.copy(), y=y_un, z=z_un, g_r=g_r_un,
-            chi=chi_fin, c_norm=float(np.linalg.norm(c_unscaled)),
+            status=status_, x=x.copy(), y=y_un, z=z_un, g_r=g_r_un, chi=chi_fin,
+            c_norm=float(np.linalg.norm(scale_info.unscale_constraints(c_val))),
             iterations=iters, records=records, objective=f_un + r_un,
             f_unscaled=f_un, wall_time=time.perf_counter() - t_start,
             config_hash=cfg.config_hash(),
@@ -358,7 +348,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             x, c_val, J_val, alpha, box,
             kappa_v=cfg.kappa_v, kappa_v_inf=cfg.kappa_v_inf, gamma=cfg.gamma,
             eta_m=cfg.eta_m, tol_infeas_c=cfg.tol_infeas_c,
-            max_backtracks=cfg.max_backtracks, qp_tol=cfg.qp_tol,
+            max_backtracks=cfg.max_backtracks,
         )
         if normal.infeasible_stationary:
             if isp_streak and alpha <= isp_last_alpha * (1 + 1e-12):
@@ -372,10 +362,8 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             isp_streak = 0
 
         try:
-            tang, warm = solve_tangential(
-                x, normal.v, g_val, J_val, alpha, work.reg, box,
-                warm=warm, qp_tol=cfg.qp_tol,
-            )
+            tang, warm = solve_tangential(x, normal.v, g_val, J_val, alpha, work.reg, box,
+                                          warm=warm)
         except TangentialError as exc:
             # subproblem failure (degenerate or numerically rank-deficient
             # data): record what we have instead of propagating
@@ -388,6 +376,11 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
 
         parts = _kkt_parts(g_val, c_val, J_val, box, x, y, z, g_r)
         chi = parts.chi
+        # the ledger stays in scaled units; the stop test is in the caller's
+        stop = _kkt_parts(scale_info.unscale_objective(g_val),
+                          scale_info.unscale_constraints(c_val),
+                          scale_info.unscale_jacobian(J_val), box, x,
+                          *scale_info.unscale_multipliers(y, z, g_r))
         comp_v1 = max(parts.stationarity, float(np.linalg.norm(normal.v_unit)),
                       parts.complementarity)
 
@@ -434,8 +427,8 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             sign_pattern=_sign_pattern(x, work.reg.weights),
         ))
 
-        if (parts.feasibility <= cfg.tol_c and parts.stationarity <= cfg.tol_stat
-                and parts.complementarity <= cfg.tol_comp):
+        if (stop.feasibility <= cfg.tol_c and stop.stationarity <= cfg.tol_stat
+                and stop.complementarity <= cfg.tol_comp):
             records[-1].accepted = False
             return finish("KktPoint", k + 1)
 

@@ -82,7 +82,7 @@ def cauchy_search(x, c_val, J_val, alpha, delta, box: BoxSet,
 
 
 def solve_tr_inf(x, c_val, J_val, alpha, delta, box: BoxSet, kappa_v_inf: float,
-                 kappa_v: float, qp_tol: float = 1e-10):
+                 kappa_v: float):
     """Minimize the model over the inf-norm ball intersected with the box.
 
     The radius is capped at kappa_v/sqrt(n) times alpha*delta so the
@@ -96,14 +96,14 @@ def solve_tr_inf(x, c_val, J_val, alpha, delta, box: BoxSet, kappa_v_inf: float,
     hi = np.minimum(box.upper - x, radius)
     qp = QpProblem(H=None, q=np.zeros(n), Aeq=np.zeros((0, n)), beq=np.zeros(0),
                    lower=lo, upper=hi, gram=(J, np.asarray(c_val, dtype=float)))
-    sol = solve_qp(qp, tol=qp_tol)
+    sol = solve_qp(qp)
     return sol.primal
 
 
 def compute_normal_step(x, c_val, J_val, alpha, box: BoxSet, *,
                         kappa_v: float, kappa_v_inf: float, gamma: float,
                         eta_m: float, tol_infeas_c: float,
-                        max_backtracks: int = 60, qp_tol: float = 1e-10) -> NormalStepResult:
+                        max_backtracks: int = 60) -> NormalStepResult:
     """Full normal-step computation with the two-candidate selection rule.
 
     When the projected-gradient stationarity measure vanishes the step is
@@ -133,7 +133,7 @@ def compute_normal_step(x, c_val, J_val, alpha, box: BoxSet, *,
         x, c_val, J, alpha, delta, box, gamma=gamma, eta_m=eta_m,
         kappa_v=kappa_v, max_backtracks=max_backtracks,
     )
-    v_inf = solve_tr_inf(x, c_val, J, alpha, delta, box, kappa_v_inf, kappa_v, qp_tol)
+    v_inf = solve_tr_inf(x, c_val, J, alpha, delta, box, kappa_v_inf, kappa_v)
     m_c = model_value(c_val, J, v_c)
     m_i = model_value(c_val, J, v_inf)
     v, m_v = (v_c, m_c) if m_c < m_i else (v_inf, m_i)

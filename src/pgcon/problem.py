@@ -176,6 +176,14 @@ class ScaleInfo:
     def unscale_constraints(self, c: np.ndarray) -> np.ndarray:
         return np.asarray(c, dtype=float) / self.constraint_factors
 
+    def unscale_jacobian(self, J: np.ndarray) -> np.ndarray:
+        return np.asarray(J, dtype=float) / self.constraint_factors[:, None]
+
+    def unscale_multipliers(self, y, z, g_r) -> tuple:
+        """(y, z, g_r) of the scaled problem in the original one's units."""
+        f_fac = self.objective_factor
+        return self.constraint_factors * y / f_fac, z / f_fac, g_r / f_fac
+
 
 @dataclass(frozen=True)
 class DerivativeReport:

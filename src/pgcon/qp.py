@@ -13,10 +13,11 @@ are exact zeros and the returned duals satisfy the KKT system to
 factorization accuracy, which the outer solver's sparsity metrics and
 multiplier-based diagnostics rely on.
 
-Each working set is solved by one chain (``_solve_subspace``): the KKT
-system is assembled once and tried with sparse LU (with tiny inertia
-shifts) or a dense symmetric solve, then QR least squares.  A working set
-with no stationary point yields a curvature-free descent ray instead of a
+The KKT matrix is assembled once per solve (``_Kkt``) and each working
+set solves a principal submatrix of it by one chain (``_solve_subspace``):
+sparse LU with a sticky ladder of tiny inertia shifts, or a dense
+symmetric solve, then QR least squares.  A working set with no
+stationary point yields a curvature-free descent ray instead of a
 target, and a target exploding along a numerically null direction is
 re-solved on the same system with that direction truncated.
 
@@ -249,39 +250,61 @@ def _feasible_start(qp: QpProblem, warm_start, tol_eq):
 
 # --- working-set subspace solves ----------------------------------------------
 
+_SHIFTS = (0.0, 1e-11, 1e-8)  # inertia shifts tried on sparse LU, in order
 
-def _solve_subspace(qp: QpProblem, free, x):
+
+class _Kkt:
+    """K = [[H, Aeq'], [Aeq, 0]] and b = [-q; beq] of one QP, assembled once
+    per solve: CSR when H or Aeq is sparse, dense otherwise.  ``shift``
+    indexes the entry of _SHIFTS that last factored a working-set system
+    of this QP.  The ladder starts there, so equality rows that are
+    dependent on every working set fail the unshifted LU once per QP."""
+
+    def __init__(self, qp: QpProblem):
+        if sp.issparse(qp.H) or sp.issparse(qp.Aeq):
+            self.K = sp.bmat([[qp.H, qp.Aeq.T], [qp.Aeq, None]], format="csr")
+        else:
+            d = qp.dim
+            self.K = np.zeros((d + qp.n_eq, d + qp.n_eq))
+            self.K[:d, :d], self.K[d:, :d] = qp.H, qp.Aeq
+            self.K[:d, d:] = self.K[d:, :d].T
+        self.b = np.concatenate([-qp.q, qp.beq])
+        self.shift = 0
+
+
+def _solve_subspace(qp: QpProblem, kkt: Optional[_Kkt], free, x):
     """Minimize over the free variables with working-set variables fixed.
 
-    Returns (x_target_free, y, descent_ray).  The KKT system
+    Returns (x_target_free, y, descent_ray).  With keep = the free
+    variables and the equality rows, the system sliced from ``kkt``
 
-        [H_ff  A_f'] [x_f]   [-(q_f + H_fw x_w)]
-        [A_f    0  ] [ y ] = [  beq - A_w x_w   ]
+        K[keep, keep] [x_f; y] = b[keep] - K[keep, fixed] x_fixed
 
-    is assembled once and solved by the first method whose residual
-    passes: sparse LU, retried with tiny inertia shifts, when H or Aeq is
-    sparse, a dense symmetric solve otherwise, then QR least squares,
-    which also covers the consistent singular systems of PSD Hessian
-    blocks and rank-deficient equality rows.  If least squares still
-    leaves a residual, the working set has no stationary point and a
-    curvature-free feasible descent ray is returned instead of a target.
-    Otherwise a solution beyond 1e7*(1 + ||x||inf + ||q||inf) is
-    near-null-space noise from rank-deficient data and is re-solved on
-    the same K with singular values below 1e-9 (relative) truncated.
-    The gram form has no equality rows and goes straight to
-    rank-truncated least squares.
+    is solved by the first method whose residual passes: sparse LU on the
+    shift ladder (see _Kkt) when K is sparse, a dense symmetric solve
+    otherwise, then QR least squares, which also covers the consistent
+    singular systems of PSD Hessian blocks and rank-deficient equality
+    rows.  If least squares still leaves a residual, the working set has
+    no stationary point and a curvature-free feasible descent ray is
+    returned instead of a target.  Otherwise a solution beyond
+    1e7*(1 + ||x||inf + ||q||inf) is near-null-space noise from
+    rank-deficient data and is re-solved with singular values below 1e-9
+    (relative) truncated.  The gram form (``kkt`` None) has no equality
+    rows and goes straight to rank-truncated least squares.
     """
     p = qp.n_eq
     nf = free.shape[0]
+    mask = np.zeros(qp.dim, dtype=bool)
+    mask[free] = True
+    fixed = np.flatnonzero(~mask)
+    if nf == 0 and p == 0:
+        return np.zeros(0), np.zeros(0), None
 
     if qp.gram is not None:
         # objective 0.5*||c0 + G x||^2 with no equality rows
         G, c0 = qp.gram
         if p:
             raise ValueError("gram-form QP does not support equality constraints")
-        if nf == 0:
-            return np.zeros(0), np.zeros(0), None
-        fixed = np.setdiff1d(np.arange(qp.dim), free, assume_unique=False)
         resid = c0 + (G[:, fixed] @ x[fixed] if fixed.size else 0.0)
         # rank-truncated: near-null directions of G carry no model decrease
         # and would otherwise blow the target up
@@ -289,52 +312,35 @@ def _solve_subspace(qp: QpProblem, free, x):
                              rcond=1e-9)[0]
         return xf, np.zeros(0), None
 
-    mask = np.zeros(qp.dim, dtype=bool)
-    mask[free] = True
-    fixed = np.flatnonzero(~mask)
-
     if nf == 0:
-        if p == 0:
-            return np.zeros(0), np.zeros(0), None
         y = np.linalg.lstsq(_dense(qp.Aeq).T, -qp.grad(x), rcond=None)[0]
         return np.zeros(0), y, None
 
-    rhs_top = -(qp.q[free] + (_matvec(_submatrix(qp.H, free, fixed), x[fixed]) if fixed.size else 0.0))
-    if p:
-        A_f = _submatrix(qp.Aeq, np.arange(p), free)
-        rhs_bot = qp.beq - (_matvec(_submatrix(qp.Aeq, np.arange(p), fixed), x[fixed]) if fixed.size else 0.0)
-        rhs = np.concatenate([rhs_top, rhs_bot])
-    else:
-        A_f = None
-        rhs = rhs_top
+    keep = np.concatenate([free, np.arange(qp.dim, qp.dim + p)])
+    K = _submatrix(kkt.K, keep, keep)
+    rhs = kkt.b[keep]
+    if fixed.size:
+        # free and equality rows apart: a stacked dense matvec sums in another order
+        K_w = _submatrix(kkt.K, keep, fixed)
+        rhs[:nf] -= _matvec(K_w[:nf], x[fixed])
+        rhs[nf:] -= _matvec(K_w[nf:], x[fixed])
     rhs_scale = 1.0 + np.linalg.norm(rhs, ord=np.inf)
 
-    H_ff = _submatrix(qp.H, free, free)
     sol = None
-    if sp.issparse(qp.H) or sp.issparse(qp.Aeq):
-        H_ff = sp.csc_matrix(H_ff)
-        if p:
-            A_f = sp.csc_matrix(A_f)
-            K = sp.bmat([[H_ff, A_f.T], [A_f, None]], format="csc")
-        else:
-            K = H_ff.tocsc()
-        for shift in (0.0, 1e-11, 1e-8):
+    if sp.issparse(K):
+        K = K.tocsc()
+        for i in range(kkt.shift, len(_SHIFTS)):
             # tiny inertia shifts resolve exactly-singular working sets far
             # cheaper than a dense rank-revealing fallback
-            Ks = K if shift == 0.0 else (K + shift * sp.eye(K.shape[0], format="csc"))
+            Ks = K if i == 0 else (K + _SHIFTS[i] * sp.eye(K.shape[0], format="csc"))
             try:
                 trial = spla.splu(Ks).solve(rhs)
             except RuntimeError:
                 continue
             if _solves(K, trial, rhs, rhs_scale):
-                sol = trial
+                sol, kkt.shift = trial, i
                 break
     else:
-        if p:
-            A_fd = _dense(A_f)
-            K = np.block([[_dense(H_ff), A_fd.T], [A_fd, np.zeros((p, p))]])
-        else:
-            K = _dense(H_ff)
         try:
             with warnings.catch_warnings():
                 # near-singular systems are caught by the residual check below
@@ -355,8 +361,7 @@ def _solve_subspace(qp: QpProblem, free, x):
             # no stationary point on this working set: the objective descends
             # linearly along a curvature-free equality-feasible ray.  Hand the
             # caller that ray so the ratio test can run to a blocking bound.
-            stack = _dense(H_ff) if not p else np.vstack([_dense(H_ff), _dense(A_f)])
-            N = scipy.linalg.null_space(stack)
+            N = scipy.linalg.null_space(K[:, :nf])
             if N.size:
                 g_free = qp.grad(x)[free]
                 direction = -N @ (N.T @ g_free)
@@ -467,6 +472,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
     x[state == _FIX] = lo[state == _FIX]
 
     scale = 1.0 + float(np.linalg.norm(qp.q, ord=np.inf)) if qp.gram is None else 1.0
+    kkt = _Kkt(qp) if qp.gram is None else None
     y = np.zeros(p)
     iters = 0
     need_solve = True
@@ -482,7 +488,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
             history.append(qp.objective(x))
         free = np.flatnonzero(state == _FREE)
         if need_solve:
-            xf_target, y, descent = _solve_subspace(qp, free, x)
+            xf_target, y, descent = _solve_subspace(qp, kkt, free, x)
         step = np.zeros(d)
         if descent is not None:
             # working set admits no stationary point: ride the descent ray

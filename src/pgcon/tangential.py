@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _SPARSE_DIM = 200  # switch the QP assembly to sparse above this many columns
+_LINK_VALS = np.array([[1.0], [-1.0], [1.0]])  # coefficients of u_i, p_r, q_r
 
 
 class TangentialError(RuntimeError):
@@ -91,29 +92,21 @@ def build_tangential_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
     hi = np.concatenate([box.upper - base, np.full(2 * nr, np.inf)])
 
     diag = np.concatenate([np.full(n, 1.0 / alpha), np.zeros(2 * nr)])
-    n_rows = m + nr
+    # linking row m + r is e_i'u - p_r + q_r with i = reg_idx[r]: entry
+    # (link_rows[r], link_cols[k, r]) holds _LINK_VALS[k]
+    link_rows = np.arange(m, m + nr)
+    link_cols = np.vstack([reg_idx, np.arange(n, d).reshape(2, nr)])
     if d > _SPARSE_DIM:
         H = sp.diags(diag, format="csr")
-        rows, cols, vals = [], [], []
-        for i in range(m):
-            nz = np.flatnonzero(J[i])
-            rows.extend([i] * nz.size)
-            cols.extend(nz.tolist())
-            vals.extend(J[i, nz].tolist())
-        for r, i in enumerate(reg_idx):
-            rr = m + r
-            rows.extend([rr, rr, rr])
-            cols.extend([int(i), n + r, n + nr + r])
-            vals.extend([1.0, -1.0, 1.0])
-        Aeq = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, d))
+        J_rows, J_cols = np.nonzero(J)
+        Aeq = sp.csr_matrix((np.concatenate([J[J_rows, J_cols], np.repeat(_LINK_VALS, nr)]),
+                             (np.concatenate([J_rows, np.tile(link_rows, 3)]),
+                              np.concatenate([J_cols, link_cols.ravel()]))), shape=(m + nr, d))
     else:
         H = np.diag(diag)
-        Aeq = np.zeros((n_rows, d))
+        Aeq = np.zeros((m + nr, d))
         Aeq[:m, :n] = J
-        for r, i in enumerate(reg_idx):
-            Aeq[m + r, i] = 1.0
-            Aeq[m + r, n + r] = -1.0
-            Aeq[m + r, n + nr + r] = 1.0
+        Aeq[link_rows, link_cols] = _LINK_VALS
     beq = np.concatenate([np.zeros(m), -base[reg_idx]])
     return QpProblem(H=H, q=q_lin, Aeq=Aeq, beq=beq, lower=lo, upper=hi), reg_idx
 
@@ -125,8 +118,7 @@ def _default_start(base, reg_idx, n):
 
 
 def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
-                     warm: Optional[np.ndarray] = None,
-                     qp_tol: float = 1e-10) -> tuple[TangentialResult, np.ndarray]:
+                     warm: Optional[np.ndarray] = None) -> tuple[TangentialResult, np.ndarray]:
     """Solve the tangential subproblem and recover multipliers.
 
     Returns (result, raw_primal); the raw primal is the warm-start payload
@@ -147,14 +139,11 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
         # only adopt a previous primal that is still feasible as-is; the
         # generic repair would smear corrections over the split variables
         # and wreck the zero pattern that makes the warm start valuable
-        if qp.n_eq:
-            eq_res = float(np.max(np.abs(np.asarray(qp.Aeq @ warm).ravel() - qp.beq)))
-        else:
-            eq_res = 0.0
+        eq_res = float(np.max(np.abs(np.asarray(qp.Aeq @ warm).ravel() - qp.beq), initial=0.0))
         in_box = bool(np.all(warm >= qp.lower - 1e-12) and np.all(warm <= qp.upper + 1e-12))
         if in_box and eq_res <= 1e-9 * (1.0 + float(np.abs(qp.beq).max(initial=0.0))):
             start = warm
-    sol = solve_qp(qp, tol=qp_tol, warm_start=start)
+    sol = solve_qp(qp, warm_start=start)
     if sol.status != "solved":
         raise TangentialError(f"tangential QP failed with status {sol.status}", sol)
 

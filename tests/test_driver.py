@@ -257,6 +257,28 @@ class TestReportUnits:
         assert not first.accepted and first.merit_after == np.inf
         assert rep.records[1].alpha == 0.5 * first.alpha
 
+    @pytest.mark.parametrize("name", ["degen-1", "soft-thresh-1", "l1-sign-1", "quad-ineq-1"])
+    def test_stop_test_in_caller_units(self, name):
+        # f, c, J and the l1 weights times 1e3: scaling divides them back
+        # down, and a stop test on the scaled problem used to report chi
+        # from 5.6e-4 to 2.0e-3 in the caller's units
+        p = get_instance(name).problem
+        twin = ProblemInstance(
+            name=p.name + "-1e3", n=p.n, m=p.m,
+            f_eval=lambda x: 1e3 * p.f_eval(x),
+            g_eval=lambda x: 1e3 * np.asarray(p.g_eval(x)),
+            c_eval=lambda x: 1e3 * np.asarray(p.c_eval(x)),
+            J_eval=lambda x: 1e3 * np.asarray(p.J_eval(x)),
+            reg=L1Regularizer(1e3 * p.reg.weights), box=p.box, x0=p.x0)
+        cfg = SolverConfig()
+        rep = solve(twin, cfg)
+        assert rep.status == "KktPoint"
+        _, parts = kkt_residual(twin, rep.x, rep.y, rep.z, rep.g_r)
+        assert parts.chi == rep.chi
+        assert parts.stationarity <= cfg.tol_stat
+        assert parts.complementarity <= cfg.tol_comp
+        assert parts.feasibility <= cfg.tol_c
+
     def test_nonfinite_start_still_raises(self):
         p = ProblemInstance(
             name="nan-start", n=1, m=0, f_eval=lambda x: np.nan,
@@ -302,12 +324,15 @@ class TestRankDeficientJacobian:
     def test_singular_working_sets_rescued_by_inertia_shift(self, monkeypatch):
         # the sparse tangential KKT systems of this instance are exactly
         # singular at shift 0; the 1e-11 shift solves every one of them, so
-        # the dense least-squares fallback is never reached
+        # the dense least-squares fallback is never reached, and the shift
+        # ladder starts there after the first failure of each QP
         import scipy.linalg
         import scipy.sparse.linalg as spla
 
-        lstsq_calls, splu_failures = [], []
-        lstsq, splu = scipy.linalg.lstsq, spla.splu
+        from pgcon import tangential
+
+        lstsq_calls, splu_failures, qp_solves = [], [], []
+        lstsq, splu, solve_qp = scipy.linalg.lstsq, spla.splu, tangential.solve_qp
 
         def counting_lstsq(*args, **kwargs):
             lstsq_calls.append(1)
@@ -320,12 +345,18 @@ class TestRankDeficientJacobian:
                 splu_failures.append(1)
                 raise
 
+        def counting_solve_qp(*args, **kwargs):
+            qp_solves.append(1)
+            return solve_qp(*args, **kwargs)
+
         monkeypatch.setattr(scipy.linalg, "lstsq", counting_lstsq)
         monkeypatch.setattr(spla, "splu", counting_splu)
+        monkeypatch.setattr(tangential, "solve_qp", counting_solve_qp)
         p = rank_deficient_l1(1, 110, 160)
         rep = solve(p, SolverConfig(alpha0=1.0, max_iter=200))
         assert rep.status == "KktPoint"
         assert splu_failures
+        assert len(splu_failures) <= len(qp_solves)
         assert not lstsq_calls
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
-from pgcon.qp import QpProblem, _ratio_test, _solve_subspace, solve_qp, verify_kkt
+from pgcon.qp import QpProblem, _Kkt, _ratio_test, _solve_subspace, solve_qp, verify_kkt
 from qp_oracle import enumerate_qp
 
 
@@ -179,7 +180,7 @@ class TestSubspaceBranches:
         for H in (np.diag([1.0, 0.0]), sp.csr_matrix(np.diag([1.0, 0.0]))):
             qp = QpProblem(H=H, q=np.array([0.0, -1.0]), Aeq=np.zeros((0, 2)),
                            beq=np.zeros(0), lower=-np.ones(2), upper=np.ones(2))
-            xf, y, ray = _solve_subspace(qp, np.arange(2), np.zeros(2))
+            xf, y, ray = _solve_subspace(qp, _Kkt(qp), np.arange(2), np.zeros(2))
             assert xf is None and y.size == 0
             np.testing.assert_array_equal(ray, [0.0, 1.0])
             sol = solve_qp(qp)
@@ -204,7 +205,7 @@ class TestSubspaceBranches:
         for Aeq in (A, sp.csr_matrix(A)):
             qp = QpProblem(H=np.eye(3), q=np.array([0.0, 0.0, -1.0]), Aeq=Aeq,
                            beq=np.ones(2), lower=np.full(3, -np.inf), upper=np.full(3, np.inf))
-            xf, y, ray = _solve_subspace(qp, np.arange(3), np.zeros(3))
+            xf, y, ray = _solve_subspace(qp, _Kkt(qp), np.arange(3), np.zeros(3))
             assert ray is None
             np.testing.assert_allclose(np.concatenate([xf, y]), truncated, rtol=0, atol=1e-15)
             sol = solve_qp(qp)
@@ -229,6 +230,51 @@ class TestSubspaceBranches:
         assert sol.status == "solved"
         np.testing.assert_array_equal(sol.primal, ref[0])
         np.testing.assert_allclose(sol.bound_duals, ref[2], atol=1e-12)
+
+
+def blocked_subspace(qp, free, x):
+    """Reference: the per-working-set block assembly _solve_subspace
+    replaced, solved directly (nonsingular working sets only)."""
+    p = qp.n_eq
+    fixed = np.setdiff1d(np.arange(qp.dim), free)
+    sparse = sp.issparse(qp.H) or sp.issparse(qp.Aeq)
+    H, A = sp.csr_matrix(qp.H), sp.csr_matrix(qp.Aeq)
+    rhs = -(qp.q[free] + H[free][:, fixed] @ x[fixed])
+    if p:
+        rhs = np.concatenate([rhs, qp.beq - A[:, fixed] @ x[fixed]])
+        K = sp.bmat([[H[free][:, free], A[:, free].T], [A[:, free], None]], format="csc")
+    else:
+        K = H[free][:, free].tocsc()
+    if sparse:
+        sol = scipy.sparse.linalg.splu(K).solve(rhs)
+    else:
+        sol = scipy.linalg.solve(K.toarray(), rhs, assume_a="sym")
+    return sol[:free.size], sol[free.size:]
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_sliced_kkt_matches_blocked_assembly(sparse):
+    # working sets of random QPs, with and without equality rows; each
+    # keeps at least as many free variables as equality rows, so its
+    # system is nonsingular and the direct solve answers
+    rng = np.random.default_rng(17)
+    seen_p = set()
+    for _ in range(200):
+        qp = random_qp(rng)
+        if sparse:
+            qp.H, qp.Aeq = sp.csr_matrix(qp.H), sp.csr_matrix(qp.Aeq)
+        d, p = qp.dim, qp.n_eq
+        free = np.flatnonzero(rng.random(d) < 0.6)
+        if free.size < max(p, 1):
+            continue
+        seen_p.add(p > 0)
+        x = rng.standard_normal(d)
+        xf, y, ray = _solve_subspace(qp, _Kkt(qp), free, x)
+        ref_x, ref_y = blocked_subspace(qp, free, x)
+        assert ray is None
+        np.testing.assert_allclose(xf, ref_x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y, ref_y, rtol=1e-12, atol=1e-12)
+    assert seen_p == {False, True}
 
 
 def ratio_test_loop(x, step, lo, hi):
