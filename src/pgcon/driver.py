@@ -167,6 +167,8 @@ class IterationRecord:
     active_lower: tuple
     active_upper: tuple
     sign_pattern: str
+    tang_path: str  # "dual" or "qp" (the split-QP fallback)
+    tang_iters: int  # Newton steps or QP iterations of the tangential solve
 
 
 @dataclass
@@ -191,17 +193,14 @@ def _hash_point(x) -> str:
     return hashlib.sha256(np.ascontiguousarray(x, dtype=float).tobytes()).hexdigest()[:16]
 
 
+_SIGN_CHARS = np.frombuffer(b"0+-", dtype="S1")
+
+
 def _sign_pattern(x, reg_weights, zero_tol=1e-12) -> str:
-    idx = np.flatnonzero(reg_weights > 0)
-    out = []
-    for i in idx:
-        if x[i] > zero_tol:
-            out.append("+")
-        elif x[i] < -zero_tol:
-            out.append("-")
-        else:
-            out.append("0")
-    return "".join(out)
+    """One of "+", "-", "0" per weighted component of x."""
+    x_reg = np.asarray(x)[reg_weights > 0]
+    code = (x_reg > zero_tol) + 2 * (x_reg < -zero_tol)
+    return _SIGN_CHARS[code].tobytes().decode()
 
 
 class _InvariantMonitor:
@@ -368,7 +367,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             # subproblem failure (degenerate or numerically rank-deficient
             # data): record what we have instead of propagating
             warnings.warn(f"{p.name}: tangential subproblem failed at "
-                          f"iteration {k}: {exc}")
+                          f"iteration {k}: split QP status {exc.status}")
             return finish("Stalled", k)
         y, z, g_r = tang.y, tang.z, tang.g_r
         w = tang.w
@@ -425,6 +424,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             chi_bar=comp_v1, c_norm=c_norm, f_val=f_val, r_val=r_val,
             active_lower=aset.at_lower, active_upper=aset.at_upper,
             sign_pattern=_sign_pattern(x, work.reg.weights),
+            tang_path=tang.path, tang_iters=tang.iterations,
         ))
 
         if (stop.feasibility <= cfg.tol_c and stop.stationarity <= cfg.tol_stat
@@ -486,7 +486,7 @@ _LEDGER_COLUMNS = [
     "k", "x_hash", "delta", "beta", "norm_v", "norm_u", "norm_s", "tau", "alpha",
     "merit_before", "merit_after", "accepted", "chi", "chi_stat", "chi_comp",
     "chi_bar", "c_norm", "f_val", "r_val", "active_lower", "active_upper",
-    "sign_pattern",
+    "sign_pattern", "tang_path", "tang_iters",
 ]
 
 
@@ -503,7 +503,7 @@ def ledger_to_csv(records) -> str:
             repr(r.chi), repr(r.chi_stat), repr(r.chi_comp), repr(r.chi_bar),
             repr(r.c_norm), repr(r.f_val), repr(r.r_val),
             "|".join(map(str, r.active_lower)), "|".join(map(str, r.active_upper)),
-            r.sign_pattern,
+            r.sign_pattern, r.tang_path, str(r.tang_iters),
         ]
         buf.write(",".join(row) + "\n")
     return buf.getvalue()

@@ -7,11 +7,12 @@ Solves
 by a primal active-set method on the bound constraints with direct KKT
 solves per working set and least-index (Bland-style) anti-cycling: both
 the ratio test and the choice of the bound to release break ties by the
-least index.  The point of owning this code instead of calling an
-off-the-shelf first-order solver is exactness: bound-active components
-are exact zeros and the returned duals satisfy the KKT system to
-factorization accuracy, which the outer solver's sparsity metrics and
-multiplier-based diagnostics rely on.
+least index.  When every release from a degenerate point bounces straight
+back, the solve stops with status "cycling".  The point of owning this
+code instead of calling an off-the-shelf first-order solver is
+exactness: bound-active components are exact zeros and the returned
+duals satisfy the KKT system to factorization accuracy, which the outer
+solver's sparsity metrics and multiplier-based diagnostics rely on.
 
 The KKT matrix is assembled once per solve (``_Kkt``) and each working
 set solves a principal submatrix of it by one chain (``_solve_subspace``):
@@ -100,7 +101,7 @@ class QpSolution:
     bound_duals: np.ndarray
     kkt_residual: float
     iterations: int
-    status: str  # "solved" | "max_iter" | "infeasible_eq"
+    status: str  # "solved" | "max_iter" | "cycling" | "infeasible_eq"
     objective_history: Optional[list] = None  # filled when requested
 
 
@@ -481,6 +482,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
     visited = set()  # working sets seen since the last productive move
     tabu = set()     # indices whose removal led straight back (degeneracy)
     last_removed = -1
+    status = "max_iter"
 
     while iters < max_iter:
         iters += 1
@@ -534,6 +536,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
             if not candidates:
                 # every exchange from this degenerate point bounced straight
                 # back; no single-index move makes progress, so stop honestly
+                status = "cycling"
                 break
             last_removed = candidates[0]
             state[last_removed] = _FREE  # least non-tabu index (anti-cycling)
@@ -568,7 +571,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
         grad = grad + _matvec(qp.Aeq.T, y)
     z = np.where(state == _FREE, 0.0, -grad)
     sol = QpSolution(primal=x, eq_duals=y, bound_duals=z,
-                     kkt_residual=np.inf, iterations=iters, status="max_iter",
+                     kkt_residual=np.inf, iterations=iters, status=status,
                      objective_history=history)
     sol.kkt_residual = verify_kkt(qp, sol).overall
     return sol

@@ -1,12 +1,27 @@
 """Tangential step: minimize a strongly convex model of the objective in
 the nullspace of the constraint Jacobian, keeping the point in the box.
 
-The l1 term is handled exactly by splitting each regularized component w_i
-of the trial point into w_i = p_i - q_i with p_i, q_i >= 0, which turns
-the nonsmooth subproblem into a plain QP over (u, p, q).  Equality duals
-of the nullspace rows give the constraint multipliers y; bound duals of
-the u-block give the box multipliers z; the regularizer subgradient is
-recovered from the stationarity identity and validated for membership.
+With c = x - alpha*g and the trial point w = x + v + u, the subproblem is
+
+    min_w (1/2 alpha)||w - c||^2 + sum_i lam_i |w_i|
+    s.t.  J (w - x - v) = 0,  lower <= w <= upper.
+
+For fixed multipliers y of the nullspace rows it splits into 1-D
+problems, w_i(y) = clip(soft(c_i - alpha (J'y)_i, alpha lam_i), lower_i,
+upper_i), so zeros and bounds are exact by construction.  The dual solve
+finds y with F(y) = J u(y) = 0 by semismooth Newton (Li, Sun & Toh,
+SIAM J. Optim. 2018): each step solves the m x m system
+(alpha J_F J_F' + mu I) d = F over the free components F, those neither
+zeroed nor clipped, by Cholesky, with an Armijo backtrack on the concave
+dual function.  The previous call's y is the warm start.  The box
+multipliers z and the regularizer subgradient g_r follow from
+stationarity, with z = 0 off the bounds and g_r in lam * d|w|.
+
+The split QP writes each regularized component as w_i = p_i - q_i with
+p_i, q_i >= 0, which turns the subproblem into a plain QP over (u, p, q).
+It is the fallback and the test oracle: it runs, from a cold start, only
+when the Newton budget runs out, a Cholesky factorization fails, or the
+dual answer misses the tangential KKT bar.
 """
 
 from __future__ import annotations
@@ -15,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .geometry import box_complementarity, project_box
@@ -32,12 +48,22 @@ __all__ = [
 
 _SPARSE_DIM = 200  # switch the QP assembly to sparse above this many columns
 _LINK_VALS = np.array([[1.0], [-1.0], [1.0]])  # coefficients of u_i, p_r, q_r
+_NEWTON_BUDGET = 50  # Newton steps plus refinement solves per dual solve
+_MAX_BACKTRACKS = 60
+_ARMIJO = 1e-4
+_KKT_BAR = 1e-8  # tangential KKT residual a dual answer must meet
+_EPS = np.finfo(float).eps
+# where a component of w(y) sits: zeroed, free (by the sign of w), at a bound
+_ZERO, _POS, _NEG, _LO, _HI = 0, 1, 2, 3, 4
 
 
 class TangentialError(RuntimeError):
+    """The fallback split QP did not solve; ``status`` is its QP status."""
+
     def __init__(self, msg, qp_solution: Optional[QpSolution] = None):
         super().__init__(msg)
         self.qp_solution = qp_solution
+        self.status = None if qp_solution is None else qp_solution.status
 
 
 @dataclass
@@ -46,10 +72,11 @@ class TangentialResult:
     y: np.ndarray
     z: np.ndarray
     g_r: np.ndarray
-    w: np.ndarray  # x + v + u with exact zeros/bounds from the split variables
-    p: np.ndarray
+    w: np.ndarray  # x + v + u with exact zeros/bounds
+    p: np.ndarray  # positive and negative parts of w on the weighted components
     q: np.ndarray
-    qp_iterations: int
+    iterations: int  # Newton steps and refinement solves, or QP iterations
+    path: str  # "dual" or "qp"
     kkt_residual: float
     kkt_report: Optional["TangentialKktReport"] = None
 
@@ -111,54 +138,169 @@ def build_tangential_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
     return QpProblem(H=H, q=q_lin, Aeq=Aeq, beq=beq, lower=lo, upper=hi), reg_idx
 
 
-def _default_start(base, reg_idx, n):
-    """u = 0 with the split variables carrying the current point: feasible."""
-    w_reg = base[reg_idx]
-    return np.concatenate([np.zeros(n), np.maximum(w_reg, 0.0), np.maximum(-w_reg, 0.0)])
+def _piece(tau, base, alpha_lam, lower, upper):
+    """u(y) in step coordinates and the code (_ZERO .. _HI) of each
+    component, for tau = -(alpha g + v) - alpha J'y.
+
+    With t = x + v + tau = c - alpha J'y, w_i = clip(soft(t_i, alpha
+    lam_i)).  The free components get u = tau -+ alpha lam directly, so
+    J u carries no cancellation against J (x + v).
+    """
+    t = base + tau
+    shrunk = (alpha_lam > 0) & (np.abs(t) <= alpha_lam)
+    sgn = np.where((t < 0) & (alpha_lam > 0), -1.0, 1.0)
+    s = np.where(shrunk, 0.0, t - sgn * alpha_lam)
+    code = np.where(shrunk, _ZERO, np.where(sgn > 0, _POS, _NEG))
+    u = np.where(shrunk, -base, tau - sgn * alpha_lam)
+    at_lo = s <= lower
+    at_hi = (s >= upper) & ~at_lo
+    code[at_lo], code[at_hi] = _LO, _HI
+    u[at_lo] = lower[at_lo] - base[at_lo]
+    u[at_hi] = upper[at_hi] - base[at_hi]
+    return u, code
+
+
+def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
+    """Semismooth Newton on F(y) = J u(y) = 0 from y.
+
+    The dual function theta(y) = (1/2 alpha)||u - tau0||^2 + lam'|x+v+u|
+    + y'J u is concave with gradient F.  Once a unit step leaves the piece
+    (the codes) unchanged, or cuts the residual as the model predicts, the
+    model is exact there and the remaining residual is refined in place,
+    u_F -= alpha J_F' d and y += d, until |J u| <= 4 eps (1 + |J| |u|) row
+    by row.  Returns (y, u, code, iterations), or None when the budget
+    runs out, the line search fails or a Cholesky factorization fails.
+    """
+    m = J.shape[0]
+    alpha_lam = alpha * lam
+    abs_J = np.abs(J)
+    scale = alpha * float(np.max(np.einsum("ij,ij->i", J, J), initial=0.0))
+
+    def evaluate(y):
+        u, code = _piece(tau0 - alpha * (J.T @ y), base, alpha_lam, lower, upper)
+        return u, code, J @ u
+
+    def theta(y, u, F):
+        r = u - tau0
+        return float(r @ r) / (2.0 * alpha) + float(lam @ np.abs(base + u)) + float(y @ F)
+
+    u, code, F = evaluate(y)
+    iterations = 0
+    refine = False
+    while not np.all(np.abs(F) <= 4.0 * _EPS * (1.0 + abs_J @ np.abs(u))):
+        if iterations == _NEWTON_BUDGET:
+            return None
+        iterations += 1
+        free = (code == _POS) | (code == _NEG)
+        J_F = J[:, free]
+        F_norm = float(np.linalg.norm(F))
+        # regularized as in SSNAL, since rows of J with no free entry make
+        # J_F J_F' singular; the floor keeps dependent rows of J from
+        # failing the factorization by roundoff
+        mu = max(1e-8 * min(F_norm, 1.0), 1e-14 * m) * scale
+        M = alpha * (J_F @ J_F.T) + mu * np.eye(m)
+        try:
+            d = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), F)
+        except (np.linalg.LinAlgError, ValueError):
+            return None
+        if refine:
+            u_ref = u.copy()
+            u_ref[free] -= alpha * (J_F.T @ d)
+            F_ref = J @ u_ref
+            if np.linalg.norm(F_ref) < 0.5 * F_norm:
+                y, u, F = y + d, u_ref, F_ref
+                continue
+            refine = False  # no longer contracting: back to full Newton steps
+        theta0 = theta(y, u, F)
+        slope = float(F @ d)
+        slack = 8.0 * _EPS * (1.0 + abs(theta0))
+        step = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            y_try = y + step * d
+            u_try, code_try, F_try = evaluate(y_try)
+            if theta(y_try, u_try, F_try) >= theta0 + _ARMIJO * step * slope - slack:
+                break
+            step *= 0.5
+        else:
+            return None
+        # a unit step that kept the piece, or that met the model's
+        # prediction while a component sat exactly on a kink, ends on the
+        # final piece
+        refine = step == 1.0 and (np.array_equal(code_try, code)
+                                  or np.linalg.norm(F_try) <= 1e-6 * F_norm)
+        y, u, code, F = y_try, u_try, code_try, F_try
+    return y, u, code, iterations
 
 
 def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
                      warm: Optional[np.ndarray] = None) -> tuple[TangentialResult, np.ndarray]:
     """Solve the tangential subproblem and recover multipliers.
 
-    Returns (result, raw_primal); the raw primal is the warm-start payload
-    for the next iteration.
+    ``warm`` is the previous call's y; one of any other shape is ignored.
+    Returns (result, y), y being the warm start for the next call.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     g = np.asarray(g, dtype=float)
     J = np.asarray(J, dtype=float)
+    m = J.shape[0]
+    base = x + v
+    lam = reg.weights
+
+    y0 = np.zeros(m)
+    if warm is not None and np.shape(warm) == (m,):
+        y0 = np.array(warm, dtype=float)
+    out = _dual_solve(base, -(alpha * g + v), J, alpha, lam, box.lower, box.upper, y0)
+    if out is None:
+        return _solve_split_qp(x, v, g, J, alpha, reg, box)
+    y, u, code, iterations = out
+
+    # a free component can round a hair past its bound
+    w = project_box(base + u, box)
+    w[code == _ZERO] = 0.0
+    at_lo, at_hi = code == _LO, code == _HI
+    w[at_lo] = box.lower[at_lo]
+    w[at_hi] = box.upper[at_hi]
+    u = w - base
+    # stationarity: g + (u + v)/alpha + J'y + g_r + z = 0 with z = 0 off
+    # the bounds; at a bound g_r takes the value lam * d|w| allows nearest
+    # to the residual and z the rest
+    resid = -(g + (u + v) / alpha + J.T @ y)
+    g_bound = np.where(w == 0.0, np.clip(resid, -lam, lam), lam * np.sign(w))
+    z = np.where(at_lo | at_hi, resid - g_bound, 0.0)
+    g_r = resid - z
+
+    report = verify_tangential_kkt(x, v, g, J, alpha, reg, box, u=u, y=y, z=z, g_r=g_r)
+    if not report.overall <= _KKT_BAR:
+        return _solve_split_qp(x, v, g, J, alpha, reg, box)
+    w_reg = w[lam > 0]
+    result = TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w,
+                              p=np.maximum(w_reg, 0.0), q=np.maximum(-w_reg, 0.0),
+                              iterations=iterations, path="dual",
+                              kkt_residual=report.overall, kkt_report=report)
+    return result, y.copy()
+
+
+def _solve_split_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
+    """The tangential subproblem as the split QP, solved from a cold start."""
     n = x.shape[0]
     m = J.shape[0]
     base = x + v
 
     qp, reg_idx = build_tangential_qp(x, v, g, J, alpha, reg, box)
     nr = reg_idx.shape[0]
-    start = _default_start(base, reg_idx, n)
-    if warm is not None and warm.shape == start.shape:
-        # only adopt a previous primal that is still feasible as-is; the
-        # generic repair would smear corrections over the split variables
-        # and wreck the zero pattern that makes the warm start valuable
-        eq_res = float(np.max(np.abs(np.asarray(qp.Aeq @ warm).ravel() - qp.beq), initial=0.0))
-        in_box = bool(np.all(warm >= qp.lower - 1e-12) and np.all(warm <= qp.upper + 1e-12))
-        if in_box and eq_res <= 1e-9 * (1.0 + float(np.abs(qp.beq).max(initial=0.0))):
-            start = warm
-    sol = solve_qp(qp, warm_start=start)
+    sol = solve_qp(qp)
     if sol.status != "solved":
         raise TangentialError(f"tangential QP failed with status {sol.status}", sol)
 
-    primal = sol.primal.copy()
-    u = primal[:n]
-    p = primal[n:n + nr].copy()
-    q = primal[n + nr:].copy()
+    u = sol.primal[:n]
+    p = sol.primal[n:n + nr].copy()
+    q = sol.primal[n + nr:].copy()
+    # degenerate ties can leave both split parts positive; shifting by
+    # the overlap preserves p - q and cannot increase the objective
     overlap = np.minimum(p, q)
-    if np.any(overlap > 0):
-        # degenerate ties can leave both split parts positive; shifting by
-        # the overlap preserves p - q and cannot increase the objective
-        p -= overlap
-        q -= overlap
-        primal[n:n + nr] = p
-        primal[n + nr:] = q
+    p -= overlap
+    q -= overlap
 
     # assemble the trial point with exact zeros/bounds, then make u consistent
     w = base + u
@@ -174,7 +316,6 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     u = w - base
 
     y = sol.eq_duals[:m].copy()
-    link_duals = sol.eq_duals[m:]
     z = sol.bound_duals[:n].copy()
     # for split components the box multiplier rides on u's bounds already;
     # recover the subgradient from stationarity of the u-block
@@ -183,9 +324,9 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     report = verify_tangential_kkt(x, v, g, J, alpha, reg, box,
                                    u=u, y=y, z=z, g_r=g_r)
     result = TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w, p=p, q=q,
-                              qp_iterations=sol.iterations,
+                              iterations=sol.iterations, path="qp",
                               kkt_residual=report.overall, kkt_report=report)
-    return result, primal
+    return result, y.copy()
 
 
 def verify_tangential_kkt(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,

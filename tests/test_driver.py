@@ -322,17 +322,31 @@ class TestRankDeficientJacobian:
         assert np.all(rep.x >= p.box.lower) and np.all(rep.x <= p.box.upper)
 
     def test_singular_working_sets_rescued_by_inertia_shift(self, monkeypatch):
-        # the sparse tangential KKT systems of this instance are exactly
-        # singular at shift 0; the 1e-11 shift solves every one of them, so
-        # the dense least-squares fallback is never reached, and the shift
-        # ladder starts there after the first failure of each QP
+        # the sparse split-QP KKT systems of this instance's tangential
+        # subproblems are exactly singular at shift 0; the 1e-11 shift solves
+        # every one of them, so the dense least-squares fallback is never
+        # reached, and the shift ladder starts there after the first failure
+        # of each QP
         import scipy.linalg
         import scipy.sparse.linalg as spla
 
-        from pgcon import tangential
+        from pgcon import driver, tangential
 
-        lstsq_calls, splu_failures, qp_solves = [], [], []
-        lstsq, splu, solve_qp = scipy.linalg.lstsq, spla.splu, tangential.solve_qp
+        subproblems = []
+        solve_tangential = driver.solve_tangential
+
+        def recording_solve_tangential(*args, **kwargs):
+            subproblems.append(args)
+            return solve_tangential(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "solve_tangential", recording_solve_tangential)
+        p = rank_deficient_l1(1, 110, 160)
+        rep = solve(p, SolverConfig(alpha0=1.0, max_iter=200))
+        assert rep.status == "KktPoint"
+        assert subproblems
+
+        lstsq_calls, splu_failures = [], []
+        lstsq, splu = scipy.linalg.lstsq, spla.splu
 
         def counting_lstsq(*args, **kwargs):
             lstsq_calls.append(1)
@@ -345,18 +359,15 @@ class TestRankDeficientJacobian:
                 splu_failures.append(1)
                 raise
 
-        def counting_solve_qp(*args, **kwargs):
-            qp_solves.append(1)
-            return solve_qp(*args, **kwargs)
-
         monkeypatch.setattr(scipy.linalg, "lstsq", counting_lstsq)
         monkeypatch.setattr(spla, "splu", counting_splu)
-        monkeypatch.setattr(tangential, "solve_qp", counting_solve_qp)
-        p = rank_deficient_l1(1, 110, 160)
-        rep = solve(p, SolverConfig(alpha0=1.0, max_iter=200))
-        assert rep.status == "KktPoint"
+        for args in subproblems:
+            qp, _ = tangential.build_tangential_qp(*args)
+            before = len(splu_failures)
+            sol = tangential.solve_qp(qp)
+            assert sol.status == "solved"
+            assert len(splu_failures) - before <= 1
         assert splu_failures
-        assert len(splu_failures) <= len(qp_solves)
         assert not lstsq_calls
 
 
@@ -396,3 +407,32 @@ class TestLedger:
         assert header.startswith("k,x_hash,delta,beta")
         assert "wall" not in header
         assert len(csv.splitlines()) == len(rep.records) + 1
+
+    def test_tangential_path_and_iterations_per_row(self):
+        inst = get_instance("eq-quad-1")
+        rep = solve(inst.problem, SolverConfig())
+        lines = ledger_to_csv(rep.records).splitlines()
+        assert lines[0].endswith(",tang_path,tang_iters")
+        for line, r in zip(lines[1:], rep.records):
+            assert line.endswith(f",{r.tang_path},{r.tang_iters}")
+            assert r.tang_path in ("dual", "qp")
+            assert r.tang_iters >= 0
+
+
+class TestTangentialFailure:
+    def test_stalled_warning_names_qp_status(self, monkeypatch):
+        from pgcon import driver
+        from pgcon.qp import QpSolution
+        from pgcon.tangential import TangentialError
+
+        def cycling(*args, **kwargs):
+            sol = QpSolution(primal=np.zeros(1), eq_duals=np.zeros(0),
+                             bound_duals=np.zeros(1), kkt_residual=np.inf,
+                             iterations=4, status="cycling")
+            raise TangentialError("tangential QP failed with status cycling", sol)
+
+        monkeypatch.setattr(driver, "solve_tangential", cycling)
+        inst = get_instance("eq-quad-1")
+        with pytest.warns(UserWarning, match=r"QP status cycling"):
+            rep = solve(inst.problem, SolverConfig())
+        assert rep.status == "Stalled"

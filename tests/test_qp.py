@@ -358,3 +358,30 @@ class TestRefinedDuals:
         assert sol.kkt_residual <= 1e-8
         assert qp.objective(sol.primal) == pytest.approx(-6000.0, abs=1e-6)
         assert qp.objective(ref[0]) == pytest.approx(-6000.0, abs=1e-6)
+
+
+def test_anti_cycling_exhaustion_has_own_status():
+    # a tangential split QP from the driver fuzz (u in R^3, two split
+    # pairs, three nullspace rows and two linking rows), started where the
+    # split variables carry the current point: every bound release from
+    # that degenerate point bounces straight back, which used to be
+    # reported as "max_iter" after 4 of the 350 allowed iterations
+    H = np.diag([0.1, 0.1, 0.1, 0.0, 0.0, 0.0, 0.0])
+    q = np.array([-1.490737826906788, -1.1865547345237477, 2.3247391813414167,
+                  1.0728556091325017, 1.1159721852404867, 1.0728556091325017,
+                  1.1159721852404867])
+    Aeq = np.array([
+        [-0.1857885359089904, -0.6511671623770117, -1.2201908368770655, 0, 0, 0, 0],
+        [-0.11129299057625369, 0.11157571100568703, -1.032756728114285, 0, 0, 0, 0],
+        [0.07445221264803822, -0.9253003995434455, 1.2027040634870014, 0, 0, 0, 0],
+        [1.0, 0, 0, -1, 0, 1, 0],
+        [0, 0, 1.0, 0, -1, 0, 1]])
+    beq = np.array([0.0, 0.0, 0.0, 0.012248648851277948, 0.11853410095175454])
+    lower = np.array([-np.inf, -0.7843088430180412, -np.inf, 0, 0, 0, 0])
+    upper = np.array([np.inf, 0.43131637993027255, np.inf, np.inf, np.inf, np.inf, np.inf])
+    qp = QpProblem(H=H, q=q, Aeq=Aeq, beq=beq, lower=lower, upper=upper)
+    start = np.array([0.0, 0, 0, 0, 0, 0.012248648851277948, 0.11853410095175454])
+    for sol in (solve_qp(qp, warm_start=start), solve_qp(qp)):
+        assert sol.status == "cycling"
+        assert sol.iterations < 50 * qp.dim
+        assert sol.kkt_residual > 1e-8

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from pgcon import tangential
 from pgcon.problem import BoxSet, L1Regularizer
+from pgcon.qp import QpSolution, solve_qp
 from pgcon.tangential import (
+    TangentialError,
     build_tangential_qp,
     solve_tangential,
     verify_tangential_kkt,
@@ -164,9 +167,199 @@ class TestVerify:
         assert rep.dual_sign == pytest.approx(0.5, abs=1e-12)
 
 
+def random_tangential(rng, n_max=12, m_max=4):
+    """A tangential subproblem with x + v in the box, so u = 0 is feasible."""
+    n = int(rng.integers(1, n_max + 1))
+    m = int(rng.integers(0, min(m_max, n) + 1))
+    x = rng.standard_normal(n)
+    v = 0.1 * rng.standard_normal(n)
+    base = x + v
+    g = rng.standard_normal(n)
+    J = rng.standard_normal((m, n))
+    alpha = float(10 ** rng.uniform(-2, 1))
+    lam = np.where(rng.random(n) < 0.7, rng.random(n), 0.0)
+    lo = np.where(rng.random(n) < 0.4, np.minimum(base, 0) - rng.random(n), -np.inf)
+    hi = np.where(rng.random(n) < 0.4, np.maximum(base, 0) + rng.random(n), np.inf)
+    return x, v, g, J, alpha, L1Regularizer(lam), BoxSet(lo, hi)
+
+
+def split_qp_oracle(x, v, g, J, alpha, reg, box):
+    """(u, y, zero, at_lo, at_hi) from the split QP: w_i = p_i - q_i is
+    zero when both split parts sit on their bound, and u is at a bound
+    exactly when the QP's active set holds it there."""
+    qp, reg_idx = build_tangential_qp(x, v, g, J, alpha, reg, box)
+    sol = solve_qp(qp)
+    assert sol.status == "solved"
+    n, nr = x.shape[0], reg_idx.shape[0]
+    u = sol.primal[:n]
+    zero = np.zeros(n, dtype=bool)
+    zero[reg_idx] = (sol.primal[n:n + nr] == 0.0) & (sol.primal[n + nr:] == 0.0)
+    return (u, sol.eq_duals[:J.shape[0]], zero,
+            u == qp.lower[:n], u == qp.upper[:n])
+
+
+def dual_formula(x, g, J, alpha, reg, box, y):
+    """w(y) = clip(soft(x - alpha g - alpha J'y, alpha lam), lower, upper)."""
+    t = x - alpha * g - alpha * (J.T @ y)
+    soft = np.sign(t) * np.maximum(np.abs(t) - alpha * reg.weights, 0.0)
+    return np.clip(soft, box.lower, box.upper)
+
+
+def kink_margin(x, g, J, alpha, reg, box, y):
+    """Distance of the oracle's t = c - alpha J'y from the nearest kink of
+    w(y): the soft threshold and the two bounds."""
+    t = x - alpha * g - alpha * (J.T @ y)
+    soft = np.sign(t) * np.maximum(np.abs(t) - alpha * reg.weights, 0.0)
+    gaps = [np.abs(np.abs(t) - alpha * reg.weights)[reg.weights > 0],
+            np.abs(soft - box.lower), np.abs(soft - box.upper)]
+    return min(float(np.min(gap, initial=np.inf)) for gap in gaps)
+
+
+def assert_matches_oracle(args, res, tol=1e-10):
+    x, v, g, J, alpha, reg, box = args
+    u_ref, _, _, _, _ = split_qp_oracle(*args)
+    scale = 1.0 + float(np.max(np.abs(x + v), initial=0.0))
+    np.testing.assert_allclose(res.u, u_ref, rtol=0, atol=tol * scale)
+    rep = verify_tangential_kkt(x, v, g, J, alpha, reg, box,
+                                u=res.u, y=res.y, z=res.z, g_r=res.g_r)
+    assert rep.overall <= 1e-8
+    assert res.kkt_residual == rep.overall
+    assert np.all(res.p * res.q == 0.0)
+    assert box.contains(res.w)
+
+
+class TestDualAgainstSplitQp:
+    """Differential fuzz of the dual solve against the split-QP oracle."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(2024)
+        n_dual = n_patterns = 0
+        for _ in range(300):
+            args = random_tangential(rng)
+            x, v, g, J, alpha, reg, box = args
+            res, y = solve_tangential(*args)
+            n_dual += res.path == "dual"
+            assert_matches_oracle(args, res)
+            np.testing.assert_array_equal(y, res.y)
+            # the returned y reproduces w through the dual formula
+            scale = 1.0 + float(np.max(np.abs(x + v), initial=0.0))
+            np.testing.assert_allclose(dual_formula(x, g, J, alpha, reg, box, res.y),
+                                       res.w, rtol=0, atol=1e-10 * scale)
+            _, y_ref, zero, at_lo, at_hi = split_qp_oracle(*args)
+            if kink_margin(x, g, J, alpha, reg, box, y_ref) > 1e-6:
+                # nondegenerate: the same zeros and active bounds, exactly
+                n_patterns += 1
+                np.testing.assert_array_equal(res.w[reg.weights > 0] == 0.0,
+                                              zero[reg.weights > 0])
+                np.testing.assert_array_equal(res.w == box.lower, at_lo)
+                np.testing.assert_array_equal(res.w == box.upper, at_hi)
+        assert n_dual == 300
+        assert n_patterns >= 200
+
+
+class TestDegenerate:
+    """Cases where the dual Newton system or the piece structure degenerates."""
+
+    def check(self, *args):
+        res, _ = solve_tangential(*args)
+        assert res.path == "dual"
+        assert_matches_oracle(args, res)
+        return res
+
+    def test_no_constraints(self):
+        rng = np.random.default_rng(7)
+        x, v, g, _, alpha, reg, box = random_tangential(rng, n_max=8)
+        n = x.shape[0]
+        res = self.check(x, v, g, np.zeros((0, n)), alpha, reg, box)
+        assert res.iterations == 0
+        assert res.y.shape == (0,)
+        np.testing.assert_allclose(res.w, dual_formula(x, g, np.zeros((0, n)),
+                                                       alpha, reg, box, res.y),
+                                   rtol=0, atol=1e-15 * (1.0 + np.max(np.abs(x + v))))
+
+    def test_more_rows_than_free_components(self):
+        # J is square and nonsingular, so u = 0 is the only feasible step;
+        # two of its three components sit on a bound
+        x = np.array([0.5, -0.25, 1.0])
+        box = BoxSet(np.array([-np.inf, -0.25, -np.inf]), np.array([np.inf, np.inf, 1.0]))
+        J = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, -1.0], [2.0, 0.0, 1.0]])
+        g = np.array([0.3, 2.0, -4.0])
+        res = self.check(x, np.zeros(3), g, J, 1.0, L1Regularizer(np.zeros(3)), box)
+        np.testing.assert_array_equal(res.u, np.zeros(3))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_duplicated_and_zero_rows(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        x, v, g, J, alpha, reg, box = random_tangential(rng, n_max=10)
+        n = x.shape[0]
+        row = rng.standard_normal(n)
+        J = np.vstack([row, 2.0 * row, np.zeros(n), rng.standard_normal(n)])
+        res = self.check(x, v, g, J, alpha, reg, box)
+        np.testing.assert_allclose(J @ res.u, np.zeros(4), atol=1e-12)
+
+    def test_fixed_variables(self):
+        # lower == upper, one fixed at 0 with a positive weight
+        x = np.array([0.0, 1.5, -0.3, 0.7])
+        box = BoxSet(np.array([0.0, 1.5, -1.0, -np.inf]), np.array([0.0, 1.5, 1.0, np.inf]))
+        reg = L1Regularizer(np.array([0.5, 0.2, 0.1, 0.0]))
+        J = np.array([[1.0, 1.0, 1.0, 1.0]])
+        res = self.check(x, np.zeros(4), np.array([3.0, -1.0, 0.4, 0.2]), J, 0.5, reg, box)
+        assert res.w[0] == 0.0 and res.w[1] == 1.5
+
+    def test_bound_at_zero_with_weight(self):
+        # the soft threshold and the lower bound meet at w_0 = 0
+        x = np.array([0.2, 0.5, 0.4])
+        box = BoxSet(np.array([0.0, 0.0, -np.inf]), np.full(3, np.inf))
+        reg = L1Regularizer(np.array([1.0, 0.3, 0.2]))
+        J = np.array([[1.0, -1.0, 0.5]])
+        res = self.check(x, np.zeros(3), np.array([2.0, 0.1, -0.3]), J, 0.5, reg, box)
+        assert res.w[0] == 0.0
+        assert res.z[0] <= 0.0 and abs(res.g_r[0]) <= reg.weights[0]
+
+    def test_threshold_ties(self):
+        # J has no entry on the first two components, so t_i = x_i - alpha
+        # g_i = +-alpha lam_i exactly, whatever y is
+        x = np.array([0.75, -0.5, 1.0, 0.25])
+        g = np.array([0.25, 0.5, 1.0, -1.0])
+        reg = L1Regularizer(np.array([0.5, 1.0, 0.25, 0.5]))
+        J = np.array([[0.0, 0.0, 1.0, 1.0]])
+        res = self.check(x, np.zeros(4), g, J, 1.0, reg, BoxSet.free(4))
+        assert res.w[0] == 0.0 and res.w[1] == 0.0
+        assert res.g_r[0] == pytest.approx(0.5, abs=1e-12)
+        assert res.g_r[1] == pytest.approx(-1.0, abs=1e-12)
+
+
+class TestFallback:
+    def test_narrow_window_exhausts_newton_budget(self):
+        # J = [1] forces u = 0 and y = -g = 1, but w(y) is off its bounds
+        # only for y within 1e-8 of 1: from y = 0 the Newton steps halve
+        # their way toward that window and run out of budget, and the split
+        # QP answers instead
+        box = BoxSet(np.array([-1e-8]), np.array([1e-8]))
+        res, y = solve_tangential(np.zeros(1), np.zeros(1), np.array([-1.0]),
+                                  np.array([[1.0]]), 1.0, L1Regularizer(np.zeros(1)), box)
+        assert res.path == "qp"
+        assert res.u[0] == 0.0 and res.w[0] == 0.0
+        assert res.y[0] == pytest.approx(1.0, abs=1e-12)
+        assert res.z[0] == 0.0 and res.g_r[0] == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_array_equal(y, res.y)
+
+    def test_failed_qp_carries_its_status(self, monkeypatch):
+        def cycling(qp, **kwargs):
+            return QpSolution(primal=np.zeros(qp.dim), eq_duals=np.zeros(qp.n_eq),
+                              bound_duals=np.zeros(qp.dim), kkt_residual=np.inf,
+                              iterations=4, status="cycling")
+
+        monkeypatch.setattr(tangential, "solve_qp", cycling)
+        box = BoxSet(np.array([-1e-8]), np.array([1e-8]))
+        with pytest.raises(TangentialError, match="cycling") as info:
+            solve_tangential(np.zeros(1), np.zeros(1), np.array([-1.0]),
+                             np.array([[1.0]]), 1.0, L1Regularizer(np.zeros(1)), box)
+        assert info.value.status == "cycling"
+
+
 class TestWarmStart:
-    """The previous raw primal is offered every iteration; the feasibility
-    check in solve_tangential alone decides whether it is used."""
+    """The previous call's y is offered every iteration."""
 
     @staticmethod
     def instance(seed):
@@ -181,24 +374,23 @@ class TestWarmStart:
         return x, v, g, J, 1.0, reg, BoxSet(lo, np.full(n, np.inf))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_feasible_warm_primal_adopted(self, seed):
+    def test_warm_y_same_answer_fewer_iterations(self, seed):
         args = self.instance(seed)
-        cold, raw = solve_tangential(*args)
-        warm, _ = solve_tangential(*args, warm=raw)
+        cold, y = solve_tangential(*args)
+        warm, _ = solve_tangential(*args, warm=y)
+        assert cold.path == warm.path == "dual"
         for name in ("u", "y", "z", "g_r", "w"):
             np.testing.assert_allclose(getattr(warm, name), getattr(cold, name),
                                        rtol=0, atol=1e-12)
-        # starting on the optimal working set leaves one confirming iteration
-        assert warm.qp_iterations < cold.qp_iterations
+        assert warm.iterations < cold.iterations
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_infeasible_warm_primal_ignored(self, seed):
+    def test_wrong_shape_warm_is_cold(self, seed):
         args = self.instance(seed)
-        cold, raw = solve_tangential(*args)
-        bad = raw.copy()
-        bad[0] += 1.0  # breaks the nullspace rows
-        again, raw_again = solve_tangential(*args, warm=bad)
-        assert again.qp_iterations == cold.qp_iterations
-        assert np.array_equal(raw_again, raw)
-        for name in ("u", "y", "z", "g_r", "w"):
-            assert np.array_equal(getattr(again, name), getattr(cold, name))
+        cold, y = solve_tangential(*args)
+        for bad in (np.ones(3), np.ones((2, 1)), np.ones(12 + 2 * 8)):
+            again, y_again = solve_tangential(*args, warm=bad)
+            assert (again.path, again.iterations) == (cold.path, cold.iterations)
+            assert np.array_equal(y_again, y)
+            for name in ("u", "y", "z", "g_r", "w", "p", "q"):
+                assert np.array_equal(getattr(again, name), getattr(cold, name))
