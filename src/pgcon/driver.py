@@ -93,6 +93,8 @@ class SolverConfig:
             raise ValueError(f"alpha_rule must be one of {glob.ALPHA_RULES}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.max_backtracks < 0:
+            raise ValueError(f"max_backtracks={self.max_backtracks!r} must be nonnegative")
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float)
 
@@ -167,8 +169,7 @@ class IterationRecord:
     active_lower: tuple
     active_upper: tuple
     sign_pattern: str
-    tang_path: str  # "dual" or "qp" (the split-QP fallback)
-    tang_iters: int  # Newton steps or QP iterations of the tangential solve
+    tang_iters: int  # Newton steps and refinement solves of the tangential solve
 
 
 @dataclass
@@ -264,8 +265,6 @@ class _InvariantMonitor:
             self._add(k, "tangential_kkt", tkkt_overall)
         if subgrad_margin > 1e-8:
             self._add(k, "subgradient_membership", subgrad_margin)
-        if np.any(tang.p * tang.q != 0.0):
-            self._add(k, "split_overlap", float(np.max(tang.p * tang.q)))
         if self.prev_tau is not None and tau > self.prev_tau + 1e-15:
             self._add(k, "tau_monotone", tau - self.prev_tau)
         self.prev_tau = tau
@@ -367,7 +366,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             # subproblem failure (degenerate or numerically rank-deficient
             # data): record what we have instead of propagating
             warnings.warn(f"{p.name}: tangential subproblem failed at "
-                          f"iteration {k}: split QP status {exc.status}")
+                          f"iteration {k}: {exc}")
             return finish("Stalled", k)
         y, z, g_r = tang.y, tang.z, tang.g_r
         w = tang.w
@@ -424,7 +423,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             chi_bar=comp_v1, c_norm=c_norm, f_val=f_val, r_val=r_val,
             active_lower=aset.at_lower, active_upper=aset.at_upper,
             sign_pattern=_sign_pattern(x, work.reg.weights),
-            tang_path=tang.path, tang_iters=tang.iterations,
+            tang_iters=tang.iterations,
         ))
 
         if (stop.feasibility <= cfg.tol_c and stop.stationarity <= cfg.tol_stat
@@ -486,7 +485,7 @@ _LEDGER_COLUMNS = [
     "k", "x_hash", "delta", "beta", "norm_v", "norm_u", "norm_s", "tau", "alpha",
     "merit_before", "merit_after", "accepted", "chi", "chi_stat", "chi_comp",
     "chi_bar", "c_norm", "f_val", "r_val", "active_lower", "active_upper",
-    "sign_pattern", "tang_path", "tang_iters",
+    "sign_pattern", "tang_iters",
 ]
 
 
@@ -503,7 +502,7 @@ def ledger_to_csv(records) -> str:
             repr(r.chi), repr(r.chi_stat), repr(r.chi_comp), repr(r.chi_bar),
             repr(r.c_norm), repr(r.f_val), repr(r.r_val),
             "|".join(map(str, r.active_lower)), "|".join(map(str, r.active_upper)),
-            r.sign_pattern, r.tang_path, str(r.tang_iters),
+            r.sign_pattern, str(r.tang_iters),
         ]
         buf.write(",".join(row) + "\n")
     return buf.getvalue()

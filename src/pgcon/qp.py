@@ -15,19 +15,19 @@ duals satisfy the KKT system to factorization accuracy, which the outer
 solver's sparsity metrics and multiplier-based diagnostics rely on.
 
 The KKT matrix is assembled once per solve (``_Kkt``) and each working
-set solves a principal submatrix of it by one chain (``_solve_subspace``):
-sparse LU with a sticky ladder of tiny inertia shifts, or a dense
-symmetric solve, then QR least squares.  A working set with no
-stationary point yields a curvature-free descent ray instead of a
-target, and a target exploding along a numerically null direction is
-re-solved on the same system with that direction truncated.
+set solves a principal submatrix of it by one dense chain
+(``_solve_subspace``): a symmetric solve, then QR least squares.  A
+working set with no stationary point yields a curvature-free descent
+ray instead of a target, and a target exploding along a numerically null
+direction is re-solved on the same system with that direction truncated.
 
 Dual sign convention:  H x + q + Aeq' y + z = 0  with  z_i <= 0 when x_i
 is at its lower bound, z_i >= 0 at its upper bound, z_i = 0 otherwise.
 
-H may be a dense array, a scipy sparse matrix, or implicitly G'G via the
-``gram`` objective 0.5*||c0 + G x||^2 (used by the trust-region
-feasibility subproblem, where forming G'G explicitly is wasteful).
+H may be a dense array or implicitly G'G via the ``gram`` objective
+0.5*||c0 + G x||^2 (used by the trust-region feasibility subproblem,
+where forming G'G explicitly is wasteful).  A scipy sparse H or Aeq is
+densified once on construction.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .geometry import box_complementarity
 
@@ -52,9 +51,9 @@ _FREE, _LO, _HI, _FIX = 0, 1, 2, 3
 class QpProblem:
     """Strongly convex (or PSD) QP data; see module docstring for the form."""
 
-    H: Optional[object]  # (d, d) ndarray or scipy sparse; None when gram is set
+    H: Optional[np.ndarray]  # (d, d), None when gram is set; sparse is densified
     q: np.ndarray
-    Aeq: object  # (p, d) ndarray or scipy sparse, p may be 0
+    Aeq: np.ndarray  # (p, d), p may be 0; sparse is densified
     beq: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -65,6 +64,9 @@ class QpProblem:
         self.beq = np.asarray(self.beq, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
+        if self.H is not None:
+            self.H = _dense(self.H)
+        self.Aeq = _dense(self.Aeq)
         if np.any(self.lower > self.upper):
             raise ValueError("box has lower_i > upper_i")
         if self.gram is not None:
@@ -85,13 +87,13 @@ class QpProblem:
         if self.gram is not None:
             G, c0 = self.gram
             return G.T @ (c0 + G @ x)
-        return _matvec(self.H, x) + self.q
+        return self.H @ x + self.q
 
     def objective(self, x) -> float:
         if self.gram is not None:
             G, c0 = self.gram
             return 0.5 * float(np.dot(c0 + G @ x, c0 + G @ x))
-        return 0.5 * float(np.dot(x, _matvec(self.H, x))) + float(np.dot(self.q, x))
+        return 0.5 * float(np.dot(x, self.H @ x)) + float(np.dot(self.q, x))
 
 
 @dataclass
@@ -119,24 +121,14 @@ class QpKktReport:
                    self.complementarity, self.dual_sign)
 
 
-def _matvec(M, x):
-    return np.asarray(M @ x).ravel()
-
-
 def _dense(M) -> np.ndarray:
     return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
-
-
-def _submatrix(M, rows, cols):
-    if sp.issparse(M):
-        return M.tocsr()[rows][:, cols]
-    return np.asarray(M)[np.ix_(rows, cols)]
 
 
 def _eq_residual(qp: QpProblem, x) -> np.ndarray:
     if qp.n_eq == 0:
         return np.zeros(0)
-    return _matvec(qp.Aeq, x) - qp.beq
+    return qp.Aeq @ x - qp.beq
 
 
 def verify_kkt(qp: QpProblem, sol: QpSolution) -> QpKktReport:
@@ -149,7 +141,7 @@ def verify_kkt(qp: QpProblem, sol: QpSolution) -> QpKktReport:
     x, y, z = sol.primal, sol.eq_duals, sol.bound_duals
     grad = qp.grad(x)
     if qp.n_eq:
-        grad = grad + _matvec(qp.Aeq.T, y)
+        grad = grad + qp.Aeq.T @ y
     stat = float(np.linalg.norm(grad + z))
     eqf = float(np.linalg.norm(_eq_residual(qp, x)))
     boxf = float(max(np.max(np.maximum(qp.lower - x, 0.0), initial=0.0),
@@ -175,11 +167,7 @@ def _repair_rounds(qp: QpProblem, x, tol_eq, pinned, rounds):
         free = np.flatnonzero(~pinned)
         if free.size == 0:
             break
-        A_f = _submatrix(qp.Aeq, np.arange(qp.n_eq), free)
-        if sp.issparse(A_f):
-            dx = spla.lsqr(A_f, -r, atol=1e-14, btol=1e-14)[0]
-        else:
-            dx = np.linalg.lstsq(np.asarray(A_f, dtype=float), -r, rcond=None)[0]
+        dx = np.linalg.lstsq(qp.Aeq[:, free], -r, rcond=None)[0]
         trial = x.copy()
         trial[free] += dx
         clipped = (trial < qp.lower) | (trial > qp.upper)
@@ -218,15 +206,14 @@ def _phase1(qp: QpProblem, x_ref, mu):
     s.t. Aeq x + a = beq, x in box.  The elastic start is exactly feasible,
     so the recursive solve cannot re-enter phase 1."""
     d, p = qp.dim, qp.n_eq
-    Aeq = _dense(qp.Aeq)
     H = np.zeros((d + p, d + p))
     H[:d, :d] = mu * np.eye(d)
     H[d:, d:] = np.eye(p)
-    A_ext = np.hstack([Aeq, np.eye(p)])
+    A_ext = np.hstack([qp.Aeq, np.eye(p)])
     lo = np.concatenate([qp.lower, np.full(p, -np.inf)])
     hi = np.concatenate([qp.upper, np.full(p, np.inf)])
     x0 = np.minimum(np.maximum(x_ref, qp.lower), qp.upper)
-    start = np.concatenate([x0, qp.beq - Aeq @ x0])
+    start = np.concatenate([x0, qp.beq - qp.Aeq @ x0])
     sub = QpProblem(H=H, q=np.concatenate([-mu * x0, np.zeros(p)]), Aeq=A_ext,
                     beq=qp.beq, lower=lo, upper=hi)
     sol = solve_qp(sub, tol=1e-12, warm_start=start)
@@ -251,26 +238,17 @@ def _feasible_start(qp: QpProblem, warm_start, tol_eq):
 
 # --- working-set subspace solves ----------------------------------------------
 
-_SHIFTS = (0.0, 1e-11, 1e-8)  # inertia shifts tried on sparse LU, in order
-
 
 class _Kkt:
-    """K = [[H, Aeq'], [Aeq, 0]] and b = [-q; beq] of one QP, assembled once
-    per solve: CSR when H or Aeq is sparse, dense otherwise.  ``shift``
-    indexes the entry of _SHIFTS that last factored a working-set system
-    of this QP.  The ladder starts there, so equality rows that are
-    dependent on every working set fail the unshifted LU once per QP."""
+    """K = [[H, Aeq'], [Aeq, 0]] and b = [-q; beq] of one QP, assembled
+    once per solve."""
 
     def __init__(self, qp: QpProblem):
-        if sp.issparse(qp.H) or sp.issparse(qp.Aeq):
-            self.K = sp.bmat([[qp.H, qp.Aeq.T], [qp.Aeq, None]], format="csr")
-        else:
-            d = qp.dim
-            self.K = np.zeros((d + qp.n_eq, d + qp.n_eq))
-            self.K[:d, :d], self.K[d:, :d] = qp.H, qp.Aeq
-            self.K[:d, d:] = self.K[d:, :d].T
+        d = qp.dim
+        self.K = np.zeros((d + qp.n_eq, d + qp.n_eq))
+        self.K[:d, :d], self.K[d:, :d] = qp.H, qp.Aeq
+        self.K[:d, d:] = self.K[d:, :d].T
         self.b = np.concatenate([-qp.q, qp.beq])
-        self.shift = 0
 
 
 def _solve_subspace(qp: QpProblem, kkt: Optional[_Kkt], free, x):
@@ -281,9 +259,8 @@ def _solve_subspace(qp: QpProblem, kkt: Optional[_Kkt], free, x):
 
         K[keep, keep] [x_f; y] = b[keep] - K[keep, fixed] x_fixed
 
-    is solved by the first method whose residual passes: sparse LU on the
-    shift ladder (see _Kkt) when K is sparse, a dense symmetric solve
-    otherwise, then QR least squares, which also covers the consistent
+    is solved by the first method whose residual passes: a symmetric
+    solve, then QR least squares, which also covers the consistent
     singular systems of PSD Hessian blocks and rank-deficient equality
     rows.  If least squares still leaves a residual, the working set has
     no stationary point and a curvature-free feasible descent ray is
@@ -314,49 +291,35 @@ def _solve_subspace(qp: QpProblem, kkt: Optional[_Kkt], free, x):
         return xf, np.zeros(0), None
 
     if nf == 0:
-        y = np.linalg.lstsq(_dense(qp.Aeq).T, -qp.grad(x), rcond=None)[0]
+        y = np.linalg.lstsq(qp.Aeq.T, -qp.grad(x), rcond=None)[0]
         return np.zeros(0), y, None
 
     keep = np.concatenate([free, np.arange(qp.dim, qp.dim + p)])
-    K = _submatrix(kkt.K, keep, keep)
+    K = kkt.K[np.ix_(keep, keep)]
     rhs = kkt.b[keep]
     if fixed.size:
         # free and equality rows apart: a stacked dense matvec sums in another order
-        K_w = _submatrix(kkt.K, keep, fixed)
-        rhs[:nf] -= _matvec(K_w[:nf], x[fixed])
-        rhs[nf:] -= _matvec(K_w[nf:], x[fixed])
+        K_w = kkt.K[np.ix_(keep, fixed)]
+        rhs[:nf] -= K_w[:nf] @ x[fixed]
+        rhs[nf:] -= K_w[nf:] @ x[fixed]
     rhs_scale = 1.0 + np.linalg.norm(rhs, ord=np.inf)
 
     sol = None
-    if sp.issparse(K):
-        K = K.tocsc()
-        for i in range(kkt.shift, len(_SHIFTS)):
-            # tiny inertia shifts resolve exactly-singular working sets far
-            # cheaper than a dense rank-revealing fallback
-            Ks = K if i == 0 else (K + _SHIFTS[i] * sp.eye(K.shape[0], format="csc"))
-            try:
-                trial = spla.splu(Ks).solve(rhs)
-            except RuntimeError:
-                continue
-            if _solves(K, trial, rhs, rhs_scale):
-                sol, kkt.shift = trial, i
-                break
-    else:
-        try:
-            with warnings.catch_warnings():
-                # near-singular systems are caught by the residual check below
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                trial = scipy.linalg.solve(K, rhs, assume_a="sym")
-            if _solves(K, trial, rhs, rhs_scale):
-                sol = trial
-        except (scipy.linalg.LinAlgError, ValueError):
-            pass
+    try:
+        with warnings.catch_warnings():
+            # near-singular systems are caught by the residual check below
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            trial = scipy.linalg.solve(K, rhs, assume_a="sym")
+        if (np.all(np.isfinite(trial))
+                and np.linalg.norm(K @ trial - rhs, ord=np.inf) <= 1e-8 * rhs_scale):
+            sol = trial
+    except (scipy.linalg.LinAlgError, ValueError):
+        pass
 
     if sol is None:
         # QR-based least squares: minimum-norm on the (consistent) singular
         # systems that arise from PSD Hessian blocks, and immune to SVD
         # non-convergence
-        K = _dense(K)
         sol = scipy.linalg.lstsq(K, rhs, lapack_driver="gelsy")[0]
         if np.linalg.norm(K @ sol - rhs, ord=np.inf) > 1e-7 * rhs_scale:
             # no stationary point on this working set: the objective descends
@@ -375,14 +338,8 @@ def _solve_subspace(qp: QpProblem, kkt: Optional[_Kkt], free, x):
     limit = 1e7 * (1.0 + float(np.max(np.abs(x), initial=0.0))
                    + float(np.max(np.abs(qp.q), initial=0.0)))
     if not float(np.max(np.abs(sol))) <= limit:
-        sol = scipy.linalg.lstsq(_dense(K), rhs, cond=1e-9, lapack_driver="gelsy")[0]
+        sol = scipy.linalg.lstsq(K, rhs, cond=1e-9, lapack_driver="gelsy")[0]
     return sol[:nf], sol[nf:], None
-
-
-def _solves(K, sol, rhs, rhs_scale) -> bool:
-    """Residual acceptance of a direct factorization's solution."""
-    return bool(np.all(np.isfinite(sol))
-                and np.linalg.norm(K @ sol - rhs, ord=np.inf) <= 1e-8 * rhs_scale)
 
 
 def _refine_duals(qp: QpProblem, x, state):
@@ -398,7 +355,7 @@ def _refine_duals(qp: QpProblem, x, state):
     d, p = qp.dim, qp.n_eq
     wset = np.flatnonzero(state != _FREE)
     grad0 = qp.grad(x)  # H x + q only
-    At = _dense(qp.Aeq).T if p else np.zeros((d, 0))
+    At = qp.Aeq.T if p else np.zeros((d, 0))
     E = np.zeros((d, wset.size))
     E[wset, np.arange(wset.size)] = 1.0
     G = np.hstack([At, E])
@@ -503,7 +460,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
             # at the working-set minimizer: check bound multipliers
             grad = qp.grad(x)
             if p:
-                grad = grad + _matvec(qp.Aeq.T, y)
+                grad = grad + qp.Aeq.T @ y
             z = np.where(state == _FREE, 0.0, -grad)
             z[state == _FIX] = -grad[state == _FIX]
             viol_lo = (state == _LO) & (z > tol * scale)
@@ -515,7 +472,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
                 # artifact of non-unique multipliers (redundant equality
                 # rows at a degenerate point): re-derive sign-feasible ones
                 y2, z2 = _refine_duals(qp, x, state)
-                stat = qp.grad(x) + (_matvec(qp.Aeq.T, y2) if p else 0.0) + z2
+                stat = qp.grad(x) + (qp.Aeq.T @ y2 if p else 0.0) + z2
                 # the whole vector: a refit that leaves the working-set rows
                 # unbalanced would certify a point that is not stationary
                 if float(np.max(np.abs(stat), initial=0.0)) <= 10 * tol * scale:
@@ -568,7 +525,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
 
     grad = qp.grad(x)
     if p:
-        grad = grad + _matvec(qp.Aeq.T, y)
+        grad = grad + qp.Aeq.T @ y
     z = np.where(state == _FREE, 0.0, -grad)
     sol = QpSolution(primal=x, eq_duals=y, bound_duals=z,
                      kkt_residual=np.inf, iterations=iters, status=status,

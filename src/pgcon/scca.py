@@ -122,7 +122,7 @@ def scca_problem(data: SccaData, lam: float) -> ProblemInstance:
         return -float(wz[:nx] @ Sxy @ wz[nx:n])
 
     def g(wz):
-        return np.concatenate([-Sxy @ wz[nx:n], -Sxy.T @ wz[:nx]])
+        return np.concatenate([-(Sxy @ wz[nx:n]), -(Sxy.T @ wz[:nx])])
 
     def cI(wz):
         wx, wy = wz[:nx], wz[nx:n]
@@ -131,8 +131,8 @@ def scca_problem(data: SccaData, lam: float) -> ProblemInstance:
     def JI(wz):
         wx, wy = wz[:nx], wz[nx:n]
         out = np.zeros((2, n))
-        out[0, :nx] = 2.0 * Sxx @ wx
-        out[1, nx:] = 2.0 * Syy @ wy
+        out[0, :nx] = 2.0 * (Sxx @ wx)
+        out[1, nx:] = 2.0 * (Syy @ wy)
         return out
 
     inst = add_slacks(

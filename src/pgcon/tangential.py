@@ -17,11 +17,14 @@ dual function.  The previous call's y is the warm start.  The box
 multipliers z and the regularizer subgradient g_r follow from
 stationarity, with z = 0 off the bounds and g_r in lam * d|w|.
 
-The split QP writes each regularized component as w_i = p_i - q_i with
-p_i, q_i >= 0, which turns the subproblem into a plain QP over (u, p, q).
-It is the fallback and the test oracle: it runs, from a cold start, only
-when the Newton budget runs out, a Cholesky factorization fails, or the
-dual answer misses the tangential KKT bar.
+When the Newton budget runs out, the line search or a Cholesky
+factorization fails, or the answer misses the tangential KKT bar, the
+solve raises TangentialError naming that cause.
+
+The split QP (build_tangential_qp) writes each regularized component as
+w_i = p_i - q_i with p_i, q_i >= 0, which turns the subproblem into a
+plain QP over (u, p, q).  The solver never runs it; it is the reference
+model the tests compare the dual solve against.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .geometry import box_complementarity, project_box
 from .problem import BoxSet, L1Regularizer
-from .qp import QpProblem, QpSolution, solve_qp
+# unused here, but perfbench/layers.py rebinds tangential.solve_qp and build_tangential_qp
+from .qp import QpProblem, solve_qp  # noqa: F401
 
 __all__ = [
     "TangentialResult",
@@ -46,7 +49,6 @@ __all__ = [
     "verify_tangential_kkt",
 ]
 
-_SPARSE_DIM = 200  # switch the QP assembly to sparse above this many columns
 _LINK_VALS = np.array([[1.0], [-1.0], [1.0]])  # coefficients of u_i, p_r, q_r
 _NEWTON_BUDGET = 50  # Newton steps plus refinement solves per dual solve
 _MAX_BACKTRACKS = 60
@@ -58,12 +60,7 @@ _ZERO, _POS, _NEG, _LO, _HI = 0, 1, 2, 3, 4
 
 
 class TangentialError(RuntimeError):
-    """The fallback split QP did not solve; ``status`` is its QP status."""
-
-    def __init__(self, msg, qp_solution: Optional[QpSolution] = None):
-        super().__init__(msg)
-        self.qp_solution = qp_solution
-        self.status = None if qp_solution is None else qp_solution.status
+    """The dual solve failed; the message names the cause."""
 
 
 @dataclass
@@ -73,10 +70,7 @@ class TangentialResult:
     z: np.ndarray
     g_r: np.ndarray
     w: np.ndarray  # x + v + u with exact zeros/bounds
-    p: np.ndarray  # positive and negative parts of w on the weighted components
-    q: np.ndarray
-    iterations: int  # Newton steps and refinement solves, or QP iterations
-    path: str  # "dual" or "qp"
+    iterations: int  # Newton steps and refinement solves
     kkt_residual: float
     kkt_report: Optional["TangentialKktReport"] = None
 
@@ -101,7 +95,7 @@ def build_tangential_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
 
     Only components with a positive l1 weight get split variables; the
     linking row (x+v+u)_i = p_i - q_i ties each pair to the step.
-    Returns (QpProblem, reg_idx).
+    Returns (QpProblem, reg_idx); the QP is the tests' reference model.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -118,22 +112,14 @@ def build_tangential_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
     lo = np.concatenate([box.lower - base, np.zeros(2 * nr)])
     hi = np.concatenate([box.upper - base, np.full(2 * nr, np.inf)])
 
-    diag = np.concatenate([np.full(n, 1.0 / alpha), np.zeros(2 * nr)])
+    H = np.diag(np.concatenate([np.full(n, 1.0 / alpha), np.zeros(2 * nr)]))
     # linking row m + r is e_i'u - p_r + q_r with i = reg_idx[r]: entry
     # (link_rows[r], link_cols[k, r]) holds _LINK_VALS[k]
     link_rows = np.arange(m, m + nr)
     link_cols = np.vstack([reg_idx, np.arange(n, d).reshape(2, nr)])
-    if d > _SPARSE_DIM:
-        H = sp.diags(diag, format="csr")
-        J_rows, J_cols = np.nonzero(J)
-        Aeq = sp.csr_matrix((np.concatenate([J[J_rows, J_cols], np.repeat(_LINK_VALS, nr)]),
-                             (np.concatenate([J_rows, np.tile(link_rows, 3)]),
-                              np.concatenate([J_cols, link_cols.ravel()]))), shape=(m + nr, d))
-    else:
-        H = np.diag(diag)
-        Aeq = np.zeros((m + nr, d))
-        Aeq[:m, :n] = J
-        Aeq[link_rows, link_cols] = _LINK_VALS
+    Aeq = np.zeros((m + nr, d))
+    Aeq[:m, :n] = J
+    Aeq[link_rows, link_cols] = _LINK_VALS
     beq = np.concatenate([np.zeros(m), -base[reg_idx]])
     return QpProblem(H=H, q=q_lin, Aeq=Aeq, beq=beq, lower=lo, upper=hi), reg_idx
 
@@ -168,8 +154,9 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     (the codes) unchanged, or cuts the residual as the model predicts, the
     model is exact there and the remaining residual is refined in place,
     u_F -= alpha J_F' d and y += d, until |J u| <= 4 eps (1 + |J| |u|) row
-    by row.  Returns (y, u, code, iterations), or None when the budget
-    runs out, the line search fails or a Cholesky factorization fails.
+    by row.  Returns (y, u, code, iterations); raises TangentialError
+    when the budget runs out, the line search fails or a Cholesky
+    factorization fails.
     """
     m = J.shape[0]
     alpha_lam = alpha * lam
@@ -189,7 +176,8 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     refine = False
     while not np.all(np.abs(F) <= 4.0 * _EPS * (1.0 + abs_J @ np.abs(u))):
         if iterations == _NEWTON_BUDGET:
-            return None
+            raise TangentialError(f"dual solve ran out of its Newton budget "
+                                  f"({_NEWTON_BUDGET} steps), |J u| = {np.linalg.norm(F):.3g}")
         iterations += 1
         free = (code == _POS) | (code == _NEG)
         J_F = J[:, free]
@@ -202,7 +190,8 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         try:
             d = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), F)
         except (np.linalg.LinAlgError, ValueError):
-            return None
+            raise TangentialError("dual Newton system failed its Cholesky "
+                                  "factorization") from None
         if refine:
             u_ref = u.copy()
             u_ref[free] -= alpha * (J_F.T @ d)
@@ -222,7 +211,8 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
                 break
             step *= 0.5
         else:
-            return None
+            raise TangentialError(f"dual line search failed after {_MAX_BACKTRACKS} "
+                                  "backtracks")
         # a unit step that kept the piece, or that met the model's
         # prediction while a component sat exactly on a kink, ends on the
         # final piece
@@ -250,10 +240,8 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     y0 = np.zeros(m)
     if warm is not None and np.shape(warm) == (m,):
         y0 = np.array(warm, dtype=float)
-    out = _dual_solve(base, -(alpha * g + v), J, alpha, lam, box.lower, box.upper, y0)
-    if out is None:
-        return _solve_split_qp(x, v, g, J, alpha, reg, box)
-    y, u, code, iterations = out
+    y, u, code, iterations = _dual_solve(base, -(alpha * g + v), J, alpha, lam,
+                                         box.lower, box.upper, y0)
 
     # a free component can round a hair past its bound
     w = project_box(base + u, box)
@@ -272,59 +260,9 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
 
     report = verify_tangential_kkt(x, v, g, J, alpha, reg, box, u=u, y=y, z=z, g_r=g_r)
     if not report.overall <= _KKT_BAR:
-        return _solve_split_qp(x, v, g, J, alpha, reg, box)
-    w_reg = w[lam > 0]
-    result = TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w,
-                              p=np.maximum(w_reg, 0.0), q=np.maximum(-w_reg, 0.0),
-                              iterations=iterations, path="dual",
-                              kkt_residual=report.overall, kkt_report=report)
-    return result, y.copy()
-
-
-def _solve_split_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
-    """The tangential subproblem as the split QP, solved from a cold start."""
-    n = x.shape[0]
-    m = J.shape[0]
-    base = x + v
-
-    qp, reg_idx = build_tangential_qp(x, v, g, J, alpha, reg, box)
-    nr = reg_idx.shape[0]
-    sol = solve_qp(qp)
-    if sol.status != "solved":
-        raise TangentialError(f"tangential QP failed with status {sol.status}", sol)
-
-    u = sol.primal[:n]
-    p = sol.primal[n:n + nr].copy()
-    q = sol.primal[n + nr:].copy()
-    # degenerate ties can leave both split parts positive; shifting by
-    # the overlap preserves p - q and cannot increase the objective
-    overlap = np.minimum(p, q)
-    p -= overlap
-    q -= overlap
-
-    # assemble the trial point with exact zeros/bounds, then make u consistent
-    w = base + u
-    w[reg_idx] = p - q
-    # p - q meets the linking row only to the QP's equality tolerance,
-    # which can put a split component a hair outside its bound
-    w = project_box(w, box)
-    snap = 1e-11 * (1.0 + np.abs(base))
-    at_lo = np.isfinite(box.lower) & (np.abs(w - box.lower) <= snap)
-    at_hi = np.isfinite(box.upper) & (np.abs(w - box.upper) <= snap)
-    w[at_lo] = box.lower[at_lo]
-    w[at_hi] = box.upper[at_hi]
-    u = w - base
-
-    y = sol.eq_duals[:m].copy()
-    z = sol.bound_duals[:n].copy()
-    # for split components the box multiplier rides on u's bounds already;
-    # recover the subgradient from stationarity of the u-block
-    g_r = -(g + (u + v) / alpha + J.T @ y + z)
-
-    report = verify_tangential_kkt(x, v, g, J, alpha, reg, box,
-                                   u=u, y=y, z=z, g_r=g_r)
-    result = TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w, p=p, q=q,
-                              iterations=sol.iterations, path="qp",
+        raise TangentialError(f"dual answer misses the tangential KKT bar: residual "
+                              f"{report.overall:.3g} > {_KKT_BAR:g}")
+    result = TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w, iterations=iterations,
                               kkt_residual=report.overall, kkt_report=report)
     return result, y.copy()
 

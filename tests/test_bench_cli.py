@@ -204,6 +204,13 @@ class TestCli:
                      str(tmp_path / "o"), "--set", "xi=banana"])
         assert code == 64
 
+    def test_negative_max_backtracks_exit_64(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "x", "kind": "analytic:eq-quad-1"}))
+        code = main(["solve", "--problem", str(path), "--out",
+                     str(tmp_path / "o"), "--set", "max_backtracks=-1"])
+        assert code == 64
+
     def test_usage_error_exit_64(self):
         assert main(["solve"]) == 64  # missing --problem
 

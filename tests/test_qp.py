@@ -232,12 +232,11 @@ class TestSubspaceBranches:
         np.testing.assert_allclose(sol.bound_duals, ref[2], atol=1e-12)
 
 
-def blocked_subspace(qp, free, x):
+def blocked_subspace(qp, free, x, sparse):
     """Reference: the per-working-set block assembly _solve_subspace
     replaced, solved directly (nonsingular working sets only)."""
     p = qp.n_eq
     fixed = np.setdiff1d(np.arange(qp.dim), free)
-    sparse = sp.issparse(qp.H) or sp.issparse(qp.Aeq)
     H, A = sp.csr_matrix(qp.H), sp.csr_matrix(qp.Aeq)
     rhs = -(qp.q[free] + H[free][:, fixed] @ x[fixed])
     if p:
@@ -256,13 +255,15 @@ def blocked_subspace(qp, free, x):
 def test_sliced_kkt_matches_blocked_assembly(sparse):
     # working sets of random QPs, with and without equality rows; each
     # keeps at least as many free variables as equality rows, so its
-    # system is nonsingular and the direct solve answers
+    # system is nonsingular and the direct solve answers.  Sparse inputs
+    # are densified on construction and checked against a sparse LU.
     rng = np.random.default_rng(17)
     seen_p = set()
     for _ in range(200):
         qp = random_qp(rng)
         if sparse:
-            qp.H, qp.Aeq = sp.csr_matrix(qp.H), sp.csr_matrix(qp.Aeq)
+            qp = QpProblem(H=sp.csr_matrix(qp.H), q=qp.q, Aeq=sp.csr_matrix(qp.Aeq),
+                           beq=qp.beq, lower=qp.lower, upper=qp.upper)
         d, p = qp.dim, qp.n_eq
         free = np.flatnonzero(rng.random(d) < 0.6)
         if free.size < max(p, 1):
@@ -270,7 +271,7 @@ def test_sliced_kkt_matches_blocked_assembly(sparse):
         seen_p.add(p > 0)
         x = rng.standard_normal(d)
         xf, y, ray = _solve_subspace(qp, _Kkt(qp), free, x)
-        ref_x, ref_y = blocked_subspace(qp, free, x)
+        ref_x, ref_y = blocked_subspace(qp, free, x, sparse)
         assert ray is None
         np.testing.assert_allclose(xf, ref_x, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(y, ref_y, rtol=1e-12, atol=1e-12)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pgcon import tangential
-from pgcon.problem import BoxSet, L1Regularizer
-from pgcon.qp import QpSolution, solve_qp
+from pgcon.driver import SolverConfig, solve
+from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
+from pgcon.qp import solve_qp
 from pgcon.tangential import (
     TangentialError,
     build_tangential_qp,
@@ -117,8 +117,6 @@ class TestAgainstEnumeration:
             res, _ = solve_tangential(x, v, g, J, alpha, reg, box)
             np.testing.assert_allclose(res.u, ref[0][:n], atol=2e-8)
             assert res.kkt_residual <= 1e-8
-            # split parts never simultaneously positive
-            assert np.all(res.p * res.q == 0.0)
             # the step is at least as good as staying put
             def obj(u):
                 wpt = x + v + u
@@ -224,7 +222,6 @@ def assert_matches_oracle(args, res, tol=1e-10):
                                 u=res.u, y=res.y, z=res.z, g_r=res.g_r)
     assert rep.overall <= 1e-8
     assert res.kkt_residual == rep.overall
-    assert np.all(res.p * res.q == 0.0)
     assert box.contains(res.w)
 
 
@@ -233,12 +230,11 @@ class TestDualAgainstSplitQp:
 
     def test_random_instances(self):
         rng = np.random.default_rng(2024)
-        n_dual = n_patterns = 0
+        n_patterns = 0
         for _ in range(300):
             args = random_tangential(rng)
             x, v, g, J, alpha, reg, box = args
             res, y = solve_tangential(*args)
-            n_dual += res.path == "dual"
             assert_matches_oracle(args, res)
             np.testing.assert_array_equal(y, res.y)
             # the returned y reproduces w through the dual formula
@@ -253,7 +249,6 @@ class TestDualAgainstSplitQp:
                                               zero[reg.weights > 0])
                 np.testing.assert_array_equal(res.w == box.lower, at_lo)
                 np.testing.assert_array_equal(res.w == box.upper, at_hi)
-        assert n_dual == 300
         assert n_patterns >= 200
 
 
@@ -262,7 +257,6 @@ class TestDegenerate:
 
     def check(self, *args):
         res, _ = solve_tangential(*args)
-        assert res.path == "dual"
         assert_matches_oracle(args, res)
         return res
 
@@ -330,32 +324,30 @@ class TestDegenerate:
 
 
 class TestFallback:
+    """The dual solve has no fallback: a failure raises, naming its cause."""
+
+    # J = [1] forces u = 0 and y = -g = 1, but w(y) is off its bounds only
+    # for y within 1e-8 of 1: from y = 0 the Newton steps halve their way
+    # toward that window and run out of budget
+    BOX = BoxSet(np.array([-1e-8]), np.array([1e-8]))
+
     def test_narrow_window_exhausts_newton_budget(self):
-        # J = [1] forces u = 0 and y = -g = 1, but w(y) is off its bounds
-        # only for y within 1e-8 of 1: from y = 0 the Newton steps halve
-        # their way toward that window and run out of budget, and the split
-        # QP answers instead
-        box = BoxSet(np.array([-1e-8]), np.array([1e-8]))
-        res, y = solve_tangential(np.zeros(1), np.zeros(1), np.array([-1.0]),
-                                  np.array([[1.0]]), 1.0, L1Regularizer(np.zeros(1)), box)
-        assert res.path == "qp"
-        assert res.u[0] == 0.0 and res.w[0] == 0.0
-        assert res.y[0] == pytest.approx(1.0, abs=1e-12)
-        assert res.z[0] == 0.0 and res.g_r[0] == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_array_equal(y, res.y)
-
-    def test_failed_qp_carries_its_status(self, monkeypatch):
-        def cycling(qp, **kwargs):
-            return QpSolution(primal=np.zeros(qp.dim), eq_duals=np.zeros(qp.n_eq),
-                              bound_duals=np.zeros(qp.dim), kkt_residual=np.inf,
-                              iterations=4, status="cycling")
-
-        monkeypatch.setattr(tangential, "solve_qp", cycling)
-        box = BoxSet(np.array([-1e-8]), np.array([1e-8]))
-        with pytest.raises(TangentialError, match="cycling") as info:
+        with pytest.raises(TangentialError, match="Newton budget"):
             solve_tangential(np.zeros(1), np.zeros(1), np.array([-1.0]),
-                             np.array([[1.0]]), 1.0, L1Regularizer(np.zeros(1)), box)
-        assert info.value.status == "cycling"
+                             np.array([[1.0]]), 1.0, L1Regularizer(np.zeros(1)), self.BOX)
+
+    def test_driver_run_stalls_naming_the_cause(self):
+        # min -x s.t. x = 0 in the same window: the first tangential
+        # subproblem is the one above
+        p = ProblemInstance(
+            name="window", n=1, m=1, f_eval=lambda x: -float(x[0]),
+            g_eval=lambda x: np.array([-1.0]), c_eval=lambda x: x.copy(),
+            J_eval=lambda x: np.ones((1, 1)), reg=L1Regularizer(np.zeros(1)),
+            box=self.BOX, x0=np.zeros(1))
+        with pytest.warns(UserWarning, match="iteration 0: .*Newton budget"):
+            rep = solve(p, SolverConfig(alpha0=1.0, scaling=False))
+        assert rep.status == "Stalled"
+        assert rep.iterations == 0
 
 
 class TestWarmStart:
@@ -378,7 +370,6 @@ class TestWarmStart:
         args = self.instance(seed)
         cold, y = solve_tangential(*args)
         warm, _ = solve_tangential(*args, warm=y)
-        assert cold.path == warm.path == "dual"
         for name in ("u", "y", "z", "g_r", "w"):
             np.testing.assert_allclose(getattr(warm, name), getattr(cold, name),
                                        rtol=0, atol=1e-12)
@@ -390,7 +381,7 @@ class TestWarmStart:
         cold, y = solve_tangential(*args)
         for bad in (np.ones(3), np.ones((2, 1)), np.ones(12 + 2 * 8)):
             again, y_again = solve_tangential(*args, warm=bad)
-            assert (again.path, again.iterations) == (cold.path, cold.iterations)
+            assert again.iterations == cold.iterations
             assert np.array_equal(y_again, y)
-            for name in ("u", "y", "z", "g_r", "w", "p", "q"):
+            for name in ("u", "y", "z", "g_r", "w"):
                 assert np.array_equal(getattr(again, name), getattr(cold, name))
