@@ -59,18 +59,17 @@ def _coerce(key: str, raw: str, defaults: dict):
     return json.loads(raw)
 
 
-def load_config(path=None, overrides=(), **direct) -> SolverConfig:
-    """Defaults, then a JSON config file, then key=value overrides, each
-    typed by its field's default."""
-    data = {}
+def load_config(path=None, overrides=(), defaults=None) -> SolverConfig:
+    """Field defaults, then ``defaults`` (a suite's own), then a JSON config
+    file, then key=value overrides, each typed by its field's default."""
+    data = dict(defaults or {})
     if path:
         with open(path) as fh:
             data.update(json.load(fh))
-    data.update(direct)
-    defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    field_defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
     for item in overrides:
         key, raw = _parse_override(item)
-        data[key] = _coerce(key, raw, defaults)
+        data[key] = _coerce(key, raw, field_defaults)
     return SolverConfig.from_dict(data)
 
 
@@ -81,17 +80,6 @@ def write_config(cfg: SolverConfig, path):
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _flag_overrides(args) -> dict:
-    out = {}
-    if getattr(args, "alpha_rule", None) is not None:
-        out["alpha_rule"] = args.alpha_rule
-    if getattr(args, "time_limit", None) is not None:
-        out["time_limit"] = args.time_limit
-    if getattr(args, "max_iter", None) is not None:
-        out["max_iter"] = args.max_iter
     return out
 
 
@@ -108,7 +96,7 @@ def _print_results(results):
 
 
 def _cmd_solve(args) -> int:
-    cfg = load_config(args.config, args.set, **_flag_overrides(args))
+    cfg = load_config(args.config, args.set)
     prob = load_problem(args.problem)
     res, = run_benchmark([BenchCell(prob.name, 0, lambda: (prob, None), cfg)])
     out = _out_dir(args)
@@ -127,8 +115,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_scca(args) -> int:
-    cfg = load_config(args.config, args.set, alpha0=args.alpha0,
-                      **_flag_overrides(args))
+    cfg = load_config(args.config, args.set, {"alpha0": scca.ALPHA0})
     results = run_benchmark(scca_suite([args.n], [args.lam], args.seed or [0], cfg,
                                        samples=args.N))
     out = _out_dir(args)
@@ -145,13 +132,12 @@ def _cmd_scca(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = load_config(args.config, args.set, **_flag_overrides(args))
+    cfg = load_config(args.config, args.set)
     cells = []
     if args.suite in ("corpus", "all"):
         cells += corpus_suite(cfg)
     if args.suite in ("scca", "all"):
-        scfg = load_config(args.config, args.set, alpha0=scca.ALPHA0,
-                           **_flag_overrides(args))
+        scfg = load_config(args.config, args.set, {"alpha0": scca.ALPHA0})
         cells += scca_suite(args.n or [200], args.lam or [1e-2, 1e-3, 1e-4],
                             args.seed or [0], scfg)
     results = run_benchmark(cells, threads=args.threads)
@@ -190,12 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--set", action="append", default=[], metavar="K=V",
-                        help="config override (repeatable)")
+                        help="config override, applied over --config (repeatable)")
         sp.add_argument("--out", default="pgcon-out", help="output directory")
-        sp.add_argument("--alpha-rule", choices=["hold", "min_cap", "verbatim_max"],
-                        default=None, help="proximal update on accepted steps")
-        sp.add_argument("--time-limit", type=float, default=None, metavar="SECS")
-        sp.add_argument("--max-iter", type=int, default=None)
         sp.add_argument("--verbose", "-v", action="store_true")
 
     sp = sub.add_parser("solve", help="solve a problem file")
@@ -208,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=None, help="samples (default n)")
     sp.add_argument("--lambda", dest="lam", type=float, default=1e-2)
     sp.add_argument("--seed", type=int, action="append", help="repeatable")
-    sp.add_argument("--alpha0", type=float, default=scca.ALPHA0)
     common(sp)
     sp.set_defaults(func=_cmd_scca)
 

@@ -243,11 +243,7 @@ def _build() -> list[CorpusInstance]:
         m_eq=0, m_ineq=1,
         x_lower=np.full(2, -np.inf), x_upper=np.full(2, np.inf),
         c_lower=np.array([-np.inf]), c_upper=np.array([2.0]),
-    )
-    inner = ProblemInstance(
-        name=inner.name, n=inner.n, m=inner.m, f_eval=inner.f_eval,
-        g_eval=inner.g_eval, c_eval=inner.c_eval, J_eval=inner.J_eval,
-        reg=inner.reg, box=inner.box, x0=np.array([0.0, 0.5, 0.25]),
+        x0=np.array([0.0, 0.5, 0.25]),
     )
     out.append(CorpusInstance(
         problem=inner,

@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from . import globalization as glob
 from .geometry import active_set, box_complementarity, project_box
 from .normal_step import compute_normal_step
 from .problem import BoxSet, EvaluationError, ProblemInstance, ScaleInfo, apply_scaling
-from .tangential import TangentialError, solve_tangential
+from .tangential import TangentialError, kkt_bar, solve_tangential
 
 __all__ = [
     "SolverConfig",
@@ -261,9 +262,10 @@ class _InvariantMonitor:
             rhs = float(np.linalg.norm(np.minimum(x, -tang.z)))
             if lhs < rhs - self.SLACK:
                 self._add(k, "step_bounds_complementarity", rhs - lhs)
-        if tkkt_overall > 1e-8:
+        bar = kkt_bar(x, tang.w, alpha)
+        if tkkt_overall > bar:
             self._add(k, "tangential_kkt", tkkt_overall)
-        if subgrad_margin > 1e-8:
+        if subgrad_margin > bar:
             self._add(k, "subgradient_membership", subgrad_margin)
         if self.prev_tau is not None and tau > self.prev_tau + 1e-15:
             self._add(k, "tau_monotone", tau - self.prev_tau)
@@ -481,49 +483,31 @@ def identification_trackers(records) -> tuple:
     return stabilize(asets, ks), stabilize(signs, ks)
 
 
-_LEDGER_COLUMNS = [
-    "k", "x_hash", "delta", "beta", "norm_v", "norm_u", "norm_s", "tau", "alpha",
-    "merit_before", "merit_after", "accepted", "chi", "chi_stat", "chi_comp",
-    "chi_bar", "c_norm", "f_val", "r_val", "active_lower", "active_upper",
-    "sign_pattern", "tang_iters",
-]
+# ledger cell format by declared field type; wall times are deliberately
+# not fields, so identical runs produce byte-identical ledgers
+_CELL_FORMAT = {"bool": lambda v: str(int(v)), "float": repr, "int": str, "str": str,
+                "tuple": lambda v: "|".join(map(str, v))}
+_LEDGER_FIELDS = dataclasses.fields(IterationRecord)
+_LEDGER_HEADER = ",".join(f.name for f in _LEDGER_FIELDS) + "\n"
+_LEDGER_CELLS = [(operator.attrgetter(f.name), _CELL_FORMAT[f.type]) for f in _LEDGER_FIELDS]
 
 
 def ledger_to_csv(records) -> str:
-    """Render the iteration ledger; wall times are deliberately excluded so
-    identical runs produce byte-identical output."""
+    """Render the iteration ledger, one column per ``IterationRecord`` field."""
     buf = io.StringIO()
-    buf.write(",".join(_LEDGER_COLUMNS) + "\n")
+    buf.write(_LEDGER_HEADER)
     for r in records:
-        row = [
-            str(r.k), r.x_hash, repr(r.delta), repr(r.beta), repr(r.norm_v),
-            repr(r.norm_u), repr(r.norm_s), repr(r.tau), repr(r.alpha),
-            repr(r.merit_before), repr(r.merit_after), str(int(r.accepted)),
-            repr(r.chi), repr(r.chi_stat), repr(r.chi_comp), repr(r.chi_bar),
-            repr(r.c_norm), repr(r.f_val), repr(r.r_val),
-            "|".join(map(str, r.active_lower)), "|".join(map(str, r.active_upper)),
-            r.sign_pattern, str(r.tang_iters),
-        ]
-        buf.write(",".join(row) + "\n")
+        buf.write(",".join([fmt(get(r)) for get, fmt in _LEDGER_CELLS]) + "\n")
     return buf.getvalue()
 
 
 def report_to_json(report: SolveReport, extra: Optional[dict] = None) -> str:
-    out = {
-        "status": report.status,
-        "iterations": report.iterations,
-        "chi": report.chi,
-        "c_norm": report.c_norm,
-        "objective": report.objective,
-        "f_unscaled": report.f_unscaled,
-        "wall_time": report.wall_time,
-        "config_hash": report.config_hash,
-        "x": report.x.tolist(),
-        "y": report.y.tolist(),
-        "z": report.z.tolist(),
-        "g_r": report.g_r.tolist(),
-        "invariant_violations": report.invariant_violations,
-    }
+    """Every ``SolveReport`` field except the records, arrays as lists."""
+    out = {}
+    for f in dataclasses.fields(SolveReport):
+        if f.name != "records":
+            val = getattr(report, f.name)
+            out[f.name] = val.tolist() if isinstance(val, np.ndarray) else val
     if extra:
         out.update(extra)
     return json.dumps(out, indent=2, sort_keys=True)

@@ -273,12 +273,14 @@ def add_slacks(
     c_lower=None,
     c_upper=None,
     l1_weights=None,
+    x0=None,
 ) -> ProblemInstance:
     """Reformulate  cE(x)=0, c_lower <= cI(x) <= c_upper  over (x, s).
 
     The output instance has equality constraints [cE(x); cI(x) - s] = 0 and
     box [x_lower; c_lower] <= (x, s) <= [x_upper; c_upper].  Regularizer
-    weights are extended by zeros on the slack block.
+    weights are extended by zeros on the slack block.  ``x0``, if given, is
+    the start point over (x, s).
     """
     x_lower = _as_float_array(x_lower, n)
     x_upper = _as_float_array(x_upper, n)
@@ -295,6 +297,7 @@ def add_slacks(
             J_eval=(JE_eval if m_eq else (lambda x: np.zeros((0, n)))),
             reg=L1Regularizer(w),
             box=BoxSet(x_lower, x_upper),
+            x0=x0,
         )
 
     c_lower = _as_float_array(c_lower, m_ineq)
@@ -332,6 +335,7 @@ def add_slacks(
         J_eval=J_all,
         reg=L1Regularizer(np.concatenate([w, np.zeros(m_ineq)])),
         box=BoxSet(np.concatenate([x_lower, c_lower]), np.concatenate([x_upper, c_upper])),
+        x0=x0,
     )
 
 

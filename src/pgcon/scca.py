@@ -135,7 +135,9 @@ def scca_problem(data: SccaData, lam: float) -> ProblemInstance:
         out[1, nx:] = 2.0 * (Syy @ wy)
         return out
 
-    inst = add_slacks(
+    # w = 0 is a (useless) stationary point, so a solve from a zero start
+    # would stop immediately; ship the canonical-correlation warm start
+    return add_slacks(
         f"scca-nx{nx}-ny{ny}-N{data.X.shape[1]}-lam{lam:g}-seed{data.seed}",
         n,
         f_eval=f,
@@ -151,12 +153,6 @@ def scca_problem(data: SccaData, lam: float) -> ProblemInstance:
         c_lower=np.full(2, -np.inf),
         c_upper=np.ones(2),
         l1_weights=np.full(n, lam),
-    )
-    # w = 0 is a (useless) stationary point, so a solve from a zero start
-    # would stop immediately; ship the canonical-correlation warm start
-    return ProblemInstance(
-        name=inst.name, n=inst.n, m=inst.m, f_eval=inst.f_eval, g_eval=inst.g_eval,
-        c_eval=inst.c_eval, J_eval=inst.J_eval, reg=inst.reg, box=inst.box,
         x0=scca_init(data),
     )
 

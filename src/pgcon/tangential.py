@@ -45,6 +45,7 @@ __all__ = [
     "TangentialKktReport",
     "TangentialError",
     "build_tangential_qp",
+    "kkt_bar",
     "solve_tangential",
     "verify_tangential_kkt",
 ]
@@ -53,7 +54,7 @@ _LINK_VALS = np.array([[1.0], [-1.0], [1.0]])  # coefficients of u_i, p_r, q_r
 _NEWTON_BUDGET = 50  # Newton steps plus refinement solves per dual solve
 _MAX_BACKTRACKS = 60
 _ARMIJO = 1e-4
-_KKT_BAR = 1e-8  # tangential KKT residual a dual answer must meet
+_KKT_BAR = 1e-8  # absolute part of the tangential KKT bar (see kkt_bar)
 _EPS = np.finfo(float).eps
 # where a component of w(y) sits: zeroed, free (by the sign of w), at a bound
 _ZERO, _POS, _NEG, _LO, _HI = 0, 1, 2, 3, 4
@@ -222,6 +223,17 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     return y, u, code, iterations
 
 
+def kkt_bar(x, w, alpha) -> float:
+    """The tangential KKT residual a dual answer must meet.
+
+    Stationarity holds (u + v)/alpha, and u + v = w - x is rounded at about
+    eps max(|x|, |w|), so below alpha ~ 1e-9 a correct answer's rounding
+    alone would exceed a bare 1e-8.
+    """
+    scale = max(np.max(np.abs(x), initial=0.0), np.max(np.abs(w), initial=0.0))
+    return _KKT_BAR + 4.0 * _EPS * float(scale) / alpha
+
+
 def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
                      warm: Optional[np.ndarray] = None) -> tuple[TangentialResult, np.ndarray]:
     """Solve the tangential subproblem and recover multipliers.
@@ -259,9 +271,10 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     g_r = resid - z
 
     report = verify_tangential_kkt(x, v, g, J, alpha, reg, box, u=u, y=y, z=z, g_r=g_r)
-    if not report.overall <= _KKT_BAR:
+    bar = kkt_bar(x, w, alpha)
+    if not report.overall <= bar:
         raise TangentialError(f"dual answer misses the tangential KKT bar: residual "
-                              f"{report.overall:.3g} > {_KKT_BAR:g}")
+                              f"{report.overall:.3g} > {bar:.3g}")
     result = TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w, iterations=iterations,
                               kkt_residual=report.overall, kkt_report=report)
     return result, y.copy()

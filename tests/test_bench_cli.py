@@ -70,11 +70,11 @@ class TestBench:
         csv = results_to_csv(results)
         assert len(csv.strip().splitlines()) == 10  # header + 9 rows
 
-    def test_scca_cli_alpha0_default(self):
-        from pgcon.cli import build_parser
-        args = build_parser().parse_args(["scca", "--n", "64"])
-        assert args.alpha0 == 1e-3
-        args = build_parser().parse_args(["solve", "--problem", "x.json"])
+    def test_scca_cli_alpha0_default(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["scca", "--n", "32", "--out", str(out)]) == 0
+        written = json.loads((out / "scca.json").read_text())["config_hash"]
+        assert written == SolverConfig(alpha0=1e-3).config_hash()
         assert load_config(None, []).alpha0 == 10.0
 
     def test_scca_samples_set_n(self):
@@ -227,7 +227,40 @@ class TestCli:
         path.write_text(json.dumps(prob))
         out = tmp_path / "o"
         code = main(["solve", "--problem", str(path), "--out", str(out),
-                     "--max-iter", "1"])
+                     "--set", "max_iter=1"])
         assert code == 1  # MaxIter is a limit failure
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "MaxIter"
+        # the flag that shadowed --set is gone
+        assert main(["solve", "--problem", str(path), "--out", str(out),
+                     "--max-iter", "1"]) == 64
+
+    def test_scca_config_file_over_suite_default(self, tmp_path):
+        # precedence: the SCCA suite's alpha0, then --config, then --set
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"alpha0": 0.5, "max_iter": 3}))
+        for sets, alpha0 in (([], 0.5), (["--set", "alpha0=0.25"], 0.25)):
+            out = tmp_path / f"out{alpha0}"
+            main(["scca", "--n", "32", "--config", str(cfg_path), "--out", str(out)] + sets)
+            written = json.loads((out / "scca.json").read_text())["config_hash"]
+            assert written == SolverConfig(alpha0=alpha0, max_iter=3).config_hash()
+
+    def test_bench_scca_cells_take_config_file(self, tmp_path, monkeypatch):
+        import pgcon.bench
+        seen = []
+        real_solve = pgcon.bench.solve
+
+        def recording(prob, cfg):
+            seen.append((cfg.alpha0, cfg.max_iter))
+            return real_solve(prob, cfg)
+
+        monkeypatch.setattr(pgcon.bench, "solve", recording)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"alpha0": 0.5, "max_iter": 3}))
+        for sets, alpha0 in (([], 0.5), (["--set", "alpha0=0.25"], 0.25)):
+            seen.clear()
+            code = main(["bench", "--suite", "scca", "--n", "32", "--lambda", "1e-2",
+                         "--lambda", "1e-3", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")] + sets)
+            assert code == 0
+            assert seen == [(alpha0, 3)] * 2

@@ -58,18 +58,24 @@ def random_instance(rng, trial):
     )
 
 
+def fuzz_case(rng, trial):
+    """A random instance and the config drawn for it."""
+    p = random_instance(rng, trial)
+    cfg = SolverConfig(
+        alpha0=float(10 ** rng.uniform(-2, 1)),
+        alpha_rule=str(rng.choice(["hold", "min_cap", "verbatim_max"])),
+        scaling=bool(rng.random() < 0.5), max_iter=600,
+        check_invariants=True)
+    return p, cfg
+
+
 def test_solver_never_raises_and_keeps_invariants():
     rng = np.random.default_rng(99)
     statuses = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for trial in range(60):
-            p = random_instance(rng, trial)
-            cfg = SolverConfig(
-                alpha0=float(10 ** rng.uniform(-2, 1)),
-                alpha_rule=str(rng.choice(["hold", "min_cap", "verbatim_max"])),
-                scaling=bool(rng.random() < 0.5), max_iter=600,
-                check_invariants=True)
+            p, cfg = fuzz_case(rng, trial)
             rep = solve(p, cfg)
             assert rep.status in STATUSES
             statuses[rep.status] = statuses.get(rep.status, 0) + 1
@@ -79,6 +85,23 @@ def test_solver_never_raises_and_keeps_invariants():
                     if not (v["check"] == "tangential_kkt" and v["margin"] < 1e-6)]
             assert hard == [], (trial, hard)
     assert statuses.get("KktPoint", 0) >= 45
+
+
+def test_five_vanishing_steps_end_stalled():
+    # rng 7, trial 8 (n = m = 3, min_cap, no scaling): of 510 draws from
+    # rngs 5, 6, 7 (150 each) and 99 (60), the only one that leaves
+    # through the vanishing-step exit
+    rng = np.random.default_rng(7)
+    for trial in range(9):
+        p, cfg = fuzz_case(rng, trial)
+    assert (p.n, p.m, cfg.alpha_rule, cfg.scaling) == (3, 3, "min_cap", False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = solve(p, cfg)
+    assert (rep.status, rep.iterations) == ("Stalled", 47)
+    vanished = [r.norm_s / r.alpha <= cfg.tol_step for r in rep.records]
+    assert vanished[-6:] == [False] + [True] * 5
+    assert rep.invariant_violations == []
 
 
 def test_qp_kernel_on_degenerate_data():

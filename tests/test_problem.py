@@ -169,8 +169,10 @@ class TestAddSlacks:
             x_upper=[np.inf],
             c_lower=[-np.inf],
             c_upper=[1.0],
+            x0=[0.5, 0.25],
         )
         assert p.n == 2 and p.m == 1
+        assert p.x0.tolist() == [0.5, 0.25]
         z = np.array([0.7, 0.7])
         np.testing.assert_allclose(p.c(z), [0.0])
         assert p.box.upper[1] == 1.0 and np.isneginf(p.box.lower[1])
@@ -189,8 +191,10 @@ class TestAddSlacks:
             m_ineq=0,
             x_lower=[0.0],
             x_upper=[np.inf],
+            x0=[2.0],
         )
         assert p.n == 1 and p.m == 1
+        assert p.x0.tolist() == [2.0]
 
     def test_feasibility_equivalence_random(self):
         # (x, s) feasible for output iff x feasible for input

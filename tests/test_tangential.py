@@ -7,6 +7,7 @@ from pgcon.qp import solve_qp
 from pgcon.tangential import (
     TangentialError,
     build_tangential_qp,
+    kkt_bar,
     solve_tangential,
     verify_tangential_kkt,
 )
@@ -348,6 +349,23 @@ class TestFallback:
             rep = solve(p, SolverConfig(alpha0=1.0, scaling=False))
         assert rep.status == "Stalled"
         assert rep.iterations == 0
+
+    def test_kkt_bar_allows_rounding_at_tiny_alpha(self):
+        # iteration 63 of the nan-grad run in test_driver: alpha = 2^-31,
+        # and the rounding of (u + v)/alpha alone, eps 0.1/alpha = 4.8e-8,
+        # exceeds an absolute 1e-8 bar although |J u| is ~1e-17
+        x = np.array([0.09999999945396254, 5.460374878892433e-10])
+        v, g = np.zeros(2), x - np.array([2.0, 0.0])
+        J, alpha = np.ones((1, 2)), 2.0 ** -31
+        reg, box = L1Regularizer(np.zeros(2)), BoxSet.free(2)
+        res, _ = solve_tangential(x, v, g, J, alpha, reg, box,
+                                  warm=np.array([0.9499999999999998]))
+        assert 1e-8 < res.kkt_residual <= kkt_bar(x, res.w, alpha)
+        assert float(np.linalg.norm(J @ res.u)) < 1e-15
+        # the bar still tells a wrong multiplier apart
+        off = verify_tangential_kkt(x, v, g, J, alpha, reg, box, u=res.u,
+                                    y=res.y + 1e-6, z=res.z, g_r=res.g_r)
+        assert off.overall > kkt_bar(x, res.w, alpha)
 
 
 class TestWarmStart:
