@@ -7,9 +7,9 @@ from .problem import (
     ProblemInstance,
     ScaleInfo,
     add_slacks,
-    apply_scaling,
     check_derivatives,
     load_problem,
+    scale_factors,
 )
 from .qp import QpProblem, QpSolution, solve_qp, verify_kkt
 
@@ -21,9 +21,9 @@ __all__ = [
     "ProblemInstance",
     "ScaleInfo",
     "add_slacks",
-    "apply_scaling",
     "check_derivatives",
     "load_problem",
+    "scale_factors",
     "QpProblem",
     "QpSolution",
     "solve_qp",

@@ -30,7 +30,8 @@ import scipy.linalg
 from . import globalization as glob
 from .geometry import active_set, box_complementarity, project_box
 from .normal_step import compute_normal_step
-from .problem import BoxSet, EvaluationError, ProblemInstance, ScaleInfo, apply_scaling
+from .problem import (BoxSet, EvaluationError, L1Regularizer, ProblemInstance, ScaleInfo,
+                      scale_factors)
 from .tangential import TangentialError, kkt_bar, solve_tangential
 
 __all__ = [
@@ -286,33 +287,39 @@ class _InvariantMonitor:
 
 
 def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
-    """Run the full method on one problem instance."""
+    """Run the full method on one problem instance.
+
+    f, g, c and J are evaluated once per point and kept in the caller's
+    units.  The method works on copies scaled by the factors of
+    ``scale_factors``; the KKT stop test, the ledger's chi, chi_stat and
+    chi_comp, and the report are in the caller's units.
+    """
     t_start = time.perf_counter()
 
     if cfg.x0 is not None:
         x_init = np.asarray(cfg.x0, dtype=float)
+        if x_init.shape != (p.n,):
+            raise ValueError(f"{p.name}: x0 has shape {x_init.shape}, "
+                             f"the problem needs ({p.n},)")
     elif p.x0 is not None:
         x_init = p.x0
     else:
         x_init = np.zeros(p.n)
-    x = project_box(x_init, p.box)
-    if not np.array_equal(x, np.asarray(x_init, dtype=float)):
+    box = p.box
+    x = project_box(x_init, box)
+    if not np.array_equal(x, x_init):
         warnings.warn(f"{p.name}: starting point projected into the box")
 
-    work, scale_info = (apply_scaling(p, x) if cfg.scaling
-                        else (p, ScaleInfo(objective_factor=1.0, constraint_factors=np.ones(p.m))))
-
-    box = work.box
-    merit = glob.MeritState(tau=cfg.tau_init, alpha=cfg.alpha0)
-    f_val = work.f(x)
-    g_val = work.g(x)
-    c_val = work.c(x)
-    J_val = work.J(x)
-    r_val = work.reg.value(x)
+    f_val, g_val, c_val, J_val = p.f(x), p.g(x), p.c(x), p.J(x)
+    scale = (scale_factors(g_val, J_val) if cfg.scaling
+             else ScaleInfo(objective_factor=1.0, constraint_factors=np.ones(p.m)))
+    f_fac, c_fac = scale.objective_factor, scale.constraint_factors
+    reg = L1Regularizer(f_fac * p.reg.weights)
+    r_val = reg.value(x)
+    tau, alpha = cfg.tau_init, cfg.alpha0
 
     monitor = _InvariantMonitor(cfg, box.is_orthant()) if cfg.check_invariants else None
     records: list[IterationRecord] = []
-    warm = None
     isp_streak = 0
     isp_last_alpha = np.inf
     stall_streak = 0
@@ -321,18 +328,14 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     g_r = np.zeros(p.n)
 
     def finish(status_, iters):
-        # the report speaks the caller's units: multipliers of the scaled
-        # problem are mapped back and chi is re-evaluated on p itself
-        y_un, z_un, g_r_un = scale_info.unscale_multipliers(y, z, g_r)
-        f_un = scale_info.unscale_objective(f_val)
-        r_un = scale_info.unscale_objective(r_val)
-        chi_fin = kkt_residual(p, x, y_un, z_un, g_r_un)[0] if records else np.inf
+        y_un, z_un, g_r_un = scale.unscale_multipliers(y, z, g_r)
+        chi_fin = (_kkt_parts(g_val, c_val, J_val, box, x, y_un, z_un, g_r_un).chi
+                   if records else np.inf)
         report = SolveReport(
             status=status_, x=x.copy(), y=y_un, z=z_un, g_r=g_r_un, chi=chi_fin,
-            c_norm=float(np.linalg.norm(scale_info.unscale_constraints(c_val))),
-            iterations=iters, records=records, objective=f_un + r_un,
-            f_unscaled=f_un, wall_time=time.perf_counter() - t_start,
-            config_hash=cfg.config_hash(),
+            c_norm=float(np.linalg.norm(c_val)), iterations=iters, records=records,
+            objective=f_val + p.reg.value(x), f_unscaled=f_val,
+            wall_time=time.perf_counter() - t_start, config_hash=cfg.config_hash(),
         )
         if monitor is not None:
             monitor.check_shifted_merit(records)
@@ -343,9 +346,11 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         if time.perf_counter() - t_start > cfg.time_limit:
             return finish("TimeLimit", k)
 
-        alpha = merit.alpha
+        # the method's scaled copies of the caller's values at x
+        f_s, g_s = f_fac * f_val, f_fac * g_val
+        c_s, J_s = c_fac * c_val, c_fac[:, None] * J_val
         normal = compute_normal_step(
-            x, c_val, J_val, alpha, box,
+            x, c_s, J_s, alpha, box,
             kappa_v=cfg.kappa_v, kappa_v_inf=cfg.kappa_v_inf, gamma=cfg.gamma,
             eta_m=cfg.eta_m, tol_infeas_c=cfg.tol_infeas_c,
             max_backtracks=cfg.max_backtracks,
@@ -362,8 +367,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             isp_streak = 0
 
         try:
-            tang, warm = solve_tangential(x, normal.v, g_val, J_val, alpha, work.reg, box,
-                                          warm=warm)
+            tang = solve_tangential(x, normal.v, g_s, J_s, alpha, reg, box, y0=y)
         except TangentialError as exc:
             # subproblem failure (degenerate or numerically rank-deficient
             # data): record what we have instead of propagating
@@ -374,33 +378,29 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         w = tang.w
         s = w - x
 
-        parts = _kkt_parts(g_val, c_val, J_val, box, x, y, z, g_r)
-        chi = parts.chi
-        # the ledger stays in scaled units; the stop test is in the caller's
-        stop = _kkt_parts(scale_info.unscale_objective(g_val),
-                          scale_info.unscale_constraints(c_val),
-                          scale_info.unscale_jacobian(J_val), box, x,
-                          *scale_info.unscale_multipliers(y, z, g_r))
+        parts = _kkt_parts(g_val, c_val, J_val, box, x,
+                           *scale.unscale_multipliers(y, z, g_r))
         comp_v1 = max(parts.stationarity, float(np.linalg.norm(normal.v_unit)),
                       parts.complementarity)
 
         s_norm = float(np.linalg.norm(s))
-        A_k = glob.compute_Ak(g_val, s, alpha, work.reg.value(w), r_val)
-        c_norm = float(np.linalg.norm(c_val))
-        cJs_norm = float(np.linalg.norm(c_val + J_val @ s))
+        r_w = reg.value(w)
+        A_k = glob.compute_Ak(g_s, s, alpha, r_w, r_val)
+        c_norm = float(np.linalg.norm(c_s))
+        cJs_norm = float(np.linalg.norm(c_s + J_s @ s))
         tau_tr = glob.tau_trial(A_k, c_norm, cJs_norm, cfg.sigma_c)
-        tau_new = glob.update_tau(merit.tau, tau_tr, cfg.eps_tau)
+        tau_new = glob.update_tau(tau, tau_tr, cfg.eps_tau)
 
-        r_w = work.reg.value(w)
-        phi_old = glob.merit_from_parts(f_val, r_val, c_norm, tau_new)
+        phi_old = glob.merit_from_parts(f_s, r_val, c_norm, tau_new)
         try:
-            f_w = work.f(w)
-            c_w = work.c(w)
-            phi_new = glob.merit_from_parts(f_w, r_w, float(np.linalg.norm(c_w)), tau_new)
+            f_w = p.f(w)
+            c_w = p.c(w)
+            phi_new = glob.merit_from_parts(f_fac * f_w, r_w,
+                                            float(np.linalg.norm(c_fac * c_w)), tau_new)
             accepted = glob.sufficient_decrease(phi_new, phi_old, tau_new, alpha, s,
                                                 c_norm, cJs_norm, cfg.eta_phi, cfg.sigma_c)
             if accepted:
-                g_w, J_w = work.g(w), work.J(w)
+                g_w, J_w = p.g(w), p.J(w)
         except EvaluationError:
             # a non-finite value or derivative at the trial point rejects
             # the step; alpha then shrinks
@@ -408,7 +408,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
 
         if monitor is not None:
             monitor.check_iteration(
-                k, normal=normal, tang=tang, x=x, c_val=c_val, J=J_val,
+                k, normal=normal, tang=tang, x=x, c_val=c_s, J=J_s,
                 alpha=alpha, tau=tau_new, s=s,
                 tkkt_overall=tang.kkt_residual,
                 subgrad_margin=tang.kkt_report.subgradient_margin,
@@ -421,21 +421,21 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             norm_v=float(np.linalg.norm(normal.v)), norm_u=float(np.linalg.norm(tang.u)),
             norm_s=s_norm, tau=tau_new, alpha=alpha,
             merit_before=phi_old, merit_after=phi_new, accepted=accepted,
-            chi=chi, chi_stat=parts.stationarity, chi_comp=parts.complementarity,
-            chi_bar=comp_v1, c_norm=c_norm, f_val=f_val, r_val=r_val,
+            chi=parts.chi, chi_stat=parts.stationarity, chi_comp=parts.complementarity,
+            chi_bar=comp_v1, c_norm=c_norm, f_val=f_s, r_val=r_val,
             active_lower=aset.at_lower, active_upper=aset.at_upper,
-            sign_pattern=_sign_pattern(x, work.reg.weights),
+            sign_pattern=_sign_pattern(x, reg.weights),
             tang_iters=tang.iterations,
         ))
 
-        if (stop.feasibility <= cfg.tol_c and stop.stationarity <= cfg.tol_stat
-                and stop.complementarity <= cfg.tol_comp):
+        if (parts.feasibility <= cfg.tol_c and parts.stationarity <= cfg.tol_stat
+                and parts.complementarity <= cfg.tol_comp):
             records[-1].accepted = False
             return finish("KktPoint", k + 1)
 
         if tau_new < glob.TAU_FLOOR:
             return finish("MeritCollapse", k + 1)
-        merit.tau = tau_new
+        tau = tau_new
 
         vanished = s_norm / alpha <= cfg.tol_step
         if vanished:
@@ -452,9 +452,8 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         if not (accepted and vanished):
             # a vanishing accepted step says nothing about the proximal
             # scale; growing alpha on it would reset the stationarity streak
-            merit.alpha = glob.update_alpha(alpha, accepted, cfg.alpha_rule,
-                                            cfg.xi, cfg.alpha_cap)
-        if merit.alpha < glob.ALPHA_FLOOR:
+            alpha = glob.update_alpha(alpha, accepted, cfg.alpha_rule, cfg.xi, cfg.alpha_cap)
+        if alpha < glob.ALPHA_FLOOR:
             return finish("Stalled", k + 1)
 
     return finish("MaxIter", cfg.max_iter)

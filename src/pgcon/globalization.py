@@ -9,14 +9,11 @@ on rejected steps and, depending on the rule, may grow on accepted ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .problem import ProblemInstance
 
 __all__ = [
-    "MeritState",
     "ALPHA_FLOOR",
     "TAU_FLOOR",
     "ALPHA_RULES",
@@ -32,12 +29,6 @@ __all__ = [
 ALPHA_FLOOR = 1e-16
 TAU_FLOOR = 1e-12
 ALPHA_RULES = ("hold", "min_cap", "verbatim_max")
-
-
-@dataclass
-class MeritState:
-    tau: float
-    alpha: float
 
 
 def merit_from_parts(f_val: float, r_val: float, c_norm: float, tau: float) -> float:

@@ -25,7 +25,7 @@ __all__ = [
     "DerivativeReport",
     "EvaluationError",
     "check_derivatives",
-    "apply_scaling",
+    "scale_factors",
     "add_slacks",
     "load_problem",
     "problem_to_dict",
@@ -170,15 +170,6 @@ class ScaleInfo:
     objective_factor: float
     constraint_factors: np.ndarray
 
-    def unscale_objective(self, value: float) -> float:
-        return value / self.objective_factor
-
-    def unscale_constraints(self, c: np.ndarray) -> np.ndarray:
-        return np.asarray(c, dtype=float) / self.constraint_factors
-
-    def unscale_jacobian(self, J: np.ndarray) -> np.ndarray:
-        return np.asarray(J, dtype=float) / self.constraint_factors[:, None]
-
     def unscale_multipliers(self, y, z, g_r) -> tuple:
         """(y, z, g_r) of the scaled problem in the original one's units."""
         f_fac = self.objective_factor
@@ -225,36 +216,18 @@ def check_derivatives(p: ProblemInstance, x, h: Optional[float] = None) -> Deriv
     return DerivativeReport(g_err=g_err, J_err=J_err)
 
 
-def apply_scaling(p: ProblemInstance, x0) -> tuple[ProblemInstance, ScaleInfo]:
-    """Scale f and each c_i so their gradient inf-norms at x0 are <= 100.
+def scale_factors(g0, J0) -> ScaleInfo:
+    """Factors that bring the inf-norm of the gradient of f and of each c_i
+    down to at most 100, from g0 and J0 at the start point.
 
-    The l1 weights are scaled by the objective factor so the scaled
-    problem has the same minimizers as the original.
+    The solver multiplies f, g and the l1 weights by the objective factor,
+    so the scaled problem has the same minimizers, and c_i and row i of J
+    by the i-th constraint factor.
     """
-    x0 = _as_float_array(x0, p.n)
-    gn = float(np.max(np.abs(p.g(x0)), initial=0.0))
-    f_fac = min(1.0, 100.0 / gn) if gn > 100.0 else 1.0
-    if p.m:
-        Jn = np.max(np.abs(p.J(x0)), axis=1)
-        c_fac = np.where(Jn > 100.0, 100.0 / Jn, 1.0)
-    else:
-        c_fac = np.zeros(0)
-
-    info = ScaleInfo(objective_factor=f_fac, constraint_factors=c_fac)
-    f0, g0, c0, J0 = p.f_eval, p.g_eval, p.c_eval, p.J_eval
-    scaled = ProblemInstance(
-        name=p.name + ":scaled",
-        n=p.n,
-        m=p.m,
-        f_eval=lambda x: f_fac * f0(x),
-        g_eval=lambda x: f_fac * np.asarray(g0(x), dtype=float),
-        c_eval=lambda x: c_fac * np.asarray(c0(x), dtype=float),
-        J_eval=lambda x: c_fac[:, None] * np.asarray(J0(x), dtype=float),
-        reg=L1Regularizer(f_fac * p.reg.weights),
-        box=p.box,
-        x0=p.x0,
-    )
-    return scaled, info
+    gn = float(np.max(np.abs(g0), initial=0.0))
+    Jn = np.max(np.abs(J0), axis=1, initial=0.0)
+    return ScaleInfo(objective_factor=100.0 / gn if gn > 100.0 else 1.0,
+                     constraint_factors=np.where(Jn > 100.0, 100.0 / Jn, 1.0))
 
 
 def add_slacks(

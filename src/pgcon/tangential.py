@@ -13,8 +13,8 @@ finds y with F(y) = J u(y) = 0 by semismooth Newton (Li, Sun & Toh,
 SIAM J. Optim. 2018): each step solves the m x m system
 (alpha J_F J_F' + mu I) d = F over the free components F, those neither
 zeroed nor clipped, by Cholesky, with an Armijo backtrack on the concave
-dual function.  The previous call's y is the warm start.  The box
-multipliers z and the regularizer subgradient g_r follow from
+dual function.  It starts from the caller's y, the previous iteration's.
+The box multipliers z and the regularizer subgradient g_r follow from
 stationarity, with z = 0 off the bounds and g_r in lam * d|w|.
 
 When the Newton budget runs out, the line search or a Cholesky
@@ -235,11 +235,10 @@ def kkt_bar(x, w, alpha) -> float:
 
 
 def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
-                     warm: Optional[np.ndarray] = None) -> tuple[TangentialResult, np.ndarray]:
+                     y0: Optional[np.ndarray] = None) -> TangentialResult:
     """Solve the tangential subproblem and recover multipliers.
 
-    ``warm`` is the previous call's y; one of any other shape is ignored.
-    Returns (result, y), y being the warm start for the next call.
+    The dual solve starts from ``y0``, the previous call's y, or from zero.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -249,9 +248,7 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     base = x + v
     lam = reg.weights
 
-    y0 = np.zeros(m)
-    if warm is not None and np.shape(warm) == (m,):
-        y0 = np.array(warm, dtype=float)
+    y0 = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float)
     y, u, code, iterations = _dual_solve(base, -(alpha * g + v), J, alpha, lam,
                                          box.lower, box.upper, y0)
 
@@ -275,9 +272,8 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     if not report.overall <= bar:
         raise TangentialError(f"dual answer misses the tangential KKT bar: residual "
                               f"{report.overall:.3g} > {bar:.3g}")
-    result = TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w, iterations=iterations,
-                              kkt_residual=report.overall, kkt_report=report)
-    return result, y.copy()
+    return TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w, iterations=iterations,
+                            kkt_residual=report.overall, kkt_report=report)
 
 
 def verify_tangential_kkt(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,

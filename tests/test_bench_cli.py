@@ -184,6 +184,17 @@ class TestCli:
         assert report["error"] == "ValueError: box has lower_i > upper_i"
         assert not (out / "ledger.csv").exists()
 
+    def test_wrong_shape_x0_writes_error_report(self, tmp_path):
+        prob = {"name": "x", "kind": "analytic:eq-quad-1"}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(prob))
+        out = tmp_path / "o"
+        assert main(["solve", "--problem", str(path), "--out", str(out),
+                     "--set", "x0=0.5"]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "Error"
+        assert "x0 has shape (), the problem needs (2,)" in report["error"]
+
     def test_corpus_check_exit_zero(self, tmp_path):
         assert main(["corpus-check", "--out", str(tmp_path / "o")]) == 0
 

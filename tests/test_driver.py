@@ -1,9 +1,11 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from pgcon.corpus import get_instance
+from pgcon import scca
+from pgcon.corpus import corpus, get_instance
 from pgcon.driver import (
     SolverConfig,
     identification_trackers,
@@ -284,6 +286,8 @@ class TestReportUnits:
         assert rep.status == "KktPoint"
         _, parts = kkt_residual(twin, rep.x, rep.y, rep.z, rep.g_r)
         assert parts.chi == rep.chi
+        # the ledger's chi columns are the stop test's parts
+        assert rep.records[-1].chi == rep.chi
         assert parts.stationarity <= cfg.tol_stat
         assert parts.complementarity <= cfg.tol_comp
         assert parts.feasibility <= cfg.tol_c
@@ -296,6 +300,47 @@ class TestReportUnits:
             box=BoxSet.free(1))
         with pytest.raises(EvaluationError):
             solve(p, SolverConfig())
+
+
+class TestStartPoint:
+    @pytest.mark.parametrize("x0", [0.5, [0.5], [0.5, 0.5, 0.5]],
+                             ids=["scalar", "length-1", "length-3"])
+    def test_wrong_shape_rejected_with_both_shapes(self, x0):
+        # numpy would broadcast a scalar or length-1 x0 to every component
+        p = get_instance("eq-quad-1").problem
+        with pytest.raises(ValueError) as err:
+            solve(p, SolverConfig(x0=x0))
+        assert f"x0 has shape {np.shape(x0)}, the problem needs (2,)" in str(err.value)
+
+
+def counted(p, calls):
+    """p with each evaluator appending its name to ``calls``."""
+    def wrap(name, fn):
+        def inner(x):
+            calls.append(name)
+            return fn(x)
+        return inner
+
+    return dataclasses.replace(p, f_eval=wrap("f", p.f_eval), g_eval=wrap("g", p.g_eval),
+                               c_eval=wrap("c", p.c_eval), J_eval=wrap("J", p.J_eval))
+
+
+@pytest.mark.parametrize("name", [inst.name for inst in corpus()] + ["scca-64"])
+def test_each_point_evaluated_once(name):
+    # f, g, c, J at the start, then f and c at each trial point (g and J
+    # only at accepted ones); scaling and the report reuse these values
+    if name == "scca-64":
+        p = scca.scca_problem(scca.scca_generate(64, 64, 64, 1), 1e-2)
+        cfg = SolverConfig(alpha0=scca.ALPHA0)
+    else:
+        inst = get_instance(name)
+        p, cfg = inst.problem, SolverConfig(**inst.config_overrides)
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = solve(counted(p, calls), cfg)
+    assert calls[:5] == ["f", "g", "c", "J", "f"]
+    assert calls.count("f") == calls.count("c") == 1 + len(rep.records)
 
 
 def rank_deficient_l1(seed, n_lo, n_hi):

@@ -79,11 +79,7 @@ def test_solver_never_raises_and_keeps_invariants():
             rep = solve(p, cfg)
             assert rep.status in STATUSES
             statuses[rep.status] = statuses.get(rep.status, 0) + 1
-            # near-rank-deficient fuzz data may push tangential residuals
-            # slightly past the nominal bar; anything beyond 1e-6 is a bug
-            hard = [v for v in rep.invariant_violations
-                    if not (v["check"] == "tangential_kkt" and v["margin"] < 1e-6)]
-            assert hard == [], (trial, hard)
+            assert rep.invariant_violations == [], (trial, rep.invariant_violations)
     assert statuses.get("KktPoint", 0) >= 45
 
 

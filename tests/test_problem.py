@@ -3,16 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from pgcon.driver import SolverConfig, solve
 from pgcon.problem import (
     BoxSet,
     EvaluationError,
     L1Regularizer,
     ProblemInstance,
     add_slacks,
-    apply_scaling,
     check_derivatives,
     load_problem,
     problem_to_dict,
+    scale_factors,
 )
 
 
@@ -125,30 +126,46 @@ class TestScaling:
             box=BoxSet.free(2),
         )
 
+    @staticmethod
+    def factors(p):
+        x0 = np.zeros(p.n)
+        return scale_factors(p.g(x0), p.J(x0))
+
     def test_large_gradient_scaled(self):
-        p, info = apply_scaling(self.make(400.0, 1.0), np.zeros(2))
+        info = self.factors(self.make(400.0, 1.0))
         assert info.objective_factor == pytest.approx(0.25)
         assert info.constraint_factors[0] == 1.0
 
     def test_small_gradient_untouched(self):
-        _, info = apply_scaling(self.make(50.0, 1.0), np.zeros(2))
+        info = self.factors(self.make(50.0, 1.0))
         assert info.objective_factor == 1.0
 
     def test_constraint_factor(self):
-        _, info = apply_scaling(self.make(1.0, 1000.0), np.zeros(2))
+        info = self.factors(self.make(1.0, 1000.0))
         assert info.constraint_factors[0] == pytest.approx(0.1)
 
     def test_feasible_set_and_objective_preserved(self):
-        base = self.make(400.0, 1000.0)
-        scaled, info = apply_scaling(base, np.zeros(2))
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            x = rng.standard_normal(2)
-            # same zero set of c
-            assert (abs(base.c(x)[0]) < 1e-12) == (abs(scaled.c(x)[0]) < 1e-9)
-            un = info.unscale_objective(scaled.f(x) + scaled.reg.value(x))
-            ref = base.f(x) + base.reg.value(x)
-            assert un == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        # min 200 ((x0 - 1)^2 + x1^2) + 50 |x1|  s.t.  1000 (x0 + x1 - 0.5) = 0
+        # has its minimizer at (0.6875, -0.1875); from the origin scaling
+        # divides f and the l1 weights by 4 and c by 10
+        base = ProblemInstance(
+            name="big", n=2, m=1,
+            f_eval=lambda x: 200.0 * float((x[0] - 1.0) ** 2 + x[1] ** 2),
+            g_eval=lambda x: np.array([400.0 * (x[0] - 1.0), 400.0 * x[1]]),
+            c_eval=lambda x: np.array([1000.0 * (x[0] + x[1] - 0.5)]),
+            J_eval=lambda x: np.array([[1000.0, 1000.0]]),
+            reg=L1Regularizer(np.array([0.0, 50.0])), box=BoxSet.free(2), x0=np.zeros(2))
+        info = self.factors(base)
+        assert (info.objective_factor, info.constraint_factors[0]) == (0.25, 0.1)
+        scaled = solve(base, SolverConfig(alpha0=1e-3))
+        plain = solve(base, SolverConfig(alpha0=1e-3, scaling=False))
+        assert scaled.status == plain.status == "KktPoint"
+        np.testing.assert_allclose(scaled.x, [0.6875, -0.1875], atol=1e-6)
+        np.testing.assert_allclose(scaled.x, plain.x, atol=1e-6)
+        # the report speaks the caller's units without a round trip
+        assert scaled.f_unscaled == base.f(scaled.x)
+        assert scaled.objective == base.f(scaled.x) + base.reg.value(scaled.x)
+        assert scaled.c_norm == float(np.linalg.norm(base.c(scaled.x)))
 
 
 class TestAddSlacks:

@@ -49,7 +49,7 @@ class TestBuild:
 class TestHandSolved:
     def test_zero_data_zero_step(self):
         n = 2
-        res, _ = solve_tangential(
+        res = solve_tangential(
             np.array([1.0, 2.0]), np.zeros(n), np.zeros(n), np.zeros((0, n)),
             1.0, L1Regularizer(np.zeros(n)), BoxSet.free(n))
         np.testing.assert_allclose(res.u, np.zeros(n), atol=1e-12)
@@ -58,7 +58,7 @@ class TestHandSolved:
 
     def test_scalar_prox_step(self):
         # min u + 0.5 u^2 s.t. x+u >= 0 with x=5: u = -1 interior, z = 0
-        res, _ = solve_tangential(
+        res = solve_tangential(
             np.array([5.0]), np.zeros(1), np.array([1.0]), np.zeros((0, 1)),
             1.0, L1Regularizer(np.zeros(1)), BoxSet.nonnegative(1))
         assert res.u[0] == pytest.approx(-1.0, abs=1e-12)
@@ -66,7 +66,7 @@ class TestHandSolved:
 
     def test_scalar_bound_active(self):
         # same but x = 0.5: unconstrained -1 clips at the bound, z = -0.5
-        res, _ = solve_tangential(
+        res = solve_tangential(
             np.array([0.5]), np.zeros(1), np.array([1.0]), np.zeros((0, 1)),
             1.0, L1Regularizer(np.zeros(1)), BoxSet.nonnegative(1))
         assert res.w[0] == 0.0  # exact zero from the bound snap
@@ -74,7 +74,7 @@ class TestHandSolved:
 
     def test_regularized_zero_stays_zero(self):
         # g = 0, x = 0, weight 2: u = 0 and any |g_r| <= 2 certifies
-        res, _ = solve_tangential(
+        res = solve_tangential(
             np.zeros(1), np.zeros(1), np.zeros(1), np.zeros((0, 1)),
             1.0, L1Regularizer(np.array([2.0])), BoxSet.free(1))
         assert res.u[0] == 0.0
@@ -84,7 +84,7 @@ class TestHandSolved:
     def test_soft_threshold_shrinkage(self):
         # min g u + 0.5 u^2 + |x+u| with g=-3, x=0, weight 1:
         # minimizer of (u-3)^2/2 + |u| is u = 2 with g_r = 1
-        res, _ = solve_tangential(
+        res = solve_tangential(
             np.zeros(1), np.zeros(1), np.array([-3.0]), np.zeros((0, 1)),
             1.0, L1Regularizer(np.array([1.0])), BoxSet.free(1))
         assert res.u[0] == pytest.approx(2.0, abs=1e-10)
@@ -115,7 +115,7 @@ class TestAgainstEnumeration:
             ref = enumerate_qp(H, qp.q, A, qp.beq, qp.lower, qp.upper)
             if ref is None:
                 continue
-            res, _ = solve_tangential(x, v, g, J, alpha, reg, box)
+            res = solve_tangential(x, v, g, J, alpha, reg, box)
             np.testing.assert_allclose(res.u, ref[0][:n], atol=2e-8)
             assert res.kkt_residual <= 1e-8
             # the step is at least as good as staying put
@@ -136,13 +136,13 @@ class TestVerify:
         J = rng.standard_normal((1, 3))
         reg = L1Regularizer(np.array([0.5, 0.0, 0.7]))
         box = BoxSet.free(3)
-        res, _ = solve_tangential(x, np.zeros(3), g, J, 0.7, reg, box)
+        res = solve_tangential(x, np.zeros(3), g, J, 0.7, reg, box)
         rep = res.kkt_report
         assert rep.overall <= 1e-10
 
     def test_perturbed_u_shows_in_stationarity(self):
         x = np.array([5.0])
-        res, _ = solve_tangential(
+        res = solve_tangential(
             x, np.zeros(1), np.array([1.0]), np.zeros((0, 1)), 1.0,
             L1Regularizer(np.zeros(1)), BoxSet.nonnegative(1))
         eps = 1e-3
@@ -154,7 +154,7 @@ class TestVerify:
 
     def test_wrong_dual_sign_reported(self):
         x = np.array([0.5])
-        res, _ = solve_tangential(
+        res = solve_tangential(
             x, np.zeros(1), np.array([1.0]), np.zeros((0, 1)), 1.0,
             L1Regularizer(np.zeros(1)), BoxSet.nonnegative(1))
         rep = verify_tangential_kkt(
@@ -235,9 +235,8 @@ class TestDualAgainstSplitQp:
         for _ in range(300):
             args = random_tangential(rng)
             x, v, g, J, alpha, reg, box = args
-            res, y = solve_tangential(*args)
+            res = solve_tangential(*args)
             assert_matches_oracle(args, res)
-            np.testing.assert_array_equal(y, res.y)
             # the returned y reproduces w through the dual formula
             scale = 1.0 + float(np.max(np.abs(x + v), initial=0.0))
             np.testing.assert_allclose(dual_formula(x, g, J, alpha, reg, box, res.y),
@@ -257,7 +256,7 @@ class TestDegenerate:
     """Cases where the dual Newton system or the piece structure degenerates."""
 
     def check(self, *args):
-        res, _ = solve_tangential(*args)
+        res = solve_tangential(*args)
         assert_matches_oracle(args, res)
         return res
 
@@ -358,8 +357,8 @@ class TestFallback:
         v, g = np.zeros(2), x - np.array([2.0, 0.0])
         J, alpha = np.ones((1, 2)), 2.0 ** -31
         reg, box = L1Regularizer(np.zeros(2)), BoxSet.free(2)
-        res, _ = solve_tangential(x, v, g, J, alpha, reg, box,
-                                  warm=np.array([0.9499999999999998]))
+        res = solve_tangential(x, v, g, J, alpha, reg, box,
+                               y0=np.array([0.9499999999999998]))
         assert 1e-8 < res.kkt_residual <= kkt_bar(x, res.w, alpha)
         assert float(np.linalg.norm(J @ res.u)) < 1e-15
         # the bar still tells a wrong multiplier apart
@@ -386,20 +385,9 @@ class TestWarmStart:
     @pytest.mark.parametrize("seed", range(3))
     def test_warm_y_same_answer_fewer_iterations(self, seed):
         args = self.instance(seed)
-        cold, y = solve_tangential(*args)
-        warm, _ = solve_tangential(*args, warm=y)
+        cold = solve_tangential(*args)
+        warm = solve_tangential(*args, y0=cold.y)
         for name in ("u", "y", "z", "g_r", "w"):
             np.testing.assert_allclose(getattr(warm, name), getattr(cold, name),
                                        rtol=0, atol=1e-12)
         assert warm.iterations < cold.iterations
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_wrong_shape_warm_is_cold(self, seed):
-        args = self.instance(seed)
-        cold, y = solve_tangential(*args)
-        for bad in (np.ones(3), np.ones((2, 1)), np.ones(12 + 2 * 8)):
-            again, y_again = solve_tangential(*args, warm=bad)
-            assert again.iterations == cold.iterations
-            assert np.array_equal(y_again, y)
-            for name in ("u", "y", "z", "g_r", "w"):
-                assert np.array_equal(getattr(again, name), getattr(cold, name))
