@@ -445,6 +445,13 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         else:
             stall_streak = 0
 
+        curvature = 0.0
+        if (accepted and not vanished and cfg.alpha_rule == "min_cap"
+                and alpha / cfg.xi < cfg.alpha_cap):
+            # secant curvature of the scaled Lagrangian along s, with this
+            # iteration's y; it can only lift the doubling to the cap
+            d_grad = f_fac * (g_w - g_val) + (J_w - J_val).T @ (c_fac * y)
+            curvature = float(s @ d_grad) / s_norm ** 2
         if accepted:
             x = w
             f_val, r_val, c_val = f_w, r_w, c_w
@@ -452,7 +459,8 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         if not (accepted and vanished):
             # a vanishing accepted step says nothing about the proximal
             # scale; growing alpha on it would reset the stationarity streak
-            alpha = glob.update_alpha(alpha, accepted, cfg.alpha_rule, cfg.xi, cfg.alpha_cap)
+            alpha = glob.update_alpha(alpha, accepted, cfg.alpha_rule, cfg.xi,
+                                      cfg.alpha_cap, curvature)
         if alpha < glob.ALPHA_FLOOR:
             return finish("Stalled", k + 1)
 

@@ -74,9 +74,18 @@ def sufficient_decrease(phi_new: float, phi_old: float, tau: float, alpha: float
 
 
 def update_alpha(alpha: float, accepted: bool, rule: str, xi: float,
-                 alpha_cap: float = 10.0) -> float:
+                 alpha_cap: float = 10.0, curvature: float = 0.0) -> float:
     """Next proximal parameter.  Callers watch for values below ALPHA_FLOOR
-    and convert them into a stall signal."""
+    and convert them into a stall signal.
+
+    A rejected step gives xi*alpha under every rule.  On an accepted step
+    "hold" keeps alpha, "verbatim_max" gives max(alpha/xi, 10), and
+    "min_cap" gives min(alpha/xi, alpha_cap), or alpha_cap itself when
+    the step's secant curvature s'(grad L(w) - grad L(x)) / s's lies in
+    (0, 1/alpha_cap]: the spectral step (Barzilai & Borwein 1988) is then
+    at least the cap.  Nonpositive curvature, or 0 when it was not
+    computed, gives the doubling.
+    """
     if rule not in ALPHA_RULES:
         raise ValueError(f"unknown alpha rule {rule!r}")
     if not accepted:
@@ -85,4 +94,6 @@ def update_alpha(alpha: float, accepted: bool, rule: str, xi: float,
         return alpha
     if rule == "verbatim_max":
         return max(alpha / xi, 10.0)
+    if 0.0 < curvature <= 1.0 / alpha_cap:
+        return alpha_cap
     return min(alpha / xi, alpha_cap)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .geometry import box_complementarity, project_box
 from .problem import BoxSet, L1Regularizer
@@ -188,11 +188,14 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         # failing the factorization by roundoff
         mu = max(1e-8 * min(F_norm, 1.0), 1e-14 * m) * scale
         M = alpha * (J_F @ J_F.T) + mu * np.eye(m)
-        try:
-            d = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M), F)
-        except (np.linalg.LinAlgError, ValueError):
+        # the LAPACK pair behind cho_factor/cho_solve, without their input
+        # checks: a NaN in M, or a NaN or inf in F, leaves d non-finite
+        R, info = dpotrf(M, lower=False, clean=False)
+        if info == 0:
+            d, info = dpotrs(R, F, lower=False)
+        if info != 0 or not np.all(np.isfinite(d)):
             raise TangentialError("dual Newton system failed its Cholesky "
-                                  "factorization") from None
+                                  "factorization")
         if refine:
             u_ref = u.copy()
             u_ref[free] -= alpha * (J_F.T @ d)

@@ -117,6 +117,34 @@ class TestUpdateAlpha:
         assert update_alpha(4.0, True, "min_cap", 0.5, alpha_cap=10.0) == 8.0
         assert update_alpha(8.0, True, "min_cap", 0.5, alpha_cap=10.0) == 10.0
 
+    def test_min_cap_doubles_unless_curvature_is_small(self):
+        # nonpositive curvature, or curvature above 1/cap, gives the doubling
+        for kappa in (0.0, -1.0, -1e-12, 0.1 * (1 + 1e-12), 0.5, np.inf):
+            assert update_alpha(1e-3, True, "min_cap", 0.5, alpha_cap=10.0,
+                                curvature=kappa) == 2e-3
+
+    def test_min_cap_jumps_to_cap_on_small_positive_curvature(self):
+        for kappa in (1e-300, 1e-6, 0.05, 0.1):
+            assert update_alpha(1e-3, True, "min_cap", 0.5, alpha_cap=10.0,
+                                curvature=kappa) == 10.0
+
+    def test_min_cap_never_exceeds_cap(self):
+        for alpha in (1e-3, 4.0, 8.0, 10.0):
+            for kappa in (-1.0, 0.0, 0.05, 1.0):
+                assert update_alpha(alpha, True, "min_cap", 0.5, alpha_cap=10.0,
+                                    curvature=kappa) <= 10.0
+
+    def test_rejection_ignores_curvature(self):
+        for rule in ("hold", "min_cap", "verbatim_max"):
+            for kappa in (-1.0, 0.0, 0.05, 1.0):
+                assert update_alpha(1e-3, False, rule, 0.5, alpha_cap=10.0,
+                                    curvature=kappa) == 5e-4
+
+    def test_hold_and_verbatim_max_ignore_curvature(self):
+        for kappa in (-1.0, 0.0, 0.05, 1.0):
+            assert update_alpha(3.0, True, "hold", 0.5, curvature=kappa) == 3.0
+            assert update_alpha(1.0, True, "verbatim_max", 0.5, curvature=kappa) == 10.0
+
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             update_alpha(1.0, True, "bogus", 0.5)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from pgcon.driver import SolverConfig, solve
 from pgcon.problem import check_derivatives
 from pgcon.scca import (
+    ALPHA0,
     pattern_vectors,
     scca_generate,
     scca_init,
@@ -147,3 +149,41 @@ class TestMetrics:
         wy[5] = 0.5   # inside the first three quarters
         met = scca_metrics(wx, wy, data)
         assert met.sl == 2
+
+
+class TestGateGrid:
+    """The gate grid, data seed 1, solved as the benchmark does.
+
+    Bounds rather than exact counts: scca_init's start point, and with it
+    the path, changes in its last bits with the number of BLAS threads
+    (82 outer iterations on one thread, 76 on two).
+    """
+
+    CELLS = ((200, 1e-2), (200, 1e-3), (400, 1e-2), (400, 1e-3))
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        out = {}
+        for n, lam in self.CELLS:
+            data = scca_generate(n, n, n, seed=1)
+            out[n, lam] = (data, solve(scca_problem(data, lam), SolverConfig(alpha0=ALPHA0)))
+        return out
+
+    def test_every_cell_passes_criterion_1(self, runs):
+        for (n, lam), (data, rep) in runs.items():
+            met = scca_metrics(rep.x[:n], rep.x[n:2 * n], data)
+            assert rep.status == "KktPoint", (n, lam)
+            assert met.rho_xy >= 0.999 and met.sl == 0, (n, lam, met)
+            assert max(met.voc_x, met.voc_y) <= 1e-6, (n, lam, met)
+            # sr >= 0.98 is stated at lambda = 1e-2 only
+            assert lam != 1e-2 or met.sr >= 0.98, (n, lam, met)
+
+    def test_alpha_reaches_cap_early(self, runs):
+        # doubling from alpha0 = 1e-3 alone reaches the cap of 10 at k = 14;
+        # the small secant curvature of the bilinear objective lifts it there
+        # after a few accepted steps, and the grid takes 82 iterations, not 123
+        cap = SolverConfig().alpha_cap
+        assert sum(rep.iterations for _, rep in runs.values()) <= 90
+        records = runs[200, 1e-2][1].records
+        assert next(r.k for r in records if r.alpha == cap) <= 3
+        assert max(r.alpha for _, rep in runs.values() for r in rep.records) <= cap

@@ -336,6 +336,16 @@ class TestFallback:
             solve_tangential(np.zeros(1), np.zeros(1), np.array([-1.0]),
                              np.array([[1.0]]), 1.0, L1Regularizer(np.zeros(1)), self.BOX)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_jacobian_fails_the_cholesky(self, bad):
+        # a NaN or inf in J makes the Newton matrix non-finite; inf * 0 in
+        # J'y also raises numpy's invalid-value warning on the way there
+        J = np.array([[1.0, bad]])
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(TangentialError, match="Cholesky factorization"):
+            solve_tangential(np.zeros(2), np.zeros(2), np.ones(2), J, 1.0,
+                             L1Regularizer(np.zeros(2)), BoxSet.free(2))
+
     def test_driver_run_stalls_naming_the_cause(self):
         # min -x s.t. x = 0 in the same window: the first tangential
         # subproblem is the one above
