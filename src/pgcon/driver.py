@@ -49,6 +49,8 @@ __all__ = [
 _UNIT_INTERVAL_FIELDS = ("sigma_c", "eps_tau", "xi", "gamma", "eta_phi", "eta_m")
 _POSITIVE_FIELDS = ("alpha0", "tau_init", "kappa_v", "kappa_v_inf", "tol_c",
                     "tol_stat", "tol_comp", "tol_step", "time_limit", "alpha_cap", "tol_infeas_c")
+# the value types each declared field type accepts (x0 is converted instead)
+_FIELD_KINDS = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 @dataclass
@@ -75,7 +77,6 @@ class SolverConfig:
     time_limit: float = 3600.0
     alpha_rule: str = "min_cap"
     alpha_cap: float = 10.0
-    max_backtracks: int = 60
     scaling: bool = True
     check_invariants: bool = False
 
@@ -83,6 +84,13 @@ class SolverConfig:
         self.validate()
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            kinds = _FIELD_KINDS.get(f.type)
+            val = getattr(self, f.name)
+            # bool is an int subclass; only a bool field takes one
+            if kinds and (not isinstance(val, kinds)
+                          or (isinstance(val, bool) and f.type != "bool")):
+                raise ValueError(f"{f.name}={val!r} must be of type {f.type}")
         for name in _UNIT_INTERVAL_FIELDS:
             val = getattr(self, name)
             if not (0.0 < val < 1.0):
@@ -95,8 +103,6 @@ class SolverConfig:
             raise ValueError(f"alpha_rule must be one of {glob.ALPHA_RULES}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.max_backtracks < 0:
-            raise ValueError(f"max_backtracks={self.max_backtracks!r} must be nonnegative")
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float)
 
@@ -353,7 +359,6 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             x, c_s, J_s, alpha, box,
             kappa_v=cfg.kappa_v, kappa_v_inf=cfg.kappa_v_inf, gamma=cfg.gamma,
             eta_m=cfg.eta_m, tol_infeas_c=cfg.tol_infeas_c,
-            max_backtracks=cfg.max_backtracks,
         )
         if normal.infeasible_stationary:
             if isp_streak and alpha <= isp_last_alpha * (1 + 1e-12):

@@ -37,14 +37,11 @@ class ActiveSet:
 
     at_lower: tuple
     at_upper: tuple
-    tol_active: float
 
 
-def _active_masks(x, box: BoxSet, tol_active=None):
+def _active_masks(x, box: BoxSet):
     x = np.asarray(x, dtype=float)
-    tol = default_active_tol(box) if tol_active is None else np.broadcast_to(
-        np.asarray(tol_active, dtype=float), x.shape
-    )
+    tol = default_active_tol(box)
     at_lo = np.isfinite(box.lower) & (x - box.lower <= tol)
     at_hi = np.isfinite(box.upper) & (box.upper - x <= tol)
     return at_lo, at_hi
@@ -55,7 +52,7 @@ def project_box(x, box: BoxSet) -> np.ndarray:
     return np.minimum(np.maximum(np.asarray(x, dtype=float), box.lower), box.upper)
 
 
-def project_tangent_cone(d, x, box: BoxSet, tol_active=None) -> np.ndarray:
+def project_tangent_cone(d, x, box: BoxSet) -> np.ndarray:
     """Euclidean projection of d onto the tangent cone of the box at x.
 
     At a lower-active component the cone admits only nonnegative
@@ -63,14 +60,14 @@ def project_tangent_cone(d, x, box: BoxSet, tol_active=None) -> np.ndarray:
     elsewhere the cone is all of R.
     """
     d = np.asarray(d, dtype=float)
-    at_lo, at_hi = _active_masks(x, box, tol_active)
+    at_lo, at_hi = _active_masks(x, box)
     out = d.copy()
     out[at_lo] = np.maximum(out[at_lo], 0.0)
     out[at_hi] = np.minimum(out[at_hi], 0.0)
     return out
 
 
-def compute_delta(x, c_val, J_val, box: BoxSet, tol_active=None):
+def compute_delta(x, c_val, J_val, box: BoxSet):
     """Stationarity measure of the squared-violation function over the box.
 
     Returns (delta, dir) where dir is the projection of -J'c onto the
@@ -79,19 +76,18 @@ def compute_delta(x, c_val, J_val, box: BoxSet, tol_active=None):
     minimizing 0.5*||c(x)||^2 over the box.
     """
     d = -(np.asarray(J_val, dtype=float).T @ np.asarray(c_val, dtype=float))
-    direction = project_tangent_cone(d, x, box, tol_active)
+    direction = project_tangent_cone(d, x, box)
     return float(np.linalg.norm(direction)), direction
 
 
-def active_set(x, box: BoxSet, tol_active=None) -> ActiveSet:
-    """Classify components at their lower/upper bound at x."""
-    at_lo, at_hi = _active_masks(x, box, tol_active)
+def active_set(x, box: BoxSet) -> ActiveSet:
+    """Classify components at their lower/upper bound at x, within
+    default_active_tol."""
+    at_lo, at_hi = _active_masks(x, box)
     at_hi = at_hi & ~at_lo  # fixed variables count as lower
-    tol = default_active_tol(box) if tol_active is None else tol_active
     return ActiveSet(
         at_lower=tuple(np.flatnonzero(at_lo).tolist()),
         at_upper=tuple(np.flatnonzero(at_hi).tolist()),
-        tol_active=float(np.max(tol)) if np.ndim(tol) else float(tol),
     )
 
 

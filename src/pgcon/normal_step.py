@@ -18,8 +18,8 @@ from .problem import BoxSet
 from .qp import QpProblem, solve_qp
 
 __all__ = [
+    "MAX_BACKTRACKS",
     "NormalStepResult",
-    "CauchySearchError",
     "model_value",
     "cauchy_search",
     "solve_tr_inf",
@@ -27,12 +27,9 @@ __all__ = [
 ]
 
 
-class CauchySearchError(RuntimeError):
-    """Backtrack cap exceeded; carries the last step size tried."""
-
-    def __init__(self, beta):
-        super().__init__(f"projected line search failed to backtrack (last beta={beta:g})")
-        self.last_beta = beta
+# Backtracks the Cauchy search may take before it ends at the zero step.
+# No solve of the tools/fingerprints.py sweep needs more than 8.
+MAX_BACKTRACKS = 60
 
 
 def model_value(c_val, J_val, v) -> float:
@@ -56,13 +53,14 @@ class NormalStepResult:
 
 
 def cauchy_search(x, c_val, J_val, alpha, delta, box: BoxSet,
-                  gamma: float, eta_m: float, kappa_v: float,
-                  max_backtracks: int = 60):
+                  gamma: float, eta_m: float, kappa_v: float):
     """Backtracking projected line search along -J'c.
 
     Returns (beta, v_c, backtracks, v_unit) where beta = gamma**i for the
     smallest i such that v(beta) fits the trust region and achieves the
-    fraction eta_m of first-order model decrease.
+    fraction eta_m of first-order model decrease.  When no i up to
+    MAX_BACKTRACKS qualifies the search ends at its limit beta = 0, the
+    zero step, which passes both tests by construction.
     """
     x = np.asarray(x, dtype=float)
     grad0 = np.asarray(J_val, dtype=float).T @ np.asarray(c_val, dtype=float)
@@ -70,7 +68,7 @@ def cauchy_search(x, c_val, J_val, alpha, delta, box: BoxSet,
     m0 = 0.5 * float(np.dot(c_val, c_val))
     beta = 1.0
     v_unit = None
-    for i in range(max_backtracks + 1):
+    for i in range(MAX_BACKTRACKS + 1):
         v = project_box(x - beta * grad0, box) - x
         if v_unit is None:
             v_unit = v
@@ -78,7 +76,7 @@ def cauchy_search(x, c_val, J_val, alpha, delta, box: BoxSet,
             if model_value(c_val, J_val, v) <= m0 + eta_m * float(np.dot(grad0, v)):
                 return beta, v, i, v_unit
         beta *= gamma
-    raise CauchySearchError(beta / gamma)
+    return 0.0, np.zeros_like(x), MAX_BACKTRACKS + 1, v_unit
 
 
 def solve_tr_inf(x, c_val, J_val, alpha, delta, box: BoxSet, kappa_v_inf: float,
@@ -102,8 +100,7 @@ def solve_tr_inf(x, c_val, J_val, alpha, delta, box: BoxSet, kappa_v_inf: float,
 
 def compute_normal_step(x, c_val, J_val, alpha, box: BoxSet, *,
                         kappa_v: float, kappa_v_inf: float, gamma: float,
-                        eta_m: float, tol_infeas_c: float,
-                        max_backtracks: int = 60) -> NormalStepResult:
+                        eta_m: float, tol_infeas_c: float) -> NormalStepResult:
     """Full normal-step computation with the two-candidate selection rule.
 
     When the projected-gradient stationarity measure vanishes the step is
@@ -130,8 +127,7 @@ def compute_normal_step(x, c_val, J_val, alpha, box: BoxSet, *,
         )
 
     beta, v_c, backtracks, v_unit = cauchy_search(
-        x, c_val, J, alpha, delta, box, gamma=gamma, eta_m=eta_m,
-        kappa_v=kappa_v, max_backtracks=max_backtracks,
+        x, c_val, J, alpha, delta, box, gamma=gamma, eta_m=eta_m, kappa_v=kappa_v,
     )
     v_inf = solve_tr_inf(x, c_val, J, alpha, delta, box, kappa_v_inf, kappa_v)
     m_c = model_value(c_val, J, v_c)

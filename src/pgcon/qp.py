@@ -104,7 +104,6 @@ class QpSolution:
     kkt_residual: float
     iterations: int
     status: str  # "solved" | "max_iter" | "cycling" | "infeasible_eq"
-    objective_history: Optional[list] = None  # filled when requested
 
 
 @dataclass
@@ -395,7 +394,7 @@ def _ratio_test(x, step, lo, hi):
 
 def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
              warm_start: Optional[np.ndarray] = None,
-             track_objective: bool = False, _allow_refine: bool = True) -> QpSolution:
+             _allow_refine: bool = True) -> QpSolution:
     """Primal active-set solve; see module docstring for conventions.
 
     warm_start is a primal hint: it is clipped to the box and repaired to
@@ -407,7 +406,6 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
         max_iter = 50 * max(d, 1)
     beq_scale = float(np.abs(qp.beq).max(initial=0.0))
     tol_eq = max(tol, 1e-12 * (1.0 + beq_scale))
-    history = [] if track_objective else None
 
     x, ok = _feasible_start(qp, warm_start, tol_eq)
     if not ok:
@@ -443,8 +441,6 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
 
     while iters < max_iter:
         iters += 1
-        if history is not None:
-            history.append(qp.objective(x))
         free = np.flatnonzero(state == _FREE)
         if need_solve:
             xf_target, y, descent = _solve_subspace(qp, kkt, free, x)
@@ -485,7 +481,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
                 z[state == _FREE] = 0.0
                 sol = QpSolution(primal=x, eq_duals=y, bound_duals=z,
                                  kkt_residual=0.0, iterations=iters,
-                                 status="solved", objective_history=history)
+                                 status="solved")
                 sol.kkt_residual = verify_kkt(qp, sol).overall
                 return sol
             visited.add(key)
@@ -528,7 +524,6 @@ def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
         grad = grad + qp.Aeq.T @ y
     z = np.where(state == _FREE, 0.0, -grad)
     sol = QpSolution(primal=x, eq_duals=y, bound_duals=z,
-                     kkt_residual=np.inf, iterations=iters, status=status,
-                     objective_history=history)
+                     kkt_residual=np.inf, iterations=iters, status=status)
     sol.kkt_residual = verify_kkt(qp, sol).overall
     return sol

@@ -15,8 +15,8 @@ stream are available.  Draw order: x-noise, y-noise, latent series.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +36,8 @@ __all__ = [
 
 NOISE_STD = 0.1  # entry variance 0.01
 ALPHA0 = 1e-3  # initial proximal parameter of every SCCA solve the CLI runs
+_POWER_MAX_ITER = 500  # scca_init's power iteration budget and stopping tolerance
+_POWER_TOL = 1e-12
 
 
 def _standard_normal(rng: np.random.Generator, size) -> np.ndarray:
@@ -157,8 +159,7 @@ def scca_problem(data: SccaData, lam: float) -> ProblemInstance:
     )
 
 
-def scca_init(data: SccaData, ridge: Optional[float] = None,
-              max_iter: int = 500, tol: float = 1e-12) -> np.ndarray:
+def scca_init(data: SccaData) -> np.ndarray:
     """Leading canonical pair via power iteration on the whitened
     cross-covariance, rescaled to sit exactly on both variance constraints.
 
@@ -166,8 +167,7 @@ def scca_init(data: SccaData, ridge: Optional[float] = None,
     """
     Sxx, Syy, Sxy = data.sigma_xx, data.sigma_yy, data.sigma_xy
     nx, ny = data.n_x, data.n_y
-    if ridge is None:
-        ridge = 1e-8 * (np.trace(Sxx) + np.trace(Syy)) / (nx + ny)
+    ridge = 1e-8 * (np.trace(Sxx) + np.trace(Syy)) / (nx + ny)
 
     def inv_sqrt(S):
         w, U = scipy.linalg.eigh(S + ridge * np.eye(S.shape[0]))
@@ -180,28 +180,21 @@ def scca_init(data: SccaData, ridge: Optional[float] = None,
     # fixed pseudo-random start: a deterministic direction that is not
     # orthogonal to the leading singular vector except on a null set (the
     # obvious all-ones start IS orthogonal to the noise-free block pattern)
-    a = None
+    a = _standard_normal(np.random.default_rng(1234), nx)
+    a /= np.linalg.norm(a)
     converged = False
-    for attempt in range(3):
-        a = _standard_normal(np.random.default_rng(1234 + attempt), nx)
-        a /= np.linalg.norm(a)
-        for _ in range(max_iter):
-            a_new = M @ (M.T @ a)
-            nrm = np.linalg.norm(a_new)
-            if nrm == 0.0:
-                converged = False
-                break
-            a_new /= nrm
-            if np.linalg.norm(a_new - a) < tol or np.linalg.norm(a_new + a) < tol:
-                a = a_new
-                converged = True
-                break
-            a = a_new
+    for _ in range(_POWER_MAX_ITER):
+        a_new = M @ (M.T @ a)
+        nrm = np.linalg.norm(a_new)
+        if nrm == 0.0:
+            break
+        a_new /= nrm
+        converged = (np.linalg.norm(a_new - a) < _POWER_TOL
+                     or np.linalg.norm(a_new + a) < _POWER_TOL)
+        a = a_new
         if converged:
             break
     if not converged:
-        import warnings
-
         warnings.warn("power iteration did not converge; using the last iterate")
     b = M.T @ a
     bn = np.linalg.norm(b)

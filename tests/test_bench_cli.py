@@ -215,7 +215,24 @@ class TestCli:
                      str(tmp_path / "o"), "--set", "xi=banana"])
         assert code == 64
 
+    @pytest.mark.parametrize("bad", [{"scaling": "no"}, {"max_iter": "50"},
+                                     {"alpha0": "0.5"}, {"max_iter": 2.5}],
+                             ids=["str-for-bool", "str-for-int", "str-for-float",
+                                  "float-for-int"])
+    def test_config_file_value_of_wrong_type_exit_64(self, tmp_path, capsys, bad):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "x", "kind": "analytic:eq-quad-1"}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        code = main(["solve", "--problem", str(path), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 64
+        (name, _), = bad.items()
+        assert f"pgcon: {name}=" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_max_backtracks_exit_64(self, tmp_path):
+        # the Cauchy search's budget is a constant now: an unknown key
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"name": "x", "kind": "analytic:eq-quad-1"}))
         code = main(["solve", "--problem", str(path), "--out",

@@ -35,12 +35,14 @@ class TestConfig:
         assert cfg.time_limit == 3600.0
         assert cfg.max_iter == 10000
 
-    def test_negative_max_backtracks_rejected(self):
-        # a negative budget reaches the Cauchy search, which raises instead
-        # of the solve returning a status
-        with pytest.raises(ValueError, match="max_backtracks"):
-            SolverConfig(max_backtracks=-1)
-        assert SolverConfig(max_backtracks=0).max_backtracks == 0
+    def test_field_types_enforced(self):
+        # bool is an int subclass, so only the declared bool fields take one
+        for bad in ({"max_iter": True}, {"alpha0": False}, {"check_invariants": 1},
+                    {"alpha_rule": None}):
+            (name, _), = bad.items()
+            with pytest.raises(ValueError, match=f"{name}="):
+                SolverConfig(**bad)
+        assert SolverConfig(alpha0=1).alpha0 == 1  # an int is a float value
 
     def test_unit_interval_enforced(self):
         with pytest.raises(ValueError, match="xi"):

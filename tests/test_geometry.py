@@ -76,7 +76,7 @@ class TestTangentCone:
                 if rng.random() < 0.5 and np.isfinite(box.lower[i]):
                     x[i] = box.lower[i]
             d = rng.standard_normal(n) * 2
-            mine = project_tangent_cone(d, x, box, tol_active=1e-12)
+            mine = project_tangent_cone(d, x, box)
             ref = cone_projection_oracle(d, x, box)
             np.testing.assert_allclose(mine, ref, atol=1e-10)
             # projection identities onto a convex cone
@@ -118,7 +118,7 @@ class TestDelta:
 class TestActiveSet:
     def test_orthant_lower(self):
         box = BoxSet.nonnegative(3)
-        aset = active_set([0.0, 2.0, 0.0], box, tol_active=0.0)
+        aset = active_set([0.0, 2.0, 0.0], box)
         assert aset.at_lower == (0, 2)
         assert aset.at_upper == ()
 

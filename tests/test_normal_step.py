@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import pgcon.normal_step as normal_step
+from pgcon.corpus import corpus
+from pgcon.driver import SolverConfig, solve
 from pgcon.geometry import project_box
 from pgcon.normal_step import (
-    CauchySearchError,
     cauchy_search,
     compute_normal_step,
     model_value,
@@ -81,15 +83,18 @@ class TestCauchySearch:
             # first-order decrease direction: grad' v < 0 always at return
             assert float(grad0 @ v) < 0
 
-    def test_backtrack_cap_error(self):
+    def test_backtrack_cap_gives_zero_step(self, monkeypatch):
+        monkeypatch.setattr(normal_step, "MAX_BACKTRACKS", 5)
         x = np.array([5.0])
         c = np.array([-1.0])
         J = np.array([[1.0]])
         box = BoxSet.free(1)
-        with pytest.raises(CauchySearchError):
-            # delta tiny: norm condition needs beta ~ delta, below the cap
-            cauchy_search(x, c, J, 1e-30, 1e-15, box, gamma=0.5, eta_m=1e-4,
-                          kappa_v=1.0, max_backtracks=5)
+        # delta tiny: the norm condition needs beta ~ delta, below the cap
+        beta, v, i, v_unit = cauchy_search(x, c, J, 1e-30, 1e-15, box, gamma=0.5,
+                                           eta_m=1e-4, kappa_v=1.0)
+        assert beta == 0.0 and i == 6
+        np.testing.assert_array_equal(v, [0.0])
+        np.testing.assert_array_equal(v_unit, [1.0])  # the beta = 1 trial
 
     def test_step_norm_monotonicity_in_beta(self):
         # ||v(beta)|| nondecreasing and ||v(beta)||/beta nonincreasing
@@ -194,6 +199,16 @@ class TestComputeNormalStep:
             assert np.all(x + res.v >= box.lower - 1e-12)
             assert np.linalg.norm(res.v) <= 1e3 * alpha * res.delta * (1 + 1e-10)
 
+    def test_zero_cauchy_step_leaves_the_trust_region_point(self, monkeypatch):
+        monkeypatch.setattr(normal_step, "MAX_BACKTRACKS", 0)
+        # the unit trial overshoots the radius, so the search ends at zero
+        x, c, J = np.array([5.0]), np.array([-1.0]), np.array([[1.0]])
+        res = compute_normal_step(x, c, J, 1e-4, BoxSet.free(1), **self.kw)
+        assert res.beta == 0.0 and res.backtracks == 1
+        np.testing.assert_array_equal(res.v_cauchy, [0.0])
+        np.testing.assert_array_equal(res.v, res.v_inf)
+        assert res.m_v < res.m0
+
     def test_v_zero_iff_delta_zero(self):
         rng = np.random.default_rng(22)
         box = BoxSet.nonnegative(4)
@@ -206,3 +221,14 @@ class TestComputeNormalStep:
                 assert np.linalg.norm(res.v) == 0.0
             else:
                 assert np.linalg.norm(res.v) > 0.0
+
+
+def test_corpus_solves_with_no_backtracking_budget(monkeypatch):
+    # with no backtrack allowed every Cauchy search that misses at beta = 1
+    # ends at the zero step, and the solve still ends in its status
+    monkeypatch.setattr(normal_step, "MAX_BACKTRACKS", 0)
+    for inst in corpus():
+        cfg = SolverConfig(check_invariants=True, **inst.config_overrides)
+        rep = solve(inst.problem, cfg)
+        assert rep.status == inst.expected_status, inst.name
+        assert rep.invariant_violations == [], inst.name

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,14 @@ class TestInit:
     def test_deterministic(self):
         data = scca_generate(64, 64, 64, seed=9)
         np.testing.assert_array_equal(scca_init(data), scca_init(data))
+
+    def test_zero_cross_covariance_warns_and_stays_finite(self):
+        # M = 0: the power iteration has no direction to follow
+        data = scca_generate(32, 32, 32, seed=0)
+        data = dataclasses.replace(data, sigma_xy=np.zeros_like(data.sigma_xy))
+        with pytest.warns(UserWarning, match="did not converge"):
+            x0 = scca_init(data)
+        assert x0.shape == (66,) and np.all(np.isfinite(x0))
 
 
 class TestMetrics:
