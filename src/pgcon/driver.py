@@ -29,7 +29,7 @@ import scipy.linalg
 
 from . import globalization as glob
 from .geometry import active_set, box_complementarity, project_box
-from .normal_step import compute_normal_step
+from .normal_step import ETA_M, GAMMA, KAPPA_V, compute_normal_step
 from .problem import (BoxSet, EvaluationError, L1Regularizer, ProblemInstance, ScaleInfo,
                       scale_factors)
 from .tangential import TangentialError, kkt_bar, solve_tangential
@@ -46,37 +46,32 @@ __all__ = [
     "report_to_json",
 ]
 
-_UNIT_INTERVAL_FIELDS = ("sigma_c", "eps_tau", "xi", "gamma", "eta_phi", "eta_m")
-_POSITIVE_FIELDS = ("alpha0", "tau_init", "kappa_v", "kappa_v_inf", "tol_c",
-                    "tol_stat", "tol_comp", "tol_step", "time_limit", "alpha_cap", "tol_infeas_c")
+# the merit weight's starting value
+TAU_INIT = 1.0
+# a trial step with ||s|| / alpha at most this has vanished
+TOL_STEP = 1e-12
+
+_POSITIVE_FIELDS = ("alpha0", "tol_c", "tol_stat", "tol_comp", "time_limit")
 # the value types each declared field type accepts (x0 is converted instead)
 _FIELD_KINDS = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 @dataclass
 class SolverConfig:
-    """All tunable parameters; defaults follow the reference tuning."""
+    """What a run chooses: the start ``x0``, the first proximal parameter
+    ``alpha0``, the KKT tolerances (``tol_c`` also marks a stationary point
+    of the violation infeasible), the budgets, the ``alpha_rule``,
+    ``scaling`` and ``check_invariants``.  The method's fixed parameters
+    are constants next to the function that reads each."""
 
     x0: Optional[np.ndarray] = None
     alpha0: float = 10.0
-    tau_init: float = 1.0
-    kappa_v: float = 1e3
-    kappa_v_inf: float = 1e-2
-    sigma_c: float = 0.1
-    eps_tau: float = 0.1
-    xi: float = 0.5
-    gamma: float = 0.5
-    eta_phi: float = 1e-4
-    eta_m: float = 1e-4
     tol_c: float = 1e-6
     tol_stat: float = 1e-4
     tol_comp: float = 1e-4
-    tol_step: float = 1e-12
-    tol_infeas_c: float = 1e-6
     max_iter: int = 10000
     time_limit: float = 3600.0
     alpha_rule: str = "min_cap"
-    alpha_cap: float = 10.0
     scaling: bool = True
     check_invariants: bool = False
 
@@ -91,10 +86,6 @@ class SolverConfig:
             if kinds and (not isinstance(val, kinds)
                           or (isinstance(val, bool) and f.type != "bool")):
                 raise ValueError(f"{f.name}={val!r} must be of type {f.type}")
-        for name in _UNIT_INTERVAL_FIELDS:
-            val = getattr(self, name)
-            if not (0.0 < val < 1.0):
-                raise ValueError(f"{name}={val!r} must lie strictly inside (0, 1)")
         for name in _POSITIVE_FIELDS:
             val = getattr(self, name)
             if not val > 0:
@@ -220,11 +211,11 @@ class _InvariantMonitor:
     """
 
     SLACK = 1e-10
+    KAPPA1 = GAMMA * ETA_M * (1.0 - ETA_M)
 
-    def __init__(self, cfg: SolverConfig, orthant: bool):
-        self.cfg = cfg
+    def __init__(self, alpha_rule: str, orthant: bool):
+        self.alpha_rule = alpha_rule
         self.orthant = orthant
-        self.kappa1 = cfg.gamma * cfg.eta_m * (1.0 - cfg.eta_m)
         self.violations = []
         self.prev_tau = None
 
@@ -233,18 +224,17 @@ class _InvariantMonitor:
 
     def check_iteration(self, k, *, normal, tang, x, c_val, J, alpha, tau, s,
                         tkkt_overall, subgrad_margin, A_k, cJs_norm):
-        cfg = self.cfg
         c_norm = float(np.linalg.norm(c_val))
         if self.prev_tau is not None and tau < self.prev_tau:
             # the update's defining inequality after any decrease
             gain = c_norm - cJs_norm
-            if tau * A_k > (1.0 - cfg.sigma_c) * gain + self.SLACK:
+            if tau * A_k > (1.0 - glob.SIGMA_C) * gain + self.SLACK:
                 self._add(k, "tau_update_inequality",
-                          tau * A_k - (1.0 - cfg.sigma_c) * gain)
+                          tau * A_k - (1.0 - glob.SIGMA_C) * gain)
         s_norm = float(np.linalg.norm(s))
-        if s_norm / alpha <= cfg.tol_step:
+        if s_norm / alpha <= TOL_STEP:
             # a vanishing trial step must come from vanishing parts
-            cap = max(10.0 * cfg.tol_step * alpha,
+            cap = max(10.0 * TOL_STEP * alpha,
                       1e-8 * (1.0 + float(np.max(np.abs(x), initial=0.0))))
             if np.linalg.norm(normal.v) > cap or np.linalg.norm(tang.u) > cap:
                 self._add(k, "step_parts_vanish", max(
@@ -252,16 +242,16 @@ class _InvariantMonitor:
         if normal.delta > 0 and normal.beta > 0:
             jtj_norm = float(scipy.linalg.svdvals(J)[0] ** 2) if J.size else 0.0
             ratio = float(np.linalg.norm(normal.v_cauchy)) / normal.beta
-            rhs = self.kappa1 * ratio * min(ratio / (1.0 + jtj_norm),
-                                            cfg.kappa_v * alpha * normal.delta)
+            rhs = self.KAPPA1 * ratio * min(ratio / (1.0 + jtj_norm),
+                                            KAPPA_V * alpha * normal.delta)
             lhs = normal.m0 - 0.5 * float(
                 np.dot(c_val + J @ normal.v_cauchy, c_val + J @ normal.v_cauchy))
             if lhs < rhs - self.SLACK:
                 self._add(k, "cauchy_decrease", rhs - lhs)
             if c_norm > 0:
                 v1n = float(np.linalg.norm(normal.v_unit))
-                rhs2 = (self.kappa1 / c_norm) * v1n ** 2 * min(
-                    1.0 / (1.0 + jtj_norm), cfg.kappa_v * alpha)
+                rhs2 = (self.KAPPA1 / c_norm) * v1n ** 2 * min(
+                    1.0 / (1.0 + jtj_norm), KAPPA_V * alpha)
                 if normal.lin_feas_gain < rhs2 - self.SLACK:
                     self._add(k, "linearized_gain", rhs2 - normal.lin_feas_gain)
         if self.orthant:
@@ -281,7 +271,7 @@ class _InvariantMonitor:
     def check_shifted_merit(self, records):
         """Monotone surrogate of the shifted merit, only meaningful when the
         proximal parameter is held on acceptance."""
-        if self.cfg.alpha_rule != "hold" or not records:
+        if self.alpha_rule != "hold" or not records:
             return
         f_lb = min(r.f_val for r in records) - 1.0
         prev = None
@@ -322,9 +312,10 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     f_fac, c_fac = scale.objective_factor, scale.constraint_factors
     reg = L1Regularizer(f_fac * p.reg.weights)
     r_val = reg.value(x)
-    tau, alpha = cfg.tau_init, cfg.alpha0
+    tau, alpha = TAU_INIT, cfg.alpha0
 
-    monitor = _InvariantMonitor(cfg, box.is_orthant()) if cfg.check_invariants else None
+    monitor = (_InvariantMonitor(cfg.alpha_rule, box.is_orthant())
+               if cfg.check_invariants else None)
     records: list[IterationRecord] = []
     isp_streak = 0
     isp_last_alpha = np.inf
@@ -355,11 +346,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         # the method's scaled copies of the caller's values at x
         f_s, g_s = f_fac * f_val, f_fac * g_val
         c_s, J_s = c_fac * c_val, c_fac[:, None] * J_val
-        normal = compute_normal_step(
-            x, c_s, J_s, alpha, box,
-            kappa_v=cfg.kappa_v, kappa_v_inf=cfg.kappa_v_inf, gamma=cfg.gamma,
-            eta_m=cfg.eta_m, tol_infeas_c=cfg.tol_infeas_c,
-        )
+        normal = compute_normal_step(x, c_s, J_s, alpha, box, cfg.tol_c)
         if normal.infeasible_stationary:
             if isp_streak and alpha <= isp_last_alpha * (1 + 1e-12):
                 isp_streak += 1
@@ -393,8 +380,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         A_k = glob.compute_Ak(g_s, s, alpha, r_w, r_val)
         c_norm = float(np.linalg.norm(c_s))
         cJs_norm = float(np.linalg.norm(c_s + J_s @ s))
-        tau_tr = glob.tau_trial(A_k, c_norm, cJs_norm, cfg.sigma_c)
-        tau_new = glob.update_tau(tau, tau_tr, cfg.eps_tau)
+        tau_new = glob.update_tau(tau, glob.tau_trial(A_k, c_norm, cJs_norm))
 
         phi_old = glob.merit_from_parts(f_s, r_val, c_norm, tau_new)
         try:
@@ -403,7 +389,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             phi_new = glob.merit_from_parts(f_fac * f_w, r_w,
                                             float(np.linalg.norm(c_fac * c_w)), tau_new)
             accepted = glob.sufficient_decrease(phi_new, phi_old, tau_new, alpha, s,
-                                                c_norm, cJs_norm, cfg.eta_phi, cfg.sigma_c)
+                                                c_norm, cJs_norm)
             if accepted:
                 g_w, J_w = p.g(w), p.J(w)
         except EvaluationError:
@@ -442,7 +428,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             return finish("MeritCollapse", k + 1)
         tau = tau_new
 
-        vanished = s_norm / alpha <= cfg.tol_step
+        vanished = s_norm / alpha <= TOL_STEP
         if vanished:
             stall_streak += 1
             if stall_streak >= 5:
@@ -452,7 +438,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
 
         curvature = 0.0
         if (accepted and not vanished and cfg.alpha_rule == "min_cap"
-                and alpha / cfg.xi < cfg.alpha_cap):
+                and alpha / glob.XI < glob.ALPHA_CAP):
             # secant curvature of the scaled Lagrangian along s, with this
             # iteration's y; it can only lift the doubling to the cap
             d_grad = f_fac * (g_w - g_val) + (J_w - J_val).T @ (c_fac * y)
@@ -464,8 +450,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         if not (accepted and vanished):
             # a vanishing accepted step says nothing about the proximal
             # scale; growing alpha on it would reset the stationarity streak
-            alpha = glob.update_alpha(alpha, accepted, cfg.alpha_rule, cfg.xi,
-                                      cfg.alpha_cap, curvature)
+            alpha = glob.update_alpha(alpha, accepted, cfg.alpha_rule, curvature)
         if alpha < glob.ALPHA_FLOOR:
             return finish("Stalled", k + 1)
 

@@ -67,16 +67,16 @@ def project_tangent_cone(d, x, box: BoxSet) -> np.ndarray:
     return out
 
 
-def compute_delta(x, c_val, J_val, box: BoxSet):
+def compute_delta(x, grad, box: BoxSet):
     """Stationarity measure of the squared-violation function over the box.
 
-    Returns (delta, dir) where dir is the projection of -J'c onto the
-    tangent cone at x and delta = ||dir||_2.  delta = 0 at any feasible x
-    and, more generally, exactly when x is first-order stationary for
-    minimizing 0.5*||c(x)||^2 over the box.
+    grad = J'c is the gradient of 0.5*||c(x)||^2.  Returns (delta, dir)
+    where dir is the projection of -grad onto the tangent cone at x and
+    delta = ||dir||_2.  delta = 0 at any feasible x and, more generally,
+    exactly when x is first-order stationary for minimizing 0.5*||c(x)||^2
+    over the box.
     """
-    d = -(np.asarray(J_val, dtype=float).T @ np.asarray(c_val, dtype=float))
-    direction = project_tangent_cone(d, x, box)
+    direction = project_tangent_cone(-np.asarray(grad, dtype=float), x, box)
     return float(np.linalg.norm(direction)), direction
 
 

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import ProblemInstance
-
 __all__ = [
     "ALPHA_FLOOR",
     "TAU_FLOOR",
     "ALPHA_RULES",
-    "merit_value",
+    "SIGMA_C",
+    "EPS_TAU",
+    "ETA_PHI",
+    "XI",
+    "ALPHA_CAP",
     "merit_from_parts",
     "compute_Ak",
     "tau_trial",
@@ -29,17 +31,20 @@ __all__ = [
 ALPHA_FLOOR = 1e-16
 TAU_FLOOR = 1e-12
 ALPHA_RULES = ("hold", "min_cap", "verbatim_max")
+# share of the linearized violation decrease the merit weight keeps back
+SIGMA_C = 0.1
+# a decreased merit weight drops at least to (1 - EPS_TAU) times its value
+EPS_TAU = 0.1
+# fraction of the predicted decrease an accepted step must achieve
+ETA_PHI = 1e-4
+# a rejected step multiplies alpha by XI; growth on acceptance divides by it
+XI = 0.5
+# the most "min_cap" lets alpha grow to
+ALPHA_CAP = 10.0
 
 
 def merit_from_parts(f_val: float, r_val: float, c_norm: float, tau: float) -> float:
     return tau * (f_val + r_val) + c_norm
-
-
-def merit_value(p: ProblemInstance, x, tau: float) -> float:
-    """Phi_tau(x); evaluates the problem functions at x."""
-    if tau <= 0:
-        raise ValueError("merit weight must be positive")
-    return merit_from_parts(p.f(x), p.reg.value(x), float(np.linalg.norm(p.c(x))), tau)
 
 
 def compute_Ak(g, s, alpha: float, r_at_xs: float, r_at_x: float) -> float:
@@ -48,52 +53,50 @@ def compute_Ak(g, s, alpha: float, r_at_xs: float, r_at_x: float) -> float:
     return float(np.dot(g, s)) + float(np.dot(s, s)) / (2.0 * alpha) + r_at_xs - r_at_x
 
 
-def tau_trial(A_k: float, ck_norm: float, ck_Jk_sk_norm: float, sigma_c: float) -> float:
+def tau_trial(A_k: float, ck_norm: float, ck_Jk_sk_norm: float) -> float:
     """Largest merit weight keeping the step a descent direction; inf when
     the step already reduces the smooth-plus-regularized model."""
     if A_k <= 0.0:
         return np.inf
-    return (1.0 - sigma_c) * (ck_norm - ck_Jk_sk_norm) / A_k
+    return (1.0 - SIGMA_C) * (ck_norm - ck_Jk_sk_norm) / A_k
 
 
-def update_tau(tau_prev: float, tau_trial_val: float, eps_tau: float) -> float:
+def update_tau(tau_prev: float, tau_trial_val: float) -> float:
     if tau_prev <= tau_trial_val:
         return tau_prev
-    return min((1.0 - eps_tau) * tau_prev, tau_trial_val)
+    return min((1.0 - EPS_TAU) * tau_prev, tau_trial_val)
 
 
 def sufficient_decrease(phi_new: float, phi_old: float, tau: float, alpha: float,
-                        s, ck_norm: float, ck_Jk_sk_norm: float,
-                        eta_phi: float, sigma_c: float) -> bool:
+                        s, ck_norm: float, ck_Jk_sk_norm: float) -> bool:
     """Merit decrease test with an absolute slack for cancellation noise."""
     s = np.asarray(s, dtype=float)
-    rhs = -eta_phi * (tau / (4.0 * alpha) * float(np.dot(s, s))
-                      + sigma_c * (ck_norm - ck_Jk_sk_norm))
+    rhs = -ETA_PHI * (tau / (4.0 * alpha) * float(np.dot(s, s))
+                      + SIGMA_C * (ck_norm - ck_Jk_sk_norm))
     slack = 1e-14 * (1.0 + abs(phi_old))
     return phi_new - phi_old <= rhs + slack
 
 
-def update_alpha(alpha: float, accepted: bool, rule: str, xi: float,
-                 alpha_cap: float = 10.0, curvature: float = 0.0) -> float:
+def update_alpha(alpha: float, accepted: bool, rule: str, curvature: float = 0.0) -> float:
     """Next proximal parameter.  Callers watch for values below ALPHA_FLOOR
     and convert them into a stall signal.
 
-    A rejected step gives xi*alpha under every rule.  On an accepted step
-    "hold" keeps alpha, "verbatim_max" gives max(alpha/xi, 10), and
-    "min_cap" gives min(alpha/xi, alpha_cap), or alpha_cap itself when
+    A rejected step gives XI*alpha under every rule.  On an accepted step
+    "hold" keeps alpha, "verbatim_max" gives max(alpha/XI, 10), and
+    "min_cap" gives min(alpha/XI, ALPHA_CAP), or ALPHA_CAP itself when
     the step's secant curvature s'(grad L(w) - grad L(x)) / s's lies in
-    (0, 1/alpha_cap]: the spectral step (Barzilai & Borwein 1988) is then
+    (0, 1/ALPHA_CAP]: the spectral step (Barzilai & Borwein 1988) is then
     at least the cap.  Nonpositive curvature, or 0 when it was not
     computed, gives the doubling.
     """
     if rule not in ALPHA_RULES:
         raise ValueError(f"unknown alpha rule {rule!r}")
     if not accepted:
-        return xi * alpha
+        return XI * alpha
     if rule == "hold":
         return alpha
     if rule == "verbatim_max":
-        return max(alpha / xi, 10.0)
-    if 0.0 < curvature <= 1.0 / alpha_cap:
-        return alpha_cap
-    return min(alpha / xi, alpha_cap)
+        return max(alpha / XI, 10.0)
+    if 0.0 < curvature <= 1.0 / ALPHA_CAP:
+        return ALPHA_CAP
+    return min(alpha / XI, ALPHA_CAP)

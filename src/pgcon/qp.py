@@ -392,18 +392,17 @@ def _ratio_test(x, step, lo, hi):
     return 1.0, -1
 
 
-def solve_qp(qp: QpProblem, tol: float = 1e-10, max_iter: Optional[int] = None,
-             warm_start: Optional[np.ndarray] = None,
+def solve_qp(qp: QpProblem, tol: float = 1e-10, warm_start: Optional[np.ndarray] = None,
              _allow_refine: bool = True) -> QpSolution:
     """Primal active-set solve; see module docstring for conventions.
 
     warm_start is a primal hint: it is clipped to the box and repaired to
-    equality feasibility, and its active bounds seed the working set.
+    equality feasibility, and its active bounds seed the working set.  A
+    solve that takes 50*max(d, 1) iterations ends with status "max_iter".
     """
     d = qp.dim
     p = qp.n_eq
-    if max_iter is None:
-        max_iter = 50 * max(d, 1)
+    max_iter = 50 * max(d, 1)
     beq_scale = float(np.abs(qp.beq).max(initial=0.0))
     tol_eq = max(tol, 1e-12 * (1.0 + beq_scale))
 

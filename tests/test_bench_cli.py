@@ -95,7 +95,7 @@ class TestBench:
 
 class TestConfigIO:
     def test_round_trip_file(self, tmp_path):
-        cfg = SolverConfig(alpha0=0.125, xi=0.25, alpha_rule="hold", scaling=False)
+        cfg = SolverConfig(alpha0=0.125, tol_stat=0.25, alpha_rule="hold", scaling=False)
         path = tmp_path / "cfg.json"
         write_config(cfg, path)
         again = load_config(str(path))
@@ -113,8 +113,8 @@ class TestConfigIO:
             load_config(None, ["max_iter=1.5"])
 
     def test_out_of_range_rejected_with_name(self):
-        with pytest.raises(ValueError, match="xi"):
-            load_config(None, ["xi=1.5"])
+        with pytest.raises(ValueError, match="tol_stat"):
+            load_config(None, ["tol_stat=-1.5"])
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -212,7 +212,7 @@ class TestCli:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(prob))
         code = main(["solve", "--problem", str(path), "--out",
-                     str(tmp_path / "o"), "--set", "xi=banana"])
+                     str(tmp_path / "o"), "--set", "tol_stat=banana"])
         assert code == 64
 
     @pytest.mark.parametrize("bad", [{"scaling": "no"}, {"max_iter": "50"},
@@ -229,6 +229,15 @@ class TestCli:
         assert code == 64
         (name, _), = bad.items()
         assert f"pgcon: {name}=" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_method_constant_is_not_a_key_exit_64(self, tmp_path):
+        # the method's fixed parameters are constants, not config keys
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "x", "kind": "analytic:eq-quad-1"}))
+        code = main(["solve", "--problem", str(path), "--out",
+                     str(tmp_path / "o"), "--set", "xi=0.5"])
+        assert code == 64
         assert not (tmp_path / "o").exists()
 
     def test_negative_max_backtracks_exit_64(self, tmp_path):

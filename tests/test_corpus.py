@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pgcon.corpus import CorpusInstance, corpus, get_instance, validate_corpus
-from pgcon.driver import kkt_residual
+from pgcon.driver import SolverConfig, kkt_residual, solve
 
 
 class TestValidation:
@@ -79,3 +79,34 @@ class TestBruteForceCrossCheck:
         # the grid is off-manifold for equality constraints, so allow the
         # penalty-resolution slack
         assert best >= base - self.PEN * step * 1e-3 - 1e-9, name
+
+
+# (status, iterations) of each corpus solve under SolverConfig(alpha_rule=rule),
+# in the order min_cap, hold, verbatim_max; a drifted method constant moves them
+CORPUS_RUNS = {
+    "eq-quad-1": ("KktPoint", (2, 2, 2)),
+    "l1-lin-1": ("KktPoint", (2, 2, 2)),
+    "box-qp-1": ("KktPoint", (2, 2, 2)),
+    "box-qp-2": ("KktPoint", (2, 2, 2)),
+    "fixed-var-1": ("KktPoint", (2, 2, 2)),
+    "infeas-1": ("InfeasibleStationary", (3, 3, 3)),
+    "degen-1": ("KktPoint", (19, 12, 33)),
+    "soft-thresh-1": ("KktPoint", (23, 13, 38)),
+    "l1-sign-1": ("KktPoint", (21, 12, 31)),
+    "orthant-lp-l1": ("KktPoint", (1, 1, 1)),
+    "circle-1": ("KktPoint", (6, 6, 5)),
+    "quad-ineq-1": ("KktPoint", (42, 14, 94)),
+}
+
+
+def test_corpus_runs_are_pinned():
+    assert sorted(CORPUS_RUNS) == sorted(i.name for i in corpus())
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_RUNS))
+def test_corpus_status_and_iterations(name):
+    status, iterations = CORPUS_RUNS[name]
+    p = get_instance(name).problem
+    for rule, iters in zip(("min_cap", "hold", "verbatim_max"), iterations):
+        rep = solve(p, SolverConfig(alpha_rule=rule))
+        assert (rep.status, rep.iterations) == (status, iters), rule

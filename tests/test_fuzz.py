@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 
-from pgcon.driver import SolverConfig, solve
+from pgcon.driver import TOL_STEP, SolverConfig, solve
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
 from pgcon.qp import QpProblem, solve_qp, verify_kkt
 from qp_oracle import enumerate_qp
@@ -95,7 +95,7 @@ def test_five_vanishing_steps_end_stalled():
         warnings.simplefilter("error")
         rep = solve(p, cfg)
     assert (rep.status, rep.iterations) == ("Stalled", 47)
-    vanished = [r.norm_s / r.alpha <= cfg.tol_step for r in rep.records]
+    vanished = [r.norm_s / r.alpha <= TOL_STEP for r in rep.records]
     assert vanished[-6:] == [False] + [True] * 5
     assert rep.invariant_violations == []
 

@@ -5,41 +5,17 @@ from pgcon.globalization import (
     ALPHA_FLOOR,
     compute_Ak,
     merit_from_parts,
-    merit_value,
     sufficient_decrease,
     tau_trial,
     update_alpha,
     update_tau,
 )
-from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
 
 
 class TestMerit:
     def test_arithmetic(self):
         assert merit_from_parts(2.0, 3.0, 4.0, 1.0) == 9.0
         assert merit_from_parts(2.0, 3.0, 4.0, 0.5) == 6.5
-
-    def test_feasible_point_drops_violation_term(self):
-        p = ProblemInstance(
-            name="m", n=1, m=1,
-            f_eval=lambda x: float(x[0]),
-            g_eval=lambda x: np.ones(1),
-            c_eval=lambda x: np.array([x[0] - 1.0]),
-            J_eval=lambda x: np.ones((1, 1)),
-            reg=L1Regularizer(np.array([2.0])),
-            box=BoxSet.free(1),
-        )
-        assert merit_value(p, np.array([1.0]), 0.25) == pytest.approx(0.25 * (1 + 2))
-
-    def test_rejects_nonpositive_tau(self):
-        p = ProblemInstance(
-            name="m", n=1, m=0,
-            f_eval=lambda x: 0.0, g_eval=lambda x: np.zeros(1),
-            c_eval=lambda x: np.zeros(0), J_eval=lambda x: np.zeros((0, 1)),
-            reg=L1Regularizer(np.zeros(1)), box=BoxSet.free(1),
-        )
-        with pytest.raises(ValueError):
-            merit_value(p, np.zeros(1), 0.0)
 
 
 class TestAk:
@@ -53,33 +29,33 @@ class TestAk:
 
 class TestTauTrial:
     def test_nonpositive_numerator_gives_inf(self):
-        assert tau_trial(-0.1, 1.0, 0.5, 0.1) == np.inf
-        assert tau_trial(0.0, 1.0, 0.5, 0.1) == np.inf
+        assert tau_trial(-0.1, 1.0, 0.5) == np.inf
+        assert tau_trial(0.0, 1.0, 0.5) == np.inf
 
     def test_ratio(self):
-        assert tau_trial(1.0, 3.0, 1.0, 0.1) == pytest.approx(1.8)
+        assert tau_trial(1.0, 3.0, 1.0) == pytest.approx(1.8)
 
     def test_zero_gain_with_positive_curvature(self):
-        assert tau_trial(2.0, 1.0, 1.0, 0.1) == 0.0
+        assert tau_trial(2.0, 1.0, 1.0) == 0.0
 
 
 class TestUpdateTau:
     def test_hold_when_small_enough(self):
-        assert update_tau(1.0, np.inf, 0.1) == 1.0
-        assert update_tau(1.0, 1.0, 0.1) == 1.0
+        assert update_tau(1.0, np.inf) == 1.0
+        assert update_tau(1.0, 1.0) == 1.0
 
     def test_drop_to_trial(self):
-        assert update_tau(1.0, 0.5, 0.1) == 0.5
+        assert update_tau(1.0, 0.5) == 0.5
 
     def test_forced_decrease_factor(self):
-        assert update_tau(1.0, 0.95, 0.1) == pytest.approx(0.9)
+        assert update_tau(1.0, 0.95) == pytest.approx(0.9)
 
     def test_nonincreasing_over_random_sequences(self):
         rng = np.random.default_rng(1)
         tau = 1.0
         for _ in range(200):
             trial = float(10 ** rng.uniform(-4, 4)) if rng.random() < 0.9 else np.inf
-            new = update_tau(tau, trial, 0.1)
+            new = update_tau(tau, trial)
             assert new <= tau + 1e-15
             tau = new
 
@@ -87,67 +63,61 @@ class TestUpdateTau:
 class TestSufficientDecrease:
     def test_flat_merit_nonzero_step_rejected(self):
         s = np.array([1.0])
-        assert not sufficient_decrease(5.0, 5.0, 1.0, 1.0, s, 1.0, 1.0, 1e-4, 0.1)
+        assert not sufficient_decrease(5.0, 5.0, 1.0, 1.0, s, 1.0, 1.0)
 
     def test_large_drop_accepted(self):
         s = np.array([1.0])
         rhs_mag = 1e-4 * (1.0 / 4.0)
-        assert sufficient_decrease(5.0 - 2 * rhs_mag, 5.0, 1.0, 1.0, s, 1.0, 1.0,
-                                   1e-4, 0.1)
+        assert sufficient_decrease(5.0 - 2 * rhs_mag, 5.0, 1.0, 1.0, s, 1.0, 1.0)
 
     def test_slack_tolerates_cancellation(self):
         s = np.array([1e-9])
-        assert sufficient_decrease(5.0 + 1e-15, 5.0, 1.0, 1.0, s, 0.0, 0.0,
-                                   1e-4, 0.1)
+        assert sufficient_decrease(5.0 + 1e-15, 5.0, 1.0, 1.0, s, 0.0, 0.0)
 
 
 class TestUpdateAlpha:
     def test_rejected_always_shrinks(self):
         for rule in ("hold", "min_cap", "verbatim_max"):
-            assert update_alpha(10.0, False, rule, 0.5) == 5.0
+            assert update_alpha(10.0, False, rule) == 5.0
 
     def test_hold(self):
-        assert update_alpha(3.0, True, "hold", 0.5) == 3.0
+        assert update_alpha(3.0, True, "hold") == 3.0
 
     def test_verbatim_max(self):
-        assert update_alpha(1.0, True, "verbatim_max", 0.5) == 10.0
-        assert update_alpha(100.0, True, "verbatim_max", 0.5) == 200.0
+        assert update_alpha(1.0, True, "verbatim_max") == 10.0
+        assert update_alpha(100.0, True, "verbatim_max") == 200.0
 
     def test_min_cap(self):
-        assert update_alpha(4.0, True, "min_cap", 0.5, alpha_cap=10.0) == 8.0
-        assert update_alpha(8.0, True, "min_cap", 0.5, alpha_cap=10.0) == 10.0
+        assert update_alpha(4.0, True, "min_cap") == 8.0
+        assert update_alpha(8.0, True, "min_cap") == 10.0
 
     def test_min_cap_doubles_unless_curvature_is_small(self):
         # nonpositive curvature, or curvature above 1/cap, gives the doubling
         for kappa in (0.0, -1.0, -1e-12, 0.1 * (1 + 1e-12), 0.5, np.inf):
-            assert update_alpha(1e-3, True, "min_cap", 0.5, alpha_cap=10.0,
-                                curvature=kappa) == 2e-3
+            assert update_alpha(1e-3, True, "min_cap", curvature=kappa) == 2e-3
 
     def test_min_cap_jumps_to_cap_on_small_positive_curvature(self):
         for kappa in (1e-300, 1e-6, 0.05, 0.1):
-            assert update_alpha(1e-3, True, "min_cap", 0.5, alpha_cap=10.0,
-                                curvature=kappa) == 10.0
+            assert update_alpha(1e-3, True, "min_cap", curvature=kappa) == 10.0
 
     def test_min_cap_never_exceeds_cap(self):
         for alpha in (1e-3, 4.0, 8.0, 10.0):
             for kappa in (-1.0, 0.0, 0.05, 1.0):
-                assert update_alpha(alpha, True, "min_cap", 0.5, alpha_cap=10.0,
-                                    curvature=kappa) <= 10.0
+                assert update_alpha(alpha, True, "min_cap", curvature=kappa) <= 10.0
 
     def test_rejection_ignores_curvature(self):
         for rule in ("hold", "min_cap", "verbatim_max"):
             for kappa in (-1.0, 0.0, 0.05, 1.0):
-                assert update_alpha(1e-3, False, rule, 0.5, alpha_cap=10.0,
-                                    curvature=kappa) == 5e-4
+                assert update_alpha(1e-3, False, rule, curvature=kappa) == 5e-4
 
     def test_hold_and_verbatim_max_ignore_curvature(self):
         for kappa in (-1.0, 0.0, 0.05, 1.0):
-            assert update_alpha(3.0, True, "hold", 0.5, curvature=kappa) == 3.0
-            assert update_alpha(1.0, True, "verbatim_max", 0.5, curvature=kappa) == 10.0
+            assert update_alpha(3.0, True, "hold", curvature=kappa) == 3.0
+            assert update_alpha(1.0, True, "verbatim_max", curvature=kappa) == 10.0
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
-            update_alpha(1.0, True, "bogus", 0.5)
+            update_alpha(1.0, True, "bogus")
 
     def test_floor_constant(self):
         assert ALPHA_FLOOR == 1e-16

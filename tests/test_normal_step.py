@@ -4,8 +4,11 @@ import pytest
 import pgcon.normal_step as normal_step
 from pgcon.corpus import corpus
 from pgcon.driver import SolverConfig, solve
-from pgcon.geometry import project_box
+from pgcon.geometry import compute_delta, project_box
 from pgcon.normal_step import (
+    ETA_M,
+    GAMMA,
+    KAPPA_V,
     cauchy_search,
     compute_normal_step,
     model_value,
@@ -14,15 +17,22 @@ from pgcon.normal_step import (
 from pgcon.problem import BoxSet
 
 
-def grid_oracle_beta(x, c, J, alpha, delta, box, gamma, eta_m, kappa_v, imax=200):
-    """Reference: scan beta = gamma^i directly and return the first hit."""
+def search(x, c, J, alpha, delta, box):
+    """cauchy_search from its own J'c and unit trial, as compute_normal_step
+    calls it."""
+    grad = J.T @ c
+    return cauchy_search(x, c, J, alpha, delta, box, grad, project_box(x - grad, box) - x)
+
+
+def grid_oracle_beta(x, c, J, alpha, delta, box, imax=200):
+    """Reference: scan beta = GAMMA^i directly and return the first hit."""
     grad0 = J.T @ c
     m0 = 0.5 * float(c @ c)
     for i in range(imax):
-        beta = gamma ** i
+        beta = GAMMA ** i
         v = project_box(x - beta * grad0, box) - x
-        if (np.linalg.norm(v) <= kappa_v * alpha * delta
-                and model_value(c, J, v) <= m0 + eta_m * float(grad0 @ v)):
+        if (np.linalg.norm(v) <= KAPPA_V * alpha * delta
+                and model_value(c, J, v) <= m0 + ETA_M * float(grad0 @ v)):
             return beta, v
     raise AssertionError("oracle found no step")
 
@@ -37,8 +47,7 @@ class TestCauchySearch:
         J = np.array([[1.0]])
         box = BoxSet.nonnegative(1)
         delta = np.linalg.norm(J.T @ c)
-        beta, v, i, v1 = cauchy_search(x, c, J, 1.0, delta, box,
-                                       gamma=0.5, eta_m=1e-4, kappa_v=1.0)
+        beta, v, i = search(x, c, J, 1.0, delta, box)
         assert beta == 1.0 and i == 0
         np.testing.assert_allclose(v, [1.0])
 
@@ -50,11 +59,11 @@ class TestCauchySearch:
         J = np.array([[1.0, 1.0]])
         box = BoxSet.free(2)
         delta = float(np.linalg.norm(J.T @ c))
-        alpha, kappa_v = 1e-3, 1.0
-        beta, v, i, _ = cauchy_search(x, c, J, alpha, delta, box,
-                                      gamma=0.5, eta_m=1e-4, kappa_v=kappa_v)
-        assert np.linalg.norm(v) <= kappa_v * alpha * delta + 1e-15
-        ob, ov = grid_oracle_beta(x, c, J, alpha, delta, box, 0.5, 1e-4, kappa_v)
+        alpha = 1e-6  # radius 1e-3 * delta
+        beta, v, i = search(x, c, J, alpha, delta, box)
+        assert i > 0
+        assert np.linalg.norm(v) <= KAPPA_V * alpha * delta + 1e-15
+        ob, ov = grid_oracle_beta(x, c, J, alpha, delta, box)
         assert beta == ob
         np.testing.assert_allclose(v, ov)
 
@@ -70,14 +79,13 @@ class TestCauchySearch:
             box = BoxSet(lo, np.full(n, np.inf))
             x = project_box(rng.standard_normal(n), box)
             grad0 = J.T @ c
-            from pgcon.geometry import compute_delta
-            delta, _ = compute_delta(x, c, J, box)
+            delta, _ = compute_delta(x, grad0, box)
             if delta < 1e-10:
                 continue
-            alpha = float(10 ** rng.uniform(-3, 1))
-            beta, v, i, _ = cauchy_search(x, c, J, alpha, delta, box,
-                                          gamma=0.5, eta_m=1e-4, kappa_v=100.0)
-            ob, ov = grid_oracle_beta(x, c, J, alpha, delta, box, 0.5, 1e-4, 100.0)
+            # KAPPA_V * alpha spans 1e-1 .. 1e3, so the radius binds in some draws
+            alpha = float(10 ** rng.uniform(-4, 0))
+            beta, v, i = search(x, c, J, alpha, delta, box)
+            ob, ov = grid_oracle_beta(x, c, J, alpha, delta, box)
             assert beta == ob
             np.testing.assert_allclose(v, ov, atol=1e-14)
             # first-order decrease direction: grad' v < 0 always at return
@@ -90,11 +98,9 @@ class TestCauchySearch:
         J = np.array([[1.0]])
         box = BoxSet.free(1)
         # delta tiny: the norm condition needs beta ~ delta, below the cap
-        beta, v, i, v_unit = cauchy_search(x, c, J, 1e-30, 1e-15, box, gamma=0.5,
-                                           eta_m=1e-4, kappa_v=1.0)
+        beta, v, i = search(x, c, J, 1e-33, 1e-15, box)
         assert beta == 0.0 and i == 6
         np.testing.assert_array_equal(v, [0.0])
-        np.testing.assert_array_equal(v_unit, [1.0])  # the beta = 1 trial
 
     def test_step_norm_monotonicity_in_beta(self):
         # ||v(beta)|| nondecreasing and ||v(beta)||/beta nonincreasing
@@ -129,8 +135,7 @@ class TestTrInf:
         J = np.array([[1.0]])
         box = BoxSet.free(1)
         delta = 1.0
-        v = solve_tr_inf(x, c, J, alpha=50.0, delta=delta, box=box,
-                         kappa_v_inf=0.01, kappa_v=1e3)
+        v = solve_tr_inf(x, c, J, alpha=50.0, delta=delta, box=box)
         assert v[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_interior_solves_normal_equations(self):
@@ -139,36 +144,34 @@ class TestTrInf:
         c = rng.standard_normal(2)
         x = np.zeros(5)
         box = BoxSet.free(5)
-        # radius large enough that the least-squares minimizer is interior
-        v = solve_tr_inf(x, c, J, alpha=1e6, delta=1.0, box=box,
-                         kappa_v_inf=1.0, kappa_v=1e12)
+        # radius 1e6, large enough that the least-squares minimizer is interior
+        v = solve_tr_inf(x, c, J, alpha=1e8, delta=1.0, box=box)
         ref, *_ = np.linalg.lstsq(J, -c, rcond=None)
         np.testing.assert_allclose(J.T @ (c + J @ v), np.zeros(5), atol=1e-8)
         assert model_value(c, J, v) <= model_value(c, J, ref) + 1e-10
 
-    def test_two_norm_bound_respected(self):
+    def test_two_norm_bound_respected(self, monkeypatch):
+        kappa_v = 1.0  # kappa_v / sqrt(6) < KAPPA_V_INF: the cap sets the inf radius
+        monkeypatch.setattr(normal_step, "KAPPA_V", kappa_v)
+        monkeypatch.setattr(normal_step, "KAPPA_V_INF", 0.9)
         rng = np.random.default_rng(13)
         J = rng.standard_normal((2, 6))
         c = rng.standard_normal(2) * 5
         box = BoxSet.nonnegative(6)
         x = rng.random(6)
         alpha, delta = 0.3, 2.0
-        kappa_v = 1.0
-        v = solve_tr_inf(x, c, J, alpha, delta, box, kappa_v_inf=0.9,
-                         kappa_v=kappa_v)
-        # the inf radius is capped at kappa_v/sqrt(n), so the 2-norm bound holds
+        v = solve_tr_inf(x, c, J, alpha, delta, box)
+        # the inf radius is capped at KAPPA_V/sqrt(n), so the 2-norm bound holds
         assert np.linalg.norm(v) <= kappa_v * alpha * delta + 1e-12
+        # and the capped radius binds
+        assert np.max(np.abs(v)) == pytest.approx(kappa_v / np.sqrt(6) * alpha * delta)
 
 
 class TestComputeNormalStep:
-    def setup_method(self):
-        self.kw = dict(kappa_v=1e3, kappa_v_inf=1e-2, gamma=0.5, eta_m=1e-4,
-                       tol_infeas_c=1e-6)
-
     def test_feasible_point_no_step(self):
         box = BoxSet.nonnegative(2)
         res = compute_normal_step(np.array([1.0, 0.5]), np.zeros(1),
-                                  np.array([[1.0, 1.0]]), 1.0, box, **self.kw)
+                                  np.array([[1.0, 1.0]]), 1.0, box, 1e-6)
         assert res.delta == 0.0
         assert not res.infeasible_stationary
         np.testing.assert_allclose(res.v, np.zeros(2))
@@ -177,7 +180,7 @@ class TestComputeNormalStep:
         # J'c = 0 with large violation
         box = BoxSet.nonnegative(1)
         res = compute_normal_step(np.array([0.0]), np.array([1.0]),
-                                  np.array([[0.0]]), 1.0, box, **self.kw)
+                                  np.array([[0.0]]), 1.0, box, 1e-6)
         assert res.infeasible_stationary
 
     def test_selection_never_worse_than_cauchy(self):
@@ -189,7 +192,7 @@ class TestComputeNormalStep:
             box = BoxSet.nonnegative(n)
             x = rng.random(n)
             alpha = float(10 ** rng.uniform(-3, 1))
-            res = compute_normal_step(x, c, J, alpha, box, **self.kw)
+            res = compute_normal_step(x, c, J, alpha, box, 1e-6)
             if res.delta == 0.0:
                 continue
             m_c = model_value(c, J, res.v_cauchy)
@@ -203,9 +206,10 @@ class TestComputeNormalStep:
         monkeypatch.setattr(normal_step, "MAX_BACKTRACKS", 0)
         # the unit trial overshoots the radius, so the search ends at zero
         x, c, J = np.array([5.0]), np.array([-1.0]), np.array([[1.0]])
-        res = compute_normal_step(x, c, J, 1e-4, BoxSet.free(1), **self.kw)
+        res = compute_normal_step(x, c, J, 1e-4, BoxSet.free(1), 1e-6)
         assert res.beta == 0.0 and res.backtracks == 1
         np.testing.assert_array_equal(res.v_cauchy, [0.0])
+        np.testing.assert_array_equal(res.v_unit, [1.0])  # the beta = 1 trial
         np.testing.assert_array_equal(res.v, res.v_inf)
         assert res.m_v < res.m0
 
@@ -216,7 +220,7 @@ class TestComputeNormalStep:
             J = rng.standard_normal((2, 4))
             c = rng.standard_normal(2) * rng.choice([0.0, 1.0])
             x = rng.random(4)
-            res = compute_normal_step(x, c, J, 1.0, box, **self.kw)
+            res = compute_normal_step(x, c, J, 1.0, box, 1e-6)
             if res.delta <= 1e-12 * (1 + np.linalg.norm(J.T @ c)):
                 assert np.linalg.norm(res.v) == 0.0
             else:

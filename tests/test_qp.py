@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+import pgcon.qp as qp_mod
 from pgcon.qp import QpProblem, _Kkt, _ratio_test, _solve_subspace, solve_qp, verify_kkt
 from qp_oracle import enumerate_qp
 
@@ -215,17 +216,24 @@ class TestSubspaceBranches:
             assert verify_kkt(qp, sol).overall <= 1e-9
 
     @pytest.mark.parametrize("upper1", [2.0, np.nextafter(2.0, 0.0)])
-    def test_ratio_tie_blocks_least_index(self, upper1):
+    def test_ratio_tie_blocks_least_index(self, upper1, monkeypatch):
         # from the interior point 0 toward the target (2, 4) both upper
         # bounds are reached at step length 0.5, exactly or one ulp apart
         # (within the 1e-15 tie tolerance): index 0 blocks first either way
         qp = QpProblem(H=np.eye(2), q=np.array([-2.0, -4.0]), Aeq=np.zeros((0, 2)),
                        beq=np.zeros(0), lower=-np.ones(2), upper=np.array([1.0, upper1]))
-        one_step = solve_qp(qp, max_iter=1)
-        assert one_step.status == "max_iter"
-        assert one_step.primal[0] == 1.0
-        assert one_step.bound_duals[0] != 0.0 and one_step.bound_duals[1] == 0.0
+        moves = []  # every move of the active-set loop goes through the ratio test
+
+        def recording(x, step, lo, hi):
+            moves.append((x.copy(), step.copy(), _ratio_test(x, step, lo, hi)))
+            return moves[-1][2]
+
+        monkeypatch.setattr(qp_mod, "_ratio_test", recording)
         sol = solve_qp(qp)
+        x, step, first = moves[0]
+        np.testing.assert_array_equal(x, [0.0, 0.0])
+        np.testing.assert_array_equal(step, [2.0, 4.0])
+        assert first == (0.5, 0)
         ref = enumerate_qp(qp.H, qp.q, qp.Aeq, qp.beq, qp.lower, qp.upper)
         assert sol.status == "solved"
         np.testing.assert_array_equal(sol.primal, ref[0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pgcon.driver import SolverConfig, solve
+from pgcon.globalization import ALPHA_CAP
 from pgcon.problem import check_derivatives
 from pgcon.scca import (
     ALPHA0,
@@ -192,7 +193,7 @@ class TestGateGrid:
         # doubling from alpha0 = 1e-3 alone reaches the cap of 10 at k = 14;
         # the small secant curvature of the bilinear objective lifts it there
         # after a few accepted steps, and the grid takes 82 iterations, not 123
-        cap = SolverConfig().alpha_cap
+        cap = ALPHA_CAP
         assert sum(rep.iterations for _, rep in runs.values()) <= 90
         records = runs[200, 1e-2][1].records
         assert next(r.k for r in records if r.alpha == cap) <= 3
