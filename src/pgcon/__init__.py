@@ -11,7 +11,6 @@ from .problem import (
     load_problem,
     scale_factors,
 )
-from .qp import QpProblem, QpSolution, solve_qp, verify_kkt
 
 __version__ = "0.1.0"
 
@@ -24,9 +23,5 @@ __all__ = [
     "check_derivatives",
     "load_problem",
     "scale_factors",
-    "QpProblem",
-    "QpSolution",
-    "solve_qp",
-    "verify_kkt",
     "__version__",
 ]

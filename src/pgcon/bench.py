@@ -67,7 +67,7 @@ def scca_suite(sizes, lams, seeds, base_cfg: Optional[SolverConfig] = None,
                samples: Optional[int] = None) -> list[BenchCell]:
     """SCCA cells over sizes x lambdas x seeds; ``samples`` (N) defaults
     to the size."""
-    base = base_cfg or SolverConfig(alpha0=scca_mod.ALPHA0)
+    base = base_cfg or SolverConfig()
     cells = []
     for n in sizes:
         if n % 8:

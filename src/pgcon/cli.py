@@ -20,12 +20,10 @@ always written.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from . import scca
 from .bench import (BenchCell, corpus_suite, profile_to_csv, result_row,
                     results_to_csv, run_benchmark, scca_suite)
 from .corpus import validate_corpus
@@ -38,43 +36,30 @@ _STATUS_EXIT = {"KktPoint": 0, "InfeasibleStationary": 2}
 
 
 def _parse_override(text: str):
+    """``key=value`` -> (key, value): the value read as JSON, else the raw
+    string, so ``alpha_rule=hold`` needs no quotes."""
     if "=" not in text:
         raise ValueError(f"override {text!r} is not of the form key=value")
     key, raw = text.split("=", 1)
-    return key.strip(), raw.strip()
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw.strip()
+    return key.strip(), value
 
 
-def _coerce(key: str, raw: str, defaults: dict):
-    if key not in defaults:
-        raise ValueError(f"unknown config key {key!r}")
-    kind = type(defaults[key])
-    if kind is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-    if kind in (int, float, str):
-        return kind(raw)
-    return json.loads(raw)
-
-
-def load_config(path=None, overrides=(), defaults=None) -> SolverConfig:
-    """Field defaults, then ``defaults`` (a suite's own), then a JSON config
-    file, then key=value overrides, each typed by its field's default."""
-    data = dict(defaults or {})
+def load_config(path=None, overrides=()) -> SolverConfig:
+    """Field defaults, then a JSON config file, then key=value overrides;
+    ``SolverConfig.from_dict`` checks the merged values once."""
+    data = {}
     if path:
         with open(path) as fh:
-            data.update(json.load(fh))
-    field_defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
-    for item in overrides:
-        key, raw = _parse_override(item)
-        data[key] = _coerce(key, raw, field_defaults)
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {path} holds {type(data).__name__}, "
+                             "not a JSON object")
+    data.update(_parse_override(item) for item in overrides)
     return SolverConfig.from_dict(data)
-
-
-def write_config(cfg: SolverConfig, path):
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
 
 
 def _out_dir(args) -> Path:
@@ -115,7 +100,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_scca(args) -> int:
-    cfg = load_config(args.config, args.set, {"alpha0": scca.ALPHA0})
+    cfg = load_config(args.config, args.set)
     results = run_benchmark(scca_suite([args.n], [args.lam], args.seed or [0], cfg,
                                        samples=args.N))
     out = _out_dir(args)
@@ -137,9 +122,8 @@ def _cmd_bench(args) -> int:
     if args.suite in ("corpus", "all"):
         cells += corpus_suite(cfg)
     if args.suite in ("scca", "all"):
-        scfg = load_config(args.config, args.set, {"alpha0": scca.ALPHA0})
         cells += scca_suite(args.n or [200], args.lam or [1e-2, 1e-3, 1e-4],
-                            args.seed or [0], scfg)
+                            args.seed or [0], cfg)
     results = run_benchmark(cells, threads=args.threads)
     out = _out_dir(args)
     label = f"{args.suite}-{cfg.alpha_rule}"
@@ -176,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--set", action="append", default=[], metavar="K=V",
-                        help="config override, applied over --config (repeatable)")
+                        help="config override, its value JSON or a bare string, "
+                             "applied over --config (repeatable)")
         sp.add_argument("--out", default="pgcon-out", help="output directory")
         sp.add_argument("--verbose", "-v", action="store_true")
 

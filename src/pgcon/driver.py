@@ -86,6 +86,12 @@ class SolverConfig:
             if kinds and (not isinstance(val, kinds)
                           or (isinstance(val, bool) and f.type != "bool")):
                 raise ValueError(f"{f.name}={val!r} must be of type {f.type}")
+            if f.type == "float":
+                # an int is stored as the float it names, so it hashes as one
+                try:
+                    setattr(self, f.name, float(val))
+                except OverflowError:
+                    raise ValueError(f"{f.name} is too large for a float") from None
         for name in _POSITIVE_FIELDS:
             val = getattr(self, name)
             if not val > 0:

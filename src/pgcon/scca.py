@@ -25,7 +25,6 @@ from scipy.special import ndtri
 from .problem import ProblemInstance, add_slacks
 
 __all__ = [
-    "ALPHA0",
     "SccaData",
     "SccaMetrics",
     "scca_generate",
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 NOISE_STD = 0.1  # entry variance 0.01
-ALPHA0 = 1e-3  # initial proximal parameter of every SCCA solve the CLI runs
 _POWER_MAX_ITER = 500  # scca_init's power iteration budget and stopping tolerance
 _POWER_TOL = 1e-12
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from pgcon.bench import (
     scca_suite,
     RESULT_COLUMNS,
 )
-from pgcon.cli import load_config, main, write_config
+from pgcon.cli import load_config, main
 from pgcon.driver import SolverConfig
 from pgcon.problem import BoxSet, problem_to_dict
 
@@ -74,14 +75,14 @@ class TestBench:
         out = tmp_path / "out"
         assert main(["scca", "--n", "32", "--out", str(out)]) == 0
         written = json.loads((out / "scca.json").read_text())["config_hash"]
-        assert written == SolverConfig(alpha0=1e-3).config_hash()
+        assert written == SolverConfig().config_hash()
         assert load_config(None, []).alpha0 == 10.0
 
     def test_scca_samples_set_n(self):
         cells = scca_suite([64], [1e-2], [0], samples=32)
         prob, _ = cells[0].make()
         assert "-N32-" in prob.name
-        assert cells[0].config.alpha0 == 1e-3
+        assert cells[0].config.alpha0 == 10.0
 
     def test_scca_size_not_divisible_by_8_rejected(self):
         with pytest.raises(ValueError, match="divisible by 8"):
@@ -97,17 +98,19 @@ class TestConfigIO:
     def test_round_trip_file(self, tmp_path):
         cfg = SolverConfig(alpha0=0.125, tol_stat=0.25, alpha_rule="hold", scaling=False)
         path = tmp_path / "cfg.json"
-        write_config(cfg, path)
+        path.write_text(json.dumps(cfg.to_dict()))
         again = load_config(str(path))
         assert again == cfg
 
     def test_overrides_typed(self):
         cfg = load_config(None, ["tol_c=1e-8", "max_iter=77", "scaling=false",
-                                 "alpha_rule=hold"])
+                                 "alpha_rule=hold", "time_limit=Infinity"])
         assert cfg.tol_c == 1e-8
         assert cfg.max_iter == 77
         assert cfg.scaling is False
         assert cfg.alpha_rule == "hold"
+        assert cfg.time_limit == float("inf")
+        assert load_config(None, ['alpha_rule="hold"']).alpha_rule == "hold"
         assert load_config(None, ["x0=[1, 2]"]).x0.tolist() == [1.0, 2.0]
         with pytest.raises(ValueError):
             load_config(None, ["max_iter=1.5"])
@@ -119,6 +122,41 @@ class TestConfigIO:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             load_config(None, ["bogus=3"])
+
+    # one value per field: its --set text and the same value in a --config file
+    SAME_VALUE = {
+        "x0": ("[1, 2]", [1, 2]),
+        "alpha0": ("1", 1),
+        "tol_c": ("1e-8", 1e-8),
+        "tol_stat": ("2", 2),
+        "tol_comp": ("0.5", 0.5),
+        "max_iter": ("77", 77),
+        "time_limit": ("60", 60),
+        "alpha_rule": ("hold", "hold"),
+        "scaling": ("false", False),
+        "check_invariants": ("true", True),
+    }
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)])
+    def test_set_and_config_file_give_one_config(self, tmp_path, name):
+        text, value = self.SAME_VALUE[name]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({name: value}))
+        by_set, by_file = load_config(None, [f"{name}={text}"]), load_config(str(path))
+        assert by_set.to_dict() == by_file.to_dict()
+        assert by_set.config_hash() == by_file.config_hash()
+        assert by_set.config_hash() != SolverConfig().config_hash()
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '"abc"'], ids=["list", "string"])
+    def test_config_file_not_an_object_exit_64(self, tmp_path, capsys, content):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "x", "kind": "analytic:eq-quad-1"}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code = main(["solve", "--problem", str(path), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 64
+        assert f"config file {cfg} holds" in capsys.readouterr().err
 
 
 class TestCli:
@@ -211,9 +249,12 @@ class TestCli:
         prob = {"name": "x", "kind": "analytic:box-qp-1"}
         path = tmp_path / "p.json"
         path.write_text(json.dumps(prob))
-        code = main(["solve", "--problem", str(path), "--out",
-                     str(tmp_path / "o"), "--set", "tol_stat=banana"])
-        assert code == 64
+        # a --set value is JSON: yes and inf are strings, which a bool and a
+        # float field reject (true/false and Infinity are the spellings)
+        for bad in ("tol_stat=banana", "scaling=yes", "time_limit=inf"):
+            code = main(["solve", "--problem", str(path), "--out",
+                         str(tmp_path / "o"), "--set", bad])
+            assert code == 64, bad
 
     @pytest.mark.parametrize("bad", [{"scaling": "no"}, {"max_iter": "50"},
                                      {"alpha0": "0.5"}, {"max_iter": 2.5}],
@@ -272,8 +313,8 @@ class TestCli:
         assert main(["solve", "--problem", str(path), "--out", str(out),
                      "--max-iter", "1"]) == 64
 
-    def test_scca_config_file_over_suite_default(self, tmp_path):
-        # precedence: the SCCA suite's alpha0, then --config, then --set
+    def test_scca_config_layers(self, tmp_path):
+        # precedence: the field default, then --config, then --set
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alpha0": 0.5, "max_iter": 3}))
         for sets, alpha0 in (([], 0.5), (["--set", "alpha0=0.25"], 0.25)):
@@ -281,6 +322,9 @@ class TestCli:
             main(["scca", "--n", "32", "--config", str(cfg_path), "--out", str(out)] + sets)
             written = json.loads((out / "scca.json").read_text())["config_hash"]
             assert written == SolverConfig(alpha0=alpha0, max_iter=3).config_hash()
+        main(["scca", "--n", "32", "--set", "max_iter=3", "--out", str(tmp_path / "o")])
+        written = json.loads((tmp_path / "o" / "scca.json").read_text())["config_hash"]
+        assert written == SolverConfig(max_iter=3).config_hash()
 
     def test_bench_scca_cells_take_config_file(self, tmp_path, monkeypatch):
         import pgcon.bench
@@ -296,8 +340,9 @@ class TestCli:
         cfg_path.write_text(json.dumps({"alpha0": 0.5, "max_iter": 3}))
         for sets, alpha0 in (([], 0.5), (["--set", "alpha0=0.25"], 0.25)):
             seen.clear()
-            code = main(["bench", "--suite", "scca", "--n", "32", "--lambda", "1e-2",
+            code = main(["bench", "--suite", "all", "--n", "32", "--lambda", "1e-2",
                          "--lambda", "1e-3", "--config", str(cfg_path),
                          "--out", str(tmp_path / "out")] + sets)
             assert code == 0
-            assert seen == [(alpha0, 3)] * 2
+            # the corpus cells and both SCCA cells take one config
+            assert len(seen) > 2 and set(seen) == {(alpha0, 3)}

@@ -52,7 +52,10 @@ class TestConfig:
             (name, _), = bad.items()
             with pytest.raises(ValueError, match=f"{name}="):
                 SolverConfig(**bad)
-        assert SolverConfig(alpha0=1).alpha0 == 1  # an int is a float value
+        # an int is a float value, stored as the float it names
+        assert type(SolverConfig(alpha0=1).alpha0) is float
+        with pytest.raises(ValueError, match="time_limit is too large"):
+            SolverConfig(time_limit=10 ** 400)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -337,7 +340,7 @@ def test_each_point_evaluated_once(name):
     # only at accepted ones); scaling and the report reuse these values
     if name == "scca-64":
         p = scca.scca_problem(scca.scca_generate(64, 64, 64, 1), 1e-2)
-        cfg = SolverConfig(alpha0=scca.ALPHA0)
+        cfg = SolverConfig()
     else:
         inst = get_instance(name)
         p, cfg = inst.problem, SolverConfig(**inst.config_overrides)
