@@ -56,7 +56,7 @@ _POSITIVE_FIELDS = ("alpha0", "tol_c", "tol_stat", "tol_comp", "time_limit")
 _FIELD_KINDS = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverConfig:
     """What a run chooses: the start ``x0``, the first proximal parameter
     ``alpha0``, the KKT tolerances (``tol_c`` also marks a stationary point
@@ -102,6 +102,12 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float)
+
+    def __eq__(self, other):
+        # the generated __eq__ compares x0 arrays with ==, which is ambiguous
+        if not isinstance(other, SolverConfig):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import compute_delta, project_box
 from .problem import BoxSet
-from .qp import QpProblem, solve_qp
+from .qp import solve_qp
 
 __all__ = [
     "MAX_BACKTRACKS",
@@ -92,15 +92,10 @@ def solve_tr_inf(x, c_val, J_val, alpha, delta, box: BoxSet):
     2-norm bound required of any normal step holds automatically.
     """
     x = np.asarray(x, dtype=float)
-    J = np.asarray(J_val, dtype=float)
-    n = x.shape[0]
-    radius = min(KAPPA_V_INF, KAPPA_V / np.sqrt(n)) * alpha * delta
+    radius = min(KAPPA_V_INF, KAPPA_V / np.sqrt(x.shape[0])) * alpha * delta
     lo = np.maximum(box.lower - x, -radius)
     hi = np.minimum(box.upper - x, radius)
-    qp = QpProblem(H=None, q=np.zeros(n), Aeq=np.zeros((0, n)), beq=np.zeros(0),
-                   lower=lo, upper=hi, gram=(J, np.asarray(c_val, dtype=float)))
-    sol = solve_qp(qp)
-    return sol.primal
+    return solve_qp(J_val, c_val, lo, hi).primal
 
 
 def compute_normal_step(x, c_val, J_val, alpha, box: BoxSet, tol_c: float) -> NormalStepResult:

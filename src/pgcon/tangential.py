@@ -23,8 +23,9 @@ solve raises TangentialError naming that cause.
 
 The split QP (build_tangential_qp) writes each regularized component as
 w_i = p_i - q_i with p_i, q_i >= 0, which turns the subproblem into a
-plain QP over (u, p, q).  The solver never runs it; it is the reference
-model the tests compare the dual solve against.
+plain QP over (u, p, q) with equality rows.  The solver never runs it;
+the tests solve it with their general active-set QP as the reference
+model for the dual solve.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .geometry import box_complementarity, project_box
 from .problem import BoxSet, L1Regularizer
 # unused here, but perfbench/layers.py rebinds tangential.solve_qp and build_tangential_qp
-from .qp import QpProblem, solve_qp  # noqa: F401
+from .qp import solve_qp  # noqa: F401
 
 __all__ = [
     "TangentialResult",
@@ -96,7 +97,11 @@ def build_tangential_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
 
     Only components with a positive l1 weight get split variables; the
     linking row (x+v+u)_i = p_i - q_i ties each pair to the step.
-    Returns (QpProblem, reg_idx); the QP is the tests' reference model.
+    Returns ((H, q, Aeq, beq, lower, upper), reg_idx) of the QP
+
+        min 0.5 s'Hs + q's  s.t.  Aeq s = beq,  lower <= s <= upper,
+
+    the tests' reference model.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -122,7 +127,7 @@ def build_tangential_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
     Aeq[:m, :n] = J
     Aeq[link_rows, link_cols] = _LINK_VALS
     beq = np.concatenate([np.zeros(m), -base[reg_idx]])
-    return QpProblem(H=H, q=q_lin, Aeq=Aeq, beq=beq, lower=lo, upper=hi), reg_idx
+    return (H, q_lin, Aeq, beq, lo, hi), reg_idx
 
 
 def _piece(tau, base, alpha_lam, lower, upper):

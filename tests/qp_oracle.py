@@ -3,8 +3,10 @@
 Enumerates every pattern assigning each variable to {free, at lower, at
 upper} (skipping infinite bounds), solves the resulting linear KKT
 system, and keeps the feasible stationary point with correct dual signs.
-Independent of the active-set path in pgcon.qp: this is the oracle the
-kernel is judged against.
+Independent of the active-set paths of the bounded least-squares kernel
+pgcon.qp and the general reference QP in qp_reference.py: this is the
+oracle both are judged against.  A bounded least-squares problem
+0.5||c0 + G x||^2 enters in normal-equations form, H = G'G and q = G'c0.
 """
 
 import itertools
@@ -40,18 +42,18 @@ def enumerate_qp(H, q, Aeq, beq, lower, upper, tol=1e-9):
                 x[i] = lower[i]
             elif pattern[i] == "hi":
                 x[i] = upper[i]
+        fixed = [i for i in range(d) if pattern[i] != "free"]
         nf = len(free)
         # unknowns (x_free, y); stationarity on free rows + equality rows
         K = np.zeros((nf + p, nf + p))
         rhs = np.zeros(nf + p)
-        K[:nf, :nf] = H[np.ix_(free, free)]
+        H_free = H[free]
+        K[:nf, :nf] = H_free[:, free]
         if p:
             K[:nf, nf:] = Aeq[:, free].T
             K[nf:, :nf] = Aeq[:, free]
-            fixed = [i for i in range(d) if pattern[i] != "free"]
             rhs[nf:] = beq - (Aeq[:, fixed] @ x[fixed] if fixed else 0.0)
-        fixed = [i for i in range(d) if pattern[i] != "free"]
-        rhs[:nf] = -(q[free] + (H[np.ix_(free, fixed)] @ x[fixed] if fixed else 0.0))
+        rhs[:nf] = -(q[free] + (H_free[:, fixed] @ x[fixed] if fixed else 0.0))
         if nf + p:
             try:
                 sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
@@ -73,18 +75,16 @@ def enumerate_qp(H, q, Aeq, beq, lower, upper, tol=1e-9):
         ok = True
         for i in range(d):
             if pattern[i] == "free":
-                if False:
-                    pass
-            else:
-                z[i] = -grad[i]
-                if lower[i] == upper[i]:
-                    continue
-                if pattern[i] == "lo" and z[i] > tol:
-                    ok = False
-                    break
-                if pattern[i] == "hi" and z[i] < -tol:
-                    ok = False
-                    break
+                continue
+            z[i] = -grad[i]
+            if lower[i] == upper[i]:
+                continue
+            if pattern[i] == "lo" and z[i] > tol:
+                ok = False
+                break
+            if pattern[i] == "hi" and z[i] < -tol:
+                ok = False
+                break
         if not ok:
             continue
         obj = 0.5 * x @ H @ x + q @ x

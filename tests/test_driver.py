@@ -72,6 +72,15 @@ class TestConfig:
             assert again == cfg
             assert again.config_hash() == cfg.config_hash()
 
+    def test_equality_compares_x0_entries(self):
+        # the dataclass __eq__ raised on arrays of two or more entries
+        assert SolverConfig(x0=[1, 2]) == SolverConfig(x0=np.array([1.0, 2.0]))
+        assert SolverConfig(x0=[1, 2]) != SolverConfig(x0=[1, 3])
+        assert SolverConfig(x0=[1, 2]) != SolverConfig(x0=[1, 2, 3])
+        assert SolverConfig(x0=[1, 2]) != SolverConfig()
+        assert SolverConfig() == SolverConfig(x0=None)
+        assert SolverConfig(x0=[1, 2]) != SolverConfig(x0=[1, 2], alpha0=1.0)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             SolverConfig.from_dict({"nonsense": 1})

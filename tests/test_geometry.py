@@ -10,23 +10,23 @@ from pgcon.geometry import (
     project_tangent_cone,
 )
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
-from pgcon.qp import QpProblem, QpSolution, solve_qp, verify_kkt
+from pgcon.qp import solve_qp
 from pgcon.tangential import verify_tangential_kkt
+from qp_reference import QpProblem, QpSolution, verify_kkt
 
 
 def cone_projection_oracle(d, x, box, tol=1e-12):
-    """Dense-QP projection onto the tangent cone, for cross-checking.
+    """QP projection onto the tangent cone, for cross-checking.
 
     The tangent cone of a box is a box-shaped cone, so it can be written
-    with componentwise bounds and handed to the QP kernel.
+    with componentwise bounds and handed to the QP kernel as the bounded
+    least-squares problem min 0.5||v - d||^2.
     """
     at_lo = np.isfinite(box.lower) & (x - box.lower <= tol)
     at_hi = np.isfinite(box.upper) & (box.upper - x <= tol)
     lo = np.where(at_lo, 0.0, -np.inf)
     hi = np.where(at_hi, 0.0, np.inf)
-    qp = QpProblem(H=np.eye(len(d)), q=-np.asarray(d, dtype=float),
-                   Aeq=np.zeros((0, len(d))), beq=np.zeros(0), lower=lo, upper=hi)
-    return solve_qp(qp).primal
+    return solve_qp(np.eye(len(d)), -np.asarray(d, dtype=float), lo, hi).primal
 
 
 class TestProjectBox:
@@ -212,8 +212,9 @@ class TestBoxComplementarity:
 
 
 class TestComplementarityConsumers:
-    """driver.kkt_residual, qp.verify_kkt and verify_tangential_kkt report
-    exactly the numbers of the scalar loop they each used to carry."""
+    """driver.kkt_residual, qp_reference.verify_kkt and
+    verify_tangential_kkt report exactly the numbers of the scalar loop
+    they each used to carry."""
 
     def cases(self):
         rng = np.random.default_rng(13)

@@ -1,3 +1,7 @@
+"""The general reference QP of qp_reference.py, which the tangential
+split QP is solved with, and the bounded least-squares kernel pgcon.qp
+(TestKernel and the ratio test the two share)."""
+
 import warnings
 
 import numpy as np
@@ -7,8 +11,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import pgcon.qp as qp_mod
-from pgcon.qp import QpProblem, _Kkt, _ratio_test, _solve_subspace, solve_qp, verify_kkt
+from pgcon.qp import _ratio_test
 from qp_oracle import enumerate_qp
+from qp_reference import QpProblem, _Kkt, _solve_subspace, solve_qp, verify_kkt
 
 
 def random_qp(rng, d=None, p=None):
@@ -100,20 +105,23 @@ class TestBasics:
         np.testing.assert_allclose(a.primal, b.primal, atol=1e-9)
 
     def test_gram_form_matches_dense(self):
+        # the kernel's 0.5||c0 + G x||^2 against the reference on G'G
         rng = np.random.default_rng(11)
         G = rng.standard_normal((2, 5))
         c0 = rng.standard_normal(2)
         lower = -0.3 * np.ones(5)
         upper = 0.3 * np.ones(5)
-        qg = QpProblem(H=None, q=np.zeros(5), Aeq=np.zeros((0, 5)), beq=np.zeros(0),
-                       lower=lower, upper=upper, gram=(G, c0))
         # dense equivalent with a tiny ridge for uniqueness
         qd = QpProblem(H=G.T @ G + 1e-12 * np.eye(5), q=G.T @ c0,
                        Aeq=np.zeros((0, 5)), beq=np.zeros(0), lower=lower, upper=upper)
-        a = solve_qp(qg)
+        a = qp_mod.solve_qp(G, c0, lower, upper)
         b = solve_qp(qd)
         assert a.status == "solved"
-        assert qg.objective(a.primal) <= qg.objective(b.primal) + 1e-9
+
+        def model(x):
+            return 0.5 * float(np.sum((c0 + G @ x) ** 2))
+
+        assert model(a.primal) <= model(b.primal) + 1e-9
 
 
 class TestVerifyKkt:
@@ -172,7 +180,8 @@ class TestOracleEquivalence:
 
 
 class TestSubspaceBranches:
-    """Each branch of the working-set solve chain in qp._solve_subspace."""
+    """Each branch of the working-set solve chain in
+    qp_reference._solve_subspace, and the ratio test's tie-break."""
 
     def test_curvature_free_descent_ray(self):
         # zero curvature along x2 with q pulling it up: the free working set
@@ -217,11 +226,11 @@ class TestSubspaceBranches:
 
     @pytest.mark.parametrize("upper1", [2.0, np.nextafter(2.0, 0.0)])
     def test_ratio_tie_blocks_least_index(self, upper1, monkeypatch):
-        # from the interior point 0 toward the target (2, 4) both upper
-        # bounds are reached at step length 0.5, exactly or one ulp apart
-        # (within the 1e-15 tie tolerance): index 0 blocks first either way
-        qp = QpProblem(H=np.eye(2), q=np.array([-2.0, -4.0]), Aeq=np.zeros((0, 2)),
-                       beq=np.zeros(0), lower=-np.ones(2), upper=np.array([1.0, upper1]))
+        # the kernel on min 0.5||x - (2, 4)||^2: from the interior point 0
+        # toward the target (2, 4) both upper bounds are reached at step
+        # length 0.5, exactly or one ulp apart (within the 1e-15 tie
+        # tolerance): index 0 blocks first either way
+        c0, lower, upper = np.array([-2.0, -4.0]), -np.ones(2), np.array([1.0, upper1])
         moves = []  # every move of the active-set loop goes through the ratio test
 
         def recording(x, step, lo, hi):
@@ -229,12 +238,12 @@ class TestSubspaceBranches:
             return moves[-1][2]
 
         monkeypatch.setattr(qp_mod, "_ratio_test", recording)
-        sol = solve_qp(qp)
+        sol = qp_mod.solve_qp(np.eye(2), c0, lower, upper)
         x, step, first = moves[0]
         np.testing.assert_array_equal(x, [0.0, 0.0])
         np.testing.assert_array_equal(step, [2.0, 4.0])
         assert first == (0.5, 0)
-        ref = enumerate_qp(qp.H, qp.q, qp.Aeq, qp.beq, qp.lower, qp.upper)
+        ref = enumerate_qp(np.eye(2), c0, None, None, lower, upper)
         assert sol.status == "solved"
         np.testing.assert_array_equal(sol.primal, ref[0])
         np.testing.assert_allclose(sol.bound_duals, ref[2], atol=1e-12)
@@ -394,3 +403,26 @@ def test_anti_cycling_exhaustion_has_own_status():
         assert sol.status == "cycling"
         assert sol.iterations < 50 * qp.dim
         assert sol.kkt_residual > 1e-8
+
+
+class TestKernel:
+    """pgcon.qp.solve_qp, the bounded least-squares kernel of the
+    trust-region step."""
+
+    def test_revisited_working_set_accepted(self):
+        # a trust-region subproblem of fuzz rng 7, trial 16: the solve
+        # returns to a working set whose multipliers are sign-infeasible by
+        # about 1e-10, and the clipped multipliers accept the point there
+        G = np.array([[-2.230528902271529, 0.7498198819099152,
+                       -0.6300306998045586, 0.48129366424513825],
+                      [1.872635858619944, 1.172995707132864,
+                       -1.1511348379469908, 0.8692489864766937]])
+        c0 = np.array([-6.491024384658317e-11, -8.313990115934797e-11])
+        r = 2.665971342596269e-14
+        lower = np.array([-r, -r, 0.0, -r])
+        upper = np.full(4, r)
+        sol = qp_mod.solve_qp(G, c0, lower, upper)
+        assert sol.status == "solved"
+        assert sol.iterations == 4
+        # every variable ends on its lower bound, exactly
+        np.testing.assert_array_equal(sol.primal, lower)

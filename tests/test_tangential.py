@@ -3,7 +3,6 @@ import pytest
 
 from pgcon.driver import SolverConfig, solve
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
-from pgcon.qp import solve_qp
 from pgcon.tangential import (
     TangentialError,
     build_tangential_qp,
@@ -12,12 +11,19 @@ from pgcon.tangential import (
     verify_tangential_kkt,
 )
 from qp_oracle import enumerate_qp
+from qp_reference import QpProblem, solve_qp
+
+
+def split_qp(x, v, g, J, alpha, reg, box):
+    """The split QP of build_tangential_qp as a reference-solver problem."""
+    arrays, reg_idx = build_tangential_qp(x, v, g, J, alpha, reg, box)
+    return QpProblem(*arrays), reg_idx
 
 
 class TestBuild:
     def test_no_weights_no_split(self):
         n = 3
-        qp, reg_idx = build_tangential_qp(
+        qp, reg_idx = split_qp(
             np.zeros(n), np.zeros(n), np.ones(n), np.ones((1, n)), 1.0,
             L1Regularizer(np.zeros(n)), BoxSet.nonnegative(n))
         assert reg_idx.size == 0
@@ -25,20 +31,19 @@ class TestBuild:
         assert qp.n_eq == 1
 
     def test_one_split_component(self):
-        qp, reg_idx = build_tangential_qp(
+        qp, reg_idx = split_qp(
             np.zeros(1), np.zeros(1), np.zeros(1), np.zeros((0, 1)), 1.0,
             L1Regularizer(np.array([2.0])), BoxSet.free(1))
         assert qp.dim == 3  # u, p, q
         assert qp.n_eq == 1  # the linking row
-        A = np.asarray(qp.Aeq)
-        np.testing.assert_allclose(A, [[1.0, -1.0, 1.0]])
+        np.testing.assert_allclose(qp.Aeq, [[1.0, -1.0, 1.0]])
 
     def test_dimension_count_regularized_block(self):
         # n variables with m of them regularized: n + 2m columns
         n, mreg = 7, 4
         w = np.zeros(n)
         w[:mreg] = 0.3
-        qp, reg_idx = build_tangential_qp(
+        qp, reg_idx = split_qp(
             np.zeros(n), np.zeros(n), np.zeros(n), np.zeros((2, n)), 0.5,
             L1Regularizer(w), BoxSet.free(n))
         assert qp.dim == n + 2 * mreg
@@ -107,12 +112,10 @@ class TestAgainstEnumeration:
             lo = np.where(rng.random(n) < 0.4, np.minimum(x + v, 0) - rng.random(n), -np.inf)
             box = BoxSet(lo, np.full(n, np.inf))
             reg = L1Regularizer(w)
-            qp, reg_idx = build_tangential_qp(x, v, g, J, alpha, reg, box)
+            qp, reg_idx = split_qp(x, v, g, J, alpha, reg, box)
             if qp.dim > 9:
                 continue
-            H = np.asarray(qp.H if not hasattr(qp.H, "toarray") else qp.H.toarray())
-            A = np.asarray(qp.Aeq if not hasattr(qp.Aeq, "toarray") else qp.Aeq.toarray())
-            ref = enumerate_qp(H, qp.q, A, qp.beq, qp.lower, qp.upper)
+            ref = enumerate_qp(qp.H, qp.q, qp.Aeq, qp.beq, qp.lower, qp.upper)
             if ref is None:
                 continue
             res = solve_tangential(x, v, g, J, alpha, reg, box)
@@ -186,7 +189,7 @@ def split_qp_oracle(x, v, g, J, alpha, reg, box):
     """(u, y, zero, at_lo, at_hi) from the split QP: w_i = p_i - q_i is
     zero when both split parts sit on their bound, and u is at a bound
     exactly when the QP's active set holds it there."""
-    qp, reg_idx = build_tangential_qp(x, v, g, J, alpha, reg, box)
+    qp, reg_idx = split_qp(x, v, g, J, alpha, reg, box)
     sol = solve_qp(qp)
     assert sol.status == "solved"
     n, nr = x.shape[0], reg_idx.shape[0]
