@@ -28,17 +28,15 @@ import numpy as np
 import scipy.linalg
 
 from . import globalization as glob
-from .geometry import active_set, box_complementarity, project_box
+from .geometry import active_set, kkt_parts, project_box
 from .normal_step import ETA_M, GAMMA, KAPPA_V, compute_normal_step
-from .problem import (BoxSet, EvaluationError, L1Regularizer, ProblemInstance, ScaleInfo,
-                      scale_factors)
+from .problem import EvaluationError, L1Regularizer, ProblemInstance, ScaleInfo, scale_factors
 from .tangential import TangentialError, kkt_bar, solve_tangential
 
 __all__ = [
     "SolverConfig",
     "IterationRecord",
     "SolveReport",
-    "KktParts",
     "solve",
     "kkt_residual",
     "identification_trackers",
@@ -128,31 +126,11 @@ class SolverConfig:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-@dataclass
-class KktParts:
-    stationarity: float
-    feasibility: float
-    complementarity: float
-
-    @property
-    def chi(self) -> float:
-        return max(self.stationarity, self.feasibility, self.complementarity)
-
-
-def _kkt_parts(g, c_val, J, box: BoxSet, x, y, z, g_r) -> KktParts:
-    stat = float(np.linalg.norm(g + g_r + J.T @ y + z))
-    feas = float(np.linalg.norm(c_val))
-    # the two parts are disjoint per component; on the nonnegative orthant
-    # their sum reduces to |min(x_i, -z_i)|
-    comp, sign = box_complementarity(x, z, box.lower, box.upper)
-    comp = float(np.linalg.norm(comp + sign))
-    return KktParts(stationarity=stat, feasibility=feas, complementarity=comp)
-
-
 def kkt_residual(p: ProblemInstance, x, y, z, g_r):
-    """(chi, parts) at x for the supplied multiplier estimates."""
+    """(chi, parts) of ``geometry.kkt_parts`` at x for the supplied
+    multiplier estimates."""
     x = np.asarray(x, dtype=float)
-    parts = _kkt_parts(p.g(x), p.c(x), p.J(x), p.box, x, y, z, g_r)
+    parts = kkt_parts(p.g(x), p.c(x), p.J(x), p.box, p.reg.weights, x, y, z, g_r)
     return parts.chi, parts
 
 
@@ -235,7 +213,7 @@ class _InvariantMonitor:
         self.violations.append({"k": k, "check": name, "margin": float(margin)})
 
     def check_iteration(self, k, *, normal, tang, x, c_val, J, alpha, tau, s,
-                        tkkt_overall, subgrad_margin, A_k, cJs_norm):
+                        A_k, cJs_norm):
         c_norm = float(np.linalg.norm(c_val))
         if self.prev_tau is not None and tau < self.prev_tau:
             # the update's defining inequality after any decrease
@@ -272,10 +250,10 @@ class _InvariantMonitor:
             if lhs < rhs - self.SLACK:
                 self._add(k, "step_bounds_complementarity", rhs - lhs)
         bar = kkt_bar(x, tang.w, alpha)
-        if tkkt_overall > bar:
-            self._add(k, "tangential_kkt", tkkt_overall)
-        if subgrad_margin > bar:
-            self._add(k, "subgradient_membership", subgrad_margin)
+        if tang.kkt.chi > bar:
+            self._add(k, "tangential_kkt", tang.kkt.chi)
+        if tang.kkt.subgradient_margin > bar:
+            self._add(k, "subgradient_membership", tang.kkt.subgradient_margin)
         if self.prev_tau is not None and tau > self.prev_tau + 1e-15:
             self._add(k, "tau_monotone", tau - self.prev_tau)
         self.prev_tau = tau
@@ -338,8 +316,8 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
 
     def finish(status_, iters):
         y_un, z_un, g_r_un = scale.unscale_multipliers(y, z, g_r)
-        chi_fin = (_kkt_parts(g_val, c_val, J_val, box, x, y_un, z_un, g_r_un).chi
-                   if records else np.inf)
+        chi_fin = (kkt_parts(g_val, c_val, J_val, box, p.reg.weights, x,
+                             y_un, z_un, g_r_un).chi if records else np.inf)
         report = SolveReport(
             status=status_, x=x.copy(), y=y_un, z=z_un, g_r=g_r_un, chi=chi_fin,
             c_norm=float(np.linalg.norm(c_val)), iterations=iters, records=records,
@@ -382,8 +360,8 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         w = tang.w
         s = w - x
 
-        parts = _kkt_parts(g_val, c_val, J_val, box, x,
-                           *scale.unscale_multipliers(y, z, g_r))
+        parts = kkt_parts(g_val, c_val, J_val, box, p.reg.weights, x,
+                          *scale.unscale_multipliers(y, z, g_r))
         comp_v1 = max(parts.stationarity, float(np.linalg.norm(normal.v_unit)),
                       parts.complementarity)
 
@@ -412,10 +390,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         if monitor is not None:
             monitor.check_iteration(
                 k, normal=normal, tang=tang, x=x, c_val=c_s, J=J_s,
-                alpha=alpha, tau=tau_new, s=s,
-                tkkt_overall=tang.kkt_residual,
-                subgrad_margin=tang.kkt_report.subgradient_margin,
-                A_k=A_k, cJs_norm=cJs_norm,
+                alpha=alpha, tau=tau_new, s=s, A_k=A_k, cJs_norm=cJs_norm,
             )
 
         aset = active_set(x, box)
@@ -431,7 +406,9 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             tang_iters=tang.iterations,
         ))
 
-        if (parts.feasibility <= cfg.tol_c and parts.stationarity <= cfg.tol_stat
+        # g_r must lie in lam * d|x| within tol_stat, not only in lam * d|w|
+        if (parts.feasibility <= cfg.tol_c
+                and max(parts.stationarity, parts.subgradient_margin) <= cfg.tol_stat
                 and parts.complementarity <= cfg.tol_comp):
             records[-1].accepted = False
             return finish("KktPoint", k + 1)

@@ -97,16 +97,6 @@ class L1Regularizer:
     def value(self, x) -> float:
         return float(np.dot(self.weights, np.abs(x)))
 
-    def is_subgradient(self, x, g_r, tol: float) -> bool:
-        """Tolerance version: nonzero classification also uses tol on |x_i|."""
-        x = np.asarray(x, dtype=float)
-        g_r = np.asarray(g_r, dtype=float)
-        w = self.weights
-        if np.any(np.abs(g_r) > w + tol):
-            return False
-        nz = np.abs(x) > tol
-        return bool(np.all(np.abs(g_r[nz] - w[nz] * np.sign(x[nz])) <= tol))
-
 
 @dataclass(frozen=True)
 class ProblemInstance:

@@ -15,7 +15,11 @@ SIAM J. Optim. 2018): each step solves the m x m system
 zeroed nor clipped, by Cholesky, with an Armijo backtrack on the concave
 dual function.  It starts from the caller's y, the previous iteration's.
 The box multipliers z and the regularizer subgradient g_r follow from
-stationarity, with z = 0 off the bounds and g_r in lam * d|w|.
+stationarity, with z = 0 off the bounds and g_r the point of lam * d|w|
+nearest to the residual (``geometry.nearest_subgradient``).  The answer
+is certified by ``geometry.kkt_parts``, the solver's one KKT
+certificate, with the step's gradient g + (u + v)/alpha and residual J u
+at w, against ``kkt_bar``.
 
 When the Newton budget runs out, the line search or a Cholesky
 factorization fails, or the answer misses the tangential KKT bar, the
@@ -36,19 +40,17 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .geometry import box_complementarity, project_box
+from .geometry import KktParts, kkt_parts, nearest_subgradient, project_box
 from .problem import BoxSet, L1Regularizer
 # unused here, but perfbench/layers.py rebinds tangential.solve_qp and build_tangential_qp
 from .qp import solve_qp  # noqa: F401
 
 __all__ = [
     "TangentialResult",
-    "TangentialKktReport",
     "TangentialError",
     "build_tangential_qp",
     "kkt_bar",
     "solve_tangential",
-    "verify_tangential_kkt",
 ]
 
 _LINK_VALS = np.array([[1.0], [-1.0], [1.0]])  # coefficients of u_i, p_r, q_r
@@ -73,23 +75,7 @@ class TangentialResult:
     g_r: np.ndarray
     w: np.ndarray  # x + v + u with exact zeros/bounds
     iterations: int  # Newton steps and refinement solves
-    kkt_residual: float
-    kkt_report: Optional["TangentialKktReport"] = None
-
-
-@dataclass
-class TangentialKktReport:
-    stationarity: float
-    nullspace: float
-    box_feasibility: float
-    complementarity: float
-    dual_sign: float
-    subgradient_margin: float
-
-    @property
-    def overall(self) -> float:
-        return max(self.stationarity, self.nullspace, self.box_feasibility,
-                   self.complementarity, self.dual_sign, self.subgradient_margin)
+    kkt: KktParts  # the certificate of (w, y, z, g_r), feasibility = |J u|
 
 
 def build_tangential_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
@@ -270,52 +256,14 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     # stationarity: g + (u + v)/alpha + J'y + g_r + z = 0 with z = 0 off
     # the bounds; at a bound g_r takes the value lam * d|w| allows nearest
     # to the residual and z the rest
-    resid = -(g + (u + v) / alpha + J.T @ y)
-    g_bound = np.where(w == 0.0, np.clip(resid, -lam, lam), lam * np.sign(w))
-    z = np.where(at_lo | at_hi, resid - g_bound, 0.0)
+    grad = g + (u + v) / alpha
+    resid = -(grad + J.T @ y)
+    z = np.where(at_lo | at_hi, resid - nearest_subgradient(w, resid, lam, 0.0), 0.0)
     g_r = resid - z
 
-    report = verify_tangential_kkt(x, v, g, J, alpha, reg, box, u=u, y=y, z=z, g_r=g_r)
+    kkt = kkt_parts(grad, J @ u, J, box, lam, w, y, z, g_r)
     bar = kkt_bar(x, w, alpha)
-    if not report.overall <= bar:
+    if not kkt.chi <= bar:
         raise TangentialError(f"dual answer misses the tangential KKT bar: residual "
-                              f"{report.overall:.3g} > {bar:.3g}")
-    return TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w, iterations=iterations,
-                            kkt_residual=report.overall, kkt_report=report)
-
-
-def verify_tangential_kkt(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
-                          *, u, y, z, g_r) -> TangentialKktReport:
-    """Residual breakdown of the tangential optimality system.
-
-    Stationarity is evaluated with the subgradient projected onto the
-    subdifferential, so membership violations cannot hide inside the
-    recovered g_r; the membership gap is reported separately.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    J = np.asarray(J, dtype=float)
-    w = x + v + u
-    lam = reg.weights
-    zero_tol = 1e-12 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
-
-    g_r_proj = np.clip(g_r, -lam, lam)
-    nz = np.abs(w) > zero_tol
-    g_r_proj[nz] = lam[nz] * np.sign(w[nz])
-    margin = float(np.max(np.abs(g_r - g_r_proj), initial=0.0))
-
-    stat = float(np.linalg.norm(g + (u + v) / alpha + g_r_proj + J.T @ y + z))
-    nullspace = float(np.linalg.norm(J @ u)) if J.size else 0.0
-    boxf = float(max(np.max(np.maximum(box.lower - w, 0.0), initial=0.0),
-                     np.max(np.maximum(w - box.upper, 0.0), initial=0.0)))
-
-    comp, sign = box_complementarity(w, z, box.lower, box.upper)
-    return TangentialKktReport(
-        stationarity=stat,
-        nullspace=nullspace,
-        box_feasibility=boxf,
-        complementarity=float(np.linalg.norm(comp)),
-        dual_sign=float(np.max(sign, initial=0.0)),
-        subgradient_margin=margin,
-    )
+                              f"{kkt.chi:.3g} > {bar:.3g}")
+    return TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w, iterations=iterations, kkt=kkt)

@@ -108,5 +108,10 @@ def test_corpus_status_and_iterations(name):
     status, iterations = CORPUS_RUNS[name]
     p = get_instance(name).problem
     for rule, iters in zip(("min_cap", "hold", "verbatim_max"), iterations):
-        rep = solve(p, SolverConfig(alpha_rule=rule))
+        cfg = SolverConfig(alpha_rule=rule)
+        rep = solve(p, cfg)
         assert (rep.status, rep.iterations) == (status, iters), rule
+        if rep.status == "KktPoint":
+            chi, parts = kkt_residual(p, rep.x, rep.y, rep.z, rep.g_r)
+            assert chi == rep.chi, rule
+            assert parts.subgradient_margin <= cfg.tol_stat, (rule, parts)

@@ -6,12 +6,12 @@ from pgcon.geometry import (
     active_set,
     box_complementarity,
     compute_delta,
+    kkt_parts,
     project_box,
     project_tangent_cone,
 )
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
 from pgcon.qp import solve_qp
-from pgcon.tangential import verify_tangential_kkt
 from qp_reference import QpProblem, QpSolution, verify_kkt
 
 
@@ -212,9 +212,9 @@ class TestBoxComplementarity:
 
 
 class TestComplementarityConsumers:
-    """driver.kkt_residual, qp_reference.verify_kkt and
-    verify_tangential_kkt report exactly the numbers of the scalar loop
-    they each used to carry."""
+    """driver.kkt_residual, qp_reference.verify_kkt and the tangential
+    step's certificate report exactly the numbers of the scalar loop they
+    each used to carry."""
 
     def cases(self):
         rng = np.random.default_rng(13)
@@ -248,14 +248,12 @@ class TestComplementarityConsumers:
             assert rep.complementarity == float(np.linalg.norm(comp))
             assert rep.dual_sign == float(np.max(sign, initial=0.0))
 
-    def test_verify_tangential_kkt(self):
+    def test_tangential_certificate(self):
+        # solve_tangential certifies at the trial point w = x + v + u
         for n, box, x, z in self.cases():
             u = 0.1 * np.ones(n)
-            rep = verify_tangential_kkt(x - u, np.zeros(n), np.zeros(n), np.zeros((0, n)), 1.0,
-                                        L1Regularizer(np.zeros(n)), box,
-                                        u=u, y=np.zeros(0), z=z, g_r=np.zeros(n))
-            # the residual is taken at the trial point w = x + v + u
             w = (x - u) + u
+            parts = kkt_parts(u, np.zeros(0), np.zeros((0, n)), box, np.zeros(n), w,
+                              np.zeros(0), z, np.zeros(n))
             comp, sign = box_complementarity_loop(w, z, box.lower, box.upper)
-            assert rep.complementarity == float(np.linalg.norm(comp))
-            assert rep.dual_sign == float(np.max(sign, initial=0.0))
+            assert parts.complementarity == float(np.linalg.norm(comp + sign))

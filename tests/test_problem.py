@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pgcon.driver import SolverConfig, solve
+from pgcon.geometry import kkt_parts
 from pgcon.problem import (
     BoxSet,
     EvaluationError,
@@ -59,19 +60,28 @@ class TestRegularizer:
             rhs = th * reg.value(x) + (1 - th) * reg.value(y)
             assert lhs <= rhs + 1e-12
 
+    @staticmethod
+    def margin(reg, x, g_r):
+        """kkt_parts' membership margin of g_r in reg's lam * d|x|."""
+        n = x.shape[0]
+        return kkt_parts(np.zeros(n), np.zeros(0), np.zeros((0, n)), BoxSet.free(n),
+                         reg.weights, x, np.zeros(0), np.zeros(n), g_r).subgradient_margin
+
     def test_subgradient_at_nonzero(self):
         reg = L1Regularizer(np.array([1.0, 1.0]))
-        assert reg.is_subgradient(np.array([2.0, -3.0]), np.array([1.0, -1.0]), 1e-10)
+        x = np.array([2.0, -3.0])
+        assert self.margin(reg, x, np.array([1.0, -1.0])) == 0.0
+        assert self.margin(reg, x, np.array([-1.0, -1.0])) == 2.0
 
     def test_subgradient_zero_weight_component(self):
         reg = L1Regularizer(np.array([1.0, 0.0]))
         x = np.array([0.0, 4.0])
-        assert reg.is_subgradient(x, np.array([0.5, 0.0]), 1e-10)
-        assert not reg.is_subgradient(x, np.array([1.5, 0.0]), 1e-10)
+        assert self.margin(reg, x, np.array([0.5, 0.0])) == 0.0
+        assert self.margin(reg, x, np.array([1.5, 0.0])) == 0.5
 
     def test_subdifferential_boundary_at_zero(self):
         reg = L1Regularizer(np.array([2.0, 2.0]))
-        assert reg.is_subgradient(np.zeros(2), np.array([2.0, -2.0]), 1e-12)
+        assert self.margin(reg, np.zeros(2), np.array([2.0, -2.0])) == 0.0
 
 
 class TestDerivativeCheck:

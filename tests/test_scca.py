@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pgcon.driver import SolverConfig, solve
+from pgcon import globalization
+from pgcon.driver import SolverConfig, kkt_residual, solve
 from pgcon.globalization import ALPHA_CAP
 from pgcon.problem import check_derivatives
 from pgcon.scca import (
@@ -167,7 +168,7 @@ class TestGateGrid:
 
     Bounds rather than exact counts: scca_init's start point, and with it
     the path, changes in its last bits with the number of BLAS threads
-    (82 outer iterations on one thread, 76 on two).
+    (83 outer iterations on one thread, 79 on two).
     """
 
     CELLS = ((200, 1e-2), (200, 1e-3), (400, 1e-2), (400, 1e-3))
@@ -177,24 +178,42 @@ class TestGateGrid:
         out = {}
         for n, lam in self.CELLS:
             data = scca_generate(n, n, n, seed=1)
-            out[n, lam] = (data, solve(scca_problem(data, lam), SolverConfig(alpha0=1e-3)))
+            p = scca_problem(data, lam)
+            out[n, lam] = (data, p, solve(p, SolverConfig(alpha0=1e-3)))
         return out
 
     def test_every_cell_passes_criterion_1(self, runs):
-        for (n, lam), (data, rep) in runs.items():
+        for (n, lam), (data, p, rep) in runs.items():
             met = scca_metrics(rep.x[:n], rep.x[n:2 * n], data)
             assert rep.status == "KktPoint", (n, lam)
             assert met.rho_xy >= 0.999 and met.sl == 0, (n, lam, met)
             assert max(met.voc_x, met.voc_y) <= 1e-6, (n, lam, met)
             # sr >= 0.98 is stated at lambda = 1e-2 only
             assert lam != 1e-2 or met.sr >= 0.98, (n, lam, met)
+            # the report certifies g_r in lam * d|x| at the reported x
+            chi, parts = kkt_residual(p, rep.x, rep.y, rep.z, rep.g_r)
+            assert chi == rep.chi, (n, lam)
+            assert parts.subgradient_margin <= SolverConfig().tol_stat, (n, lam, parts)
 
     def test_alpha_reaches_cap_early(self, runs):
         # doubling from alpha0 = 1e-3 alone reaches the cap of 10 at k = 14;
         # the small secant curvature of the bilinear objective lifts it there
-        # after a few accepted steps, and the grid takes 82 iterations, not 123
+        # after a few accepted steps, and the grid takes 83 iterations, not 123
         cap = ALPHA_CAP
-        assert sum(rep.iterations for _, rep in runs.values()) <= 90
-        records = runs[200, 1e-2][1].records
+        assert sum(rep.iterations for _, _, rep in runs.values()) <= 90
+        records = runs[200, 1e-2][2].records
         assert next(r.k for r in records if r.alpha == cap) <= 3
-        assert max(r.alpha for _, rep in runs.values() for r in rep.records) <= cap
+        assert max(r.alpha for _, _, rep in runs.values() for r in rep.records) <= cap
+
+    def test_large_cap_does_not_stop_at_a_dense_point(self, monkeypatch):
+        # with a cap of 1000 the step outruns the subgradient: g_r from the
+        # tangential solve lies in lam * d|w| at the trial point, and a stop
+        # test that took it as is ended KktPoint after 4 iterations with 299
+        # of 400 weights nonzero (sl = 199, sr = 0.253, on one BLAS thread)
+        monkeypatch.setattr(globalization, "ALPHA_CAP", 1000.0)
+        n = 200
+        data = scca_generate(n, n, n, seed=1)
+        rep = solve(scca_problem(data, 1e-2), SolverConfig(alpha0=1e-3))
+        if rep.status == "KktPoint":
+            met = scca_metrics(rep.x[:n], rep.x[n:2 * n], data)
+            assert met.sl == 0 and met.sr >= 0.98 and met.rho_xy >= 0.999, met
