@@ -3,8 +3,8 @@ collect result rows, and emit the results table and performance-profile
 CSV.  Every CLI solve runs through here: ``pgcon bench`` runs a suite,
 ``pgcon scca`` an SCCA grid, and ``pgcon solve`` a single cell.
 
-Cells are independent solves and may run on up to ``threads`` workers;
-the merge is by sorted key, so the output is independent of scheduling.
+Cells run one after another on the calling thread, in the order given;
+results come back sorted by key.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -124,12 +123,10 @@ def _run_cell(cell: BenchCell) -> BenchResult:
 
 
 def run_benchmark(cells: list[BenchCell], threads: int = 1) -> list[BenchResult]:
-    """Execute all cells; results come back sorted by (instance, lam, seed)."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_cell, cells))
-    else:
-        results = [_run_cell(c) for c in cells]
+    """Run the cells in order on the calling thread; results come back
+    sorted by (instance, lam, seed).  ``threads`` is ignored: it stays
+    only because the corpus-sweep benchmark workload passes it."""
+    results = [_run_cell(c) for c in cells]
     results.sort(key=lambda r: (r.instance, r.lam if r.lam == r.lam else -1.0, r.seed))
     return results
 

@@ -124,7 +124,7 @@ def _cmd_bench(args) -> int:
     if args.suite in ("scca", "all"):
         cells += scca_suite(args.n or [200], args.lam or [1e-2, 1e-3, 1e-4],
                             args.seed or [0], cfg)
-    results = run_benchmark(cells, threads=args.threads)
+    results = run_benchmark(cells)
     out = _out_dir(args)
     label = f"{args.suite}-{cfg.alpha_rule}"
     (out / "results.csv").write_text(results_to_csv(results))
@@ -183,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, action="append", help="SCCA sizes (repeatable)")
     sp.add_argument("--lambda", dest="lam", type=float, action="append")
     sp.add_argument("--seed", type=int, action="append")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="cells solved in parallel (default 1)")
     common(sp)
     sp.set_defaults(func=_cmd_bench)
 

@@ -31,7 +31,7 @@ from . import globalization as glob
 from .geometry import active_set, kkt_parts, project_box
 from .normal_step import ETA_M, GAMMA, KAPPA_V, compute_normal_step
 from .problem import EvaluationError, L1Regularizer, ProblemInstance, ScaleInfo, scale_factors
-from .tangential import TangentialError, kkt_bar, solve_tangential
+from .tangential import TangentialError, solve_tangential
 
 __all__ = [
     "SolverConfig",
@@ -249,11 +249,6 @@ class _InvariantMonitor:
             rhs = float(np.linalg.norm(np.minimum(x, -tang.z)))
             if lhs < rhs - self.SLACK:
                 self._add(k, "step_bounds_complementarity", rhs - lhs)
-        bar = kkt_bar(x, tang.w, alpha)
-        if tang.kkt.chi > bar:
-            self._add(k, "tangential_kkt", tang.kkt.chi)
-        if tang.kkt.subgradient_margin > bar:
-            self._add(k, "subgradient_membership", tang.kkt.subgradient_margin)
         if self.prev_tau is not None and tau > self.prev_tau + 1e-15:
             self._add(k, "tau_monotone", tau - self.prev_tau)
         self.prev_tau = tau

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pgcon.bench import (
     scca_suite,
     RESULT_COLUMNS,
 )
-from pgcon.cli import load_config, main
+from pgcon.cli import build_parser, load_config, main
 from pgcon.driver import SolverConfig
 from pgcon.problem import BoxSet, problem_to_dict
 
@@ -33,10 +34,25 @@ class TestBench:
         assert results[0].metrics is not None
         assert results[0].metrics.sl == 0
 
-    def test_parallel_matches_serial(self):
+    def test_cells_run_in_order_on_calling_thread(self):
+        calls = []
+
+        def traced(cell):
+            def make(inner=cell.make):
+                calls.append((cell.instance, threading.get_ident()))
+                return inner()
+            return dataclasses.replace(cell, make=make)
+
+        cells = [traced(c) for c in reversed(corpus_suite())]
+        results = run_benchmark(cells, threads=2)
+        assert calls == [(c.instance, threading.get_ident()) for c in cells]
+        names = [r.instance for r in results]
+        assert names == sorted(names) and names != [c.instance for c in cells]
+
+    def test_threads_keyword_has_no_effect(self):
         cells = corpus_suite()
         a = run_benchmark(cells, threads=1)
-        b = run_benchmark(cells, threads=4)
+        b = run_benchmark(cells, threads=2)
         assert [(r.instance, r.status, r.iters) for r in a] == \
                [(r.instance, r.status, r.iters) for r in b]
 
@@ -291,6 +307,15 @@ class TestCli:
 
     def test_usage_error_exit_64(self):
         assert main(["solve"]) == 64  # missing --problem
+
+    def test_bench_threads_flag_is_a_usage_error(self, tmp_path):
+        argv = ["bench", "--suite", "corpus", "--threads", "2",
+                "--out", str(tmp_path / "bench")]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2  # argparse's own exit, remapped by main
+        assert main(argv) == 64
+        assert not (tmp_path / "bench").exists()
 
     def test_bench_corpus(self, tmp_path):
         out = tmp_path / "bench"

@@ -53,10 +53,18 @@ class TestBruteForceCrossCheck:
 
     PEN = 1e4
 
-    def penalized(self, p, x):
-        if not p.box.contains(x, tol=0.0):
-            return np.inf
-        return p.f(x) + p.reg.value(x) + self.PEN * float(np.linalg.norm(p.c(x)))
+    def penalized(self, p, pts):
+        """The penalized objective at each row of ``pts``; inf outside the
+        box.  Box membership, the l1 term and the norm are vectorized;
+        ``f`` and ``c`` are the problem's own evaluators, called once per
+        point in the box."""
+        vals = np.full(len(pts), np.inf)
+        inside = np.all((pts >= p.box.lower) & (pts <= p.box.upper), axis=1)
+        xs = pts[inside]
+        f = np.array([p.f(x) for x in xs])
+        c = np.array([p.c(x) for x in xs]).reshape(len(xs), p.m)
+        vals[inside] = f + np.abs(xs) @ p.reg.weights + self.PEN * np.linalg.norm(c, axis=1)
+        return vals
 
     @pytest.mark.parametrize("name", ["eq-quad-1", "l1-lin-1", "box-qp-1",
                                       "box-qp-2", "soft-thresh-1", "l1-sign-1",
@@ -66,16 +74,12 @@ class TestBruteForceCrossCheck:
         p = inst.problem
         if p.n > 3:
             pytest.skip("grid oracle only for n <= 3")
-        base = self.penalized(p, inst.oracle_x)
+        base, = self.penalized(p, inst.oracle_x[None, :])
         step = 0.02
         offsets = np.arange(-0.5, 0.5 + step / 2, step)
         grids = np.meshgrid(*[offsets] * p.n, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1) + inst.oracle_x
-        best = base
-        for pt in pts:
-            val = self.penalized(p, pt)
-            if val < best:
-                best = val
+        best = min(base, self.penalized(p, pts).min())
         # the grid is off-manifold for equality constraints, so allow the
         # penalty-resolution slack
         assert best >= base - self.PEN * step * 1e-3 - 1e-9, name
