@@ -1,11 +1,13 @@
 """Sparse canonical correlation analysis: synthetic data, problem
 construction, initialization, and solution-quality metrics.
 
-The synthetic views are rank one: a block-signed pattern vector plus
-per-entry Gaussian noise, outer-multiplied by a shared latent series.
-The first quarter of the X rows is correlated with the last quarter of
-the Y rows, so an estimator with the right support has nonzeros confined
-to those blocks.
+The synthetic views are rank one: X = a u' and Y = b u', where a and b
+are block-signed pattern vectors plus per-entry Gaussian noise and u is a
+shared latent series.  The first quarter of the X rows is correlated with
+the last quarter of the Y rows, so an estimator with the right support
+has nonzeros confined to those blocks.  The data keep the factors a, b
+and s = u'u, and the covariances follow from them: Sxx = s a a',
+Syy = s b b' and Sxy = s a b'.
 
 All randomness flows through numpy's PCG64 generator seeded explicitly;
 normal deviates are produced by inverse-CDF transform of uniforms, so the
@@ -15,11 +17,9 @@ stream are available.  Draw order: x-noise, y-noise, latent series.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import ndtri
 
 from .problem import ProblemInstance, add_slacks
@@ -34,8 +34,6 @@ __all__ = [
 ]
 
 NOISE_STD = 0.1  # entry variance 0.01
-_POWER_MAX_ITER = 500  # scca_init's power iteration budget and stopping tolerance
-_POWER_TOL = 1e-12
 
 
 def _standard_normal(rng: np.random.Generator, size) -> np.ndarray:
@@ -45,22 +43,27 @@ def _standard_normal(rng: np.random.Generator, size) -> np.ndarray:
 
 @dataclass
 class SccaData:
-    X: np.ndarray  # n_x x N
-    Y: np.ndarray  # n_y x N
+    """The factors of the views X = a u' and Y = b u' (s = u'u, N samples)
+    and the covariances formed from them."""
+
+    a: np.ndarray  # n_x
+    b: np.ndarray  # n_y
+    s: float
+    N: int
     seed: int
     sigma_xx: np.ndarray
     sigma_yy: np.ndarray
     sigma_xy: np.ndarray
-    xi_x: np.ndarray = None  # the drawn pattern noise, kept for diagnostics
-    xi_y: np.ndarray = None
+    xi_x: np.ndarray  # the drawn pattern noise, kept for diagnostics
+    xi_y: np.ndarray
 
     @property
     def n_x(self) -> int:
-        return self.X.shape[0]
+        return self.a.shape[0]
 
     @property
     def n_y(self) -> int:
-        return self.Y.shape[0]
+        return self.b.shape[0]
 
 
 @dataclass
@@ -99,10 +102,10 @@ def scca_generate(n_x: int, n_y: int, N: int, seed: int,
     xi_x = noise_std * _standard_normal(rng, n_x)
     xi_y = noise_std * _standard_normal(rng, n_y)
     u = _standard_normal(rng, N)
-    X = np.outer(bx + xi_x, u)
-    Y = np.outer(by + xi_y, u)
-    return SccaData(X=X, Y=Y, seed=seed, sigma_xx=X @ X.T, sigma_yy=Y @ Y.T,
-                    sigma_xy=X @ Y.T, xi_x=xi_x, xi_y=xi_y)
+    a, b, s = bx + xi_x, by + xi_y, float(u @ u)
+    return SccaData(a=a, b=b, s=s, N=N, seed=seed, sigma_xx=s * np.outer(a, a),
+                    sigma_yy=s * np.outer(b, b), sigma_xy=s * np.outer(a, b),
+                    xi_x=xi_x, xi_y=xi_y)
 
 
 def scca_problem(data: SccaData, lam: float) -> ProblemInstance:
@@ -138,7 +141,7 @@ def scca_problem(data: SccaData, lam: float) -> ProblemInstance:
     # w = 0 is a (useless) stationary point, so a solve from a zero start
     # would stop immediately; ship the canonical-correlation warm start
     return add_slacks(
-        f"scca-nx{nx}-ny{ny}-N{data.X.shape[1]}-lam{lam:g}-seed{data.seed}",
+        f"scca-nx{nx}-ny{ny}-N{data.N}-lam{lam:g}-seed{data.seed}",
         n,
         f_eval=f,
         g_eval=g,
@@ -158,55 +161,14 @@ def scca_problem(data: SccaData, lam: float) -> ProblemInstance:
 
 
 def scca_init(data: SccaData) -> np.ndarray:
-    """Leading canonical pair via power iteration on the whitened
-    cross-covariance, rescaled to sit exactly on both variance constraints.
+    """Leading canonical pair of the rank-one data, in closed form:
+    w_x = a / (sqrt(s) |a|^2) and w_y = b / (sqrt(s) |b|^2), which sit on
+    both variance constraints and give w_x' Sxy w_y = 1.
 
     Returns the full starting point (w_x, w_y, 1, 1) including slacks.
     """
-    Sxx, Syy, Sxy = data.sigma_xx, data.sigma_yy, data.sigma_xy
-    nx, ny = data.n_x, data.n_y
-    ridge = 1e-8 * (np.trace(Sxx) + np.trace(Syy)) / (nx + ny)
-
-    def inv_sqrt(S):
-        w, U = scipy.linalg.eigh(S + ridge * np.eye(S.shape[0]))
-        w = np.maximum(w, ridge)
-        return (U / np.sqrt(w)) @ U.T
-
-    Rx = inv_sqrt(Sxx)
-    Ry = inv_sqrt(Syy)
-    M = Rx @ Sxy @ Ry
-    # fixed pseudo-random start: a deterministic direction that is not
-    # orthogonal to the leading singular vector except on a null set (the
-    # obvious all-ones start IS orthogonal to the noise-free block pattern)
-    a = _standard_normal(np.random.default_rng(1234), nx)
-    a /= np.linalg.norm(a)
-    converged = False
-    for _ in range(_POWER_MAX_ITER):
-        a_new = M @ (M.T @ a)
-        nrm = np.linalg.norm(a_new)
-        if nrm == 0.0:
-            break
-        a_new /= nrm
-        converged = (np.linalg.norm(a_new - a) < _POWER_TOL
-                     or np.linalg.norm(a_new + a) < _POWER_TOL)
-        a = a_new
-        if converged:
-            break
-    if not converged:
-        warnings.warn("power iteration did not converge; using the last iterate")
-    b = M.T @ a
-    bn = np.linalg.norm(b)
-    b = b / bn if bn > 0 else np.ones(ny) / np.sqrt(ny)
-
-    wx = Rx @ a
-    wy = Ry @ b
-    vx = float(wx @ Sxx @ wx)
-    vy = float(wy @ Syy @ wy)
-    wx = wx / np.sqrt(vx) if vx > 0 else wx
-    wy = wy / np.sqrt(vy) if vy > 0 else wy
-    if float(wx @ Sxy @ wy) < 0:
-        wy = -wy
-    return np.concatenate([wx, wy, [1.0, 1.0]])
+    a, b, r = data.a, data.b, np.sqrt(data.s)
+    return np.concatenate([a / (r * (a @ a)), b / (r * (b @ b)), [1.0, 1.0]])
 
 
 def scca_metrics(w_x, w_y, data: SccaData, zero_tol: float = 1e-8,

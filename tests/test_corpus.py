@@ -74,15 +74,18 @@ class TestBruteForceCrossCheck:
         p = inst.problem
         if p.n > 3:
             pytest.skip("grid oracle only for n <= 3")
-        base, = self.penalized(p, inst.oracle_x[None, :])
         step = 0.02
-        offsets = np.arange(-0.5, 0.5 + step / 2, step)
+        offsets = step * np.arange(-25, 26)
         grids = np.meshgrid(*[offsets] * p.n, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1) + inst.oracle_x
-        best = min(base, self.penalized(p, pts).min())
+        vals = self.penalized(p, pts)
+        # offset 0 is exact, so the oracle point itself is an in-box grid point
+        at_oracle = np.all(pts == inst.oracle_x, axis=1)
+        assert np.isfinite(vals[at_oracle]).sum() == 1, name
+        base = vals[at_oracle][0]
         # the grid is off-manifold for equality constraints, so allow the
         # penalty-resolution slack
-        assert best >= base - self.PEN * step * 1e-3 - 1e-9, name
+        assert vals.min() >= base - self.PEN * step * 1e-3 - 1e-9, name
 
 
 # (status, iterations) of each corpus solve under SolverConfig(alpha_rule=rule),

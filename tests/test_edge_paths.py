@@ -84,14 +84,14 @@ class TestLoaders:
 
 class TestGeneratorGroundTruth:
     def test_block_cross_correlation(self):
-        # rows in the signal blocks correlate across views; rows in the
-        # zero blocks carry only the (weak) noise channel
+        # rows in the signal blocks correlate across views, with opposite
+        # signs; rows in the zero blocks carry only the (weak) noise channel
         data = scca_generate(200, 200, 200, seed=0)
-        x_sig = data.X[:25].mean(axis=0)   # first eighth: +e block
-        y_sig = data.Y[175:].mean(axis=0)  # last eighth: -e block
-        corr = np.corrcoef(x_sig, y_sig)[0, 1]
-        assert abs(corr) >= 0.999  # shared latent series, opposite sign
-        assert corr < 0
+        assert np.all(data.a[:25] > 0) and np.all(data.b[175:] < 0)
+        corr = data.sigma_xy / np.sqrt(np.outer(np.diag(data.sigma_xx),
+                                                np.diag(data.sigma_yy)))
+        np.testing.assert_allclose(corr[:25, 175:], -1.0, atol=1e-12)
+        assert np.abs(data.a[50:]).max() < np.abs(data.a[:50]).min()
 
 
 class TestProfileCsv:

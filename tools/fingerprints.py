@@ -15,8 +15,9 @@ all with ``check_invariants=True``:
   ``alpha0 = 1e-3`` (perfbench's ``SCCA_CONFIG``), on each data seed of
   ``--gate-seeds``.
 
-BLAS runs on one thread: ``scca_init``'s start point changes in its last
-bits with the thread count, and the gate paths with it.  A sweep takes
+BLAS runs on one thread, so a sweep loads one core.  The gate grid's
+ledgers are the same on one and two threads (``tests/test_scca.py`` pins
+one cell); the other solves have not been compared.  A sweep takes
 about 60 s on one core.  ``--compare`` prints every solve whose
 fingerprint differs, or that only one side has: first those whose status
 changed, then those whose iterations changed, then those where only the
