@@ -25,18 +25,10 @@ __all__ = [
     "compute_delta",
     "active_set",
     "box_complementarity",
-    "default_active_tol",
     "KktParts",
     "kkt_parts",
     "nearest_subgradient",
 ]
-
-
-def default_active_tol(box: BoxSet) -> np.ndarray:
-    """Per-component classification tolerance 1e-10 * (1 + |bound|)."""
-    lo = np.where(np.isfinite(box.lower), np.abs(box.lower), 0.0)
-    hi = np.where(np.isfinite(box.upper), np.abs(box.upper), 0.0)
-    return 1e-10 * (1.0 + np.maximum(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -49,7 +41,7 @@ class ActiveSet:
 
 def _active_masks(x, box: BoxSet):
     x = np.asarray(x, dtype=float)
-    tol = default_active_tol(box)
+    tol = box.active_tol
     at_lo = np.isfinite(box.lower) & (x - box.lower <= tol)
     at_hi = np.isfinite(box.upper) & (box.upper - x <= tol)
     return at_lo, at_hi
@@ -90,7 +82,7 @@ def compute_delta(x, grad, box: BoxSet):
 
 def active_set(x, box: BoxSet) -> ActiveSet:
     """Classify components at their lower/upper bound at x, within
-    default_active_tol."""
+    ``box.active_tol``."""
     at_lo, at_hi = _active_masks(x, box)
     at_hi = at_hi & ~at_lo  # fixed variables count as lower
     return ActiveSet(

@@ -11,6 +11,7 @@ brought into this form with slack variables (see :func:`add_slacks`).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -45,22 +46,36 @@ def _as_float_array(v, n=None):
 
 @dataclass(frozen=True)
 class BoxSet:
-    """Axis-aligned box {x : lower <= x <= upper}; +-inf bounds allowed."""
+    """Axis-aligned box {x : lower <= x <= upper}; +-inf bounds allowed.
+
+    The bounds are read-only copies, so ``active_tol`` stays theirs.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = _as_float_array(self.lower)
-        hi = _as_float_array(self.upper, lo.shape[0])
+        lo = np.array(_as_float_array(self.lower))
+        hi = np.array(_as_float_array(self.upper, lo.shape[0]))
         if np.any(lo > hi):
             raise ValueError("box has lower_i > upper_i")
+        lo.flags.writeable = hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
+
+    @functools.cached_property
+    def active_tol(self) -> np.ndarray:
+        """Per-component tolerance 1e-10 * (1 + |bound|) within which a
+        component counts as at its bound; infinite bounds count as 0."""
+        lo = np.where(np.isfinite(self.lower), np.abs(self.lower), 0.0)
+        hi = np.where(np.isfinite(self.upper), np.abs(self.upper), 0.0)
+        tol = 1e-10 * (1.0 + np.maximum(lo, hi))
+        tol.flags.writeable = False
+        return tol
 
     def contains(self, x, tol: float = 0.0) -> bool:
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))

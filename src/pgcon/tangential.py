@@ -178,7 +178,8 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         # J_F J_F' singular; the floor keeps dependent rows of J from
         # failing the factorization by roundoff
         mu = max(1e-8 * min(F_norm, 1.0), 1e-14 * m) * scale
-        M = alpha * (J_F @ J_F.T) + mu * np.eye(m)
+        M = alpha * (J_F @ J_F.T)
+        M.flat[:: m + 1] += mu
         # the LAPACK pair behind cho_factor/cho_solve, without their input
         # checks: a NaN in M, or a NaN or inf in F, leaves d non-finite
         R, info = dpotrf(M, lower=False, clean=False)
