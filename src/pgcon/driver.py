@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import globalization as glob
 from .geometry import active_set, kkt_parts, project_box
@@ -230,7 +229,7 @@ class _InvariantMonitor:
                 self._add(k, "step_parts_vanish", max(
                     np.linalg.norm(normal.v), np.linalg.norm(tang.u)))
         if normal.delta > 0 and normal.beta > 0:
-            jtj_norm = float(scipy.linalg.svdvals(J)[0] ** 2) if J.size else 0.0
+            jtj_norm = float(np.linalg.norm(J, 2) ** 2) if J.size else 0.0
             ratio = float(np.linalg.norm(normal.v_cauchy)) / normal.beta
             rhs = self.KAPPA1 * ratio * min(ratio / (1.0 + jtj_norm),
                                             KAPPA_V * alpha * normal.delta)

@@ -10,17 +10,18 @@ and s = u'u, and the covariances follow from them: Sxx = s a a',
 Syy = s b b' and Sxy = s a b'.
 
 All randomness flows through numpy's PCG64 generator seeded explicitly;
-normal deviates are produced by inverse-CDF transform of uniforms, so the
-streams are reproducible bit-for-bit wherever IEEE doubles and the PCG64
-stream are available.  Draw order: x-noise, y-noise, latent series.
+normal deviates are produced by inverse-CDF transform of uniforms
+(``ndtri``, a port of Cephes's), so the streams are reproducible
+bit-for-bit wherever IEEE doubles and the PCG64 stream are available.
+Draw order: x-noise, y-noise, latent series.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .problem import ProblemInstance, add_slacks
 
@@ -34,6 +35,62 @@ __all__ = [
 ]
 
 NOISE_STD = 0.1  # entry variance 0.01
+
+# Cephes ndtri: rational approximations on the centre |p - 1/2| <= 1/2 -
+# exp(-2), where the deviate is p - 1/2 times a rational function of its
+# square, and on the tails in z = 1/sqrt(-2 log p), z >= 1/8 and z < 1/8
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x, coef, monic=False):
+    """sum coef[i] x^(N-i) by Horner's rule (Cephes polevl); with
+    ``monic`` a leading coefficient 1 precedes coef (p1evl)."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def ndtri(p) -> np.ndarray:
+    """Inverse of the standard normal CDF for p in [0, 1], Cephes's
+    algorithm step for step, so it returns the C original's bits.  The
+    tail logarithms use ``math.log``, which is the C library's; numpy's
+    vectorized log rounds differently."""
+    p = np.asarray(p, dtype=float)
+    upper = p > 1.0 - _EXP_M2  # the upper tail mirrors the lower one
+    q = np.where(upper, 1.0 - p, p)
+    x = np.full(p.shape, np.inf)
+    mid = q > _EXP_M2
+    y = q[mid] - 0.5
+    y2 = y * y
+    x[mid] = (y + y * (y2 * _horner(y2, _P0) / _horner(y2, _Q0, monic=True))) * _S2PI
+    tail = ~mid & (q > 0.0)
+    r = np.sqrt(-2.0 * np.array([math.log(v) for v in q[tail].tolist()]))
+    r0 = r - np.array([math.log(v) for v in r.tolist()]) / r
+    z = 1.0 / r
+    near = r < 8.0  # p > exp(-32)
+    r1 = np.where(near, z * _horner(z, _P1) / _horner(z, _Q1, monic=True),
+                  z * _horner(z, _P2) / _horner(z, _Q2, monic=True))
+    x[tail] = r0 - r1
+    return np.where(upper | mid, x, -x)
 
 
 def _standard_normal(rng: np.random.Generator, size) -> np.ndarray:

@@ -12,8 +12,9 @@ upper_i), so zeros and bounds are exact by construction.  The dual solve
 finds y with F(y) = J u(y) = 0 by semismooth Newton (Li, Sun & Toh,
 SIAM J. Optim. 2018): each step solves the m x m system
 (alpha J_F J_F' + mu I) d = F over the free components F, those neither
-zeroed nor clipped, by Cholesky, with an Armijo backtrack on the concave
-dual function.  It starts from the caller's y, the previous iteration's.
+zeroed nor clipped, by numpy's Cholesky and two triangular substitutions
+(``_cholesky_solve``), with an Armijo backtrack on the concave dual
+function.  It starts from the caller's y, the previous iteration's.
 The box multipliers z and the regularizer subgradient g_r follow from
 stationarity, with z = 0 off the bounds and g_r the point of lam * d|w|
 nearest to the residual (``geometry.nearest_subgradient``).  The answer
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .geometry import KktParts, kkt_parts, nearest_subgradient, project_box
 from .problem import BoxSet, L1Regularizer
@@ -138,6 +138,34 @@ def _piece(tau, base, alpha_lam, lower, upper):
     return u, code
 
 
+def _cholesky_solve(M, b):
+    """Solve M d = b for symmetric positive definite M by Cholesky, M = L L'.
+
+    The two triangular substitutions run in Python floats, which beat
+    numpy calls at the m <= 5 of the shipped problems.  Like OpenBLAS's
+    trsm they multiply by the reciprocal of L's diagonal and subtract the
+    solved entries one by one, so for m = 1 d equals LAPACK's
+    dpotrf/dpotrs answer bit for bit; for m >= 2 the bits differ (the
+    factor differs, and OpenBLAS fuses multiply-adds).  Raises
+    ``np.linalg.LinAlgError`` when the factorization fails.
+    """
+    L = np.linalg.cholesky(M).tolist()
+    inv = [1.0 / row[i] for i, row in enumerate(L)]
+    d = b.tolist()
+    m = len(d)
+    for i in range(m):  # L z = b
+        di, row = d[i], L[i]
+        for k in range(i):
+            di -= row[k] * d[k]
+        d[i] = di * inv[i]
+    for i in range(m - 1, -1, -1):  # L' d = z
+        di = d[i]
+        for k in range(m - 1, i, -1):
+            di -= L[k][i] * d[k]
+        d[i] = di * inv[i]
+    return np.array(d)
+
+
 def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     """Semismooth Newton on F(y) = J u(y) = 0 from y.
 
@@ -180,14 +208,14 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         mu = max(1e-8 * min(F_norm, 1.0), 1e-14 * m) * scale
         M = alpha * (J_F @ J_F.T)
         M.flat[:: m + 1] += mu
-        # the LAPACK pair behind cho_factor/cho_solve, without their input
-        # checks: a NaN in M, or a NaN or inf in F, leaves d non-finite
-        R, info = dpotrf(M, lower=False, clean=False)
-        if info == 0:
-            d, info = dpotrs(R, F, lower=False)
-        if info != 0 or not np.all(np.isfinite(d)):
+        # a NaN in M, or a NaN or inf in F, leaves d non-finite
+        try:
+            d = _cholesky_solve(M, F)
+            if not np.all(np.isfinite(d)):
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
             raise TangentialError("dual Newton system failed its Cholesky "
-                                  "factorization")
+                                  "factorization") from None
         if refine:
             u_ref = u.copy()
             u_ref[free] -= alpha * (J_F.T @ d)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -6,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from pgcon import globalization
 from pgcon.driver import SolverConfig, kkt_residual, solve
 from pgcon.globalization import ALPHA_CAP
 from pgcon.problem import check_derivatives
 from pgcon.scca import (
+    ndtri,
     pattern_vectors,
     scca_generate,
     scca_init,
@@ -67,11 +70,44 @@ class TestGenerate:
         var = float(np.var(xi))
         assert abs(var - 0.01) <= 0.2 * 0.01
 
+    def test_gate_data_bytes_pinned(self):
+        # the gate's data, as drawn through scipy.special.ndtri before
+        # the port replaced it
+        data = scca_generate(200, 200, 200, seed=1)
+        digest = hashlib.sha256(data.a.tobytes() + data.b.tobytes()
+                                + np.float64(data.s).tobytes()).hexdigest()
+        assert digest == "a2676e3e5f5c52a7072f95749d7c83127ad4ecea1d9627b991efb74d606c6612"
+        assert data.s.hex() == "0x1.6667278796b90p+7"
+
     def test_symmetry_psd(self):
         data = scca_generate(32, 32, 32, seed=1)
         np.testing.assert_allclose(data.sigma_xx, data.sigma_xx.T)
         evals = np.linalg.eigvalsh(data.sigma_xx)
         assert evals.min() >= -1e-9
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestNdtri:
+    """The Cephes port returns scipy.special.ndtri's bits."""
+
+    def test_bitwise_on_pcg64_uniforms(self):
+        u = np.random.default_rng(20250101).random(1_200_000)
+        np.testing.assert_array_equal(bits(ndtri(u)), bits(scipy.special.ndtri(u)))
+
+    def test_branch_boundaries(self):
+        # the centre ends at exp(-2) and 1 - exp(-2); below exp(-32) the
+        # tail switches from P1/Q1 to P2/Q2
+        e2, e32 = math.exp(-2), math.exp(-32)
+        edges = [e2, 1.0 - e2, e32, 0.5]
+        p = np.array([0.0, 1.0, 1e-15, 1e-300, 5e-324, np.nextafter(1.0, 0.0)]
+                     + edges + [np.nextafter(t, 0.0) for t in edges]
+                     + [np.nextafter(t, 1.0) for t in edges])
+        np.testing.assert_array_equal(bits(ndtri(p)), bits(scipy.special.ndtri(p)))
+        assert ndtri(0.0) == -np.inf and ndtri(1.0) == np.inf
+        assert ndtri(0.5) == 0.0
 
 
 class TestProblem:

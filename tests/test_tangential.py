@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from pgcon.driver import SolverConfig, solve
 from pgcon.geometry import kkt_parts
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
 from pgcon.tangential import (
     TangentialError,
+    _cholesky_solve,
     build_tangential_qp,
     kkt_bar,
     solve_tangential,
@@ -323,6 +325,36 @@ class TestDegenerate:
         assert res.w[0] == 0.0 and res.w[1] == 0.0
         assert res.g_r[0] == pytest.approx(0.5, abs=1e-12)
         assert res.g_r[1] == pytest.approx(-1.0, abs=1e-12)
+
+
+class TestCholeskySolve:
+    """The dual Newton system's solve: numpy's Cholesky and two
+    substitutions in Python floats."""
+
+    @staticmethod
+    def systems(m, count, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            A = rng.standard_normal((m, m + 2)) * 10.0 ** rng.integers(-3, 4)
+            M = A @ A.T + 1e-6 * np.trace(A @ A.T) * np.eye(m)
+            yield M, rng.standard_normal(m)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_agrees_with_numpy_solve(self, m):
+        for M, b in self.systems(m, 500, m):
+            d, ref = _cholesky_solve(M, b), np.linalg.solve(M, b)
+            assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_equals_the_lapack_pair_for_one_row(self):
+        for M, b in self.systems(1, 3000, 7):
+            R, info = dpotrf(M, lower=False, clean=False)
+            ref, info = dpotrs(R, b, lower=False)
+            assert info == 0
+            assert _cholesky_solve(M, b).tobytes() == ref.tobytes()
+
+    def test_indefinite_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
 
 class TestFallback:
