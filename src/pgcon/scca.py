@@ -36,9 +36,10 @@ __all__ = [
 
 NOISE_STD = 0.1  # entry variance 0.01
 
-# Cephes ndtri: rational approximations on the centre |p - 1/2| <= 1/2 -
-# exp(-2), where the deviate is p - 1/2 times a rational function of its
-# square, and on the tails in z = 1/sqrt(-2 log p), z >= 1/8 and z < 1/8
+# Cephes ndtri: on the centre |p - 1/2| <= 1/2 - exp(-2) the deviate is
+# p - 1/2 times a rational function of its square; on the tails it is
+# r - log(r)/r minus a rational function of z = 1/r, r = sqrt(-2 log p),
+# with one pair of polynomials above p = exp(-32) and one below
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
 _S2PI = 2.50662827463100050242  # sqrt(2 pi)
 _P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
@@ -70,14 +71,14 @@ def _horner(x, coef, monic=False):
 
 
 def ndtri(p) -> np.ndarray:
-    """Inverse of the standard normal CDF for p in [0, 1], Cephes's
-    algorithm step for step, so it returns the C original's bits.  The
+    """Inverse of the standard normal CDF, Cephes's algorithm step for
+    step, so it returns the C original's bits; NaN outside [0, 1].  The
     tail logarithms use ``math.log``, which is the C library's; numpy's
     vectorized log rounds differently."""
     p = np.asarray(p, dtype=float)
     upper = p > 1.0 - _EXP_M2  # the upper tail mirrors the lower one
     q = np.where(upper, 1.0 - p, p)
-    x = np.full(p.shape, np.inf)
+    x = np.where(q == 0.0, np.inf, np.nan)
     mid = q > _EXP_M2
     y = q[mid] - 0.5
     y2 = y * y

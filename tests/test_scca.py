@@ -108,6 +108,7 @@ class TestNdtri:
         np.testing.assert_array_equal(bits(ndtri(p)), bits(scipy.special.ndtri(p)))
         assert ndtri(0.0) == -np.inf and ndtri(1.0) == np.inf
         assert ndtri(0.5) == 0.0
+        assert np.all(np.isnan(ndtri([np.nan, -0.5, 1.5])))
 
 
 class TestProblem:
