@@ -35,6 +35,7 @@ model for the dual solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -147,7 +148,8 @@ def _cholesky_solve(M, b):
     solved entries one by one, so for m = 1 d equals LAPACK's
     dpotrf/dpotrs answer bit for bit; for m >= 2 the bits differ (the
     factor differs, and OpenBLAS fuses multiply-adds).  Raises
-    ``np.linalg.LinAlgError`` when the factorization fails.
+    ``np.linalg.LinAlgError`` when the factorization fails or d is not
+    finite, as a NaN in M or a NaN or inf in b leaves it.
     """
     L = np.linalg.cholesky(M).tolist()
     inv = [1.0 / row[i] for i, row in enumerate(L)]
@@ -163,7 +165,15 @@ def _cholesky_solve(M, b):
         for k in range(m - 1, i, -1):
             di -= L[k][i] * d[k]
         d[i] = di * inv[i]
+    if not all(map(math.isfinite, d)):
+        raise np.linalg.LinAlgError("non-finite solution")
     return np.array(d)
+
+
+def _norm(v) -> float:
+    """np.linalg.norm of a contiguous float vector, bit for bit, without
+    its dispatch: sqrt(v'v)."""
+    return math.sqrt(v.dot(v))
 
 
 def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
@@ -201,18 +211,15 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         iterations += 1
         free = (code == _POS) | (code == _NEG)
         J_F = J[:, free]
-        F_norm = float(np.linalg.norm(F))
+        F_norm = _norm(F)
         # regularized as in SSNAL, since rows of J with no free entry make
         # J_F J_F' singular; the floor keeps dependent rows of J from
         # failing the factorization by roundoff
         mu = max(1e-8 * min(F_norm, 1.0), 1e-14 * m) * scale
         M = alpha * (J_F @ J_F.T)
         M.flat[:: m + 1] += mu
-        # a NaN in M, or a NaN or inf in F, leaves d non-finite
         try:
             d = _cholesky_solve(M, F)
-            if not np.all(np.isfinite(d)):
-                raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             raise TangentialError("dual Newton system failed its Cholesky "
                                   "factorization") from None
@@ -220,7 +227,7 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
             u_ref = u.copy()
             u_ref[free] -= alpha * (J_F.T @ d)
             F_ref = J @ u_ref
-            if np.linalg.norm(F_ref) < 0.5 * F_norm:
+            if _norm(F_ref) < 0.5 * F_norm:
                 y, u, F = y + d, u_ref, F_ref
                 continue
             refine = False  # no longer contracting: back to full Newton steps
@@ -241,7 +248,7 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         # prediction while a component sat exactly on a kink, ends on the
         # final piece
         refine = step == 1.0 and (np.array_equal(code_try, code)
-                                  or np.linalg.norm(F_try) <= 1e-6 * F_norm)
+                                  or _norm(F_try) <= 1e-6 * F_norm)
         y, u, code, F = y_try, u_try, code_try, F_try
     return y, u, code, iterations
 
