@@ -207,7 +207,7 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     while not np.all(np.abs(F) <= 4.0 * _EPS * (1.0 + abs_J @ np.abs(u))):
         if iterations == _NEWTON_BUDGET:
             raise TangentialError(f"dual solve ran out of its Newton budget "
-                                  f"({_NEWTON_BUDGET} steps), |J u| = {np.linalg.norm(F):.3g}")
+                                  f"({_NEWTON_BUDGET} steps), |J u| = {_norm(F):.3g}")
         iterations += 1
         free = (code == _POS) | (code == _NEG)
         J_F = J[:, free]
