@@ -419,13 +419,12 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         else:
             stall_streak = 0
 
-        curvature = 0.0
-        if (accepted and not vanished and cfg.alpha_rule == "min_cap"
-                and alpha / glob.XI < glob.ALPHA_CAP):
-            # secant curvature of the scaled Lagrangian along s, with this
-            # iteration's y; it can only lift the doubling to the cap
+        lipschitz = None
+        if accepted and not vanished and cfg.alpha_rule == "min_cap":
+            # local Lipschitz estimate of the scaled Lagrangian's gradient
+            # along s, with this iteration's y
             d_grad = f_fac * (g_w - g_val) + (J_w - J_val).T @ (c_fac * y)
-            curvature = float(s @ d_grad) / s_norm ** 2
+            lipschitz = float(np.linalg.norm(d_grad)) / s_norm
         if accepted:
             x = w
             f_val, r_val, c_val = f_w, r_w, c_w
@@ -433,7 +432,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         if not (accepted and vanished):
             # a vanishing accepted step says nothing about the proximal
             # scale; growing alpha on it would reset the stationarity streak
-            alpha = glob.update_alpha(alpha, accepted, cfg.alpha_rule, curvature)
+            alpha = glob.update_alpha(alpha, accepted, cfg.alpha_rule, lipschitz)
         if alpha < glob.ALPHA_FLOOR:
             return finish("Stalled", k + 1)
 

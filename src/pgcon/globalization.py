@@ -20,6 +20,7 @@ __all__ = [
     "ETA_PHI",
     "XI",
     "ALPHA_CAP",
+    "ALPHA_MAX",
     "merit_from_parts",
     "compute_Ak",
     "tau_trial",
@@ -39,8 +40,10 @@ EPS_TAU = 0.1
 ETA_PHI = 1e-4
 # a rejected step multiplies alpha by XI; growth on acceptance divides by it
 XI = 0.5
-# the most "min_cap" lets alpha grow to
+# the most "min_cap" lets alpha grow to by doubling
 ALPHA_CAP = 10.0
+# the most "min_cap" lets alpha grow to where the Lagrangian is flat
+ALPHA_MAX = 1e6
 
 
 def merit_from_parts(f_val: float, r_val: float, c_norm: float, tau: float) -> float:
@@ -77,17 +80,19 @@ def sufficient_decrease(phi_new: float, phi_old: float, tau: float, alpha: float
     return phi_new - phi_old <= rhs + slack
 
 
-def update_alpha(alpha: float, accepted: bool, rule: str, curvature: float = 0.0) -> float:
+def update_alpha(alpha: float, accepted: bool, rule: str,
+                 lipschitz: float | None = None) -> float:
     """Next proximal parameter.  Callers watch for values below ALPHA_FLOOR
     and convert them into a stall signal.
 
     A rejected step gives XI*alpha under every rule.  On an accepted step
     "hold" keeps alpha, "verbatim_max" gives max(alpha/XI, 10), and
-    "min_cap" gives min(alpha/XI, ALPHA_CAP), or ALPHA_CAP itself when
-    the step's secant curvature s'(grad L(w) - grad L(x)) / s's lies in
-    (0, 1/ALPHA_CAP]: the spectral step (Barzilai & Borwein 1988) is then
-    at least the cap.  Nonpositive curvature, or 0 when it was not
-    computed, gives the doubling.
+    "min_cap" gives min(alpha/XI, ALPHA_CAP), the blind doubling, unless
+    the step's local Lipschitz estimate |grad L(w) - grad L(x)| / |s| is
+    at most 1/(2 ALPHA_CAP): alpha then becomes min(ALPHA_MAX, 1/(2 l)),
+    the bound of Malitsky & Mishchenko (ICML 2020), and ALPHA_MAX where
+    the Lagrangian's gradient did not move.  ``lipschitz`` None means the
+    estimate was not computed, which gives the doubling.
     """
     if rule not in ALPHA_RULES:
         raise ValueError(f"unknown alpha rule {rule!r}")
@@ -97,6 +102,6 @@ def update_alpha(alpha: float, accepted: bool, rule: str, curvature: float = 0.0
         return alpha
     if rule == "verbatim_max":
         return max(alpha / XI, 10.0)
-    if 0.0 < curvature <= 1.0 / ALPHA_CAP:
-        return ALPHA_CAP
+    if lipschitz is not None and lipschitz <= 1.0 / (2.0 * ALPHA_CAP):
+        return ALPHA_MAX if lipschitz == 0.0 else min(ALPHA_MAX, 1.0 / (2.0 * lipschitz))
     return min(alpha / XI, ALPHA_CAP)

@@ -5,9 +5,10 @@ The synthetic views are rank one: X = a u' and Y = b u', where a and b
 are block-signed pattern vectors plus per-entry Gaussian noise and u is a
 shared latent series.  The first quarter of the X rows is correlated with
 the last quarter of the Y rows, so an estimator with the right support
-has nonzeros confined to those blocks.  The data keep the factors a, b
-and s = u'u, and the covariances follow from them: Sxx = s a a',
-Syy = s b b' and Sxy = s a b'.
+has nonzeros confined to those blocks.  The data are the factors a, b
+and s = u'u alone: the covariances Sxx = s a a', Syy = s b b' and
+Sxy = s a b' are never formed, and every quadratic form in them is two
+dot products, w_x'a and w_y'b.
 
 All randomness flows through numpy's PCG64 generator seeded explicitly;
 normal deviates are produced by inverse-CDF transform of uniforms
@@ -101,17 +102,13 @@ def _standard_normal(rng: np.random.Generator, size) -> np.ndarray:
 
 @dataclass
 class SccaData:
-    """The factors of the views X = a u' and Y = b u' (s = u'u, N samples)
-    and the covariances formed from them."""
+    """The factors of the views X = a u' and Y = b u' (s = u'u, N samples)."""
 
     a: np.ndarray  # n_x
     b: np.ndarray  # n_y
     s: float
     N: int
     seed: int
-    sigma_xx: np.ndarray
-    sigma_yy: np.ndarray
-    sigma_xy: np.ndarray
     xi_x: np.ndarray  # the drawn pattern noise, kept for diagnostics
     xi_y: np.ndarray
 
@@ -160,9 +157,7 @@ def scca_generate(n_x: int, n_y: int, N: int, seed: int,
     xi_x = noise_std * _standard_normal(rng, n_x)
     xi_y = noise_std * _standard_normal(rng, n_y)
     u = _standard_normal(rng, N)
-    a, b, s = bx + xi_x, by + xi_y, float(u @ u)
-    return SccaData(a=a, b=b, s=s, N=N, seed=seed, sigma_xx=s * np.outer(a, a),
-                    sigma_yy=s * np.outer(b, b), sigma_xy=s * np.outer(a, b),
+    return SccaData(a=bx + xi_x, b=by + xi_y, s=float(u @ u), N=N, seed=seed,
                     xi_x=xi_x, xi_y=xi_y)
 
 
@@ -171,29 +166,36 @@ def scca_problem(data: SccaData, lam: float) -> ProblemInstance:
 
     Objective -w_x' Sxy w_y with l1 weight lam on both weight blocks; the
     unit-variance inequalities become equalities against slack variables
-    bounded above by one.
+    bounded above by one.  With p = w_x'a and q = w_y'b the objective is
+    -s p q, the variances are s p^2 and s q^2, and each evaluation costs
+    two dot products.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     nx, ny = data.n_x, data.n_y
     n = nx + ny
-    Sxx, Syy, Sxy = data.sigma_xx, data.sigma_yy, data.sigma_xy
+    a, b, s = data.a, data.b, data.s
+
+    def pq(wz):
+        return float(wz[:nx] @ a), float(wz[nx:n] @ b)
 
     def f(wz):
-        return -float(wz[:nx] @ Sxy @ wz[nx:n])
+        p, q = pq(wz)
+        return -s * p * q
 
     def g(wz):
-        return np.concatenate([-(Sxy @ wz[nx:n]), -(Sxy.T @ wz[:nx])])
+        p, q = pq(wz)
+        return np.concatenate([(-s * q) * a, (-s * p) * b])
 
     def cI(wz):
-        wx, wy = wz[:nx], wz[nx:n]
-        return np.array([wx @ Sxx @ wx, wy @ Syy @ wy])
+        p, q = pq(wz)
+        return np.array([s * p * p, s * q * q])
 
     def JI(wz):
-        wx, wy = wz[:nx], wz[nx:n]
+        p, q = pq(wz)
         out = np.zeros((2, n))
-        out[0, :nx] = 2.0 * (Sxx @ wx)
-        out[1, nx:] = 2.0 * (Syy @ wy)
+        out[0, :nx] = (2.0 * s * p) * a
+        out[1, nx:] = (2.0 * s * q) * b
         return out
 
     # w = 0 is a (useless) stationary point, so a solve from a zero start
@@ -236,10 +238,10 @@ def scca_metrics(w_x, w_y, data: SccaData, zero_tol: float = 1e-8,
     w_x = np.asarray(w_x, dtype=float)
     w_y = np.asarray(w_y, dtype=float)
     nx, ny = data.n_x, data.n_y
-    vx = float(w_x @ data.sigma_xx @ w_x)
-    vy = float(w_y @ data.sigma_yy @ w_y)
+    p, q = float(w_x @ data.a), float(w_y @ data.b)
+    vx, vy = data.s * p * p, data.s * q * q
     defined = vx > 0 and vy > 0
-    rho = float(w_x @ data.sigma_xy @ w_y) / float(np.sqrt(vx * vy)) if defined else 0.0
+    rho = data.s * p * q / math.sqrt(vx * vy) if defined else 0.0
 
     nnz_x = int(np.count_nonzero(np.abs(w_x) > zero_tol))
     nnz_y = int(np.count_nonzero(np.abs(w_y) > zero_tol))

@@ -36,6 +36,7 @@ class TestConfig:
         assert globalization.XI == 0.5
         assert globalization.ETA_PHI == 1e-4
         assert globalization.ALPHA_CAP == 10.0
+        assert globalization.ALPHA_MAX == 1e6
 
     def test_fields_are_what_a_run_chooses(self):
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [

@@ -88,8 +88,9 @@ class TestGeneratorGroundTruth:
         # signs; rows in the zero blocks carry only the (weak) noise channel
         data = scca_generate(200, 200, 200, seed=0)
         assert np.all(data.a[:25] > 0) and np.all(data.b[175:] < 0)
-        corr = data.sigma_xy / np.sqrt(np.outer(np.diag(data.sigma_xx),
-                                                np.diag(data.sigma_yy)))
+        # Sxy_ij / sqrt(Sxx_ii Syy_jj) with Sxy = s a b', Sxx = s a a', Syy = s b b'
+        corr = data.s * np.outer(data.a, data.b) / np.sqrt(
+            np.outer(data.s * data.a ** 2, data.s * data.b ** 2))
         np.testing.assert_allclose(corr[:25, 175:], -1.0, atol=1e-12)
         assert np.abs(data.a[50:]).max() < np.abs(data.a[:50]).min()
 

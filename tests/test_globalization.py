@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from pgcon.globalization import (
+    ALPHA_CAP,
     ALPHA_FLOOR,
+    ALPHA_MAX,
     compute_Ak,
     merit_from_parts,
     sufficient_decrease,
@@ -92,28 +94,55 @@ class TestUpdateAlpha:
         assert update_alpha(8.0, True, "min_cap") == 10.0
 
     def test_min_cap_doubles_unless_curvature_is_small(self):
-        # nonpositive curvature, or curvature above 1/cap, gives the doubling
-        for kappa in (0.0, -1.0, -1e-12, 0.1 * (1 + 1e-12), 0.5, np.inf):
-            assert update_alpha(1e-3, True, "min_cap", curvature=kappa) == 2e-3
-
-    def test_min_cap_jumps_to_cap_on_small_positive_curvature(self):
-        for kappa in (1e-300, 1e-6, 0.05, 0.1):
-            assert update_alpha(1e-3, True, "min_cap", curvature=kappa) == 10.0
+        # no estimate, or an estimate above 1/(2 cap), gives the doubling
+        for ell in (None, 0.05 * (1 + 1e-12), 0.5, 1e300, np.inf):
+            assert update_alpha(1e-3, True, "min_cap", lipschitz=ell) == 2e-3
+            assert update_alpha(4.0, True, "min_cap", lipschitz=ell) == 8.0
 
     def test_min_cap_never_exceeds_cap(self):
-        for alpha in (1e-3, 4.0, 8.0, 10.0):
-            for kappa in (-1.0, 0.0, 0.05, 1.0):
-                assert update_alpha(alpha, True, "min_cap", curvature=kappa) <= 10.0
+        # the blind doubling stops at the cap, also from above it
+        for alpha in (1e-3, 4.0, 8.0, 10.0, 1e3, ALPHA_MAX):
+            for ell in (None, 0.06, 1.0, np.inf):
+                out = update_alpha(alpha, True, "min_cap", lipschitz=ell)
+                assert out == min(2.0 * alpha, ALPHA_CAP)
+
+    def test_min_cap_takes_inverse_lipschitz_bound_on_small_estimate(self):
+        # 0 < l <= 1/(2 cap): alpha = min(ALPHA_MAX, 1/(2 l)), whatever
+        # alpha was before
+        assert 1.0 / (2.0 * ALPHA_CAP) == 0.05
+        for alpha in (1e-3, 10.0, ALPHA_MAX):
+            assert update_alpha(alpha, True, "min_cap", lipschitz=0.05) == 10.0
+            assert update_alpha(alpha, True, "min_cap", lipschitz=0.025) == 20.0
+            assert update_alpha(alpha, True, "min_cap", lipschitz=1e-4) == 5e3
+            assert update_alpha(alpha, True, "min_cap", lipschitz=5e-7) == ALPHA_MAX
+            for ell in (4e-7, 1e-12, 1e-300, 5e-324):
+                assert update_alpha(alpha, True, "min_cap", lipschitz=ell) == ALPHA_MAX
+
+    def test_min_cap_flat_lagrangian_gives_alpha_max(self):
+        assert ALPHA_MAX == 1e6
+        for alpha in (1e-3, 10.0, ALPHA_MAX):
+            assert update_alpha(alpha, True, "min_cap", lipschitz=0.0) == ALPHA_MAX
+
+    def test_missing_estimate_is_not_zero(self):
+        # None means "not computed": the doubling, not the flat case
+        assert update_alpha(1e-3, True, "min_cap") == 2e-3
+        assert update_alpha(1e-3, True, "min_cap", lipschitz=None) == 2e-3
+        assert update_alpha(1e-3, True, "min_cap", lipschitz=0.0) == ALPHA_MAX
+
+    def test_min_cap_never_exceeds_alpha_max(self):
+        for alpha in (1e-3, 10.0, 1e5, ALPHA_MAX):
+            for ell in (None, 0.0, 5e-324, 1e-9, 0.05, 1.0):
+                assert update_alpha(alpha, True, "min_cap", lipschitz=ell) <= ALPHA_MAX
 
     def test_rejection_ignores_curvature(self):
         for rule in ("hold", "min_cap", "verbatim_max"):
-            for kappa in (-1.0, 0.0, 0.05, 1.0):
-                assert update_alpha(1e-3, False, rule, curvature=kappa) == 5e-4
+            for ell in (None, 0.0, 1e-9, 0.05, 1.0):
+                assert update_alpha(1e-3, False, rule, lipschitz=ell) == 5e-4
 
     def test_hold_and_verbatim_max_ignore_curvature(self):
-        for kappa in (-1.0, 0.0, 0.05, 1.0):
-            assert update_alpha(3.0, True, "hold", curvature=kappa) == 3.0
-            assert update_alpha(1.0, True, "verbatim_max", curvature=kappa) == 10.0
+        for ell in (None, 0.0, 1e-9, 0.05, 1.0):
+            assert update_alpha(3.0, True, "hold", lipschitz=ell) == 3.0
+            assert update_alpha(1.0, True, "verbatim_max", lipschitz=ell) == 10.0
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
