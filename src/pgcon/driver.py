@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import globalization as glob
-from .geometry import active_set, kkt_parts, project_box
+from .geometry import _norm, active_set, kkt_parts, project_box
 from .normal_step import ETA_M, GAMMA, KAPPA_V, compute_normal_step
 from .problem import EvaluationError, L1Regularizer, ProblemInstance, ScaleInfo, scale_factors
 from .tangential import TangentialError, solve_tangential
@@ -213,24 +213,24 @@ class _InvariantMonitor:
 
     def check_iteration(self, k, *, normal, tang, x, c_val, J, alpha, tau, s,
                         A_k, cJs_norm):
-        c_norm = float(np.linalg.norm(c_val))
+        c_norm = _norm(c_val)
         if self.prev_tau is not None and tau < self.prev_tau:
             # the update's defining inequality after any decrease
             gain = c_norm - cJs_norm
             if tau * A_k > (1.0 - glob.SIGMA_C) * gain + self.SLACK:
                 self._add(k, "tau_update_inequality",
                           tau * A_k - (1.0 - glob.SIGMA_C) * gain)
-        s_norm = float(np.linalg.norm(s))
+        s_norm = _norm(s)
         if s_norm / alpha <= TOL_STEP:
             # a vanishing trial step must come from vanishing parts
             cap = max(10.0 * TOL_STEP * alpha,
                       1e-8 * (1.0 + float(np.max(np.abs(x), initial=0.0))))
-            if np.linalg.norm(normal.v) > cap or np.linalg.norm(tang.u) > cap:
+            if _norm(normal.v) > cap or _norm(tang.u) > cap:
                 self._add(k, "step_parts_vanish", max(
-                    np.linalg.norm(normal.v), np.linalg.norm(tang.u)))
+                    _norm(normal.v), _norm(tang.u)))
         if normal.delta > 0 and normal.beta > 0:
             jtj_norm = float(np.linalg.norm(J, 2) ** 2) if J.size else 0.0
-            ratio = float(np.linalg.norm(normal.v_cauchy)) / normal.beta
+            ratio = _norm(normal.v_cauchy) / normal.beta
             rhs = self.KAPPA1 * ratio * min(ratio / (1.0 + jtj_norm),
                                             KAPPA_V * alpha * normal.delta)
             lhs = normal.m0 - 0.5 * float(
@@ -238,14 +238,14 @@ class _InvariantMonitor:
             if lhs < rhs - self.SLACK:
                 self._add(k, "cauchy_decrease", rhs - lhs)
             if c_norm > 0:
-                v1n = float(np.linalg.norm(normal.v_unit))
+                v1n = _norm(normal.v_unit)
                 rhs2 = (self.KAPPA1 / c_norm) * v1n ** 2 * min(
                     1.0 / (1.0 + jtj_norm), KAPPA_V * alpha)
                 if normal.lin_feas_gain < rhs2 - self.SLACK:
                     self._add(k, "linearized_gain", rhs2 - normal.lin_feas_gain)
         if self.orthant:
-            lhs = float(np.linalg.norm(s))
-            rhs = float(np.linalg.norm(np.minimum(x, -tang.z)))
+            lhs = _norm(s)
+            rhs = _norm(np.minimum(x, -tang.z))
             if lhs < rhs - self.SLACK:
                 self._add(k, "step_bounds_complementarity", rhs - lhs)
         if self.prev_tau is not None and tau > self.prev_tau + 1e-15:
@@ -314,7 +314,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
                              y_un, z_un, g_r_un).chi if records else np.inf)
         report = SolveReport(
             status=status_, x=x.copy(), y=y_un, z=z_un, g_r=g_r_un, chi=chi_fin,
-            c_norm=float(np.linalg.norm(c_val)), iterations=iters, records=records,
+            c_norm=_norm(c_val), iterations=iters, records=records,
             objective=f_val + p.reg.value(x), f_unscaled=f_val,
             wall_time=time.perf_counter() - t_start, config_hash=cfg.config_hash(),
         )
@@ -356,14 +356,14 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
 
         parts = kkt_parts(g_val, c_val, J_val, box, p.reg.weights, x,
                           *scale.unscale_multipliers(y, z, g_r))
-        comp_v1 = max(parts.stationarity, float(np.linalg.norm(normal.v_unit)),
+        comp_v1 = max(parts.stationarity, _norm(normal.v_unit),
                       parts.complementarity)
 
-        s_norm = float(np.linalg.norm(s))
+        s_norm = _norm(s)
         r_w = reg.value(w)
         A_k = glob.compute_Ak(g_s, s, alpha, r_w, r_val)
-        c_norm = float(np.linalg.norm(c_s))
-        cJs_norm = float(np.linalg.norm(c_s + J_s @ s))
+        c_norm = _norm(c_s)
+        cJs_norm = _norm(c_s + J_s @ s)
         tau_new = glob.update_tau(tau, glob.tau_trial(A_k, c_norm, cJs_norm))
 
         phi_old = glob.merit_from_parts(f_s, r_val, c_norm, tau_new)
@@ -371,7 +371,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             f_w = p.f(w)
             c_w = p.c(w)
             phi_new = glob.merit_from_parts(f_fac * f_w, r_w,
-                                            float(np.linalg.norm(c_fac * c_w)), tau_new)
+                                            _norm(c_fac * c_w), tau_new)
             accepted = glob.sufficient_decrease(phi_new, phi_old, tau_new, alpha, s,
                                                 c_norm, cJs_norm)
             if accepted:
@@ -390,7 +390,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         aset = active_set(x, box)
         records.append(IterationRecord(
             k=k, x_hash=_hash_point(x), delta=normal.delta, beta=normal.beta,
-            norm_v=float(np.linalg.norm(normal.v)), norm_u=float(np.linalg.norm(tang.u)),
+            norm_v=_norm(normal.v), norm_u=_norm(tang.u),
             norm_s=s_norm, tau=tau_new, alpha=alpha,
             merit_before=phi_old, merit_after=phi_new, accepted=accepted,
             chi=parts.chi, chi_stat=parts.stationarity, chi_comp=parts.complementarity,
@@ -424,7 +424,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             # local Lipschitz estimate of the scaled Lagrangian's gradient
             # along s, with this iteration's y
             d_grad = f_fac * (g_w - g_val) + (J_w - J_val).T @ (c_fac * y)
-            lipschitz = float(np.linalg.norm(d_grad)) / s_norm
+            lipschitz = _norm(d_grad) / s_norm
         if accepted:
             x = w
             f_val, r_val, c_val = f_w, r_w, c_w

@@ -12,6 +12,7 @@ onto lam * d|x| at the point it certifies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,12 @@ __all__ = [
     "kkt_parts",
     "nearest_subgradient",
 ]
+
+
+def _norm(v) -> float:
+    """np.linalg.norm of a 1-D contiguous float vector, bit for bit,
+    without its dispatch: sqrt(v'v)."""
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,7 @@ def compute_delta(x, grad, box: BoxSet):
     over the box.
     """
     direction = project_tangent_cone(-np.asarray(grad, dtype=float), x, box)
-    return float(np.linalg.norm(direction)), direction
+    return _norm(direction), direction
 
 
 def active_set(x, box: BoxSet) -> ActiveSet:
@@ -147,9 +154,9 @@ def kkt_parts(grad, resid, J, box: BoxSet, lam, point, y, z, g_r) -> KktParts:
     # their sum reduces to |min(x_i, -z_i)|
     comp, sign = box_complementarity(point, z, box.lower, box.upper)
     return KktParts(
-        stationarity=float(np.linalg.norm(grad + g_r_proj + J.T @ y + z)),
-        feasibility=float(np.linalg.norm(resid)),
-        complementarity=float(np.linalg.norm(comp + sign)),
+        stationarity=_norm(grad + g_r_proj + J.T @ y + z),
+        feasibility=_norm(resid),
+        complementarity=_norm(comp + sign),
         box_violation=float(np.max(np.maximum(box.lower - point, point - box.upper),
                                    initial=0.0)),
         subgradient_margin=float(np.max(np.abs(g_r - g_r_proj), initial=0.0)),

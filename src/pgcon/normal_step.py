@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import compute_delta, project_box
+from .geometry import _norm, compute_delta, project_box
 from .problem import BoxSet
 from .qp import solve_qp
 
@@ -77,7 +77,7 @@ def cauchy_search(x, c_val, J_val, alpha, delta, box: BoxSet, grad, v_unit):
     m0 = 0.5 * float(np.dot(c_val, c_val))
     beta, v = 1.0, v_unit
     for i in range(MAX_BACKTRACKS + 1):
-        if np.linalg.norm(v) <= radius:
+        if _norm(v) <= radius:
             if model_value(c_val, J_val, v) <= m0 + ETA_M * float(np.dot(grad, v)):
                 return beta, v, i
         beta *= GAMMA
@@ -110,12 +110,12 @@ def compute_normal_step(x, c_val, J_val, alpha, box: BoxSet, tol_c: float) -> No
     J = np.asarray(J_val, dtype=float)
     n = x.shape[0]
     m0 = 0.5 * float(np.dot(c_val, c_val))
-    c_norm = float(np.linalg.norm(c_val))
+    c_norm = _norm(c_val)
 
     grad = J.T @ c_val
     delta, _ = compute_delta(x, grad, box)
     v_unit = project_box(x - grad, box) - x
-    tol_delta = 1e-12 * (1.0 + float(np.linalg.norm(grad)))
+    tol_delta = 1e-12 * (1.0 + _norm(grad))
 
     if delta <= tol_delta:
         zero = np.zeros(n)
@@ -131,7 +131,7 @@ def compute_normal_step(x, c_val, J_val, alpha, box: BoxSet, tol_c: float) -> No
     m_i = model_value(c_val, J, v_inf)
     v, m_v = (v_c, m_c) if m_c < m_i else (v_inf, m_i)
 
-    gain = c_norm - float(np.linalg.norm(c_val + J @ v))
+    gain = c_norm - _norm(c_val + J @ v)
     return NormalStepResult(
         v=v, v_cauchy=v_c, v_inf=v_inf, v_unit=v_unit, beta=beta,
         backtracks=backtracks, delta=delta, m0=m0, m_v=m_v, lin_feas_gain=gain,

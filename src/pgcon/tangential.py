@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import KktParts, kkt_parts, nearest_subgradient, project_box
+from .geometry import KktParts, _norm, kkt_parts, nearest_subgradient, project_box
 from .problem import BoxSet, L1Regularizer
 # unused here, but perfbench/layers.py rebinds tangential.solve_qp and build_tangential_qp
 from .qp import solve_qp  # noqa: F401
@@ -168,12 +168,6 @@ def _cholesky_solve(M, b):
     if not all(map(math.isfinite, d)):
         raise np.linalg.LinAlgError("non-finite solution")
     return np.array(d)
-
-
-def _norm(v) -> float:
-    """np.linalg.norm of a contiguous float vector, bit for bit, without
-    its dispatch: sqrt(v'v)."""
-    return math.sqrt(v.dot(v))
 
 
 def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):

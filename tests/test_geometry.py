@@ -3,6 +3,7 @@ import pytest
 
 from pgcon.driver import kkt_residual
 from pgcon.geometry import (
+    _norm,
     active_set,
     box_complementarity,
     compute_delta,
@@ -27,6 +28,20 @@ def cone_projection_oracle(d, x, box, tol=1e-12):
     lo = np.where(at_lo, 0.0, -np.inf)
     hi = np.where(at_hi, 0.0, np.inf)
     return solve_qp(np.eye(len(d)), -np.asarray(d, dtype=float), lo, hi).primal
+
+
+class TestNorm:
+    def test_bits_of_numpy_norm(self):
+        # every 2-norm of a vector in the solver goes through _norm
+        rng = np.random.default_rng(3)
+        for n in (0, 1, 2, 3, 7, 64, 1001):
+            for scale in (1e-200, 1.0, 1e150):
+                v = scale * rng.standard_normal(n)
+                out = _norm(v)
+                assert type(out) is float
+                assert np.float64(out).view(np.int64) == np.linalg.norm(v).view(np.int64)
+        assert _norm(np.array([np.inf, 1.0])) == np.inf
+        assert np.isnan(_norm(np.array([np.nan, 1.0])))
 
 
 class TestProjectBox:
