@@ -94,7 +94,8 @@ class TestUpdateAlpha:
         assert update_alpha(8.0, True, "min_cap") == 10.0
 
     def test_min_cap_doubles_unless_curvature_is_small(self):
-        # no estimate, or an estimate above 1/(2 cap), gives the doubling
+        # no estimate (None: not computed, unlike l = 0, the flat case), or
+        # an estimate above 1/(2 cap), gives the doubling
         for ell in (None, 0.05 * (1 + 1e-12), 0.5, 1e300, np.inf):
             assert update_alpha(1e-3, True, "min_cap", lipschitz=ell) == 2e-3
             assert update_alpha(4.0, True, "min_cap", lipschitz=ell) == 8.0
@@ -122,12 +123,6 @@ class TestUpdateAlpha:
         assert ALPHA_MAX == 1e6
         for alpha in (1e-3, 10.0, ALPHA_MAX):
             assert update_alpha(alpha, True, "min_cap", lipschitz=0.0) == ALPHA_MAX
-
-    def test_missing_estimate_is_not_zero(self):
-        # None means "not computed": the doubling, not the flat case
-        assert update_alpha(1e-3, True, "min_cap") == 2e-3
-        assert update_alpha(1e-3, True, "min_cap", lipschitz=None) == 2e-3
-        assert update_alpha(1e-3, True, "min_cap", lipschitz=0.0) == ALPHA_MAX
 
     def test_min_cap_never_exceeds_alpha_max(self):
         for alpha in (1e-3, 10.0, 1e5, ALPHA_MAX):
