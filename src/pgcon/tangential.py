@@ -13,8 +13,13 @@ finds y with F(y) = J u(y) = 0 by semismooth Newton (Li, Sun & Toh,
 SIAM J. Optim. 2018): each step solves the m x m system
 (alpha J_F J_F' + mu I) d = F over the free components F, those neither
 zeroed nor clipped, by numpy's Cholesky and two triangular substitutions
-(``_cholesky_solve``), with an Armijo backtrack on the concave dual
-function.  It starts from the caller's y, the previous iteration's.
+(``_cholesky_solve``).  The step along d starts at 1, except when no
+component is free: M is then mu I and d ~ F/mu far too long, so it
+starts at the maximizer of the dual function along d, found exactly by
+walking the kinks of its piecewise-linear derivative
+(``_ray_maximizer``).  An Armijo backtrack on the concave dual function
+guards either start.  The solve starts from the caller's y, the
+previous iteration's.
 The box multipliers z and the regularizer subgradient g_r follow from
 stationarity, with z = 0 off the bounds and g_r the point of lam * d|w|
 nearest to the residual (``geometry.nearest_subgradient``).  The answer
@@ -139,6 +144,46 @@ def _piece(tau, base, alpha_lam, lower, upper):
     return u, code
 
 
+def _ray_maximizer(t, Jd, alpha, alpha_lam, lower, upper, slope):
+    """The first s > 0 where theta(y + s d) stops rising, or inf if it
+    never does; t is x + v + tau at y and slope = F'd > 0.
+
+    Along the ray t(s) = t - s alpha J'd, component i is free while t_i(s)
+    lies in (max(alpha lam_i, lower_i + alpha lam_i), upper_i + alpha lam_i)
+    or in (lower_i - alpha lam_i, min(-alpha lam_i, upper_i - alpha lam_i)),
+    and there it adds alpha (J'd)_i^2 to -theta''.  So theta' falls
+    piecewise linearly from slope; walk the interval ends in order until
+    it reaches 0.  Ends at s = inf are never reached and are left out.
+    """
+    on = Jd != 0
+    a = np.tile(alpha * Jd[on], 2)
+    t = np.tile(t[on], 2)
+    al, lo, hi = alpha_lam[on], lower[on], upper[on]
+    t_lo = np.concatenate([np.maximum(al, lo + al), lo - al])
+    t_hi = np.concatenate([hi + al, np.minimum(-al, hi - al)])
+    with np.errstate(over="ignore"):  # an end beyond the float range is never reached
+        s_lo, s_hi = (t - t_lo) / a, (t - t_hi) / a
+    enter, leave = np.maximum(np.minimum(s_lo, s_hi), 0.0), np.maximum(s_lo, s_hi)
+    live = (t_lo < t_hi) & (enter < np.inf) & (leave > 0.0)
+    gone = live & (leave < np.inf)
+    pos = np.concatenate([enter[live], leave[gone]])
+    if pos.size == 0 or not slope > 0.0:
+        return math.inf
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    sign = np.concatenate([np.ones(pos.size - gone.sum()), -np.ones(gone.sum())])[order]
+    weight = np.concatenate([a[live], a[gone]])[order] ** 2 / alpha
+    # the curvature on [pos[k], pos[k + 1]], exactly 0 where no interval is open
+    kappa = np.where(np.cumsum(sign) > 0.0, np.maximum(np.cumsum(sign * weight), 0.0), 0.0)
+    # theta' at each interval end
+    rate = slope - np.concatenate([[0.0], np.cumsum(kappa[:-1] * np.diff(pos))])
+    past = np.flatnonzero(rate <= 0.0)
+    k = past[0] - 1 if past.size else pos.size - 1
+    if kappa[k] <= 0.0:
+        return math.inf
+    return float(pos[k] + rate[k] / kappa[k])
+
+
 def _cholesky_solve(M, b):
     """Solve M d = b for symmetric positive definite M by Cholesky, M = L L'.
 
@@ -174,11 +219,15 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     """Semismooth Newton on F(y) = J u(y) = 0 from y.
 
     The dual function theta(y) = (1/2 alpha)||u - tau0||^2 + lam'|x+v+u|
-    + y'J u is concave with gradient F.  Once a unit step leaves the piece
-    (the codes) unchanged, or cuts the residual as the model predicts, the
-    model is exact there and the remaining residual is refined in place,
-    u_F -= alpha J_F' d and y += d, until |J u| <= 4 eps (1 + |J| |u|) row
-    by row.  Returns (y, u, code, iterations); raises TangentialError
+    + y'J u is concave with gradient F.  Each Newton direction d is tried
+    from step 1, or from the exact maximizer along d when no component is
+    free, and halved until theta passes the Armijo test.  The maximizer
+    passes it at once unless kinks before it cut theta's curvature sharply
+    (on one quadratic piece theta rises by s F'd / 2 there).
+    Once a unit step leaves the piece (the codes) unchanged, or cuts the
+    residual as the model predicts, the model is exact there and the
+    remaining residual is refined in place, u_F -= alpha J_F' d and
+    y += d, until |J u| <= 4 eps (1 + |J| |u|) row by row.  Returns (y, u, code, iterations); raises TangentialError
     when the budget runs out, the line search fails or a Cholesky
     factorization fails.
     """
@@ -229,6 +278,11 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         slope = float(F @ d)
         slack = 8.0 * _EPS * (1.0 + abs(theta0))
         step = 1.0
+        if J_F.shape[1] == 0:
+            # M = mu I makes d ~ F/mu far too long: start at the ray's maximizer
+            t = base + (tau0 - alpha * (J.T @ y))
+            step = min(step, _ray_maximizer(t, J.T @ d, alpha, alpha_lam, lower, upper,
+                                            slope))
         for _ in range(_MAX_BACKTRACKS):
             y_try = y + step * d
             u_try, code_try, F_try = evaluate(y_try)

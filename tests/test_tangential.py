@@ -1,19 +1,27 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from pgcon import tangential
+from pgcon.bench import corpus_suite, run_benchmark
 from pgcon.driver import SolverConfig, solve
 from pgcon.geometry import kkt_parts
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
 from pgcon.tangential import (
+    _ARMIJO,
     TangentialError,
     _cholesky_solve,
+    _piece,
+    _ray_maximizer,
     build_tangential_qp,
     kkt_bar,
     solve_tangential,
 )
 from qp_oracle import enumerate_qp
 from qp_reference import QpProblem, solve_qp
+from test_fuzz import fuzz_case
 
 
 def split_qp(x, v, g, J, alpha, reg, box):
@@ -360,15 +368,27 @@ class TestCholeskySolve:
 class TestFallback:
     """The dual solve has no fallback: a failure raises, naming its cause."""
 
-    # J = [1] forces u = 0 and y = -g = 1, but w(y) is off its bounds only
-    # for y within 1e-8 of 1: from y = 0 the Newton steps halve their way
-    # toward that window and run out of budget
-    BOX = BoxSet(np.array([-1e-8]), np.array([1e-8]))
+    # a nearly singular square J, as in fuzz rng 99 #12: u = 0 and y =
+    # -J'^{-1} g ~ 2e8, so the rounding of alpha J'y alone, ~1e-8, keeps
+    # |J u| far above the 4 eps (1 + |J| |u|) stopping bar
+    J = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-8]])
+    G = np.array([1.0, -1.0])
 
-    def test_narrow_window_exhausts_newton_budget(self):
+    def test_narrow_window_solved_by_the_ray_search(self):
+        # J = [1] forces u = 0 and y = -g = 1, but w(y) is off its bounds
+        # only for y within 1e-8 of 1; from y = 0 nothing is free, and the
+        # ray search steps straight into that window
+        box = BoxSet(np.array([-1e-8]), np.array([1e-8]))
+        res = solve_tangential(np.zeros(1), np.zeros(1), np.array([-1.0]),
+                               np.array([[1.0]]), 1.0, L1Regularizer(np.zeros(1)), box)
+        assert res.y[0] == pytest.approx(1.0, abs=1e-12)
+        assert res.u[0] == 0.0
+        assert res.iterations <= 3
+
+    def test_nearly_singular_jacobian_exhausts_newton_budget(self):
         with pytest.raises(TangentialError, match="Newton budget"):
-            solve_tangential(np.zeros(1), np.zeros(1), np.array([-1.0]),
-                             np.array([[1.0]]), 1.0, L1Regularizer(np.zeros(1)), self.BOX)
+            solve_tangential(np.zeros(2), np.zeros(2), self.G, self.J, 1.0,
+                             L1Regularizer(np.zeros(2)), BoxSet.free(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_jacobian_fails_the_cholesky(self, bad):
@@ -381,13 +401,14 @@ class TestFallback:
                              L1Regularizer(np.zeros(2)), BoxSet.free(2))
 
     def test_driver_run_stalls_naming_the_cause(self):
-        # min -x s.t. x = 0 in the same window: the first tangential
-        # subproblem is the one above
+        # min g'x s.t. J x = 0 from x = 0: the first tangential subproblem
+        # is the one above
+        J, g = self.J, self.G
         p = ProblemInstance(
-            name="window", n=1, m=1, f_eval=lambda x: -float(x[0]),
-            g_eval=lambda x: np.array([-1.0]), c_eval=lambda x: x.copy(),
-            J_eval=lambda x: np.ones((1, 1)), reg=L1Regularizer(np.zeros(1)),
-            box=self.BOX, x0=np.zeros(1))
+            name="near-singular", n=2, m=2, f_eval=lambda x: float(g @ x),
+            g_eval=lambda x: g.copy(), c_eval=lambda x: J @ x,
+            J_eval=lambda x: J.copy(), reg=L1Regularizer(np.zeros(2)),
+            box=BoxSet.free(2), x0=np.zeros(2))
         with pytest.warns(UserWarning, match="iteration 0: .*Newton budget"):
             rep = solve(p, SolverConfig(alpha0=1.0, scaling=False))
         assert rep.status == "Stalled"
@@ -434,3 +455,122 @@ class TestWarmStart:
             np.testing.assert_allclose(getattr(warm, name), getattr(cold, name),
                                        rtol=0, atol=1e-12)
         assert warm.iterations < cold.iterations
+
+
+class TestRaySearch:
+    """The exact maximizer of the dual function along a Newton direction,
+    taken when no component is free, against theta sampled densely along
+    the ray through the real ``_piece``."""
+
+    @staticmethod
+    def theta(y, base, tau0, J, alpha, lam, lower, upper):
+        """The dual function of ``_dual_solve`` and its gradient J u."""
+        u, _ = _piece(tau0 - alpha * (J.T @ y), base, alpha * lam, lower, upper)
+        r, F = u - tau0, J @ u
+        return float(r @ r) / (2 * alpha) + float(lam @ np.abs(base + u)) + float(y @ F), F
+
+    def search(self, base, tau0, J, alpha, lam, lower, upper, y, d):
+        """(s*, d, theta along s -> theta(y + s d)), with d turned uphill."""
+        args = (base, tau0, J, alpha, lam, lower, upper)
+        F = self.theta(y, *args)[1]
+        if F @ d < 0:
+            d = -d
+        t = base + (tau0 - alpha * (J.T @ y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = _ray_maximizer(t, J.T @ d, alpha, alpha * lam, lower, upper, float(F @ d))
+        return s, d, lambda step: self.theta(y + step * d, *args)[0]
+
+    @staticmethod
+    def case(seed):
+        # zero and positive weights, infinite bounds, lower = 0 and upper = 0,
+        # and a zero column of J, so (J'd)_i = 0
+        rng = np.random.default_rng(seed)
+        n, m = 8, 2
+        lam = np.where(rng.random(n) < 0.5, rng.random(n), 0.0)
+        lower = np.array([-np.inf, 0.0, -np.inf, -1.0, 0.0, -np.inf, -2.0, -np.inf])
+        upper = np.array([np.inf, np.inf, 0.0, 1.0, np.inf, 0.0, np.inf, np.inf])
+        J = rng.standard_normal((m, n))
+        J[:, 7] = 0.0
+        return (rng.standard_normal(n), rng.standard_normal(n), J, 10.0 ** rng.uniform(-1, 1),
+                lam, lower, upper, rng.standard_normal(m), rng.standard_normal(m))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_dense_sampling(self, seed):
+        base, tau0, J, alpha, lam, lower, upper, y, d = self.case(seed)
+        s, d, along = self.search(base, tau0, J, alpha, lam, lower, upper, y, d)
+        assert 0.0 < s < np.inf
+        grid = np.linspace(0.0, 3.0 * s, 3001)
+        vals = np.array([along(step) for step in grid])
+        best = along(s)
+        tol = 1e-12 * (1.0 + np.max(np.abs(vals)))
+        # the sampled maximum sits within a grid step of s* and is no higher
+        assert abs(grid[np.argmax(vals)] - s) <= 1.5 * grid[1]
+        assert best >= vals.max() - tol
+        # theta rises up to s* and falls after it
+        assert np.all(np.diff(vals[grid <= s]) >= -tol)
+        assert np.all(np.diff(vals[grid >= s]) <= tol)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_armijo_holds_at_the_step(self, seed):
+        base, tau0, J, alpha, lam, lower, upper, y, d = self.case(seed)
+        s, d, along = self.search(base, tau0, J, alpha, lam, lower, upper, y, d)
+        theta0, F = self.theta(y, base, tau0, J, alpha, lam, lower, upper)
+        assert along(s) >= theta0 + _ARMIJO * s * float(F @ d)
+
+    def test_one_piece_is_the_newton_step_on_theta(self):
+        # no weights and no bounds: one quadratic piece, theta'' = -alpha |J'd|^2,
+        # so s* = F'd / (alpha |J'd|^2) and theta rises by s* F'd / 2
+        rng = np.random.default_rng(5)
+        n, J, alpha = 5, rng.standard_normal((2, 5)), 0.7
+        args = (rng.standard_normal(n), rng.standard_normal(n), J, alpha, np.zeros(n),
+                np.full(n, -np.inf), np.full(n, np.inf))
+        y, d = rng.standard_normal(2), rng.standard_normal(2)
+        s, d, along = self.search(*args, y, d)
+        theta0, F = self.theta(y, *args)
+        slope, Jd = float(F @ d), J.T @ d
+        assert s == pytest.approx(slope / (alpha * float(Jd @ Jd)), rel=1e-12)
+        assert along(s) == pytest.approx(theta0 + 0.5 * s * slope, rel=1e-12)
+
+    def test_no_maximizer(self):
+        # x + v = 5 in the box [-1, 1]: J u = u lies in [-6, -4], so the dual
+        # rises without bound once the component clips
+        args = (np.array([5.0]), np.array([-5.0]), np.array([[1.0]]), 1.0, np.zeros(1),
+                np.array([-1.0]), np.array([1.0]), np.zeros(1), np.ones(1))
+        s, d, along = self.search(*args)
+        assert s == np.inf
+        vals = [along(step) for step in np.linspace(0.0, 100.0, 101)]
+        assert np.all(np.diff(vals) > 0.0)
+
+    def test_tiny_and_zero_directions_raise_no_warning(self):
+        # ends of (J'd)_i = 1e-300 overflow to inf and (J'd)_i = 0 has none;
+        # search() turns numpy warnings into errors
+        J = np.array([[1.0, 1e-300, 0.0]])
+        s, d, along = self.search(np.zeros(3), np.array([1.0, 2.0, 3.0]), J, 1.0,
+                                  np.array([0.5, 0.0, 0.0]), np.array([-1.0, -1.0, -np.inf]),
+                                  np.array([1.0, 1.0, np.inf]), np.zeros(1), np.ones(1))
+        assert 0.0 < s < np.inf
+        assert along(s) >= along(0.0)
+
+    @pytest.mark.parametrize("seed, trial, status", [
+        (7, 37, "KktPoint"), (99, 32, "InfeasibleStationary"), (5, 62, "KktPoint")])
+    def test_fuzz_solves_that_a_partial_walk_stalls(self, seed, trial, status):
+        # stepping only to the first kink crawls one kink per Newton step and
+        # ends these Stalled on the Newton budget
+        rng = np.random.default_rng(seed)
+        for k in range(trial + 1):
+            p, cfg = fuzz_case(rng, k)
+        assert solve(p, cfg).status == status
+
+    def test_corpus_pass_piece_evaluations(self, monkeypatch):
+        # 457 with the search started blind at step 1
+        count = [0]
+
+        def counted(*args):
+            count[0] += 1
+            return _piece(*args)
+
+        monkeypatch.setattr(tangential, "_piece", counted)
+        results = run_benchmark(corpus_suite())
+        assert all(r.error == "" for r in results)
+        assert count[0] <= 250
