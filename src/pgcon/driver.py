@@ -224,7 +224,7 @@ class _InvariantMonitor:
         if s_norm / alpha <= TOL_STEP:
             # a vanishing trial step must come from vanishing parts
             cap = max(10.0 * TOL_STEP * alpha,
-                      1e-8 * (1.0 + float(np.max(np.abs(x), initial=0.0))))
+                      1e-8 * (1.0 + float(np.abs(x).max(initial=0.0))))
             if _norm(normal.v) > cap or _norm(tang.u) > cap:
                 self._add(k, "step_parts_vanish", max(
                     _norm(normal.v), _norm(tang.u)))

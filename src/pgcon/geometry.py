@@ -148,7 +148,7 @@ def kkt_parts(grad, resid, J, box: BoxSet, lam, point, y, z, g_r) -> KktParts:
     Complementarity is ||comp + sign|| of ``box_complementarity``.
     """
     point = np.asarray(point, dtype=float)
-    zero_tol = 1e-12 * (1.0 + float(np.max(np.abs(point), initial=0.0)))
+    zero_tol = 1e-12 * (1.0 + float(np.abs(point).max(initial=0.0)))
     g_r_proj = nearest_subgradient(point, g_r, lam, zero_tol)
     # the two parts are disjoint per component; on the nonnegative orthant
     # their sum reduces to |min(x_i, -z_i)|
@@ -157,7 +157,6 @@ def kkt_parts(grad, resid, J, box: BoxSet, lam, point, y, z, g_r) -> KktParts:
         stationarity=_norm(grad + g_r_proj + J.T @ y + z),
         feasibility=_norm(resid),
         complementarity=_norm(comp + sign),
-        box_violation=float(np.max(np.maximum(box.lower - point, point - box.upper),
-                                   initial=0.0)),
-        subgradient_margin=float(np.max(np.abs(g_r - g_r_proj), initial=0.0)),
+        box_violation=float(np.maximum(box.lower - point, point - box.upper).max(initial=0.0)),
+        subgradient_margin=float(np.abs(g_r - g_r_proj).max(initial=0.0)),
     )

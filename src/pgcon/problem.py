@@ -148,21 +148,21 @@ class ProblemInstance:
 
     def g(self, x) -> np.ndarray:
         v = _as_float_array(self.g_eval(np.asarray(x, dtype=float)), self.n)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             bad = int(np.flatnonzero(~np.isfinite(v))[0])
             raise EvaluationError(f"{self.name}: gradient component {bad} is not finite")
         return v
 
     def c(self, x) -> np.ndarray:
         v = np.asarray(self.c_eval(np.asarray(x, dtype=float)), dtype=float).reshape(self.m)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             bad = int(np.flatnonzero(~np.isfinite(v))[0])
             raise EvaluationError(f"{self.name}: constraint component {bad} is not finite")
         return v
 
     def J(self, x) -> np.ndarray:
         v = np.asarray(self.J_eval(np.asarray(x, dtype=float)), dtype=float).reshape(self.m, self.n)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             i, j = np.argwhere(~np.isfinite(v))[0]
             raise EvaluationError(f"{self.name}: Jacobian entry ({i},{j}) is not finite")
         return v

@@ -63,7 +63,7 @@ def solve_qp(G, c0, lower, upper) -> QpSolution:
     c0 = np.asarray(c0, dtype=float)
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
-    if np.any(lo > hi):
+    if (lo > hi).any():
         raise ValueError("box has lower_i > upper_i")
     d = G.shape[1]
     max_iter = 50 * max(d, 1)
@@ -103,9 +103,9 @@ def solve_qp(G, c0, lower, upper) -> QpSolution:
         step = np.zeros(d)
         if free.size:
             step[free] = xf_target - x[free]
-        step_inf = float(np.max(np.abs(step), initial=0.0))
+        step_inf = float(np.abs(step).max(initial=0.0))
 
-        if step_inf <= max(_TOL, 1e-13 * (1.0 + np.max(np.abs(x), initial=0.0))):
+        if step_inf <= max(_TOL, 1e-13 * (1.0 + np.abs(x).max(initial=0.0))):
             # at the working-set minimizer: check bound multipliers
             grad = G.T @ (c0 + G @ x)
             z = np.where(state == _FREE, 0.0, -grad)
@@ -120,7 +120,7 @@ def solve_qp(G, c0, lower, upper) -> QpSolution:
                 # sign violation within 10*tol
                 z2 = np.clip(z, np.where(state == _HI, 0.0, -np.inf),
                              np.where(state == _LO, 0.0, np.inf))
-                if float(np.max(np.abs(grad + z2), initial=0.0)) <= 10 * _TOL:
+                if float(np.abs(grad + z2).max(initial=0.0)) <= 10 * _TOL:
                     z, viol = z2, np.zeros(0, dtype=int)
             if viol.size == 0:
                 return QpSolution(primal=x, bound_duals=z, iterations=iters, status="solved")
@@ -137,7 +137,7 @@ def solve_qp(G, c0, lower, upper) -> QpSolution:
             continue
 
         t, blocking = _ratio_test(x, step, lo, hi)
-        if t * step_inf > 1e-13 * (1.0 + np.max(np.abs(x), initial=0.0)):
+        if t * step_inf > 1e-13 * (1.0 + np.abs(x).max(initial=0.0)):
             visited.clear()  # real progress: cycle bookkeeping restarts
             tabu.clear()
         elif blocking == last_removed and blocking >= 0:

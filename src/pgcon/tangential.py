@@ -234,7 +234,7 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     m = J.shape[0]
     alpha_lam = alpha * lam
     abs_J = np.abs(J)
-    scale = alpha * float(np.max(np.einsum("ij,ij->i", J, J), initial=0.0))
+    scale = alpha * float(np.einsum("ij,ij->i", J, J).max(initial=0.0))
 
     def evaluate(y):
         u, code = _piece(tau0 - alpha * (J.T @ y), base, alpha_lam, lower, upper)
@@ -247,7 +247,7 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     u, code, F = evaluate(y)
     iterations = 0
     refine = False
-    while not np.all(np.abs(F) <= 4.0 * _EPS * (1.0 + abs_J @ np.abs(u))):
+    while not (np.abs(F) <= 4.0 * _EPS * (1.0 + abs_J @ np.abs(u))).all():
         if iterations == _NEWTON_BUDGET:
             raise TangentialError(f"dual solve ran out of its Newton budget "
                                   f"({_NEWTON_BUDGET} steps), |J u| = {_norm(F):.3g}")
@@ -308,7 +308,7 @@ def kkt_bar(x, w, alpha) -> float:
     eps max(|x|, |w|), so below alpha ~ 1e-9 a correct answer's rounding
     alone would exceed a bare 1e-8.
     """
-    scale = max(np.max(np.abs(x), initial=0.0), np.max(np.abs(w), initial=0.0))
+    scale = max(np.abs(x).max(initial=0.0), np.abs(w).max(initial=0.0))
     return _KKT_BAR + 4.0 * _EPS * float(scale) / alpha
 
 
