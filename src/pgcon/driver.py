@@ -158,6 +158,7 @@ class IterationRecord:
     active_upper: tuple
     sign_pattern: str
     tang_iters: int  # Newton steps and refinement solves of the tangential solve
+    tang_evals: int  # evaluations of w(y) in the tangential solve
 
 
 @dataclass
@@ -397,7 +398,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             chi_bar=comp_v1, c_norm=c_norm, f_val=f_s, r_val=r_val,
             active_lower=aset.at_lower, active_upper=aset.at_upper,
             sign_pattern=_sign_pattern(x, reg.weights),
-            tang_iters=tang.iterations,
+            tang_iters=tang.iterations, tang_evals=tang.evaluations,
         ))
 
         # g_r must lie in lam * d|x| within tol_stat, not only in lam * d|w|

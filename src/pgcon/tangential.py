@@ -81,6 +81,7 @@ class TangentialResult:
     g_r: np.ndarray
     w: np.ndarray  # x + v + u with exact zeros/bounds
     iterations: int  # Newton steps and refinement solves
+    evaluations: int  # _piece evaluations of the dual solve
     kkt: KktParts  # the certificate of (w, y, z, g_r), feasibility = |J u|
 
 
@@ -224,19 +225,25 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     free, and halved until theta passes the Armijo test.  The maximizer
     passes it at once unless kinks before it cut theta's curvature sharply
     (on one quadratic piece theta rises by s F'd / 2 there).
+
     Once a unit step leaves the piece (the codes) unchanged, or cuts the
     residual as the model predicts, the model is exact there and the
     remaining residual is refined in place, u_F -= alpha J_F' d and
-    y += d, until |J u| <= 4 eps (1 + |J| |u|) row by row.  Returns (y, u, code, iterations); raises TangentialError
-    when the budget runs out, the line search fails or a Cholesky
-    factorization fails.
+    y += d, until |J u| <= 4 eps (1 + |J| |u|) row by row.  Returns (y, u,
+    code, iterations, evaluations), with evaluations the ``_piece`` calls
+    made; raises TangentialError when the budget runs out, the line
+    search fails or a Cholesky factorization fails.
     """
     m = J.shape[0]
     alpha_lam = alpha * lam
     abs_J = np.abs(J)
     scale = alpha * float(np.einsum("ij,ij->i", J, J).max(initial=0.0))
 
+    evaluations = 0
+
     def evaluate(y):
+        nonlocal evaluations
+        evaluations += 1
         u, code = _piece(tau0 - alpha * (J.T @ y), base, alpha_lam, lower, upper)
         return u, code, J @ u
 
@@ -298,7 +305,7 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         refine = step == 1.0 and (np.array_equal(code_try, code)
                                   or _norm(F_try) <= 1e-6 * F_norm)
         y, u, code, F = y_try, u_try, code_try, F_try
-    return y, u, code, iterations
+    return y, u, code, iterations, evaluations
 
 
 def kkt_bar(x, w, alpha) -> float:
@@ -327,8 +334,8 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     lam = reg.weights
 
     y0 = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float)
-    y, u, code, iterations = _dual_solve(base, -(alpha * g + v), J, alpha, lam,
-                                         box.lower, box.upper, y0)
+    y, u, code, iterations, evaluations = _dual_solve(
+        base, -(alpha * g + v), J, alpha, lam, box.lower, box.upper, y0)
 
     # a free component can round a hair past its bound
     w = project_box(base + u, box)
@@ -350,4 +357,5 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     if not kkt.chi <= bar:
         raise TangentialError(f"dual answer misses the tangential KKT bar: residual "
                               f"{kkt.chi:.3g} > {bar:.3g}")
-    return TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w, iterations=iterations, kkt=kkt)
+    return TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w, iterations=iterations,
+                            evaluations=evaluations, kkt=kkt)

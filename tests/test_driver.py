@@ -445,10 +445,11 @@ class TestLedger:
         inst = get_instance("eq-quad-1")
         rep = solve(inst.problem, SolverConfig())
         lines = ledger_to_csv(rep.records).splitlines()
-        assert lines[0].endswith(",sign_pattern,tang_iters")
+        assert lines[0].endswith(",sign_pattern,tang_iters,tang_evals")
         for line, r in zip(lines[1:], rep.records):
-            assert line.endswith(f",{r.sign_pattern},{r.tang_iters}")
+            assert line.endswith(f",{r.sign_pattern},{r.tang_iters},{r.tang_evals}")
             assert r.tang_iters >= 0
+            assert r.tang_evals >= 1  # w(y0) at least
 
 
 class TestTangentialFailure:

@@ -574,3 +574,5 @@ class TestRaySearch:
         results = run_benchmark(corpus_suite())
         assert all(r.error == "" for r in results)
         assert count[0] <= 250
+        # every tangential solve of the pass wrote one ledger row
+        assert sum(rec.tang_evals for r in results for rec in r.report.records) == count[0]
