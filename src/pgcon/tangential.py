@@ -172,7 +172,7 @@ def _ray_maximizer(t, Jd, alpha, alpha_lam, lower, upper, slope):
         return math.inf
     order = np.argsort(pos, kind="stable")
     pos = pos[order]
-    sign = np.concatenate([np.ones(pos.size - gone.sum()), -np.ones(gone.sum())])[order]
+    sign = np.concatenate([np.ones(live.sum()), -np.ones(gone.sum())])[order]
     weight = np.concatenate([a[live], a[gone]])[order] ** 2 / alpha
     # the curvature on [pos[k], pos[k + 1]], exactly 0 where no interval is open
     kappa = np.where(np.cumsum(sign) > 0.0, np.maximum(np.cumsum(sign * weight), 0.0), 0.0)
