@@ -433,7 +433,9 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         if not (accepted and vanished):
             # a vanishing accepted step says nothing about the proximal
             # scale; growing alpha on it would reset the stationarity streak
-            alpha = glob.update_alpha(alpha, accepted, cfg.alpha_rule, lipschitz)
+            prev_accepted = len(records) < 2 or records[-2].accepted
+            alpha = glob.update_alpha(alpha, accepted, cfg.alpha_rule, lipschitz,
+                                      prev_accepted)
         if alpha < glob.ALPHA_FLOOR:
             return finish("Stalled", k + 1)
 

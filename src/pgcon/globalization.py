@@ -81,7 +81,7 @@ def sufficient_decrease(phi_new: float, phi_old: float, tau: float, alpha: float
 
 
 def update_alpha(alpha: float, accepted: bool, rule: str,
-                 lipschitz: float | None = None) -> float:
+                 lipschitz: float | None = None, prev_accepted: bool = True) -> float:
     """Next proximal parameter.  Callers watch for values below ALPHA_FLOOR
     and convert them into a stall signal.
 
@@ -92,7 +92,11 @@ def update_alpha(alpha: float, accepted: bool, rule: str,
     at most 1/(2 ALPHA_CAP): alpha then becomes min(ALPHA_MAX, 1/(2 l)),
     the bound of Malitsky & Mishchenko (ICML 2020), and ALPHA_MAX where
     the Lagrangian's gradient did not move.  ``lipschitz`` None means the
-    estimate was not computed, which gives the doubling.
+    estimate was not computed, which gives the doubling.  When the
+    previous step was rejected (``prev_accepted`` False) "min_cap" does
+    not double: it gives min(alpha, ALPHA_CAP), so the next trial does not
+    repeat the alpha just rejected, as a trust region does not grow right
+    after an unsuccessful step.  The flat-Lagrangian bound still applies.
     """
     if rule not in ALPHA_RULES:
         raise ValueError(f"unknown alpha rule {rule!r}")
@@ -104,4 +108,4 @@ def update_alpha(alpha: float, accepted: bool, rule: str,
         return max(alpha / XI, 10.0)
     if lipschitz is not None and lipschitz <= 1.0 / (2.0 * ALPHA_CAP):
         return ALPHA_MAX if lipschitz == 0.0 else min(ALPHA_MAX, 1.0 / (2.0 * lipschitz))
-    return min(alpha / XI, ALPHA_CAP)
+    return min(alpha / XI if prev_accepted else alpha, ALPHA_CAP)

@@ -97,12 +97,12 @@ CORPUS_RUNS = {
     "box-qp-2": ("KktPoint", (2, 2, 2)),
     "fixed-var-1": ("KktPoint", (2, 2, 2)),
     "infeas-1": ("InfeasibleStationary", (3, 3, 3)),
-    "degen-1": ("KktPoint", (19, 12, 33)),
-    "soft-thresh-1": ("KktPoint", (23, 13, 38)),
-    "l1-sign-1": ("KktPoint", (21, 12, 31)),
+    "degen-1": ("KktPoint", (15, 12, 33)),
+    "soft-thresh-1": ("KktPoint", (17, 13, 38)),
+    "l1-sign-1": ("KktPoint", (17, 12, 31)),
     "orthant-lp-l1": ("KktPoint", (1, 1, 1)),
     "circle-1": ("KktPoint", (6, 6, 5)),
-    "quad-ineq-1": ("KktPoint", (42, 14, 94)),
+    "quad-ineq-1": ("KktPoint", (25, 14, 94)),
 }
 
 

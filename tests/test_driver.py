@@ -209,6 +209,19 @@ class TestSolveBehavior:
             assert b <= a + 1e-15
         assert rep.invariant_violations == []
 
+    def test_min_cap_holds_alpha_after_a_rejection(self):
+        # no accepted step that directly follows a rejection raises alpha,
+        # except by the flat-Lagrangian jump above the cap
+        held = 0
+        for inst in corpus():
+            recs = solve(inst.problem, SolverConfig(**inst.config_overrides)).records
+            for a, b, c in zip(recs, recs[1:], recs[2:]):
+                if not a.accepted and b.accepted:
+                    assert c.alpha <= b.alpha or c.alpha > globalization.ALPHA_CAP, \
+                        (inst.name, b.k)
+                    held += c.alpha == b.alpha
+        assert held >= 10
+
 
 class TestReportUnits:
     """The report is about the problem the caller passed in: multipliers and

@@ -130,14 +130,48 @@ class TestUpdateAlpha:
                 assert update_alpha(alpha, True, "min_cap", lipschitz=ell) <= ALPHA_MAX
 
     def test_rejection_ignores_curvature(self):
+        # and ignores whether the step before was accepted
         for rule in ("hold", "min_cap", "verbatim_max"):
             for ell in (None, 0.0, 1e-9, 0.05, 1.0):
-                assert update_alpha(1e-3, False, rule, lipschitz=ell) == 5e-4
+                for prev in (True, False):
+                    assert update_alpha(1e-3, False, rule, lipschitz=ell,
+                                        prev_accepted=prev) == 5e-4
 
     def test_hold_and_verbatim_max_ignore_curvature(self):
+        # and ignore whether the step before was accepted
         for ell in (None, 0.0, 1e-9, 0.05, 1.0):
-            assert update_alpha(3.0, True, "hold", lipschitz=ell) == 3.0
-            assert update_alpha(1.0, True, "verbatim_max", lipschitz=ell) == 10.0
+            for prev in (True, False):
+                assert update_alpha(3.0, True, "hold", lipschitz=ell,
+                                    prev_accepted=prev) == 3.0
+                assert update_alpha(1.0, True, "verbatim_max", lipschitz=ell,
+                                    prev_accepted=prev) == 10.0
+                assert update_alpha(100.0, True, "verbatim_max", lipschitz=ell,
+                                    prev_accepted=prev) == 200.0
+
+    def test_min_cap_holds_after_rejection(self):
+        # the first acceptance after a rejection keeps alpha, so the next
+        # trial does not repeat the alpha just rejected
+        for ell in (None, 0.05 * (1 + 1e-12), 0.5, np.inf):
+            for alpha in (1e-3, 1.25, 4.0, 8.0, 10.0):
+                assert update_alpha(alpha, True, "min_cap", lipschitz=ell,
+                                    prev_accepted=False) == alpha
+            # and keeps it at the cap when alpha is above it
+            for alpha in (10.0 * (1 + 1e-12), 1e3, ALPHA_MAX):
+                assert update_alpha(alpha, True, "min_cap", lipschitz=ell,
+                                    prev_accepted=False) == ALPHA_CAP
+        # growth resumes on the second acceptance in a row
+        assert update_alpha(1.25, True, "min_cap", prev_accepted=True) == 2.5
+        assert update_alpha(1.25, True, "min_cap") == 2.5
+
+    def test_min_cap_flat_jump_fires_after_rejection(self):
+        for alpha in (1e-3, 10.0, ALPHA_MAX):
+            for prev in (True, False):
+                assert update_alpha(alpha, True, "min_cap", lipschitz=0.05,
+                                    prev_accepted=prev) == 10.0
+                assert update_alpha(alpha, True, "min_cap", lipschitz=1e-4,
+                                    prev_accepted=prev) == 5e3
+                assert update_alpha(alpha, True, "min_cap", lipschitz=0.0,
+                                    prev_accepted=prev) == ALPHA_MAX
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
