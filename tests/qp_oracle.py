@@ -3,9 +3,9 @@
 Enumerates every pattern assigning each variable to {free, at lower, at
 upper} (skipping infinite bounds), solves the resulting linear KKT
 system, and keeps the feasible stationary point with correct dual signs.
-Independent of the active-set paths of the bounded least-squares kernel
-pgcon.qp and the general reference QP in qp_reference.py: this is the
-oracle both are judged against.  A bounded least-squares problem
+Independent of the bounded least-squares kernel pgcon.qp and of the
+active-set paths of the general reference QP in qp_reference.py: this is
+the oracle both are judged against.  A bounded least-squares problem
 0.5||c0 + G x||^2 enters in normal-equations form, H = G'G and q = G'c0.
 
 Each pattern costs one ``lstsq``; everything else is done per free set or

@@ -7,13 +7,12 @@ Solves
 
 by a primal active-set method on the bound constraints with direct KKT
 solves per working set and least-index (Bland-style) anti-cycling: both
-the ratio test (``pgcon.qp._ratio_test``, the kernel's own) and the
-choice of the bound to release break ties by the least index.  When
-every release from a degenerate point bounces straight back, the solve
-stops with status "cycling".  Bound-active components are exact bound
-values and the returned duals satisfy the KKT system to factorization
-accuracy, so the split QP's active set and multipliers can be compared
-with the dual solve's.
+the ratio test (``_ratio_test``) and the choice of the bound to release
+break ties by the least index.  When every release from a degenerate
+point bounces straight back, the solve stops with status "cycling".
+Bound-active components are exact bound values and the returned duals
+satisfy the KKT system to factorization accuracy, so the split QP's
+active set and multipliers can be compared with the dual solve's.
 
 The KKT matrix is assembled once per solve (``_Kkt``) and each working
 set solves a principal submatrix of it by one dense chain
@@ -38,7 +37,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from pgcon.geometry import box_complementarity
-from pgcon.qp import _ratio_test
 from pgcon.qp import solve_qp as solve_box_lsq
 
 __all__ = ["QpProblem", "QpSolution", "QpKktReport", "solve_qp", "verify_kkt"]
@@ -104,6 +102,23 @@ class QpKktReport:
     def overall(self) -> float:
         return max(self.stationarity, self.eq_feasibility, self.box_feasibility,
                    self.complementarity, self.dual_sign)
+
+
+def _ratio_test(x, step, lo, hi):
+    """(t, blocking): the step length in [0, 1] to the first bound hit
+    along step, and that bound's index, or (1, -1) when none is hit first.
+
+    Among step lengths within 1e-15 of the shortest, the least index
+    blocks (anti-cycling).  Zero steps (all of the working set) and
+    infinite bounds give infinite step lengths.
+    """
+    ratios = np.divide(np.where(step > 0, hi, lo) - x, step,
+                       out=np.full(step.shape[0], np.inf), where=step != 0.0)
+    t = ratios.min(initial=np.inf)
+    if t < 1.0 - 1e-15:
+        j = int(np.argmax((ratios - 1e-15 <= t) & (ratios < 1.0 - 1e-15)))
+        return max(ratios[j], 0.0), j
+    return 1.0, -1
 
 
 def _dense(M) -> np.ndarray:

@@ -1,6 +1,6 @@
 """The general reference QP of qp_reference.py, which the tangential
-split QP is solved with, and the bounded least-squares kernel pgcon.qp
-(TestKernel and the ratio test the two share)."""
+split QP is solved with, its ratio test, and the bounded least-squares
+kernel pgcon.qp (TestKernel)."""
 
 import warnings
 
@@ -11,9 +11,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import pgcon.qp as qp_mod
-from pgcon.qp import _ratio_test
 from qp_oracle import enumerate_qp
-from qp_reference import QpProblem, _Kkt, _solve_subspace, solve_qp, verify_kkt
+from qp_reference import QpProblem, _Kkt, _ratio_test, _solve_subspace, solve_qp, verify_kkt
 
 
 def random_qp(rng, d=None, p=None):
@@ -181,7 +180,7 @@ class TestOracleEquivalence:
 
 class TestSubspaceBranches:
     """Each branch of the working-set solve chain in
-    qp_reference._solve_subspace, and the ratio test's tie-break."""
+    qp_reference._solve_subspace, and the kernel on a ratio-test tie."""
 
     def test_curvature_free_descent_ray(self):
         # zero curvature along x2 with q pulling it up: the free working set
@@ -225,24 +224,13 @@ class TestSubspaceBranches:
             assert verify_kkt(qp, sol).overall <= 1e-9
 
     @pytest.mark.parametrize("upper1", [2.0, np.nextafter(2.0, 0.0)])
-    def test_ratio_tie_blocks_least_index(self, upper1, monkeypatch):
+    def test_ratio_tie_blocks_least_index(self, upper1):
         # the kernel on min 0.5||x - (2, 4)||^2: from the interior point 0
         # toward the target (2, 4) both upper bounds are reached at step
-        # length 0.5, exactly or one ulp apart (within the 1e-15 tie
-        # tolerance): index 0 blocks first either way
+        # length 0.5, exactly or one ulp apart; the solve ends on both
+        # bounds, exactly, as the enumeration does
         c0, lower, upper = np.array([-2.0, -4.0]), -np.ones(2), np.array([1.0, upper1])
-        moves = []  # every move of the active-set loop goes through the ratio test
-
-        def recording(x, step, lo, hi):
-            moves.append((x.copy(), step.copy(), _ratio_test(x, step, lo, hi)))
-            return moves[-1][2]
-
-        monkeypatch.setattr(qp_mod, "_ratio_test", recording)
         sol = qp_mod.solve_qp(np.eye(2), c0, lower, upper)
-        x, step, first = moves[0]
-        np.testing.assert_array_equal(x, [0.0, 0.0])
-        np.testing.assert_array_equal(step, [2.0, 4.0])
-        assert first == (0.5, 0)
         ref = enumerate_qp(np.eye(2), c0, None, None, lower, upper)
         assert sol.status == "solved"
         np.testing.assert_array_equal(sol.primal, ref[0])
@@ -378,12 +366,12 @@ class TestRefinedDuals:
         assert qp.objective(ref[0]) == pytest.approx(-6000.0, abs=1e-6)
 
 
-def test_anti_cycling_exhaustion_has_own_status():
+def test_degenerate_split_qp_solved_by_refined_duals():
     # a tangential split QP from the driver fuzz (u in R^3, two split
     # pairs, three nullspace rows and two linking rows), started where the
-    # split variables carry the current point: every bound release from
-    # that degenerate point bounces straight back, which used to be
-    # reported as "max_iter" after 4 of the 350 allowed iterations
+    # split variables carry the current point: the working set revisits a
+    # degenerate point, and the sign-feasible multipliers that
+    # _refine_duals fits with the kernel certify it, from either start
     H = np.diag([0.1, 0.1, 0.1, 0.0, 0.0, 0.0, 0.0])
     q = np.array([-1.490737826906788, -1.1865547345237477, 2.3247391813414167,
                   1.0728556091325017, 1.1159721852404867, 1.0728556091325017,
@@ -400,19 +388,20 @@ def test_anti_cycling_exhaustion_has_own_status():
     qp = QpProblem(H=H, q=q, Aeq=Aeq, beq=beq, lower=lower, upper=upper)
     start = np.array([0.0, 0, 0, 0, 0, 0.012248648851277948, 0.11853410095175454])
     for sol in (solve_qp(qp, warm_start=start), solve_qp(qp)):
-        assert sol.status == "cycling"
-        assert sol.iterations < 50 * qp.dim
-        assert sol.kkt_residual > 1e-8
+        assert sol.status == "solved"
+        assert sol.iterations == 4
+        assert sol.kkt_residual == pytest.approx(7.474e-10, rel=1e-3)
 
 
 class TestKernel:
     """pgcon.qp.solve_qp, the bounded least-squares kernel of the
     trust-region step."""
 
-    def test_revisited_working_set_accepted(self):
-        # a trust-region subproblem of fuzz rng 7, trial 16: the solve
-        # returns to a working set whose multipliers are sign-infeasible by
-        # about 1e-10, and the clipped multipliers accept the point there
+    def test_tiny_box_duals_sign_feasible(self):
+        # a trust-region subproblem of fuzz rng 7, trial 16, with radius
+        # r = 2.7e-14 and a model value near 5.6e-21: the solve ends on
+        # (r, r, 0, r), at a model value no higher than the 5.5697e-21 of
+        # the all-lower point, with sign-feasible duals
         G = np.array([[-2.230528902271529, 0.7498198819099152,
                        -0.6300306998045586, 0.48129366424513825],
                       [1.872635858619944, 1.172995707132864,
@@ -423,6 +412,40 @@ class TestKernel:
         upper = np.full(4, r)
         sol = qp_mod.solve_qp(G, c0, lower, upper)
         assert sol.status == "solved"
-        assert sol.iterations == 4
-        # every variable ends on its lower bound, exactly
-        np.testing.assert_array_equal(sol.primal, lower)
+        assert sol.iterations == 3
+        np.testing.assert_array_equal(sol.primal, [r, r, 0.0, r])
+        z = sol.bound_duals
+        assert np.all(z[sol.primal == lower] <= 0.0)
+        assert np.all(z[sol.primal == upper] >= 0.0)
+        assert np.all(z[(sol.primal > lower) & (sol.primal < upper)] == 0.0)
+
+        def model(x):
+            return 0.5 * float(np.sum((c0 + G @ x) ** 2))
+
+        assert model(sol.primal) <= model(lower)
+        assert model(lower) == pytest.approx(5.5697e-21, rel=1e-4)
+
+    def test_wide_clipped_ball_solves_in_few_iterations(self):
+        # shaped like the trust-region step of the SCCA n = 6400 cell: two
+        # rows, 4000 columns, and an infinity-ball that clips nearly every
+        # component; a tenth of them sit on a box bound at zero
+        rng = np.random.default_rng(64)
+        d = 4000
+        G = rng.standard_normal((2, d))
+        c0 = 10.0 * rng.standard_normal(2)
+        radius = 1e-3
+        lower = np.where(rng.random(d) < 0.1, 0.0, -radius)
+        upper = np.full(d, radius)
+        sol = qp_mod.solve_qp(G, c0, lower, upper)
+        assert sol.status == "solved"
+        assert sol.iterations <= 10
+        x, z = sol.primal, sol.bound_duals
+        at_lo, at_hi = x == lower, x == upper
+        assert np.mean(at_lo | at_hi) > 0.99
+        assert np.all(z[at_lo] <= 0.0) and np.all(z[at_hi] >= 0.0)
+        assert np.all(z[~(at_lo | at_hi)] == 0.0)
+        grad = G.T @ (c0 + G @ x)
+        np.testing.assert_array_equal(z[z != 0.0], -grad[z != 0.0])
+        free_grad = grad[z == 0.0]
+        tol = 1e-10 * np.linalg.norm(G) * np.linalg.norm(c0)
+        assert np.abs(free_grad).max(initial=0.0) <= tol
