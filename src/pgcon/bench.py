@@ -77,11 +77,10 @@ def scca_suite(sizes, lams, seeds, base_cfg: Optional[SolverConfig] = None,
                     data = scca_mod.scca_generate(n, n, samples or n, seed)
                     prob = scca_mod.scca_problem(data, lam)
 
-                    def metrics(report, wall):
+                    def metrics(report, _wall):
                         nx = data.n_x
                         return scca_mod.scca_metrics(
-                            report.x[:nx], report.x[nx:nx + data.n_y], data,
-                            wall_time=wall)
+                            report.x[:nx], report.x[nx:nx + data.n_y], data)
 
                     return prob, metrics
                 cells.append(BenchCell(

@@ -29,7 +29,7 @@ import numpy as np
 from . import globalization as glob
 from .geometry import _norm, active_set, kkt_parts, project_box
 from .normal_step import ETA_M, GAMMA, KAPPA_V, compute_normal_step
-from .problem import EvaluationError, L1Regularizer, ProblemInstance, ScaleInfo, scale_factors
+from .problem import EvaluationError, L1Regularizer, ProblemInstance, scale_factors
 from .tangential import TangentialError, solve_tangential
 
 __all__ = [
@@ -57,9 +57,9 @@ _FIELD_KINDS = {"bool": bool, "int": int, "float": (int, float), "str": str}
 class SolverConfig:
     """What a run chooses: the start ``x0``, the first proximal parameter
     ``alpha0``, the KKT tolerances (``tol_c`` also marks a stationary point
-    of the violation infeasible), the budgets, the ``alpha_rule``,
-    ``scaling`` and ``check_invariants``.  The method's fixed parameters
-    are constants next to the function that reads each."""
+    of the violation infeasible), the budgets, the ``alpha_rule`` and
+    ``check_invariants``.  The method's fixed parameters are constants
+    next to the function that reads each."""
 
     x0: Optional[np.ndarray] = None
     alpha0: float = 10.0
@@ -69,7 +69,6 @@ class SolverConfig:
     max_iter: int = 10000
     time_limit: float = 3600.0
     alpha_rule: str = "min_cap"
-    scaling: bool = True
     check_invariants: bool = False
 
     def __post_init__(self):
@@ -292,8 +291,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         warnings.warn(f"{p.name}: starting point projected into the box")
 
     f_val, g_val, c_val, J_val = p.f(x), p.g(x), p.c(x), p.J(x)
-    scale = (scale_factors(g_val, J_val) if cfg.scaling
-             else ScaleInfo(objective_factor=1.0, constraint_factors=np.ones(p.m)))
+    scale = scale_factors(g_val, J_val)
     f_fac, c_fac = scale.objective_factor, scale.constraint_factors
     reg = L1Regularizer(f_fac * p.reg.weights)
     r_val = reg.value(x)

@@ -29,7 +29,6 @@ __all__ = [
     "scale_factors",
     "add_slacks",
     "load_problem",
-    "problem_to_dict",
 ]
 
 
@@ -329,42 +328,30 @@ def add_slacks(
 # }
 #
 # kind "quadratic": data has Q (n x n), c (n), optionally A (m x n), b (m),
-#   const, x0; objective f(x) = 0.5 x'Qx + c'x + const, constraints Ax - b = 0.
+#   const, x0; objective f(x) = 0.5 x'Qx + c'x + const, constraints Ax - b = 0;
+#   Q need not be symmetric.
 # kind "scca": data has n_x, n_y, N, seed, lam; the instance is generated.
 # kind "analytic:<id>": <id> names a built-in corpus instance.
 
 
-def _bound_from_json(v):
-    out = []
-    for t in v:
-        if t == "inf":
-            out.append(np.inf)
-        elif t == "-inf":
-            out.append(-np.inf)
-        else:
-            out.append(float(t))
-    return np.array(out)
-
-
-def _bound_to_json(v):
-    out = []
-    for t in v:
-        if np.isposinf(t):
-            out.append("inf")
-        elif np.isneginf(t):
-            out.append("-inf")
-        else:
-            out.append(float(t))
-    return out
-
-
 def load_problem(source) -> ProblemInstance:
-    """Build a ProblemInstance from a JSON file path or an already-parsed dict."""
+    """Build a ProblemInstance from a JSON file path or an already-parsed
+    dict.  A spec that does not fit the schema raises ValueError."""
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
             spec = json.load(fh)
+        where = f"problem file {source}"
     else:
-        spec = source
+        spec, where = source, "problem spec"
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} holds {type(spec).__name__}, not a JSON object")
+    try:
+        return _problem_from_spec(spec)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
+
+
+def _problem_from_spec(spec: dict) -> ProblemInstance:
     kind = spec.get("kind", "quadratic")
 
     if kind.startswith("analytic:"):
@@ -386,6 +373,7 @@ def load_problem(source) -> ProblemInstance:
     m = int(spec.get("m", 0))
     d = spec["data"]
     Q = np.asarray(d["Q"], dtype=float).reshape(n, n)
+    Q = 0.5 * (Q + Q.T)  # same f; Q x is its gradient, also for an asymmetric Q
     lin = np.asarray(d["c"], dtype=float).reshape(n)
     const = float(d.get("const", 0.0))
     if m:
@@ -399,7 +387,8 @@ def load_problem(source) -> ProblemInstance:
     if box_spec is None:
         box = BoxSet.free(n)
     else:
-        box = BoxSet(_bound_from_json(box_spec["lower"]), _bound_from_json(box_spec["upper"]))
+        # float() reads the "inf" and "-inf" sentinels
+        box = BoxSet(*(np.array([float(t) for t in box_spec[k]]) for k in ("lower", "upper")))
     x0 = np.asarray(d["x0"], dtype=float) if "x0" in d else None
 
     return ProblemInstance(
@@ -414,25 +403,3 @@ def load_problem(source) -> ProblemInstance:
         box=box,
         x0=x0,
     )
-
-
-def problem_to_dict(name, Q, lin, A=None, b=None, l1_weights=None, box: Optional[BoxSet] = None,
-                    x0=None, const: float = 0.0) -> dict:
-    """Serialize a quadratic problem to the JSON problem-file schema."""
-    Q = np.asarray(Q, dtype=float)
-    n = Q.shape[0]
-    data = {"Q": Q.tolist(), "c": np.asarray(lin, dtype=float).tolist(), "const": const}
-    m = 0
-    if A is not None:
-        A = np.asarray(A, dtype=float)
-        m = A.shape[0]
-        data["A"] = A.tolist()
-        data["b"] = np.asarray(b, dtype=float).tolist()
-    if x0 is not None:
-        data["x0"] = np.asarray(x0, dtype=float).tolist()
-    out = {"name": name, "kind": "quadratic", "n": n, "m": m, "data": data}
-    if l1_weights is not None:
-        out["l1_weights"] = np.asarray(l1_weights, dtype=float).tolist()
-    if box is not None:
-        out["box"] = {"lower": _bound_to_json(box.lower), "upper": _bound_to_json(box.upper)}
-    return out

@@ -109,8 +109,6 @@ class SccaData:
     s: float
     N: int
     seed: int
-    xi_x: np.ndarray  # the drawn pattern noise, kept for diagnostics
-    xi_y: np.ndarray
 
     @property
     def n_x(self) -> int:
@@ -130,8 +128,6 @@ class SccaMetrics:
     sl: int
     voc_x: float
     voc_y: float
-    wall_time: float = 0.0
-    rho_defined: bool = True
 
 
 def pattern_vectors(n_x: int, n_y: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,11 +150,10 @@ def scca_generate(n_x: int, n_y: int, N: int, seed: int,
         raise ValueError("N must be at least 1")
     rng = np.random.default_rng(seed)
     bx, by = pattern_vectors(n_x, n_y)
-    xi_x = noise_std * _standard_normal(rng, n_x)
-    xi_y = noise_std * _standard_normal(rng, n_y)
+    a = bx + noise_std * _standard_normal(rng, n_x)
+    b = by + noise_std * _standard_normal(rng, n_y)
     u = _standard_normal(rng, N)
-    return SccaData(a=bx + xi_x, b=by + xi_y, s=float(u @ u), N=N, seed=seed,
-                    xi_x=xi_x, xi_y=xi_y)
+    return SccaData(a=a, b=b, s=float(u @ u), N=N, seed=seed)
 
 
 def scca_problem(data: SccaData, lam: float) -> ProblemInstance:
@@ -231,8 +226,7 @@ def scca_init(data: SccaData) -> np.ndarray:
     return np.concatenate([a / (r * (a @ a)), b / (r * (b @ b)), [1.0, 1.0]])
 
 
-def scca_metrics(w_x, w_y, data: SccaData, zero_tol: float = 1e-8,
-                 wall_time: float = 0.0) -> SccaMetrics:
+def scca_metrics(w_x, w_y, data: SccaData, zero_tol: float = 1e-8) -> SccaMetrics:
     """Correlation, sparsity ratios, support-error count, and constraint
     violations for a candidate weight pair."""
     w_x = np.asarray(w_x, dtype=float)
@@ -240,8 +234,7 @@ def scca_metrics(w_x, w_y, data: SccaData, zero_tol: float = 1e-8,
     nx, ny = data.n_x, data.n_y
     p, q = float(w_x @ data.a), float(w_y @ data.b)
     vx, vy = data.s * p * p, data.s * q * q
-    defined = vx > 0 and vy > 0
-    rho = data.s * p * q / math.sqrt(vx * vy) if defined else 0.0
+    rho = data.s * p * q / math.sqrt(vx * vy) if vx > 0 and vy > 0 else 0.0
 
     nnz_x = int(np.count_nonzero(np.abs(w_x) > zero_tol))
     nnz_y = int(np.count_nonzero(np.abs(w_y) > zero_tol))
@@ -256,6 +249,4 @@ def scca_metrics(w_x, w_y, data: SccaData, zero_tol: float = 1e-8,
         sl=sl,
         voc_x=max(vx - 1.0, 0.0),
         voc_y=max(vy - 1.0, 0.0),
-        wall_time=wall_time,
-        rho_defined=defined,
     )

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import threading
 
-import numpy as np
 import pytest
 
 from pgcon.bench import (
@@ -15,7 +14,6 @@ from pgcon.bench import (
 )
 from pgcon.cli import build_parser, load_config, main
 from pgcon.driver import SolverConfig
-from pgcon.problem import BoxSet, problem_to_dict
 
 
 class TestBench:
@@ -112,18 +110,20 @@ class TestBench:
 
 class TestConfigIO:
     def test_round_trip_file(self, tmp_path):
-        cfg = SolverConfig(alpha0=0.125, tol_stat=0.25, alpha_rule="hold", scaling=False)
+        cfg = SolverConfig(alpha0=0.125, tol_stat=0.25, alpha_rule="hold",
+                           check_invariants=True)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()))
         again = load_config(str(path))
         assert again == cfg
 
     def test_overrides_typed(self):
-        cfg = load_config(None, ["tol_c=1e-8", "max_iter=77", "scaling=false",
+        cfg = load_config(None, ["tol_c=1e-8", "max_iter=77", "check_invariants=true",
                                  "alpha_rule=hold", "time_limit=Infinity"])
         assert cfg.tol_c == 1e-8
         assert cfg.max_iter == 77
-        assert cfg.scaling is False
+        assert cfg.check_invariants is True
+        assert load_config(None, ["check_invariants=false"]).check_invariants is False
         assert cfg.alpha_rule == "hold"
         assert cfg.time_limit == float("inf")
         assert load_config(None, ['alpha_rule="hold"']).alpha_rule == "hold"
@@ -135,9 +135,16 @@ class TestConfigIO:
         with pytest.raises(ValueError, match="tol_stat"):
             load_config(None, ["tol_stat=-1.5"])
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="unknown"):
             load_config(None, ["bogus=3"])
+        # scaling is always on: its old switch is no key
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "x", "kind": "analytic:eq-quad-1"}))
+        code = main(["solve", "--problem", str(path), "--out", str(tmp_path / "o"),
+                     "--set", "scaling=false"])
+        assert code == 64
+        assert "unknown config keys: ['scaling']" in capsys.readouterr().err
 
     # one value per field: its --set text and the same value in a --config file
     SAME_VALUE = {
@@ -149,7 +156,6 @@ class TestConfigIO:
         "max_iter": ("77", 77),
         "time_limit": ("60", 60),
         "alpha_rule": ("hold", "hold"),
-        "scaling": ("false", False),
         "check_invariants": ("true", True),
     }
 
@@ -177,18 +183,35 @@ class TestConfigIO:
 
 class TestCli:
     def test_solve_problem_file(self, tmp_path):
-        spec = problem_to_dict(
-            "toy", np.eye(2), [-2.0, 0.0], A=[[1.0, 1.0]], b=[1.0],
-            box=BoxSet.nonnegative(2), x0=[0.5, 0.5])
+        # min 0.5 |x|^2 - 2 x1  s.t.  x1 + x2 = 1, x >= 0
         prob_path = tmp_path / "toy.json"
-        prob_path.write_text(json.dumps(spec))
+        prob_path.write_text("""{
+            "name": "toy", "kind": "quadratic", "n": 2, "m": 1,
+            "data": {"Q": [[1.0, 0.0], [0.0, 1.0]], "c": [-2.0, 0.0],
+                     "A": [[1.0, 1.0]], "b": [1.0], "x0": [0.5, 0.5]},
+            "box": {"lower": [0.0, 0.0], "upper": ["inf", "inf"]}
+        }""")
         out = tmp_path / "out"
         code = main(["solve", "--problem", str(prob_path), "--out", str(out),
                      "--set", "tol_c=1e-6"])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "KktPoint"
+        assert report["x"] == pytest.approx([1.0, 0.0], abs=1e-6)
         assert (out / "ledger.csv").exists()
+
+    @pytest.mark.parametrize("content", [
+        "[1, 2]",
+        '{"kind": "quadratic", "n": 1, "data": {"Q": [[1.0]], "c": [0.0]},'
+        ' "box": {"lower": 0.0, "upper": 1.0}}',
+    ], ids=["list", "scalar-bounds"])
+    def test_malformed_problem_file_exit_64(self, tmp_path, capsys, content):
+        path = tmp_path / "p.json"
+        path.write_text(content)
+        code = main(["solve", "--problem", str(path), "--out", str(tmp_path / "o")])
+        assert code == 64
+        assert f"pgcon: problem file {path}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_scca_row_schema(self, tmp_path):
         out = tmp_path / "out"
@@ -267,12 +290,12 @@ class TestCli:
         path.write_text(json.dumps(prob))
         # a --set value is JSON: yes and inf are strings, which a bool and a
         # float field reject (true/false and Infinity are the spellings)
-        for bad in ("tol_stat=banana", "scaling=yes", "time_limit=inf"):
+        for bad in ("tol_stat=banana", "check_invariants=yes", "time_limit=inf"):
             code = main(["solve", "--problem", str(path), "--out",
                          str(tmp_path / "o"), "--set", bad])
             assert code == 64, bad
 
-    @pytest.mark.parametrize("bad", [{"scaling": "no"}, {"max_iter": "50"},
+    @pytest.mark.parametrize("bad", [{"check_invariants": "no"}, {"max_iter": "50"},
                                      {"alpha0": "0.5"}, {"max_iter": 2.5}],
                              ids=["str-for-bool", "str-for-int", "str-for-float",
                                   "float-for-int"])

@@ -41,7 +41,7 @@ class TestConfig:
     def test_fields_are_what_a_run_chooses(self):
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
             "x0", "alpha0", "tol_c", "tol_stat", "tol_comp", "max_iter",
-            "time_limit", "alpha_rule", "scaling", "check_invariants"]
+            "time_limit", "alpha_rule", "check_invariants"]
         # a method parameter is a constant, not a key
         with pytest.raises(ValueError, match="xi"):
             SolverConfig.from_dict({"xi": 0.5})
@@ -67,7 +67,7 @@ class TestConfig:
                 tol_stat=float(10 ** rng.uniform(-9, -3)),
                 max_iter=int(rng.integers(1, 500)),
                 alpha_rule=str(rng.choice(["hold", "min_cap", "verbatim_max"])),
-                scaling=bool(rng.random() < 0.5),
+                check_invariants=bool(rng.random() < 0.5),
             )
             again = SolverConfig.from_dict(cfg.to_dict())
             assert again == cfg
@@ -153,7 +153,7 @@ class TestSolveBehavior:
 
     def test_rejected_iterations_shrink_alpha(self):
         inst = get_instance("eq-quad-1")
-        cfg = SolverConfig(alpha0=100.0, scaling=False)
+        cfg = SolverConfig(alpha0=100.0)
         rep = solve(inst.problem, cfg)
         assert rep.status == "KktPoint"
         recs = rep.records
@@ -238,16 +238,18 @@ class TestReportUnits:
             reg=L1Regularizer(factor * p.reg.weights), box=p.box, x0=p.x0)
 
     def test_multipliers_and_chi_unscaled(self):
-        p = self.scaled_twin(get_instance("eq-quad-1").problem, 1e3)
+        # f times 1e3 scales y and z by 1e3 at the same minimizer
+        base = get_instance("eq-quad-1").problem
+        p = self.scaled_twin(base, 1e3)
         cfg = SolverConfig()
         rep = solve(p, cfg)
-        plain = solve(p, SolverConfig(scaling=False))
+        plain = solve(base, cfg)
         assert rep.status == plain.status == "KktPoint"
         chi, _ = kkt_residual(p, rep.x, rep.y, rep.z, rep.g_r)
         assert chi == rep.chi
         assert chi <= cfg.tol_stat
-        np.testing.assert_allclose(rep.y, plain.y, rtol=1e-8, atol=1e-8)
-        np.testing.assert_allclose(rep.z, plain.z, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(rep.y, 1e3 * plain.y, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(rep.z, 1e3 * plain.z, rtol=1e-8, atol=1e-8)
 
     @pytest.mark.parametrize("where", ["f", "c"])
     def test_nonfinite_trial_is_rejected_step(self, where):
@@ -293,7 +295,7 @@ class TestReportUnits:
             c_eval=lambda x: np.array([x[0] + x[1] - 0.1]),
             J_eval=lambda x: np.ones((1, 2)),
             reg=L1Regularizer(np.zeros(2)), box=BoxSet.free(2), x0=np.full(2, 0.05))
-        rep = solve(p, SolverConfig(alpha0=1.0, scaling=False))
+        rep = solve(p, SolverConfig(alpha0=1.0))
         assert rep.status in ("KktPoint", "InfeasibleStationary", "MaxIter",
                               "TimeLimit", "Stalled", "MeritCollapse")
         first = rep.records[0]

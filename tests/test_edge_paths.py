@@ -58,7 +58,7 @@ class TestStatusBranches:
             reg=L1Regularizer(np.zeros(1)),
             box=BoxSet.free(1), x0=np.array([1.0]),
         )
-        rep = solve(p, SolverConfig(alpha0=10.0, scaling=False))
+        rep = solve(p, SolverConfig(alpha0=10.0))
         assert rep.status == "Stalled"
 
     def test_projection_warning(self):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from pgcon.problem import (
     add_slacks,
     check_derivatives,
     load_problem,
-    problem_to_dict,
     scale_factors,
 )
 
@@ -157,7 +154,8 @@ class TestScaling:
     def test_feasible_set_and_objective_preserved(self):
         # min 200 ((x0 - 1)^2 + x1^2) + 50 |x1|  s.t.  1000 (x0 + x1 - 0.5) = 0
         # has its minimizer at (0.6875, -0.1875); from the origin scaling
-        # divides f and the l1 weights by 4 and c by 10
+        # divides f and the l1 weights by 4 and c by 10, which the twin
+        # does by hand, so its own factors are 1
         base = ProblemInstance(
             name="big", n=2, m=1,
             f_eval=lambda x: 200.0 * float((x[0] - 1.0) ** 2 + x[1] ** 2),
@@ -165,10 +163,18 @@ class TestScaling:
             c_eval=lambda x: np.array([1000.0 * (x[0] + x[1] - 0.5)]),
             J_eval=lambda x: np.array([[1000.0, 1000.0]]),
             reg=L1Regularizer(np.array([0.0, 50.0])), box=BoxSet.free(2), x0=np.zeros(2))
-        info = self.factors(base)
+        twin = ProblemInstance(
+            name="big-by-hand", n=2, m=1,
+            f_eval=lambda x: 50.0 * float((x[0] - 1.0) ** 2 + x[1] ** 2),
+            g_eval=lambda x: np.array([100.0 * (x[0] - 1.0), 100.0 * x[1]]),
+            c_eval=lambda x: np.array([100.0 * (x[0] + x[1] - 0.5)]),
+            J_eval=lambda x: np.array([[100.0, 100.0]]),
+            reg=L1Regularizer(np.array([0.0, 12.5])), box=BoxSet.free(2), x0=np.zeros(2))
+        info, twin_info = self.factors(base), self.factors(twin)
         assert (info.objective_factor, info.constraint_factors[0]) == (0.25, 0.1)
+        assert (twin_info.objective_factor, twin_info.constraint_factors[0]) == (1.0, 1.0)
         scaled = solve(base, SolverConfig(alpha0=1e-3))
-        plain = solve(base, SolverConfig(alpha0=1e-3, scaling=False))
+        plain = solve(twin, SolverConfig(alpha0=1e-3))
         assert scaled.status == plain.status == "KktPoint"
         np.testing.assert_allclose(scaled.x, [0.6875, -0.1875], atol=1e-6)
         np.testing.assert_allclose(scaled.x, plain.x, atol=1e-6)
@@ -271,18 +277,34 @@ class TestJsonRoundtrip:
         lin = np.array([-2.0, 0.0])
         A = np.array([[1.0, 1.0]])
         b = np.array([1.0])
-        spec = problem_to_dict("toy", Q, lin, A, b, l1_weights=[0.0, 0.5],
-                               box=BoxSet.nonnegative(2), x0=[0.5, 0.5])
         path = tmp_path / "toy.json"
-        path.write_text(json.dumps(spec))
+        path.write_text("""{
+            "name": "toy", "kind": "quadratic", "n": 2, "m": 1,
+            "data": {"Q": [[2.0, 0.0], [0.0, 2.0]], "c": [-2.0, 0.0], "const": 0.0,
+                     "A": [[1.0, 1.0]], "b": [1.0], "x0": [0.5, 0.5]},
+            "l1_weights": [0.0, 0.5],
+            "box": {"lower": [0.0, 0.0], "upper": ["inf", "inf"]}
+        }""")
         p = load_problem(str(path))
-        assert p.n == 2 and p.m == 1
+        assert p.name == "toy" and p.n == 2 and p.m == 1
         x = np.array([0.25, 0.75])
         assert p.f(x) == pytest.approx(0.5 * x @ Q @ x + lin @ x)
         np.testing.assert_allclose(p.c(x), A @ x - b)
         assert p.reg.weights[1] == 0.5
         assert p.box.is_orthant()
         np.testing.assert_allclose(p.x0, [0.5, 0.5])
+        # a symmetric Q keeps its bits in f and g
+        np.testing.assert_array_equal(p.g(x), Q @ x + lin)
+
+    def test_asymmetric_q_gradient_matches_f(self):
+        # f(x) = 0.5 x'Qx + c'x has gradient (Q + Q')/2 x + c; Q x + c is
+        # off by 0.67 here in check_derivatives' relative measure
+        p = load_problem({"kind": "quadratic", "n": 2,
+                          "data": {"Q": [[1.0, 2.0], [0.0, 1.0]], "c": [0.5, -1.0]}})
+        x = np.array([1.0, 0.5])
+        assert p.f(x) == 0.5 * (1.0 + 2.0 * 0.5 + 0.25) + 0.5 - 0.5
+        np.testing.assert_allclose(p.g(x), [2.0, 0.5])
+        assert check_derivatives(p, x).g_err < 1e-8
 
     def test_inf_sentinels(self, tmp_path):
         spec = {

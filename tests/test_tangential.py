@@ -410,7 +410,7 @@ class TestFallback:
             J_eval=lambda x: J.copy(), reg=L1Regularizer(np.zeros(2)),
             box=BoxSet.free(2), x0=np.zeros(2))
         with pytest.warns(UserWarning, match="iteration 0: .*Newton budget"):
-            rep = solve(p, SolverConfig(alpha0=1.0, scaling=False))
+            rep = solve(p, SolverConfig(alpha0=1.0))
         assert rep.status == "Stalled"
         assert rep.iterations == 0
 
