@@ -106,15 +106,14 @@ class SolverConfig:
         return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+        out = {name: getattr(self, name) for name in _FIELD_NAMES}
         if out["x0"] is not None:
             out["x0"] = np.asarray(out["x0"]).tolist()
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        unknown = set(d) - set(_FIELD_NAMES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
@@ -122,6 +121,9 @@ class SolverConfig:
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
+
+
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SolverConfig))
 
 
 def kkt_residual(p: ProblemInstance, x, y, z, g_r):
@@ -207,6 +209,15 @@ class _InvariantMonitor:
         self.orthant = orthant
         self.violations = []
         self.prev_tau = None
+        self._J = self._jtj_norm = None
+
+    def jtj_norm(self, J) -> float:
+        """||J||_2^2, an SVD, kept for the point: J changes only when a
+        trial is accepted."""
+        if J is not self._J:
+            self._J = J
+            self._jtj_norm = float(np.linalg.norm(J, 2) ** 2) if J.size else 0.0
+        return self._jtj_norm
 
     def _add(self, k, name, margin):
         self.violations.append({"k": k, "check": name, "margin": float(margin)})
@@ -224,12 +235,12 @@ class _InvariantMonitor:
         if s_norm / alpha <= TOL_STEP:
             # a vanishing trial step must come from vanishing parts
             cap = max(10.0 * TOL_STEP * alpha,
-                      1e-8 * (1.0 + float(np.abs(x).max(initial=0.0))))
+                      1e-8 * (1.0 + float(np.maximum.reduce(np.abs(x), initial=0.0))))
             if _norm(normal.v) > cap or _norm(tang.u) > cap:
                 self._add(k, "step_parts_vanish", max(
                     _norm(normal.v), _norm(tang.u)))
         if normal.delta > 0 and normal.beta > 0:
-            jtj_norm = float(np.linalg.norm(J, 2) ** 2) if J.size else 0.0
+            jtj_norm = self.jtj_norm(J)
             ratio = _norm(normal.v_cauchy) / normal.beta
             rhs = self.KAPPA1 * ratio * min(ratio / (1.0 + jtj_norm),
                                             KAPPA_V * alpha * normal.delta)
@@ -272,7 +283,10 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     f, g, c and J are evaluated once per point and kept in the caller's
     units.  The method works on copies scaled by the factors of
     ``scale_factors``; the KKT stop test, the ledger's chi, chi_stat and
-    chi_comp, and the report are in the caller's units.
+    chi_comp, and the report are in the caller's units.  What depends on
+    the point alone (the scaled copies, the ledger's hash, active set and
+    sign pattern, and a zero normal step, which does not depend on alpha)
+    is formed when the point changes; a rejected trial reuses it.
     """
     t_start = time.perf_counter()
 
@@ -306,6 +320,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     y = np.zeros(p.m)
     z = np.zeros(p.n)
     g_r = np.zeros(p.n)
+    new_point = True
 
     def finish(status_, iters):
         y_un, z_un, g_r_un = scale.unscale_multipliers(y, z, g_r)
@@ -326,10 +341,19 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         if time.perf_counter() - t_start > cfg.time_limit:
             return finish("TimeLimit", k)
 
-        # the method's scaled copies of the caller's values at x
-        f_s, g_s = f_fac * f_val, f_fac * g_val
-        c_s, J_s = c_fac * c_val, c_fac[:, None] * J_val
-        normal = compute_normal_step(x, c_s, J_s, alpha, box, cfg.tol_c)
+        if new_point:
+            # the method's scaled copies of the caller's values at x
+            f_s, g_s = f_fac * f_val, f_fac * g_val
+            c_s, J_s = c_fac * c_val, c_fac[:, None] * J_val
+            c_norm = _norm(c_s)
+            x_hash, aset = _hash_point(x), active_set(x, box)
+            sign_pattern = _sign_pattern(x, reg.weights)
+            zero_normal = None
+            new_point = False
+        normal = (zero_normal if zero_normal is not None else
+                  compute_normal_step(x, c_s, J_s, alpha, box, cfg.tol_c))
+        if normal.v_inf is None:  # the zero step, free of alpha: kept for x
+            zero_normal = normal
         if normal.infeasible_stationary:
             if isp_streak and alpha <= isp_last_alpha * (1 + 1e-12):
                 isp_streak += 1
@@ -361,7 +385,6 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         s_norm = _norm(s)
         r_w = reg.value(w)
         A_k = glob.compute_Ak(g_s, s, alpha, r_w, r_val)
-        c_norm = _norm(c_s)
         cJs_norm = _norm(c_s + J_s @ s)
         tau_new = glob.update_tau(tau, glob.tau_trial(A_k, c_norm, cJs_norm))
 
@@ -386,16 +409,15 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
                 alpha=alpha, tau=tau_new, s=s, A_k=A_k, cJs_norm=cJs_norm,
             )
 
-        aset = active_set(x, box)
         records.append(IterationRecord(
-            k=k, x_hash=_hash_point(x), delta=normal.delta, beta=normal.beta,
+            k=k, x_hash=x_hash, delta=normal.delta, beta=normal.beta,
             norm_v=_norm(normal.v), norm_u=_norm(tang.u),
             norm_s=s_norm, tau=tau_new, alpha=alpha,
             merit_before=phi_old, merit_after=phi_new, accepted=accepted,
             chi=parts.chi, chi_stat=parts.stationarity, chi_comp=parts.complementarity,
             chi_bar=comp_v1, c_norm=c_norm, f_val=f_s, r_val=r_val,
             active_lower=aset.at_lower, active_upper=aset.at_upper,
-            sign_pattern=_sign_pattern(x, reg.weights),
+            sign_pattern=sign_pattern,
             tang_iters=tang.iterations, tang_evals=tang.evaluations,
         ))
 
@@ -428,6 +450,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             x = w
             f_val, r_val, c_val = f_w, r_w, c_w
             g_val, J_val = g_w, J_w
+            new_point = True
         if not (accepted and vanished):
             # a vanishing accepted step says nothing about the proximal
             # scale; growing alpha on it would reset the stationarity streak

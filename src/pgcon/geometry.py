@@ -7,7 +7,9 @@ componentwise clamps; no iterative solve is needed.  ``kkt_parts`` is the
 one KKT certificate: the driver's stop test, ledger and ``kkt_residual``,
 the tangential step's check against its bar, and the corpus oracles all
 call it, and it measures stationarity with the l1 subgradient projected
-onto lam * d|x| at the point it certifies.
+onto lam * d|x| at the point it certifies.  It runs on every iteration,
+so its reductions call numpy's ufuncs directly rather than through the
+``ndarray`` methods' Python wrappers.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "project_tangent_cone",
     "compute_delta",
     "active_set",
-    "box_complementarity",
     "KktParts",
     "kkt_parts",
     "nearest_subgradient",
@@ -93,32 +94,16 @@ def active_set(x, box: BoxSet) -> ActiveSet:
     at_lo, at_hi = _active_masks(x, box)
     at_hi = at_hi & ~at_lo  # fixed variables count as lower
     return ActiveSet(
-        at_lower=tuple(np.flatnonzero(at_lo).tolist()),
-        at_upper=tuple(np.flatnonzero(at_hi).tolist()),
+        at_lower=tuple(at_lo.nonzero()[0].tolist()),
+        at_upper=tuple(at_hi.nonzero()[0].tolist()),
     )
-
-
-def box_complementarity(x, z, lower, upper):
-    """Per-component (comp, sign) residuals of bound duals z at x.
-
-    A nonzero z_i pointing at a finite bound (z_i < 0 at lower, z_i > 0 at
-    upper) gives comp_i = min(slack_i, |z_i|); one pointing at an infinite
-    bound gives sign_i = |z_i|, a pure sign violation.  Fixed variables and
-    z_i == 0 give 0 in both, so the two parts never overlap.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    slack = np.where(z < 0, x - lower, upper - x)  # inf where that bound is infinite
-    m = np.minimum(slack, np.abs(z))
-    m[(z == 0.0) | (lower == upper)] = 0.0
-    comp = np.where(np.isfinite(slack), m, 0.0)
-    return comp, m - comp
 
 
 def nearest_subgradient(x, v, lam, zero_tol):
     """The point of lam * d|x| nearest to v: lam_i sign(x_i) where |x_i| >
     zero_tol, v_i clamped to [-lam_i, lam_i] elsewhere."""
-    return np.where(np.abs(x) > zero_tol, lam * np.sign(x), np.clip(v, -lam, lam))
+    return np.where(np.abs(x) > zero_tol, lam * np.sign(x),
+                    np.minimum(np.maximum(v, -lam), lam))
 
 
 @dataclass(frozen=True)
@@ -145,18 +130,24 @@ def kkt_parts(grad, resid, J, box: BoxSet, lam, point, y, z, g_r) -> KktParts:
     projection onto lam * d|point| (``nearest_subgradient``, zero
     tolerance 1e-12 (1 + max|point|)), and ``subgradient_margin`` is
     max|g_r - P(g_r)|, so a g_r outside lam * d|point| shows in both.
-    Complementarity is ||comp + sign|| of ``box_complementarity``.
+    Complementarity is ||m|| with m_i = min(slack_i, |z_i|), slack_i the
+    distance to the bound z_i points at (z_i < 0 at lower, z_i > 0 at
+    upper), and m_i = 0 where z_i = 0 or the variable is fixed.  A z_i
+    pointing at an infinite bound gives m_i = |z_i|, a sign violation; on
+    the nonnegative orthant m_i = |min(x_i, -z_i)|.
     """
     point = np.asarray(point, dtype=float)
-    zero_tol = 1e-12 * (1.0 + float(np.abs(point).max(initial=0.0)))
+    zero_tol = 1e-12 * (1.0 + float(np.maximum.reduce(np.abs(point), initial=0.0)))
     g_r_proj = nearest_subgradient(point, g_r, lam, zero_tol)
-    # the two parts are disjoint per component; on the nonnegative orthant
-    # their sum reduces to |min(x_i, -z_i)|
-    comp, sign = box_complementarity(point, z, box.lower, box.upper)
+    z = np.asarray(z, dtype=float)
+    slack = np.where(z < 0, point - box.lower, box.upper - point)
+    m = np.minimum(slack, np.abs(z))
+    m[(z == 0.0) | box.fixed] = 0.0
     return KktParts(
         stationarity=_norm(grad + g_r_proj + J.T @ y + z),
         feasibility=_norm(resid),
-        complementarity=_norm(comp + sign),
-        box_violation=float(np.maximum(box.lower - point, point - box.upper).max(initial=0.0)),
-        subgradient_margin=float(np.abs(g_r - g_r_proj).max(initial=0.0)),
+        complementarity=_norm(m),
+        box_violation=float(np.maximum.reduce(
+            np.maximum(box.lower - point, point - box.upper), initial=0.0)),
+        subgradient_margin=float(np.maximum.reduce(np.abs(g_r - g_r_proj), initial=0.0)),
     )

@@ -55,6 +55,9 @@ class BoxSet:
 
     def __post_init__(self):
         lo = np.array(_as_float_array(self.lower))
+        if lo.ndim != 1:
+            raise ValueError(f"box bounds must be 1-D arrays of shape (n,), "
+                             f"got lower of shape {lo.shape}")
         hi = np.array(_as_float_array(self.upper, lo.shape[0]))
         if np.any(lo > hi):
             raise ValueError("box has lower_i > upper_i")
@@ -75,6 +78,13 @@ class BoxSet:
         tol = 1e-10 * (1.0 + np.maximum(lo, hi))
         tol.flags.writeable = False
         return tol
+
+    @functools.cached_property
+    def fixed(self) -> np.ndarray:
+        """Where lower == upper: a fixed variable."""
+        fixed = self.lower == self.upper
+        fixed.flags.writeable = False
+        return fixed
 
     def contains(self, x, tol: float = 0.0) -> bool:
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
@@ -147,21 +157,21 @@ class ProblemInstance:
 
     def g(self, x) -> np.ndarray:
         v = _as_float_array(self.g_eval(np.asarray(x, dtype=float)), self.n)
-        if not np.isfinite(v).all():
+        if not np.logical_and.reduce(np.isfinite(v), axis=None):
             bad = int(np.flatnonzero(~np.isfinite(v))[0])
             raise EvaluationError(f"{self.name}: gradient component {bad} is not finite")
         return v
 
     def c(self, x) -> np.ndarray:
         v = np.asarray(self.c_eval(np.asarray(x, dtype=float)), dtype=float).reshape(self.m)
-        if not np.isfinite(v).all():
+        if not np.logical_and.reduce(np.isfinite(v), axis=None):
             bad = int(np.flatnonzero(~np.isfinite(v))[0])
             raise EvaluationError(f"{self.name}: constraint component {bad} is not finite")
         return v
 
     def J(self, x) -> np.ndarray:
         v = np.asarray(self.J_eval(np.asarray(x, dtype=float)), dtype=float).reshape(self.m, self.n)
-        if not np.isfinite(v).all():
+        if not np.logical_and.reduce(np.isfinite(v), axis=None):
             i, j = np.argwhere(~np.isfinite(v))[0]
             raise EvaluationError(f"{self.name}: Jacobian entry ({i},{j}) is not finite")
         return v

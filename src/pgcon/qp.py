@@ -61,8 +61,8 @@ def solve_qp(G, c0, lower, upper) -> QpSolution:
     for iters in range(1, 50 * max(d, 1) + 1):
         g = G.T @ r
         held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
-        free = np.flatnonzero(~held)
-        if float(np.abs(g[free]).max(initial=0.0)) <= tol:
+        free = (~held).nonzero()[0]
+        if float(np.maximum.reduce(np.abs(g[free]), initial=0.0)) <= tol:
             break
         step = np.zeros(d)
         step[free] = np.linalg.lstsq(G[:, free], -r, rcond=1e-9)[0]

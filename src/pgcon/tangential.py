@@ -178,7 +178,7 @@ def _ray_maximizer(t, Jd, alpha, alpha_lam, lower, upper, slope):
     kappa = np.where(np.cumsum(sign) > 0.0, np.maximum(np.cumsum(sign * weight), 0.0), 0.0)
     # theta' at each interval end
     rate = slope - np.concatenate([[0.0], np.cumsum(kappa[:-1] * np.diff(pos))])
-    past = np.flatnonzero(rate <= 0.0)
+    past = (rate <= 0.0).nonzero()[0]
     k = past[0] - 1 if past.size else pos.size - 1
     if kappa[k] <= 0.0:
         return math.inf
@@ -237,7 +237,6 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     m = J.shape[0]
     alpha_lam = alpha * lam
     abs_J = np.abs(J)
-    scale = alpha * float(np.einsum("ij,ij->i", J, J).max(initial=0.0))
 
     evaluations = 0
 
@@ -254,10 +253,15 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     u, code, F = evaluate(y)
     iterations = 0
     refine = False
-    while not (np.abs(F) <= 4.0 * _EPS * (1.0 + abs_J @ np.abs(u))).all():
+    while not np.logical_and.reduce(np.abs(F) <= 4.0 * _EPS * (1.0 + abs_J @ np.abs(u))):
         if iterations == _NEWTON_BUDGET:
             raise TangentialError(f"dual solve ran out of its Newton budget "
                                   f"({_NEWTON_BUDGET} steps), |J u| = {_norm(F):.3g}")
+        if iterations == 0:
+            # the largest squared row norm of J, in alpha units; a solve
+            # that starts at its answer takes no step and never needs it
+            row_sq = np.einsum("ij,ij->i", J, J)
+            scale = alpha * float(np.maximum.reduce(row_sq, initial=0.0))
         iterations += 1
         free = (code == _POS) | (code == _NEG)
         J_F = J[:, free]
@@ -315,7 +319,8 @@ def kkt_bar(x, w, alpha) -> float:
     eps max(|x|, |w|), so below alpha ~ 1e-9 a correct answer's rounding
     alone would exceed a bare 1e-8.
     """
-    scale = max(np.abs(x).max(initial=0.0), np.abs(w).max(initial=0.0))
+    scale = max(np.maximum.reduce(np.abs(x), initial=0.0),
+                np.maximum.reduce(np.abs(w), initial=0.0))
     return _KKT_BAR + 4.0 * _EPS * float(scale) / alpha
 
 

@@ -24,6 +24,11 @@ direction is re-solved on the same system with that direction truncated.
 Dual sign convention:  H x + q + Aeq' y + z = 0  with  z_i <= 0 when x_i
 is at its lower bound, z_i >= 0 at its upper bound, z_i = 0 otherwise.
 A scipy sparse H or Aeq is densified once on construction.
+
+``box_complementarity`` splits a bound dual's complementarity residual
+into its part at finite bounds and its sign violation at infinite ones;
+``verify_kkt`` reports the two apart, and the geometry tests check
+``geometry.kkt_parts``' complementarity against their sum.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from pgcon.geometry import box_complementarity
 from pgcon.qp import solve_qp as solve_box_lsq
 
 __all__ = ["QpProblem", "QpSolution", "QpKktReport", "solve_qp", "verify_kkt"]
@@ -131,12 +135,30 @@ def _eq_residual(qp: QpProblem, x) -> np.ndarray:
     return qp.Aeq @ x - qp.beq
 
 
+def box_complementarity(x, z, lower, upper):
+    """Per-component (comp, sign) residuals of bound duals z at x.
+
+    A nonzero z_i pointing at a finite bound (z_i < 0 at lower, z_i > 0 at
+    upper) gives comp_i = min(slack_i, |z_i|); one pointing at an infinite
+    bound gives sign_i = |z_i|, a pure sign violation.  Fixed variables and
+    z_i == 0 give 0 in both, so the two parts never overlap, and comp + sign
+    is the m of ``geometry.kkt_parts``' complementarity.
+    """
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    slack = np.where(z < 0, x - lower, upper - x)  # inf where that bound is infinite
+    m = np.minimum(slack, np.abs(z))
+    m[(z == 0.0) | (lower == upper)] = 0.0
+    comp = np.where(np.isfinite(slack), m, 0.0)
+    return comp, m - comp
+
+
 def verify_kkt(qp: QpProblem, sol: QpSolution) -> QpKktReport:
     """Residual breakdown for a candidate primal/dual pair.
 
     Complementarity per component is min(active-slack, |dual|); a dual
     whose sign points at an infinite bound is charged to the dual_sign
-    residual at magnitude |z_i| (see geometry.box_complementarity).
+    residual at magnitude |z_i| (see box_complementarity).
     """
     x, y, z = sol.primal, sol.eq_duals, sol.bound_duals
     grad = qp.grad(x)

@@ -14,11 +14,12 @@ from pgcon.driver import (
     ledger_to_csv,
     solve,
 )
-from pgcon.geometry import active_set, box_complementarity
+from pgcon.geometry import active_set
 from pgcon.problem import check_derivatives
 from pgcon.qp import solve_qp
 from pgcon.scca import pattern_vectors, scca_generate, scca_metrics, scca_problem
 from qp_oracle import enumerate_qp
+from qp_reference import box_complementarity
 
 SCCA_SEEDS = (1, 2, 3, 4, 5)
 

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -85,6 +87,21 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             SolverConfig.from_dict({"nonsense": 1})
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"x0": [0.5, -1.0, 3.0]}, {"x0": np.array([1e-300])},
+        {"alpha0": 1e-3, "max_iter": 7, "alpha_rule": "hold", "check_invariants": True},
+        {"x0": [2, 0], "tol_c": 1e-9, "time_limit": 1, "alpha_rule": "verbatim_max"},
+    ])
+    def test_hash_matches_asdict_form(self, kwargs):
+        # config_hash as it was written with dataclasses.asdict
+        cfg = SolverConfig(**kwargs)
+        out = dataclasses.asdict(cfg)
+        if out["x0"] is not None:
+            out["x0"] = np.asarray(out["x0"]).tolist()
+        assert cfg.to_dict() == out
+        payload = json.dumps(out, sort_keys=True).encode()
+        assert cfg.config_hash() == hashlib.sha256(payload).hexdigest()[:16]
 
 
 class TestKktResidual:
@@ -375,6 +392,42 @@ def test_each_point_evaluated_once(name):
         rep = solve(counted(p, calls), cfg)
     assert calls[:5] == ["f", "g", "c", "J", "f"]
     assert calls.count("f") == calls.count("c") == 1 + len(rep.records)
+
+
+@pytest.mark.parametrize("inst", corpus(), ids=lambda inst: inst.name)
+def test_zero_normal_step_kept_for_the_point(inst, monkeypatch):
+    # a zero normal step does not depend on alpha, so a rejected trial
+    # reuses it: one normal step per point where it is zero, and the
+    # ledger of a solve that recomputes it on every trial
+    def solve_counting(keep_zero):
+        calls = []  # (x, zero step); x is a new array at each accepted point
+
+        def compute(x, *args):
+            res = normal_step.compute_normal_step(x, *args)
+            calls.append((x, res.v_inf is None))
+            if res.v_inf is None and not keep_zero:
+                res = dataclasses.replace(res, v_inf=res.v)  # looks active: not kept
+            return res
+
+        monkeypatch.setattr(driver, "compute_normal_step", compute)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = solve(inst.problem, SolverConfig(**inst.config_overrides))
+        return ledger_to_csv(rep.records), calls
+
+    def repeats(calls):
+        """Zero steps computed at a point that already had one."""
+        seen = set()
+        for x, zero in calls:
+            if zero:
+                yield id(x) in seen
+                seen.add(id(x))
+
+    kept, calls = solve_counting(True)
+    again, all_calls = solve_counting(False)
+    assert kept == again
+    assert not any(repeats(calls))
+    assert len(calls) == len(all_calls) - sum(repeats(all_calls))
 
 
 def rank_deficient_l1(seed, n_lo, n_hi):

@@ -5,15 +5,15 @@ from pgcon.driver import kkt_residual
 from pgcon.geometry import (
     _norm,
     active_set,
-    box_complementarity,
     compute_delta,
     kkt_parts,
+    nearest_subgradient,
     project_box,
     project_tangent_cone,
 )
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
 from pgcon.qp import solve_qp
-from qp_reference import QpProblem, QpSolution, verify_kkt
+from qp_reference import QpProblem, QpSolution, box_complementarity, verify_kkt
 
 
 def cone_projection_oracle(d, x, box, tol=1e-12):
@@ -272,3 +272,48 @@ class TestComplementarityConsumers:
                               np.zeros(0), z, np.zeros(n))
             comp, sign = box_complementarity_loop(w, z, box.lower, box.upper)
             assert parts.complementarity == float(np.linalg.norm(comp + sign))
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def clip_subgradient(x, v, lam, zero_tol):
+    """nearest_subgradient as it was written with np.clip."""
+    return np.where(np.abs(x) > zero_tol, lam * np.sign(x), np.clip(v, -lam, lam))
+
+
+class TestCertificateEquivalence:
+    """kkt_parts and nearest_subgradient give the bits of the formulas
+    they replaced."""
+
+    def test_complementarity_is_norm_of_comp_plus_sign(self):
+        rng = np.random.default_rng(23)
+        kinds = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 12))
+            box, x, z = random_box_case(rng, n)
+            lo_fin, hi_fin = np.isfinite(box.lower), np.isfinite(box.upper)
+            kinds |= (np.any(box.fixed) | 2 * np.any(lo_fin ^ hi_fin)
+                      | 4 * np.any(~lo_fin & ~hi_fin) | 8 * np.any(z == 0.0))
+            parts = kkt_parts(np.zeros(n), np.zeros(0), np.zeros((0, n)), box, np.zeros(n),
+                              x, np.zeros(0), z, np.zeros(n))
+            comp, sign = box_complementarity(x, z, box.lower, box.upper)
+            assert _bits(parts.complementarity) == _bits(_norm(comp + sign))
+        # fixed, one-sided and free components and exact zeros in z all drawn
+        assert kinds == 15
+
+    def test_nearest_subgradient_matches_clip(self):
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 0.25, -3.0])
+        grid = np.array(np.meshgrid(specials, specials, [0.0, -0.0, 0.5, 2.0, np.inf]))
+        x, v, lam = (a.ravel() for a in grid)
+        rng = np.random.default_rng(24)
+        with np.errstate(invalid="ignore"):
+            # whole arrays, then short slices: numpy's vector loops and their tails
+            for size in [x.size, *range(1, 20)]:
+                for _ in range(20):
+                    idx = rng.permutation(x.size)[:size]
+                    for zero_tol in (0.0, 0.5):
+                        args = (x[idx], v[idx], np.abs(lam[idx]), zero_tol)
+                        assert (_bits(nearest_subgradient(*args))
+                                == _bits(clip_subgradient(*args)))

@@ -38,6 +38,18 @@ class TestBox:
         assert BoxSet.nonnegative(3).is_orthant()
         assert not BoxSet.free(3).is_orthant()
 
+    @pytest.mark.parametrize("lower, upper", [
+        (0.0, 1.0), (np.zeros((2, 2)), np.ones(2)), (np.zeros((1, 3)), np.ones((1, 3)))],
+        ids=["scalar", "2-D lower", "2-D both"])
+    def test_bounds_must_be_1d(self, lower, upper):
+        with pytest.raises(ValueError, match=r"1-D arrays of shape \(n,\)"):
+            BoxSet(lower, upper)
+
+    def test_fixed_components(self):
+        box = BoxSet(np.array([0.0, 1.0, -np.inf, 2.0]), np.array([1.0, 1.0, np.inf, 2.0]))
+        np.testing.assert_array_equal(box.fixed, [False, True, False, True])
+        assert not box.fixed.flags.writeable
+
 
 class TestRegularizer:
     def test_value_and_nonnegativity(self):
