@@ -36,16 +36,15 @@ _STATUS_EXIT = {"KktPoint": 0, "InfeasibleStationary": 2}
 
 
 def _parse_override(text: str):
-    """``key=value`` -> (key, value): the value read as JSON, else the raw
-    string, so ``alpha_rule=hold`` needs no quotes."""
+    """``key=value`` -> (key, value), the value read as JSON."""
     if "=" not in text:
         raise ValueError(f"override {text!r} is not of the form key=value")
     key, raw = text.split("=", 1)
+    key = key.strip()
     try:
-        value = json.loads(raw)
+        return key, json.loads(raw)
     except json.JSONDecodeError:
-        value = raw.strip()
-    return key.strip(), value
+        raise ValueError(f"override {key}={raw.strip()} is not JSON") from None
 
 
 def load_config(path=None, overrides=()) -> SolverConfig:
@@ -126,9 +125,8 @@ def _cmd_bench(args) -> int:
                             args.seed or [0], cfg)
     results = run_benchmark(cells)
     out = _out_dir(args)
-    label = f"{args.suite}-{cfg.alpha_rule}"
     (out / "results.csv").write_text(results_to_csv(results))
-    (out / "profile.csv").write_text(profile_to_csv(results, label))
+    (out / "profile.csv").write_text(profile_to_csv(results, args.suite))
     n_err = sum(1 for r in results if r.status == "Error")
     (out / "bench.json").write_text(json.dumps({
         "cells": len(results), "errors": n_err,
@@ -160,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--set", action="append", default=[], metavar="K=V",
-                        help="config override, its value JSON or a bare string, "
+                        help="config override, its value JSON, "
                              "applied over --config (repeatable)")
         sp.add_argument("--out", default="pgcon-out", help="output directory")
         sp.add_argument("--verbose", "-v", action="store_true")

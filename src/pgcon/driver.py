@@ -50,16 +50,16 @@ TOL_STEP = 1e-12
 
 _POSITIVE_FIELDS = ("alpha0", "tol_c", "tol_stat", "tol_comp", "time_limit")
 # the value types each declared field type accepts (x0 is converted instead)
-_FIELD_KINDS = {"bool": bool, "int": int, "float": (int, float), "str": str}
+_FIELD_KINDS = {"bool": bool, "int": int, "float": (int, float)}
 
 
 @dataclass(eq=False)
 class SolverConfig:
     """What a run chooses: the start ``x0``, the first proximal parameter
     ``alpha0``, the KKT tolerances (``tol_c`` also marks a stationary point
-    of the violation infeasible), the budgets, the ``alpha_rule`` and
-    ``check_invariants``.  The method's fixed parameters are constants
-    next to the function that reads each."""
+    of the violation infeasible), the budgets and ``check_invariants``.
+    The method's fixed parameters are constants next to the function that
+    reads each."""
 
     x0: Optional[np.ndarray] = None
     alpha0: float = 10.0
@@ -68,7 +68,6 @@ class SolverConfig:
     tol_comp: float = 1e-4
     max_iter: int = 10000
     time_limit: float = 3600.0
-    alpha_rule: str = "min_cap"
     check_invariants: bool = False
 
     def __post_init__(self):
@@ -92,8 +91,6 @@ class SolverConfig:
             val = getattr(self, name)
             if not val > 0:
                 raise ValueError(f"{name}={val!r} must be positive")
-        if self.alpha_rule not in glob.ALPHA_RULES:
-            raise ValueError(f"alpha_rule must be one of {glob.ALPHA_RULES}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.x0 is not None:
@@ -204,8 +201,7 @@ class _InvariantMonitor:
     SLACK = 1e-10
     KAPPA1 = GAMMA * ETA_M * (1.0 - ETA_M)
 
-    def __init__(self, alpha_rule: str, orthant: bool):
-        self.alpha_rule = alpha_rule
+    def __init__(self, orthant: bool):
         self.orthant = orthant
         self.violations = []
         self.prev_tau = None
@@ -264,9 +260,11 @@ class _InvariantMonitor:
         self.prev_tau = tau
 
     def check_shifted_merit(self, records):
-        """Monotone surrogate of the shifted merit, only meaningful when the
-        proximal parameter is held on acceptance."""
-        if self.alpha_rule != "hold" or not records:
+        """The shifted merit tau*(f + r - f_lb) + ||c||, f_lb one below the
+        least f of the run, never grows along the records.  It holds
+        whatever alpha does: an accepted step decreases the merit at its
+        own tau, tau never grows, and f + r - f_lb >= 1."""
+        if not records:
             return
         f_lb = min(r.f_val for r in records) - 1.0
         prev = None
@@ -311,8 +309,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     r_val = reg.value(x)
     tau, alpha = TAU_INIT, cfg.alpha0
 
-    monitor = (_InvariantMonitor(cfg.alpha_rule, box.is_orthant())
-               if cfg.check_invariants else None)
+    monitor = _InvariantMonitor(box.is_orthant()) if cfg.check_invariants else None
     records: list[IterationRecord] = []
     isp_streak = 0
     isp_last_alpha = np.inf
@@ -441,7 +438,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             stall_streak = 0
 
         lipschitz = None
-        if accepted and not vanished and cfg.alpha_rule == "min_cap":
+        if accepted and not vanished:
             # local Lipschitz estimate of the scaled Lagrangian's gradient
             # along s, with this iteration's y
             d_grad = f_fac * (g_w - g_val) + (J_w - J_val).T @ (c_fac * y)
@@ -455,8 +452,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             # a vanishing accepted step says nothing about the proximal
             # scale; growing alpha on it would reset the stationarity streak
             prev_accepted = len(records) < 2 or records[-2].accepted
-            alpha = glob.update_alpha(alpha, accepted, cfg.alpha_rule, lipschitz,
-                                      prev_accepted)
+            alpha = glob.update_alpha(alpha, accepted, lipschitz, prev_accepted)
         if alpha < glob.ALPHA_FLOOR:
             return finish("Stalled", k + 1)
 

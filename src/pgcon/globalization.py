@@ -1,10 +1,10 @@
 """Merit function, its parameter update, step acceptance, and the
-proximal-parameter update rules.
+proximal-parameter update.
 
 The merit function is  Phi_tau(x) = tau*(f(x) + r(x)) + ||c(x)||_2.  Its
 weight tau is only ever decreased, and only when needed to keep the trial
 step a sufficient-descent direction; the proximal parameter alpha shrinks
-on rejected steps and, depending on the rule, may grow on accepted ones.
+on rejected steps and may grow on accepted ones.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "ALPHA_FLOOR",
     "TAU_FLOOR",
-    "ALPHA_RULES",
     "SIGMA_C",
     "EPS_TAU",
     "ETA_PHI",
@@ -31,7 +30,6 @@ __all__ = [
 
 ALPHA_FLOOR = 1e-16
 TAU_FLOOR = 1e-12
-ALPHA_RULES = ("hold", "min_cap", "verbatim_max")
 # share of the linearized violation decrease the merit weight keeps back
 SIGMA_C = 0.1
 # a decreased merit weight drops at least to (1 - EPS_TAU) times its value
@@ -40,9 +38,9 @@ EPS_TAU = 0.1
 ETA_PHI = 1e-4
 # a rejected step multiplies alpha by XI; growth on acceptance divides by it
 XI = 0.5
-# the most "min_cap" lets alpha grow to by doubling
+# the most alpha grows to by doubling
 ALPHA_CAP = 10.0
-# the most "min_cap" lets alpha grow to where the Lagrangian is flat
+# the most alpha grows to where the Lagrangian is flat
 ALPHA_MAX = 1e6
 
 
@@ -80,32 +78,25 @@ def sufficient_decrease(phi_new: float, phi_old: float, tau: float, alpha: float
     return phi_new - phi_old <= rhs + slack
 
 
-def update_alpha(alpha: float, accepted: bool, rule: str,
-                 lipschitz: float | None = None, prev_accepted: bool = True) -> float:
+def update_alpha(alpha: float, accepted: bool, lipschitz: float | None = None,
+                 prev_accepted: bool = True) -> float:
     """Next proximal parameter.  Callers watch for values below ALPHA_FLOOR
     and convert them into a stall signal.
 
-    A rejected step gives XI*alpha under every rule.  On an accepted step
-    "hold" keeps alpha, "verbatim_max" gives max(alpha/XI, 10), and
-    "min_cap" gives min(alpha/XI, ALPHA_CAP), the blind doubling, unless
-    the step's local Lipschitz estimate |grad L(w) - grad L(x)| / |s| is
-    at most 1/(2 ALPHA_CAP): alpha then becomes min(ALPHA_MAX, 1/(2 l)),
-    the bound of Malitsky & Mishchenko (ICML 2020), and ALPHA_MAX where
-    the Lagrangian's gradient did not move.  ``lipschitz`` None means the
+    A rejected step gives XI*alpha.  An accepted step gives
+    min(alpha/XI, ALPHA_CAP), the blind doubling, unless the step's local
+    Lipschitz estimate |grad L(w) - grad L(x)| / |s| is at most
+    1/(2 ALPHA_CAP): alpha then becomes min(ALPHA_MAX, 1/(2 l)), the bound
+    of Malitsky & Mishchenko (ICML 2020), and ALPHA_MAX where the
+    Lagrangian's gradient did not move.  ``lipschitz`` None means the
     estimate was not computed, which gives the doubling.  When the
-    previous step was rejected (``prev_accepted`` False) "min_cap" does
-    not double: it gives min(alpha, ALPHA_CAP), so the next trial does not
+    previous step was rejected (``prev_accepted`` False) alpha does not
+    double: it becomes min(alpha, ALPHA_CAP), so the next trial does not
     repeat the alpha just rejected, as a trust region does not grow right
     after an unsuccessful step.  The flat-Lagrangian bound still applies.
     """
-    if rule not in ALPHA_RULES:
-        raise ValueError(f"unknown alpha rule {rule!r}")
     if not accepted:
         return XI * alpha
-    if rule == "hold":
-        return alpha
-    if rule == "verbatim_max":
-        return max(alpha / XI, 10.0)
     if lipschitz is not None and lipschitz <= 1.0 / (2.0 * ALPHA_CAP):
         return ALPHA_MAX if lipschitz == 0.0 else min(ALPHA_MAX, 1.0 / (2.0 * lipschitz))
     return min(alpha / XI if prev_accepted else alpha, ALPHA_CAP)

@@ -110,8 +110,7 @@ class TestBench:
 
 class TestConfigIO:
     def test_round_trip_file(self, tmp_path):
-        cfg = SolverConfig(alpha0=0.125, tol_stat=0.25, alpha_rule="hold",
-                           check_invariants=True)
+        cfg = SolverConfig(alpha0=0.125, tol_stat=0.25, check_invariants=True)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()))
         again = load_config(str(path))
@@ -119,14 +118,12 @@ class TestConfigIO:
 
     def test_overrides_typed(self):
         cfg = load_config(None, ["tol_c=1e-8", "max_iter=77", "check_invariants=true",
-                                 "alpha_rule=hold", "time_limit=Infinity"])
+                                 "time_limit=Infinity"])
         assert cfg.tol_c == 1e-8
         assert cfg.max_iter == 77
         assert cfg.check_invariants is True
         assert load_config(None, ["check_invariants=false"]).check_invariants is False
-        assert cfg.alpha_rule == "hold"
         assert cfg.time_limit == float("inf")
-        assert load_config(None, ['alpha_rule="hold"']).alpha_rule == "hold"
         assert load_config(None, ["x0=[1, 2]"]).x0.tolist() == [1.0, 2.0]
         with pytest.raises(ValueError):
             load_config(None, ["max_iter=1.5"])
@@ -155,7 +152,6 @@ class TestConfigIO:
         "tol_comp": ("0.5", 0.5),
         "max_iter": ("77", 77),
         "time_limit": ("60", 60),
-        "alpha_rule": ("hold", "hold"),
         "check_invariants": ("true", True),
     }
 
@@ -284,16 +280,25 @@ class TestCli:
                      str(tmp_path / "o"), "--set", "alpha0=1.0"])
         assert code == 2
 
-    def test_bad_override_exit_64(self, tmp_path):
+    def test_bad_override_exit_64(self, tmp_path, capsys):
         prob = {"name": "x", "kind": "analytic:box-qp-1"}
         path = tmp_path / "p.json"
         path.write_text(json.dumps(prob))
-        # a --set value is JSON: yes and inf are strings, which a bool and a
-        # float field reject (true/false and Infinity are the spellings)
-        for bad in ("tol_stat=banana", "check_invariants=yes", "time_limit=inf"):
+        # a --set value is JSON (true/false and Infinity are the spellings);
+        # text that is not JSON is a usage error that names its key
+        for bad in ("tol_stat=banana", "check_invariants=yes", "time_limit=inf",
+                    "alpha_rule=hold"):
             code = main(["solve", "--problem", str(path), "--out",
                          str(tmp_path / "o"), "--set", bad])
             assert code == 64, bad
+            key = bad.split("=")[0]
+            assert f"pgcon: override {key}=" in capsys.readouterr().err
+        # JSON text of the wrong type is rejected by the field
+        code = main(["solve", "--problem", str(path), "--out",
+                     str(tmp_path / "o"), "--set", 'check_invariants="yes"'])
+        assert code == 64
+        assert "check_invariants='yes' must be of type bool" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("bad", [{"check_invariants": "no"}, {"max_iter": "50"},
                                      {"alpha0": "0.5"}, {"max_iter": 2.5}],

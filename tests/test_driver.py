@@ -43,7 +43,7 @@ class TestConfig:
     def test_fields_are_what_a_run_chooses(self):
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
             "x0", "alpha0", "tol_c", "tol_stat", "tol_comp", "max_iter",
-            "time_limit", "alpha_rule", "check_invariants"]
+            "time_limit", "check_invariants"]
         # a method parameter is a constant, not a key
         with pytest.raises(ValueError, match="xi"):
             SolverConfig.from_dict({"xi": 0.5})
@@ -51,7 +51,7 @@ class TestConfig:
     def test_field_types_enforced(self):
         # bool is an int subclass, so only the declared bool fields take one
         for bad in ({"max_iter": True}, {"alpha0": False}, {"check_invariants": 1},
-                    {"alpha_rule": None}):
+                    {"tol_c": "1e-6"}):
             (name, _), = bad.items()
             with pytest.raises(ValueError, match=f"{name}="):
                 SolverConfig(**bad)
@@ -68,7 +68,6 @@ class TestConfig:
                 tol_c=float(10 ** rng.uniform(-9, -3)),
                 tol_stat=float(10 ** rng.uniform(-9, -3)),
                 max_iter=int(rng.integers(1, 500)),
-                alpha_rule=str(rng.choice(["hold", "min_cap", "verbatim_max"])),
                 check_invariants=bool(rng.random() < 0.5),
             )
             again = SolverConfig.from_dict(cfg.to_dict())
@@ -90,8 +89,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {}, {"x0": [0.5, -1.0, 3.0]}, {"x0": np.array([1e-300])},
-        {"alpha0": 1e-3, "max_iter": 7, "alpha_rule": "hold", "check_invariants": True},
-        {"x0": [2, 0], "tol_c": 1e-9, "time_limit": 1, "alpha_rule": "verbatim_max"},
+        {"alpha0": 1e-3, "max_iter": 7, "check_invariants": True},
+        {"x0": [2, 0], "tol_c": 1e-9, "time_limit": 1},
     ])
     def test_hash_matches_asdict_form(self, kwargs):
         # config_hash as it was written with dataclasses.asdict
@@ -217,14 +216,17 @@ class TestSolveBehavior:
             rep = solve(inst.problem, cfg)
         assert rep.status == "KktPoint"
 
-    def test_alpha_hold_rule_monotone(self):
-        inst = get_instance("soft-thresh-1")
-        rep = solve(inst.problem, SolverConfig(alpha_rule="hold",
-                                               check_invariants=True))
-        alphas = [r.alpha for r in rep.records]
-        for a, b in zip(alphas, alphas[1:]):
-            assert b <= a + 1e-15
+    def test_shifted_merit_checked_on_every_solve(self):
+        # the check runs with check_invariants and flags a record whose
+        # shifted merit grows
+        rep = solve(get_instance("soft-thresh-1").problem,
+                    SolverConfig(check_invariants=True))
         assert rep.invariant_violations == []
+        recs = rep.records[:-1] + [dataclasses.replace(
+            rep.records[-1], c_norm=rep.records[-1].c_norm + 1e6)]
+        monitor = driver._InvariantMonitor(orthant=False)
+        monitor.check_shifted_merit(recs)
+        assert [v["check"] for v in monitor.violations] == ["shifted_merit_monotone"]
 
     def test_min_cap_holds_alpha_after_a_rejection(self):
         # no accepted step that directly follows a rejection raises alpha,

@@ -79,32 +79,24 @@ class TestSufficientDecrease:
 
 class TestUpdateAlpha:
     def test_rejected_always_shrinks(self):
-        for rule in ("hold", "min_cap", "verbatim_max"):
-            assert update_alpha(10.0, False, rule) == 5.0
-
-    def test_hold(self):
-        assert update_alpha(3.0, True, "hold") == 3.0
-
-    def test_verbatim_max(self):
-        assert update_alpha(1.0, True, "verbatim_max") == 10.0
-        assert update_alpha(100.0, True, "verbatim_max") == 200.0
+        assert update_alpha(10.0, False) == 5.0
 
     def test_min_cap(self):
-        assert update_alpha(4.0, True, "min_cap") == 8.0
-        assert update_alpha(8.0, True, "min_cap") == 10.0
+        assert update_alpha(4.0, True) == 8.0
+        assert update_alpha(8.0, True) == 10.0
 
     def test_min_cap_doubles_unless_curvature_is_small(self):
         # no estimate (None: not computed, unlike l = 0, the flat case), or
         # an estimate above 1/(2 cap), gives the doubling
         for ell in (None, 0.05 * (1 + 1e-12), 0.5, 1e300, np.inf):
-            assert update_alpha(1e-3, True, "min_cap", lipschitz=ell) == 2e-3
-            assert update_alpha(4.0, True, "min_cap", lipschitz=ell) == 8.0
+            assert update_alpha(1e-3, True, lipschitz=ell) == 2e-3
+            assert update_alpha(4.0, True, lipschitz=ell) == 8.0
 
     def test_min_cap_never_exceeds_cap(self):
         # the blind doubling stops at the cap, also from above it
         for alpha in (1e-3, 4.0, 8.0, 10.0, 1e3, ALPHA_MAX):
             for ell in (None, 0.06, 1.0, np.inf):
-                out = update_alpha(alpha, True, "min_cap", lipschitz=ell)
+                out = update_alpha(alpha, True, lipschitz=ell)
                 assert out == min(2.0 * alpha, ALPHA_CAP)
 
     def test_min_cap_takes_inverse_lipschitz_bound_on_small_estimate(self):
@@ -112,70 +104,54 @@ class TestUpdateAlpha:
         # alpha was before
         assert 1.0 / (2.0 * ALPHA_CAP) == 0.05
         for alpha in (1e-3, 10.0, ALPHA_MAX):
-            assert update_alpha(alpha, True, "min_cap", lipschitz=0.05) == 10.0
-            assert update_alpha(alpha, True, "min_cap", lipschitz=0.025) == 20.0
-            assert update_alpha(alpha, True, "min_cap", lipschitz=1e-4) == 5e3
-            assert update_alpha(alpha, True, "min_cap", lipschitz=5e-7) == ALPHA_MAX
+            assert update_alpha(alpha, True, lipschitz=0.05) == 10.0
+            assert update_alpha(alpha, True, lipschitz=0.025) == 20.0
+            assert update_alpha(alpha, True, lipschitz=1e-4) == 5e3
+            assert update_alpha(alpha, True, lipschitz=5e-7) == ALPHA_MAX
             for ell in (4e-7, 1e-12, 1e-300, 5e-324):
-                assert update_alpha(alpha, True, "min_cap", lipschitz=ell) == ALPHA_MAX
+                assert update_alpha(alpha, True, lipschitz=ell) == ALPHA_MAX
 
     def test_min_cap_flat_lagrangian_gives_alpha_max(self):
         assert ALPHA_MAX == 1e6
         for alpha in (1e-3, 10.0, ALPHA_MAX):
-            assert update_alpha(alpha, True, "min_cap", lipschitz=0.0) == ALPHA_MAX
+            assert update_alpha(alpha, True, lipschitz=0.0) == ALPHA_MAX
 
     def test_min_cap_never_exceeds_alpha_max(self):
         for alpha in (1e-3, 10.0, 1e5, ALPHA_MAX):
             for ell in (None, 0.0, 5e-324, 1e-9, 0.05, 1.0):
-                assert update_alpha(alpha, True, "min_cap", lipschitz=ell) <= ALPHA_MAX
+                assert update_alpha(alpha, True, lipschitz=ell) <= ALPHA_MAX
 
     def test_rejection_ignores_curvature(self):
         # and ignores whether the step before was accepted
-        for rule in ("hold", "min_cap", "verbatim_max"):
-            for ell in (None, 0.0, 1e-9, 0.05, 1.0):
-                for prev in (True, False):
-                    assert update_alpha(1e-3, False, rule, lipschitz=ell,
-                                        prev_accepted=prev) == 5e-4
-
-    def test_hold_and_verbatim_max_ignore_curvature(self):
-        # and ignore whether the step before was accepted
         for ell in (None, 0.0, 1e-9, 0.05, 1.0):
             for prev in (True, False):
-                assert update_alpha(3.0, True, "hold", lipschitz=ell,
-                                    prev_accepted=prev) == 3.0
-                assert update_alpha(1.0, True, "verbatim_max", lipschitz=ell,
-                                    prev_accepted=prev) == 10.0
-                assert update_alpha(100.0, True, "verbatim_max", lipschitz=ell,
-                                    prev_accepted=prev) == 200.0
+                assert update_alpha(1e-3, False, lipschitz=ell,
+                                    prev_accepted=prev) == 5e-4
 
     def test_min_cap_holds_after_rejection(self):
         # the first acceptance after a rejection keeps alpha, so the next
         # trial does not repeat the alpha just rejected
         for ell in (None, 0.05 * (1 + 1e-12), 0.5, np.inf):
             for alpha in (1e-3, 1.25, 4.0, 8.0, 10.0):
-                assert update_alpha(alpha, True, "min_cap", lipschitz=ell,
+                assert update_alpha(alpha, True, lipschitz=ell,
                                     prev_accepted=False) == alpha
             # and keeps it at the cap when alpha is above it
             for alpha in (10.0 * (1 + 1e-12), 1e3, ALPHA_MAX):
-                assert update_alpha(alpha, True, "min_cap", lipschitz=ell,
+                assert update_alpha(alpha, True, lipschitz=ell,
                                     prev_accepted=False) == ALPHA_CAP
         # growth resumes on the second acceptance in a row
-        assert update_alpha(1.25, True, "min_cap", prev_accepted=True) == 2.5
-        assert update_alpha(1.25, True, "min_cap") == 2.5
+        assert update_alpha(1.25, True, prev_accepted=True) == 2.5
+        assert update_alpha(1.25, True) == 2.5
 
     def test_min_cap_flat_jump_fires_after_rejection(self):
         for alpha in (1e-3, 10.0, ALPHA_MAX):
             for prev in (True, False):
-                assert update_alpha(alpha, True, "min_cap", lipschitz=0.05,
+                assert update_alpha(alpha, True, lipschitz=0.05,
                                     prev_accepted=prev) == 10.0
-                assert update_alpha(alpha, True, "min_cap", lipschitz=1e-4,
+                assert update_alpha(alpha, True, lipschitz=1e-4,
                                     prev_accepted=prev) == 5e3
-                assert update_alpha(alpha, True, "min_cap", lipschitz=0.0,
+                assert update_alpha(alpha, True, lipschitz=0.0,
                                     prev_accepted=prev) == ALPHA_MAX
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            update_alpha(1.0, True, "bogus")
 
     def test_floor_constant(self):
         assert ALPHA_FLOOR == 1e-16

@@ -243,7 +243,7 @@ class TestGateGrid:
 
     The Lagrangian's gradient hardly moves along the accepted steps of the
     rank-one problem (its Lipschitz estimate stays below 1e-8), so
-    "min_cap" lifts alpha to ``ALPHA_MAX`` after the first accepted step
+    ``update_alpha`` lifts alpha to ``ALPHA_MAX`` after the first accepted step
     and each cell ends in 3 iterations.  The
     iteration bound leaves room for another BLAS build's dot products,
     which may round differently.

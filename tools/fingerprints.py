@@ -10,15 +10,16 @@ all with ``check_invariants=True``:
 
 * the fuzz sweep: ``test_fuzz.fuzz_case`` draws of rng 99 x 60 and rngs
   5, 6, 7 x 150, plus both ``rank_deficient_l1`` instances (512 solves);
-* the 12 corpus instances under each of the 3 alpha rules (36 solves);
+* the 12 corpus instances (12 solves);
 * the SCCA gate grid, n in {200, 400} x lambda in {1e-2, 1e-3}, with
   ``alpha0 = 1e-3`` (perfbench's ``SCCA_CONFIG``), on each data seed of
   ``--gate-seeds``.
 
 BLAS runs on one thread, so a sweep loads one core.  The gate grid's
 ledgers are the same on one and two threads (``tests/test_scca.py`` pins
-one cell); the other solves have not been compared.  A sweep takes
-about 60 s on one core.  ``--compare`` prints every solve whose
+one cell); the other solves have not been compared.  With
+``--gate-seeds 1,2,3`` a sweep is 536 solves and takes about 30 s on one
+core.  ``--compare`` prints every solve whose
 fingerprint differs, or that only one side has: first those whose status
 changed, then those whose iterations changed, then those where only the
 ledger or the violation count changed.  It ends with the status counts of
@@ -49,7 +50,6 @@ import numpy as np  # noqa: E402
 from pgcon import scca  # noqa: E402
 from pgcon.corpus import corpus  # noqa: E402
 from pgcon.driver import SolverConfig, ledger_to_csv, solve  # noqa: E402
-from pgcon.globalization import ALPHA_RULES  # noqa: E402
 from test_driver import rank_deficient_l1  # noqa: E402
 from test_fuzz import fuzz_case  # noqa: E402
 
@@ -69,10 +69,8 @@ def sweep(gate_seeds):
         yield (f"rank_deficient_l1{args}", rank_deficient_l1(*args),
                SolverConfig(alpha0=1.0, max_iter=200, check_invariants=True))
     for inst in corpus():
-        for rule in ALPHA_RULES:
-            yield (f"corpus/{inst.name}/{rule}", inst.problem,
-                   SolverConfig(alpha_rule=rule, check_invariants=True,
-                                **inst.config_overrides))
+        yield (f"corpus/{inst.name}", inst.problem,
+               SolverConfig(check_invariants=True, **inst.config_overrides))
     for seed in gate_seeds:
         for n, lam in GATE_CELLS:
             data = scca.scca_generate(n, n, n, seed)
