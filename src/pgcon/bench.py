@@ -1,7 +1,7 @@
 """Benchmark harness: run solves as cells (one problem and config each),
-collect result rows, and emit the results table and performance-profile
-CSV.  Every CLI solve runs through here: ``pgcon bench`` runs a suite,
-``pgcon scca`` an SCCA grid, and ``pgcon solve`` a single cell.
+collect result rows, and emit the results table.  Every CLI solve runs
+through here: ``pgcon bench`` runs a suite (the corpus and/or an SCCA
+grid) and ``pgcon solve`` a single cell.
 
 Cells run one after another on the calling thread, in the order given;
 results come back sorted by key.
@@ -20,8 +20,7 @@ from .corpus import corpus
 from .driver import SolveReport, SolverConfig, solve
 
 __all__ = ["BenchCell", "BenchResult", "scca_suite", "corpus_suite",
-           "run_benchmark", "result_row", "results_to_csv", "profile_to_csv",
-           "RESULT_COLUMNS"]
+           "run_benchmark", "result_row", "results_to_csv", "RESULT_COLUMNS"]
 
 RESULT_COLUMNS = [
     "instance", "n", "m", "lambda", "seed", "status", "iters", "time_s",
@@ -45,7 +44,8 @@ class BenchCell:
 class BenchResult:
     """One cell's outcome.  A cell whose factory, solve or metrics raised
     has status "Error", the message in ``error`` and None for every value
-    it did not reach."""
+    it did not reach.  The iteration count, ``chi`` and ``c_norm`` are
+    the report's."""
 
     instance: str
     seed: int
@@ -53,19 +53,14 @@ class BenchResult:
     status: str
     n: Optional[int] = None
     m: Optional[int] = None
-    iters: Optional[int] = None
     time_s: Optional[float] = None
-    chi: Optional[float] = None
-    c_norm: Optional[float] = None
     metrics: Optional[scca_mod.SccaMetrics] = None
     report: Optional[SolveReport] = None
     error: str = ""
 
 
-def scca_suite(sizes, lams, seeds, base_cfg: Optional[SolverConfig] = None,
-               samples: Optional[int] = None) -> list[BenchCell]:
-    """SCCA cells over sizes x lambdas x seeds; ``samples`` (N) defaults
-    to the size."""
+def scca_suite(sizes, lams, seeds, base_cfg: Optional[SolverConfig] = None) -> list[BenchCell]:
+    """SCCA cells over sizes x lambdas x seeds, each with N = n samples."""
     base = base_cfg or SolverConfig()
     cells = []
     for n in sizes:
@@ -74,7 +69,7 @@ def scca_suite(sizes, lams, seeds, base_cfg: Optional[SolverConfig] = None,
         for lam in lams:
             for seed in (seeds or [0]):
                 def make(n=n, lam=lam, seed=seed):
-                    data = scca_mod.scca_generate(n, n, samples or n, seed)
+                    data = scca_mod.scca_generate(n, n, n, seed)
                     prob = scca_mod.scca_problem(data, lam)
 
                     def metrics(report, _wall):
@@ -113,7 +108,6 @@ def _run_cell(cell: BenchCell) -> BenchResult:
         report = solve(prob, cell.config)
         res.time_s = time.perf_counter() - t0
         res.status, res.report = report.status, report
-        res.iters, res.chi, res.c_norm = report.iterations, report.chi, report.c_norm
         if metrics_fn is not None:
             res.metrics = metrics_fn(report, res.time_s)
     except Exception as exc:  # individual failures recorded, suite continues
@@ -132,11 +126,13 @@ def run_benchmark(cells: list[BenchCell], threads: int = 1) -> list[BenchResult]
 
 def result_row(r: BenchResult) -> dict:
     """The ``RESULT_COLUMNS`` values of one result plus its ``error``;
-    None where a value does not exist (no lambda, no metrics, an error)."""
+    None where a value does not exist (no lambda, no metrics, no report)."""
+    rep = r.report
     row = {"instance": r.instance, "n": r.n, "m": r.m,
            "lambda": r.lam if r.lam == r.lam else None, "seed": r.seed,
-           "status": r.status, "iters": r.iters, "time_s": r.time_s,
-           "chi": r.chi, "c_norm": r.c_norm}
+           "status": r.status, "iters": None if rep is None else rep.iterations,
+           "time_s": r.time_s, "chi": None if rep is None else rep.chi,
+           "c_norm": None if rep is None else rep.c_norm}
     for col in _METRIC_COLUMNS:
         row[col] = None if r.metrics is None else getattr(r.metrics, col)
     row["error"] = r.error or None
@@ -155,15 +151,4 @@ def results_to_csv(results: list[BenchResult]) -> str:
     for r in results:
         row = result_row(r)
         buf.write(",".join(_csv_field(row[c]) for c in RESULT_COLUMNS) + "\n")
-    return buf.getvalue()
-
-
-def profile_to_csv(results: list[BenchResult], config_label: str) -> str:
-    """Rows for external performance-profile plotting: one per solve with
-    its wall time and whether it counts as solved."""
-    buf = io.StringIO()
-    buf.write("instance,config,time_s,solved\n")
-    for r in results:
-        solved = int(r.status in ("KktPoint", "InfeasibleStationary"))
-        buf.write(f"{r.instance}-s{r.seed},{config_label},{_csv_field(r.time_s)},{solved}\n")
     return buf.getvalue()

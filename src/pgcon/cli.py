@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands:
-  solve         solve one problem from a JSON problem file
-  scca          generate + solve synthetic sparse-CCA instances
+  solve         solve one problem from a JSON problem file (one SCCA
+                cell is a problem file of kind "scca")
   bench         run a benchmark suite (corpus and/or an SCCA grid)
   corpus-check  validate every built-in oracle instance
 
-solve, scca and bench build cells and run them through
+solve and bench build cells and run them through
 ``bench.run_benchmark``, so every solve is loaded, timed, guarded and
 tabulated by the same code; a solver exception becomes an "Error" row
 (or report), never a traceback.
@@ -24,8 +24,8 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import (BenchCell, corpus_suite, profile_to_csv, result_row,
-                    results_to_csv, run_benchmark, scca_suite)
+from .bench import (BenchCell, corpus_suite, result_row, results_to_csv,
+                    run_benchmark, scca_suite)
 from .corpus import validate_corpus
 from .driver import SolverConfig, ledger_to_csv, report_to_json
 from .problem import load_problem
@@ -69,7 +69,8 @@ def _out_dir(args) -> Path:
 
 def _print_results(results):
     for r in results:
-        line = f"{r.instance} seed={r.seed}: {r.status}"
+        lam = f" lambda={r.lam:g}" if r.lam == r.lam else ""
+        line = f"{r.instance}{lam} seed={r.seed}: {r.status}"
         if r.time_s is not None:
             line += f" ({r.time_s:.1f}s)"
         if r.metrics is not None:
@@ -98,25 +99,13 @@ def _cmd_solve(args) -> int:
     return _STATUS_EXIT.get(report.status, 1)
 
 
-def _cmd_scca(args) -> int:
-    cfg = load_config(args.config, args.set)
-    results = run_benchmark(scca_suite([args.n], [args.lam], args.seed or [0], cfg,
-                                       samples=args.N))
-    out = _out_dir(args)
-    for r in results:
-        if r.report is not None:
-            (out / f"ledger-seed{r.seed}.csv").write_text(ledger_to_csv(r.report.records))
-    (out / "scca.json").write_text(json.dumps(
-        {"config_hash": cfg.config_hash(), "rows": [result_row(r) for r in results]},
-        indent=2, sort_keys=True))
-    (out / "scca.csv").write_text(results_to_csv(results))
-    if args.verbose:
-        _print_results(results)
-    return max(_STATUS_EXIT.get(r.status, 1) for r in results)
-
-
 def _cmd_bench(args) -> int:
     cfg = load_config(args.config, args.set)
+    if args.suite == "corpus":
+        grid = [flag for flag, value in (("--n", args.n), ("--lambda", args.lam),
+                                         ("--seed", args.seed)) if value]
+        if grid:
+            raise ValueError(f"{', '.join(grid)}: --suite corpus runs no SCCA grid")
     cells = []
     if args.suite in ("corpus", "all"):
         cells += corpus_suite(cfg)
@@ -126,15 +115,12 @@ def _cmd_bench(args) -> int:
     results = run_benchmark(cells)
     out = _out_dir(args)
     (out / "results.csv").write_text(results_to_csv(results))
-    (out / "profile.csv").write_text(profile_to_csv(results, args.suite))
-    n_err = sum(1 for r in results if r.status == "Error")
-    (out / "bench.json").write_text(json.dumps({
-        "cells": len(results), "errors": n_err,
-        "statuses": {r.instance + f"-s{r.seed}": r.status for r in results},
-    }, indent=2, sort_keys=True))
+    (out / "bench.json").write_text(json.dumps(
+        {"config_hash": cfg.config_hash(), "rows": [result_row(r) for r in results]},
+        indent=2, sort_keys=True))
     if args.verbose:
         _print_results(results)
-    return 1 if n_err else 0
+    return 1 if any(r.status == "Error" for r in results) else 0
 
 
 def _cmd_corpus_check(args) -> int:
@@ -167,14 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--problem", required=True, help="JSON problem file")
     common(sp)
     sp.set_defaults(func=_cmd_solve)
-
-    sp = sub.add_parser("scca", help="synthetic sparse-CCA run")
-    sp.add_argument("--n", type=int, default=200, help="n_x = n_y (divisible by 8)")
-    sp.add_argument("--N", type=int, default=None, help="samples (default n)")
-    sp.add_argument("--lambda", dest="lam", type=float, default=1e-2)
-    sp.add_argument("--seed", type=int, action="append", help="repeatable")
-    common(sp)
-    sp.set_defaults(func=_cmd_scca)
 
     sp = sub.add_parser("bench", help="run a benchmark suite")
     sp.add_argument("--suite", choices=["corpus", "scca", "all"], default="corpus")

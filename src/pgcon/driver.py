@@ -28,7 +28,7 @@ import numpy as np
 
 from . import globalization as glob
 from .geometry import _norm, active_set, kkt_parts, project_box
-from .normal_step import ETA_M, GAMMA, KAPPA_V, compute_normal_step
+from .normal_step import ETA_M, GAMMA, KAPPA_V, compute_normal_step, model_value
 from .problem import EvaluationError, L1Regularizer, ProblemInstance, scale_factors
 from .tangential import TangentialError, solve_tangential
 
@@ -240,16 +240,17 @@ class _InvariantMonitor:
             ratio = _norm(normal.v_cauchy) / normal.beta
             rhs = self.KAPPA1 * ratio * min(ratio / (1.0 + jtj_norm),
                                             KAPPA_V * alpha * normal.delta)
-            lhs = normal.m0 - 0.5 * float(
-                np.dot(c_val + J @ normal.v_cauchy, c_val + J @ normal.v_cauchy))
+            lhs = (0.5 * float(np.dot(c_val, c_val))
+                   - model_value(c_val, J, normal.v_cauchy))
             if lhs < rhs - self.SLACK:
                 self._add(k, "cauchy_decrease", rhs - lhs)
             if c_norm > 0:
                 v1n = _norm(normal.v_unit)
                 rhs2 = (self.KAPPA1 / c_norm) * v1n ** 2 * min(
                     1.0 / (1.0 + jtj_norm), KAPPA_V * alpha)
-                if normal.lin_feas_gain < rhs2 - self.SLACK:
-                    self._add(k, "linearized_gain", rhs2 - normal.lin_feas_gain)
+                gain = c_norm - _norm(c_val + J @ normal.v)
+                if gain < rhs2 - self.SLACK:
+                    self._add(k, "linearized_gain", rhs2 - gain)
         if self.orthant:
             lhs = _norm(s)
             rhs = _norm(np.minimum(x, -tang.z))

@@ -55,11 +55,7 @@ class NormalStepResult:
     v_inf: Optional[np.ndarray]
     v_unit: np.ndarray  # projected-gradient trial at unit step size
     beta: float
-    backtracks: int
     delta: float
-    m0: float
-    m_v: float
-    lin_feas_gain: float
     infeasible_stationary: bool = False
 
 
@@ -109,8 +105,6 @@ def compute_normal_step(x, c_val, J_val, alpha, box: BoxSet, tol_c: float) -> No
     c_val = np.asarray(c_val, dtype=float)
     J = np.asarray(J_val, dtype=float)
     n = x.shape[0]
-    m0 = 0.5 * float(np.dot(c_val, c_val))
-    c_norm = _norm(c_val)
 
     grad = J.T @ c_val
     delta, _ = compute_delta(x, grad, box)
@@ -121,18 +115,11 @@ def compute_normal_step(x, c_val, J_val, alpha, box: BoxSet, tol_c: float) -> No
         zero = np.zeros(n)
         return NormalStepResult(
             v=zero, v_cauchy=zero, v_inf=None, v_unit=v_unit, beta=0.0,
-            backtracks=0, delta=delta, m0=m0, m_v=m0, lin_feas_gain=0.0,
-            infeasible_stationary=bool(c_norm > tol_c),
+            delta=delta, infeasible_stationary=bool(_norm(c_val) > tol_c),
         )
 
-    beta, v_c, backtracks = cauchy_search(x, c_val, J, alpha, delta, box, grad, v_unit)
+    beta, v_c, _ = cauchy_search(x, c_val, J, alpha, delta, box, grad, v_unit)
     v_inf = solve_tr_inf(x, c_val, J, alpha, delta, box)
-    m_c = model_value(c_val, J, v_c)
-    m_i = model_value(c_val, J, v_inf)
-    v, m_v = (v_c, m_c) if m_c < m_i else (v_inf, m_i)
-
-    gain = c_norm - _norm(c_val + J @ v)
-    return NormalStepResult(
-        v=v, v_cauchy=v_c, v_inf=v_inf, v_unit=v_unit, beta=beta,
-        backtracks=backtracks, delta=delta, m0=m0, m_v=m_v, lin_feas_gain=gain,
-    )
+    v = v_c if model_value(c_val, J, v_c) < model_value(c_val, J, v_inf) else v_inf
+    return NormalStepResult(v=v, v_cauchy=v_c, v_inf=v_inf, v_unit=v_unit,
+                            beta=beta, delta=delta)

@@ -6,7 +6,6 @@ import pytest
 
 from pgcon.bench import (
     corpus_suite,
-    profile_to_csv,
     results_to_csv,
     run_benchmark,
     scca_suite,
@@ -51,16 +50,8 @@ class TestBench:
         cells = corpus_suite()
         a = run_benchmark(cells, threads=1)
         b = run_benchmark(cells, threads=2)
-        assert [(r.instance, r.status, r.iters) for r in a] == \
-               [(r.instance, r.status, r.iters) for r in b]
-
-    def test_profile_rows_sortable(self):
-        results = run_benchmark(corpus_suite())
-        csv = profile_to_csv(results, "default")
-        lines = csv.strip().splitlines()
-        assert lines[0] == "instance,config,time_s,solved"
-        solved = [int(l.rsplit(",", 1)[1]) for l in lines[1:]]
-        assert all(s in (0, 1) for s in solved)
+        assert [(r.instance, r.status, r.report.iterations) for r in a] == \
+               [(r.instance, r.status, r.report.iterations) for r in b]
 
     def test_error_isolation(self):
         from pgcon.bench import BenchCell
@@ -87,16 +78,25 @@ class TestBench:
 
     def test_scca_cli_alpha0_default(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["scca", "--n", "32", "--out", str(out)]) == 0
-        written = json.loads((out / "scca.json").read_text())["config_hash"]
+        assert main(["bench", "--suite", "scca", "--n", "32", "--lambda", "1e-2",
+                     "--out", str(out)]) == 0
+        written = json.loads((out / "bench.json").read_text())["config_hash"]
         assert written == SolverConfig().config_hash()
         assert load_config(None, []).alpha0 == 10.0
+        assert scca_suite([64], [1e-2], [0])[0].config.alpha0 == 10.0
 
-    def test_scca_samples_set_n(self):
-        cells = scca_suite([64], [1e-2], [0], samples=32)
-        prob, _ = cells[0].make()
-        assert "-N32-" in prob.name
-        assert cells[0].config.alpha0 == 10.0
+    def test_two_lambda_grid_writes_one_row_per_cell(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["bench", "--suite", "scca", "--n", "32", "--lambda", "1e-2",
+                     "--lambda", "1e-3", "--out", str(out), "--verbose"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "scca-32 lambda=0.001 seed=0", "scca-32 lambda=0.01 seed=0"]
+        bench = json.loads((out / "bench.json").read_text())
+        assert bench["config_hash"] == SolverConfig().config_hash()
+        keys = {(row["instance"], row["lambda"], row["seed"]) for row in bench["rows"]}
+        assert keys == {("scca-32", 1e-2, 0), ("scca-32", 1e-3, 0)}
+        assert [row["status"] for row in bench["rows"]] == ["KktPoint"] * 2
 
     def test_scca_size_not_divisible_by_8_rejected(self):
         with pytest.raises(ValueError, match="divisible by 8"):
@@ -211,32 +211,40 @@ class TestCli:
 
     def test_scca_row_schema(self, tmp_path):
         out = tmp_path / "out"
-        code = main(["scca", "--n", "64", "--lambda", "1e-2", "--seed", "7",
-                     "--out", str(out)])
+        code = main(["bench", "--suite", "scca", "--n", "64", "--lambda", "1e-2",
+                     "--seed", "7", "--out", str(out)])
         assert code == 0
-        rows = json.loads((out / "scca.json").read_text())["rows"]
+        rows = json.loads((out / "bench.json").read_text())["rows"]
         assert len(rows) == 1
+        assert set(rows[0]) == set(RESULT_COLUMNS) | {"error"}
         for key in ("rho_xy", "sr_x", "sr_y", "sr", "sl", "voc_x", "voc_y",
-                    "time_s", "status"):
-            assert key in rows[0]
-        header = (out / "scca.csv").read_text().splitlines()[0]
+                    "time_s", "iters", "chi", "c_norm"):
+            assert rows[0][key] is not None, key
+        assert (rows[0]["status"], rows[0]["seed"], rows[0]["error"]) == ("KktPoint", 7, None)
+        header = (out / "results.csv").read_text().splitlines()[0]
         assert header == ",".join(RESULT_COLUMNS)
-        assert set(RESULT_COLUMNS) <= set(rows[0])
-        assert (out / "ledger-seed7.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["bench.json", "results.csv"]
 
-    def test_scca_error_row_holds_nulls(self, tmp_path):
+    def test_scca_error_row_holds_nulls(self, tmp_path, monkeypatch):
+        import pgcon.bench
+
+        def broken(prob, cfg):
+            raise RuntimeError("solver broke")
+
+        monkeypatch.setattr(pgcon.bench, "solve", broken)
         out = tmp_path / "out"
-        code = main(["scca", "--n", "64", "--N", "-1", "--out", str(out)])
+        code = main(["bench", "--suite", "scca", "--n", "64", "--lambda", "1e-2",
+                     "--out", str(out)])
         assert code == 1
-        row, = json.loads((out / "scca.json").read_text())["rows"]
+        row, = json.loads((out / "bench.json").read_text())["rows"]
         assert row["status"] == "Error"
-        assert "N must be at least 1" in row["error"]
-        for key in ("n", "iters", "time_s", "chi", "c_norm", "rho_xy", "sl"):
+        assert row["error"] == "RuntimeError: solver broke"
+        assert (row["n"], row["m"], row["lambda"]) == (130, 2, 1e-2)
+        for key in ("iters", "time_s", "chi", "c_norm", "rho_xy", "sl"):
             assert row[key] is None
-        line = (out / "scca.csv").read_text().splitlines()[1].split(",")
+        line = (out / "results.csv").read_text().splitlines()[1].split(",")
         assert line[RESULT_COLUMNS.index("status")] == "Error"
         assert line[RESULT_COLUMNS.index("chi")] == ""
-        assert not list(out.glob("ledger-*.csv"))
 
     def test_solver_exception_writes_error_report(self, tmp_path, monkeypatch):
         # a ValueError from inside the solver is a failure (1), not a usage
@@ -350,7 +358,37 @@ class TestCli:
         code = main(["bench", "--suite", "corpus", "--out", str(out)])
         assert code == 0
         assert (out / "results.csv").exists()
-        assert (out / "profile.csv").exists()
+        bench = json.loads((out / "bench.json").read_text())
+        assert set(bench) == {"config_hash", "rows"}
+        assert len(bench["rows"]) == len(corpus_suite())
+        assert {row["lambda"] for row in bench["rows"]} == {None}
+        assert not (out / "profile.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--n", "400"],
+                                       ["--n", "400", "--lambda", "5", "--seed", "9"]])
+    def test_bench_corpus_rejects_grid_flags(self, tmp_path, capsys, flags):
+        out = tmp_path / "bench"
+        assert main(["bench", "--suite", "corpus", "--out", str(out)] + flags) == 64
+        err = capsys.readouterr().err
+        for flag in flags[::2]:
+            assert flag in err
+        assert not out.exists()
+
+    def test_scca_subcommand_is_gone(self, tmp_path):
+        out = tmp_path / "scca"
+        assert main(["scca", "--n", "48", "--lambda", "1e-2", "--out", str(out)]) == 64
+        assert not out.exists()
+
+    def test_solve_scca_problem_file_writes_its_ledger(self, tmp_path):
+        # one SCCA cell is a problem file of kind "scca"
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps({"name": "scca-32", "kind": "scca", "data": {
+            "n_x": 32, "n_y": 32, "N": 32, "seed": 1, "lam": 1e-2}}))
+        out = tmp_path / "o"
+        assert main(["solve", "--problem", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "KktPoint"
+        assert len((out / "ledger.csv").read_text().splitlines()) == report["iterations"] + 1
 
     def test_max_iter_flag(self, tmp_path):
         prob = {"name": "x", "kind": "analytic:l1-sign-1"}
@@ -370,13 +408,14 @@ class TestCli:
         # precedence: the field default, then --config, then --set
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"alpha0": 0.5, "max_iter": 3}))
+        grid = ["bench", "--suite", "scca", "--n", "32", "--lambda", "1e-2"]
         for sets, alpha0 in (([], 0.5), (["--set", "alpha0=0.25"], 0.25)):
             out = tmp_path / f"out{alpha0}"
-            main(["scca", "--n", "32", "--config", str(cfg_path), "--out", str(out)] + sets)
-            written = json.loads((out / "scca.json").read_text())["config_hash"]
+            main(grid + ["--config", str(cfg_path), "--out", str(out)] + sets)
+            written = json.loads((out / "bench.json").read_text())["config_hash"]
             assert written == SolverConfig(alpha0=alpha0, max_iter=3).config_hash()
-        main(["scca", "--n", "32", "--set", "max_iter=3", "--out", str(tmp_path / "o")])
-        written = json.loads((tmp_path / "o" / "scca.json").read_text())["config_hash"]
+        main(grid + ["--set", "max_iter=3", "--out", str(tmp_path / "o")])
+        written = json.loads((tmp_path / "o" / "bench.json").read_text())["config_hash"]
         assert written == SolverConfig(max_iter=3).config_hash()
 
     def test_bench_scca_cells_take_config_file(self, tmp_path, monkeypatch):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import pgcon.globalization as glob
-from pgcon.bench import corpus_suite, profile_to_csv, run_benchmark
 from pgcon.corpus import get_instance
 from pgcon.driver import SolverConfig, solve
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance, load_problem
@@ -93,12 +92,3 @@ class TestGeneratorGroundTruth:
             np.outer(data.s * data.a ** 2, data.s * data.b ** 2))
         np.testing.assert_allclose(corr[:25, 175:], -1.0, atol=1e-12)
         assert np.abs(data.a[50:]).max() < np.abs(data.a[:50]).min()
-
-
-class TestProfileCsv:
-    def test_times_sortable_monotone(self):
-        results = run_benchmark(corpus_suite()[:4])
-        csv = profile_to_csv(results, "cfg")
-        rows = [line.split(",") for line in csv.strip().splitlines()[1:]]
-        times = sorted(float(r[2]) for r in rows)
-        assert all(a <= b for a, b in zip(times, times[1:]))

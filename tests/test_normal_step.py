@@ -195,10 +195,14 @@ class TestComputeNormalStep:
             res = compute_normal_step(x, c, J, alpha, box, 1e-6)
             if res.delta == 0.0:
                 continue
-            m_c = model_value(c, J, res.v_cauchy)
-            assert res.m_v <= m_c + 1e-12
-            assert res.m_v <= res.m0 + 1e-12
-            assert res.lin_feas_gain >= -1e-12
+            beta, v_c, _ = search(x, c, J, alpha, res.delta, box)
+            assert beta == res.beta
+            np.testing.assert_array_equal(v_c, res.v_cauchy)
+            m_v = model_value(c, J, res.v)
+            assert m_v <= model_value(c, J, v_c) + 1e-12
+            assert m_v <= model_value(c, J, res.v_inf) + 1e-12
+            assert m_v <= 0.5 * float(c @ c) + 1e-12
+            assert np.linalg.norm(c) - np.linalg.norm(c + J @ res.v) >= -1e-12
             assert np.all(x + res.v >= box.lower - 1e-12)
             assert np.linalg.norm(res.v) <= 1e3 * alpha * res.delta * (1 + 1e-10)
 
@@ -207,11 +211,12 @@ class TestComputeNormalStep:
         # the unit trial overshoots the radius, so the search ends at zero
         x, c, J = np.array([5.0]), np.array([-1.0]), np.array([[1.0]])
         res = compute_normal_step(x, c, J, 1e-4, BoxSet.free(1), 1e-6)
-        assert res.beta == 0.0 and res.backtracks == 1
+        beta, _, backtracks = search(x, c, J, 1e-4, res.delta, BoxSet.free(1))
+        assert (beta, backtracks) == (0.0, 1) and res.beta == 0.0
         np.testing.assert_array_equal(res.v_cauchy, [0.0])
         np.testing.assert_array_equal(res.v_unit, [1.0])  # the beta = 1 trial
         np.testing.assert_array_equal(res.v, res.v_inf)
-        assert res.m_v < res.m0
+        assert model_value(c, J, res.v) < model_value(c, J, res.v_cauchy)
 
     def test_v_zero_iff_delta_zero(self):
         rng = np.random.default_rng(22)

@@ -60,7 +60,7 @@ def count() -> tuple[int, int, dict]:
             by_module[_origin(filename)] += caller_stats[0]
     # the profiled top-level calls have no caller
     by_module["<top level>"] = stats.total_calls - sum(by_module.values())
-    iterations = sum(r.iters for r in results)
+    iterations = sum(r.report.iterations for r in results)
     return stats.total_calls, iterations, dict(by_module)
 
 
