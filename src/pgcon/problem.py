@@ -110,6 +110,8 @@ class L1Regularizer:
 
     def __post_init__(self):
         w = _as_float_array(self.weights)
+        if w.ndim != 1:
+            raise ValueError(f"l1 weights must be a 1-D array of shape (n,), got shape {w.shape}")
         if np.any(w < 0):
             raise ValueError("l1 weights must be nonnegative")
         object.__setattr__(self, "weights", w)

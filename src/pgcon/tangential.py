@@ -34,8 +34,8 @@ solve raises TangentialError naming that cause.
 The split QP (build_tangential_qp) writes each regularized component as
 w_i = p_i - q_i with p_i, q_i >= 0, which turns the subproblem into a
 plain QP over (u, p, q) with equality rows.  The solver never runs it;
-the tests solve it with their general active-set QP as the reference
-model for the dual solve.
+the tests enumerate it on small subproblems as a second check of the
+dual solve, whose own check is the KKT certificate above.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def build_tangential_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
 
         min 0.5 s'Hs + q's  s.t.  Aeq s = beq,  lower <= s <= upper,
 
-    the tests' reference model.
+    which the tests enumerate on small subproblems.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)

@@ -3,14 +3,13 @@
 Enumerates every pattern assigning each variable to {free, at lower, at
 upper} (skipping infinite bounds), solves the resulting linear KKT
 system, and keeps the feasible stationary point with correct dual signs.
-Independent of the bounded least-squares kernel pgcon.qp and of the
-active-set paths of the general reference QP in qp_reference.py: this is
-the oracle both are judged against.  A bounded least-squares problem
+It shares no code with pgcon: the tests judge the bounded least-squares
+kernel pgcon.qp by it, and the tangential dual solve by its answer on the
+split QP of small subproblems.  A bounded least-squares problem
 0.5||c0 + G x||^2 enters in normal-equations form, H = G'G and q = G'c0.
 
 Each pattern costs one ``lstsq``; everything else is done per free set or
-over all patterns at once.  ``qp_oracle_loops.py`` keeps the per-pattern
-loop form this replaced, and the two return the same bits.
+over all patterns at once.
 """
 
 import itertools

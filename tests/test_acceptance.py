@@ -14,12 +14,11 @@ from pgcon.driver import (
     ledger_to_csv,
     solve,
 )
-from pgcon.geometry import active_set
-from pgcon.problem import check_derivatives
+from pgcon.geometry import active_set, kkt_parts
+from pgcon.problem import BoxSet, check_derivatives
 from pgcon.qp import solve_qp
 from pgcon.scca import pattern_vectors, scca_generate, scca_metrics, scca_problem
 from qp_oracle import enumerate_qp
-from qp_reference import box_complementarity
 
 SCCA_SEEDS = (1, 2, 3, 4, 5)
 
@@ -151,8 +150,8 @@ def random_box_lsq(rng):
 
 def test_criterion_5_qp_oracle_equivalence():
     # the QP the solver runs, the trust-region step's bounded least
-    # squares, against enumeration of its normal-equations form; the
-    # general QP is checked in test_qp.py::TestOracleEquivalence
+    # squares, against enumeration of its normal-equations form, and
+    # certified by the solver's KKT certificate
     rng = np.random.default_rng(20240817)
     t0 = time.perf_counter()
     worst_model = worst_kkt = worst_primal = 0.0
@@ -165,13 +164,11 @@ def test_criterion_5_qp_oracle_equivalence():
         x, z = sol.primal, sol.bound_duals
         model, ref_model = (0.5 * float(np.sum((c0 + G @ v) ** 2)) for v in (x, ref[0]))
         worst_model = max(worst_model, abs(model - ref_model) / (1.0 + ref_model))
-        comp, sign = box_complementarity(x, z, lower, upper)
-        kkt = max(float(np.linalg.norm(G.T @ (c0 + G @ x) + z)),
-                  float(np.max(np.maximum(lower - x, 0.0), initial=0.0)),
-                  float(np.max(np.maximum(x - upper, 0.0), initial=0.0)),
-                  float(np.linalg.norm(comp)), float(np.max(sign, initial=0.0)))
-        worst_kkt = max(worst_kkt, kkt)
-        if np.linalg.matrix_rank(G) == G.shape[1]:
+        n = G.shape[1]
+        kkt = kkt_parts(G.T @ (c0 + G @ x), np.zeros(0), np.zeros((0, n)), BoxSet(lower, upper),
+                        np.zeros(n), x, np.zeros(0), z, np.zeros(n))
+        worst_kkt = max(worst_kkt, kkt.chi)
+        if np.linalg.matrix_rank(G) == n:
             # the minimizer is unique only where G has full column rank
             worst_primal = max(worst_primal, float(np.max(np.abs(x - ref[0]))))
             full_rank += 1

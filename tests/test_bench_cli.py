@@ -200,7 +200,9 @@ class TestCli:
         "[1, 2]",
         '{"kind": "quadratic", "n": 1, "data": {"Q": [[1.0]], "c": [0.0]},'
         ' "box": {"lower": 0.0, "upper": 1.0}}',
-    ], ids=["list", "scalar-bounds"])
+        '{"kind": "quadratic", "n": 1, "data": {"Q": [[1.0]], "c": [0.0]},'
+        ' "l1_weights": [[0.5, 0.5]]}',
+    ], ids=["list", "scalar-bounds", "2d-weights"])
     def test_malformed_problem_file_exit_64(self, tmp_path, capsys, content):
         path = tmp_path / "p.json"
         path.write_text(content)

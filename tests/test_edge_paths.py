@@ -1,5 +1,5 @@
-"""Status-taxonomy branches, inner-solver monotonicity, and loader paths
-that the mainline tests do not reach."""
+"""Status-taxonomy branches and loader paths that the mainline tests do
+not reach."""
 
 import numpy as np
 import pytest
@@ -9,32 +9,6 @@ from pgcon.corpus import get_instance
 from pgcon.driver import SolverConfig, solve
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance, load_problem
 from pgcon.scca import scca_generate
-import qp_reference
-from test_qp import random_qp
-
-
-class TestQpInnerMonotonicity:
-    def test_objective_nonincreasing_along_path(self, monkeypatch):
-        # every move of the active-set loop goes through the ratio test,
-        # which sees the iterate it moves from
-        iterates = []
-        ratio_test = qp_reference._ratio_test
-
-        def recording(x, step, lo, hi):
-            iterates.append(x.copy())
-            return ratio_test(x, step, lo, hi)
-
-        monkeypatch.setattr(qp_reference, "_ratio_test", recording)
-        rng = np.random.default_rng(55)
-        for _ in range(30):
-            qp = random_qp(rng)
-            iterates.clear()
-            sol = qp_reference.solve_qp(qp)
-            if sol.status != "solved":
-                continue
-            hist = [qp.objective(x) for x in iterates + [sol.primal]]
-            for a, b in zip(hist, hist[1:]):
-                assert b <= a + 1e-9 * (1.0 + abs(a))
 
 
 class TestStatusBranches:

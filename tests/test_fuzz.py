@@ -1,7 +1,7 @@
 """Randomized robustness sweeps: the solver must finish with a taxonomy
-status (never raise) and keep every monitored inequality, including on
-deliberately degenerate data (PSD-only Hessians, duplicated constraint
-rows, fixed variables, near-rank-deficient Jacobians)."""
+status (never raise) and keep every monitored inequality, on random
+instances with one-sided, two-sided and fixed bounds, l1 weights and
+curved constraints."""
 
 import warnings
 
@@ -9,8 +9,6 @@ import numpy as np
 
 from pgcon.driver import TOL_STEP, SolverConfig, kkt_residual, solve
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance, scale_factors
-from qp_oracle import enumerate_qp
-from qp_reference import QpProblem, solve_qp, verify_kkt
 
 STATUSES = {"KktPoint", "InfeasibleStationary", "MaxIter", "TimeLimit",
             "Stalled", "MeritCollapse"}
@@ -122,41 +120,3 @@ def test_scaled_start_known_answer():
     chi, _ = kkt_residual(p, rep.x, rep.y, rep.z, rep.g_r)
     assert chi == rep.chi <= cfg.tol_stat
     assert rep.invariant_violations == []
-
-
-def test_qp_kernel_on_degenerate_data():
-    rng = np.random.default_rng(31337)
-    n_cmp = 0
-    for trial in range(150):
-        d = int(rng.integers(1, 9))
-        p = int(rng.integers(0, min(4, d) + 1))
-        B = rng.standard_normal((d, d))
-        mu = rng.choice([0.0, 0.0, 0.3, 1.0])
-        H = B.T @ B * rng.choice([0.0, 1.0]) + mu * np.eye(d)
-        if not np.any(H):
-            H = 0.01 * np.eye(d)
-        q = rng.standard_normal(d) * 3
-        lower = np.where(rng.random(d) < 0.6, rng.standard_normal(d) - 1, -np.inf)
-        upper = np.where(rng.random(d) < 0.6, rng.standard_normal(d) + 1, np.inf)
-        lower, upper = np.minimum(lower, upper), np.maximum(lower, upper)
-        if rng.random() < 0.2 and np.isfinite(lower[0]):
-            upper[0] = lower[0]
-        if p:
-            Aeq = rng.standard_normal((p, d))
-            if p >= 2 and rng.random() < 0.3:
-                Aeq[1] = 2.0 * Aeq[0]
-            x_f = np.clip(rng.standard_normal(d), lower, upper)
-            beq = Aeq @ x_f
-        else:
-            Aeq, beq = np.zeros((0, d)), np.zeros(0)
-        qp = QpProblem(H=H, q=q, Aeq=Aeq, beq=beq, lower=lower, upper=upper)
-        sol = solve_qp(qp)
-        assert sol.status in ("solved", "max_iter", "cycling", "infeasible_eq")
-        if sol.status == "solved":
-            assert verify_kkt(qp, sol).overall <= 1e-6
-        if mu > 0 and sol.status == "solved":
-            ref = enumerate_qp(H, q, Aeq, beq, lower, upper)
-            if ref is not None:
-                n_cmp += 1
-                np.testing.assert_allclose(sol.primal, ref[0], atol=1e-7)
-    assert n_cmp >= 50
