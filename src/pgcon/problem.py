@@ -296,6 +296,7 @@ def add_slacks(
 
     n_tot = n + m_ineq
     m_tot = m_eq + m_ineq
+    neg_eye = -np.eye(m_ineq)  # the slack block of every Jacobian
 
     def c_all(z):
         x, s = z[:n], z[n:]
@@ -311,7 +312,7 @@ def add_slacks(
         if m_eq:
             Jm[:m_eq, :n] = np.asarray(JE_eval(x), dtype=float).reshape(m_eq, n)
         Jm[m_eq:, :n] = np.asarray(JI_eval(x), dtype=float).reshape(m_ineq, n)
-        Jm[m_eq:, n:] = -np.eye(m_ineq)
+        Jm[m_eq:, n:] = neg_eye
         return Jm
 
     return ProblemInstance(

@@ -7,19 +7,17 @@ With c = x - alpha*g and the trial point w = x + v + u, the subproblem is
     s.t.  J (w - x - v) = 0,  lower <= w <= upper.
 
 For fixed multipliers y of the nullspace rows it splits into 1-D
-problems, w_i(y) = clip(soft(c_i - alpha (J'y)_i, alpha lam_i), lower_i,
-upper_i), so zeros and bounds are exact by construction.  The dual solve
-finds y with F(y) = J u(y) = 0 by semismooth Newton (Li, Sun & Toh,
-SIAM J. Optim. 2018): each step solves the m x m system
-(alpha J_F J_F' + mu I) d = F over the free components F, those neither
-zeroed nor clipped, by numpy's Cholesky and two triangular substitutions
-(``_cholesky_solve``).  The step along d starts at 1, except when no
-component is free: M is then mu I and d ~ F/mu far too long, so it
-starts at the maximizer of the dual function along d, found exactly by
-walking the kinks of its piecewise-linear derivative
-(``_ray_maximizer``).  An Armijo backtrack on the concave dual function
-guards either start.  The solve starts from the caller's y, the
-previous iteration's.
+problems: with t = c - alpha J'y and k = clip(t, -alpha lam, alpha lam),
+w_i(y) = clip(t_i - k_i, lower_i, upper_i), so zeros and bounds are
+exact; ``_piece`` codes each component free (_POS, _NEG: the codes below
+_ZERO), zeroed or at a bound.  From the previous iteration's y, the dual
+solve finds y with F(y) = J u(y) = 0 by semismooth Newton (Li, Sun &
+Toh, SIAM J. Optim. 2018): each step solves (alpha J_F J_F' + mu I) d =
+F over the free components F (``_cholesky_solve``).  The step along d
+starts at 1, except when no component is free: M is then mu I and d ~
+F/mu far too long, so it starts at the maximizer of the dual function
+along d, found by walking the kinks of its piecewise-linear derivative
+(``_ray_maximizer``).  An Armijo backtrack guards either start.
 The box multipliers z and the regularizer subgradient g_r follow from
 stationarity, with z = 0 off the bounds and g_r the point of lam * d|w|
 nearest to the residual (``geometry.nearest_subgradient``).  The answer
@@ -65,8 +63,9 @@ _MAX_BACKTRACKS = 60
 _ARMIJO = 1e-4
 _KKT_BAR = 1e-8  # absolute part of the tangential KKT bar (see kkt_bar)
 _EPS = np.finfo(float).eps
-# where a component of w(y) sits: zeroed, free (by the sign of w), at a bound
-_ZERO, _POS, _NEG, _LO, _HI = 0, 1, 2, 3, 4
+# where a component of w(y) sits, in this order: free (by the sign of w),
+# zeroed, at a bound; so free = code < _ZERO and at a bound = code > _ZERO
+_POS, _NEG, _ZERO, _LO, _HI = 0, 1, 2, 3, 4
 
 
 class TangentialError(RuntimeError):
@@ -123,25 +122,40 @@ def build_tangential_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
     return (H, q_lin, Aeq, beq, lo, hi), reg_idx
 
 
-def _piece(tau, base, alpha_lam, lower, upper):
-    """u(y) in step coordinates and the code (_ZERO .. _HI) of each
-    component, for tau = -(alpha g + v) - alpha J'y.
+def _piece_constants(base, alpha_lam, lower, upper):
+    """What ``_piece`` reads that does not depend on y, once per dual solve."""
+    neg_al = 0.0 - alpha_lam  # +0.0, not -0.0, where lam_i = 0
+    weighted = alpha_lam > 0
+    return (base + 0.0, neg_al, alpha_lam, np.where(weighted, neg_al, -np.inf),
+            np.where(weighted, alpha_lam, -np.inf), -base, lower, upper,
+            lower - base, upper - base)
 
-    With t = x + v + tau = c - alpha J'y, w_i = clip(soft(t_i, alpha
-    lam_i)).  The free components get u = tau -+ alpha lam directly, so
-    J u carries no cancellation against J (x + v).
+
+def _piece(tau, consts):
+    """u(y) in step coordinates and the code of each component, for tau
+    = -(alpha g + v) - alpha J'y and ``consts`` from ``_piece_constants``.
+
+    With t = x + v + tau and k = clip(t, -alpha lam, alpha lam), a free
+    component gets u = tau - k, not t - k - (x + v), so J u carries no
+    cancellation; a zeroed one gets -base exactly and a clipped one its
+    bound less base, through the masks.  t < cut_neg (-alpha lam) is _NEG
+    and t <= cut_zero (alpha lam) _NEG or zeroed; both cuts are -inf where
+    lam_i = 0, so such a component stays _POS (t = -inf ends at the lower
+    bound).  base + 0.0 keeps t off -0.0, so k is +0.0 exactly where
+    lam_i = 0 however np.maximum breaks a tie of zeros.
     """
+    base, neg_al, alpha_lam, cut_neg, cut_zero, neg_base, lower, upper, lo_off, hi_off = consts
     t = base + tau
-    shrunk = (alpha_lam > 0) & (np.abs(t) <= alpha_lam)
-    sgn = np.where((t < 0) & (alpha_lam > 0), -1.0, 1.0)
-    s = np.where(shrunk, 0.0, t - sgn * alpha_lam)
-    code = np.where(shrunk, _ZERO, np.where(sgn > 0, _POS, _NEG))
-    u = np.where(shrunk, -base, tau - sgn * alpha_lam)
-    at_lo = s <= lower
-    at_hi = (s >= upper) & ~at_lo
-    code[at_lo], code[at_hi] = _LO, _HI
-    u[at_lo] = lower[at_lo] - base[at_lo]
-    u[at_hi] = upper[at_hi] - base[at_hi]
+    k = np.minimum(np.maximum(t, neg_al), alpha_lam)
+    s, u = t - k, tau - k
+    low = t <= cut_zero
+    code = np.add(low, low, dtype=np.int8)
+    code -= t < cut_neg
+    np.putmask(u, code == _ZERO, neg_base)
+    # the lower bound wins where lower = upper
+    for at, c, off in ((s >= upper, _HI, hi_off), (s <= lower, _LO, lo_off)):
+        np.putmask(code, at, c)
+        np.putmask(u, at, off)
     return u, code
 
 
@@ -222,9 +236,10 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     The dual function theta(y) = (1/2 alpha)||u - tau0||^2 + lam'|x+v+u|
     + y'J u is concave with gradient F.  Each Newton direction d is tried
     from step 1, or from the exact maximizer along d when no component is
-    free, and halved until theta passes the Armijo test.  The maximizer
-    passes it at once unless kinks before it cut theta's curvature sharply
-    (on one quadratic piece theta rises by s F'd / 2 there).
+    free, and halved until theta passes the Armijo test, whose theta is the
+    next test's theta0.  The maximizer passes at once unless kinks before
+    it cut theta's curvature sharply (theta rises by s F'd / 2 there on one
+    quadratic piece).
 
     Once a unit step leaves the piece (the codes) unchanged, or cuts the
     residual as the model predicts, the model is exact there and the
@@ -236,14 +251,14 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     """
     m = J.shape[0]
     alpha_lam = alpha * lam
+    consts = _piece_constants(base, alpha_lam, lower, upper)
     abs_J = np.abs(J)
-
     evaluations = 0
 
     def evaluate(y):
         nonlocal evaluations
         evaluations += 1
-        u, code = _piece(tau0 - alpha * (J.T @ y), base, alpha_lam, lower, upper)
+        u, code = _piece(tau0 - alpha * (J.T @ y), consts)
         return u, code, J @ u
 
     def theta(y, u, F):
@@ -251,6 +266,7 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         return float(r @ r) / (2.0 * alpha) + float(lam @ np.abs(base + u)) + float(y @ F)
 
     u, code, F = evaluate(y)
+    theta_y = None  # theta at y, once the line search has formed it
     iterations = 0
     refine = False
     while not np.logical_and.reduce(np.abs(F) <= 4.0 * _EPS * (1.0 + abs_J @ np.abs(u))):
@@ -260,10 +276,9 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         if iterations == 0:
             # the largest squared row norm of J, in alpha units; a solve
             # that starts at its answer takes no step and never needs it
-            row_sq = np.einsum("ij,ij->i", J, J)
-            scale = alpha * float(np.maximum.reduce(row_sq, initial=0.0))
+            scale = alpha * float(np.maximum.reduce(np.einsum("ij,ij->i", J, J), initial=0.0))
         iterations += 1
-        free = (code == _POS) | (code == _NEG)
+        free = (code < _ZERO).nonzero()[0]
         J_F = J[:, free]
         F_norm = _norm(F)
         # regularized as in SSNAL, since rows of J with no free entry make
@@ -282,14 +297,14 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
             u_ref[free] -= alpha * (J_F.T @ d)
             F_ref = J @ u_ref
             if _norm(F_ref) < 0.5 * F_norm:
-                y, u, F = y + d, u_ref, F_ref
+                y, u, F, theta_y = y + d, u_ref, F_ref, None
                 continue
             refine = False  # no longer contracting: back to full Newton steps
-        theta0 = theta(y, u, F)
+        theta0 = theta(y, u, F) if theta_y is None else theta_y
         slope = float(F @ d)
         slack = 8.0 * _EPS * (1.0 + abs(theta0))
         step = 1.0
-        if J_F.shape[1] == 0:
+        if free.size == 0:
             # M = mu I makes d ~ F/mu far too long: start at the ray's maximizer
             t = base + (tau0 - alpha * (J.T @ y))
             step = min(step, _ray_maximizer(t, J.T @ d, alpha, alpha_lam, lower, upper,
@@ -297,7 +312,8 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         for _ in range(_MAX_BACKTRACKS):
             y_try = y + step * d
             u_try, code_try, F_try = evaluate(y_try)
-            if theta(y_try, u_try, F_try) >= theta0 + _ARMIJO * step * slope - slack:
+            theta_try = theta(y_try, u_try, F_try)
+            if theta_try >= theta0 + _ARMIJO * step * slope - slack:
                 break
             step *= 0.5
         else:
@@ -306,9 +322,9 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         # a unit step that kept the piece, or that met the model's
         # prediction while a component sat exactly on a kink, ends on the
         # final piece
-        refine = step == 1.0 and (np.array_equal(code_try, code)
+        refine = step == 1.0 and (not np.logical_or.reduce(code_try != code)
                                   or _norm(F_try) <= 1e-6 * F_norm)
-        y, u, code, F = y_try, u_try, code_try, F_try
+        y, u, code, F, theta_y = y_try, u_try, code_try, F_try, theta_try
     return y, u, code, iterations, evaluations
 
 
@@ -344,17 +360,15 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
 
     # a free component can round a hair past its bound
     w = project_box(base + u, box)
-    w[code == _ZERO] = 0.0
-    at_lo, at_hi = code == _LO, code == _HI
-    w[at_lo] = box.lower[at_lo]
-    w[at_hi] = box.upper[at_hi]
+    np.putmask(w, code == _LO, box.lower)
+    np.putmask(w, code == _HI, box.upper)
     u = w - base
     # stationarity: g + (u + v)/alpha + J'y + g_r + z = 0 with z = 0 off
     # the bounds; at a bound g_r takes the value lam * d|w| allows nearest
     # to the residual and z the rest
     grad = g + (u + v) / alpha
     resid = -(grad + J.T @ y)
-    z = np.where(at_lo | at_hi, resid - nearest_subgradient(w, resid, lam, 0.0), 0.0)
+    z = np.where(code > _ZERO, resid - nearest_subgradient(w, resid, lam, 0.0), 0.0)
     g_r = resid - z
 
     kkt = kkt_parts(grad, J @ u, J, box, lam, w, y, z, g_r)

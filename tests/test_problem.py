@@ -271,6 +271,27 @@ class TestAddSlacks:
             if eq_ok and ineq_ok:
                 assert np.allclose(p.c(z)[1], 0.0) and p.box.contains(z)
 
+    def test_jacobian_calls_return_distinct_arrays(self):
+        # the slack block -I is built once per instance; each call copies it
+        # into a fresh array, so writing into one Jacobian leaves the next be
+        p = add_slacks(
+            "two", 1,
+            f_eval=lambda x: 0.0, g_eval=lambda x: np.zeros(1),
+            cE_eval=lambda x: x, JE_eval=lambda x: np.ones((1, 1)),
+            cI_eval=lambda x: np.array([x[0], 2.0 * x[0]]),
+            JI_eval=lambda x: np.array([[1.0], [2.0]]),
+            m_eq=1, m_ineq=2,
+            x_lower=[-1.0], x_upper=[1.0], c_lower=[0.0, 0.0], c_upper=[1.0, 1.0],
+        )
+        z = np.zeros(3)
+        first = p.J(z)
+        expected = np.array([[1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [2.0, 0.0, -1.0]])
+        np.testing.assert_array_equal(first, expected)
+        first[:] = 7.0
+        second = p.J(z)
+        assert second is not first
+        np.testing.assert_array_equal(second, expected)
+
     def test_rejects_crossed_inequality_bounds(self):
         with pytest.raises(ValueError):
             add_slacks(

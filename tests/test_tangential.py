@@ -1,3 +1,4 @@
+import collections
 import warnings
 
 import numpy as np
@@ -13,11 +14,13 @@ from pgcon.tangential import (
     _ARMIJO,
     _HI,
     _LO,
+    _NEG,
     _POS,
     _ZERO,
     TangentialError,
     _cholesky_solve,
     _piece,
+    _piece_constants,
     _ray_maximizer,
     build_tangential_qp,
     kkt_bar,
@@ -352,7 +355,7 @@ class TestDegenerate:
         alpha_lam = np.array([0.5, 0.5, 0.0, 0.0, 0.5])
         lower = np.array([-np.inf, -np.inf, -np.inf, -1.0, -np.inf])
         upper = np.array([np.inf, np.inf, 1.0, np.inf, np.inf])
-        u, code = _piece(tau, base, alpha_lam, lower, upper)
+        u, code = _piece(tau, _piece_constants(base, alpha_lam, lower, upper))
         np.testing.assert_array_equal(code, [_ZERO, _ZERO, _HI, _LO, _POS])
         np.testing.assert_array_equal(u, [-0.25, 0.25, 0.75, -0.75, 0.0])
 
@@ -375,6 +378,73 @@ class TestDegenerate:
                      np.array([inf, 0.15, 2.68, inf, inf]))
         res = self.check(x, v, g, J, 3.19, reg, box)
         assert (res.iterations, res.evaluations) == (10, 54)
+
+
+def piece_where_form(tau, base, alpha_lam, lower, upper):
+    """``_piece`` written with np.where selections, sign by sign: the
+    reference whose bits the clip form must reproduce."""
+    t = base + tau
+    shrunk = (alpha_lam > 0) & (np.abs(t) <= alpha_lam)
+    sgn = np.where((t < 0) & (alpha_lam > 0), -1.0, 1.0)
+    s = np.where(shrunk, 0.0, t - sgn * alpha_lam)
+    code = np.where(shrunk, _ZERO, np.where(sgn > 0, _POS, _NEG))
+    u = np.where(shrunk, -base, tau - sgn * alpha_lam)
+    at_lo = s <= lower
+    at_hi = (s >= upper) & ~at_lo
+    code[at_lo], code[at_hi] = _LO, _HI
+    u[at_lo] = lower[at_lo] - base[at_lo]
+    u[at_hi] = upper[at_hi] - base[at_hi]
+    return u, code
+
+
+class TestPieceClipForm:
+    """The clip form of ``_piece`` against the np.where form, bit for bit,
+    signed zeros included."""
+
+    @staticmethod
+    def draw(rng, n=64):
+        """(tau, base, alpha_lam, lower, upper) with dyadic entries, so t
+        lands exactly on +-alpha lam and on +-0, or with Gaussian ones."""
+        if rng.random() < 0.25:
+            base, tau = rng.standard_normal(n), rng.standard_normal(n)
+        else:
+            dyadic = rng.integers(-16, 17, n) / 8.0
+            base = np.where(rng.random(n) < 0.3, rng.choice([0.0, -0.0], n), dyadic)
+            tau = rng.integers(-16, 17, n) / 8.0
+        alpha_lam = np.where(rng.random(n) < 0.4, 0.0, rng.integers(1, 9, n) / 8.0)
+        r = rng.random(n)
+        tau = np.where(r < 0.25, rng.choice([-1.0, 1.0], n) * alpha_lam - base, tau)
+        tau = np.where((r >= 0.25) & (r < 0.45), rng.choice([0.0, -0.0], n), tau)
+        lower = rng.integers(-8, 5, n) / 8.0
+        upper = lower + rng.choice([0.0, 0.5, 2.0, np.inf], n)  # 0: a fixed variable
+        return tau, base, alpha_lam, np.where(rng.random(n) < 0.3, -np.inf, lower), upper
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bits_match_the_where_form(self, seed):
+        rng = np.random.default_rng(seed)
+        seen = collections.Counter()
+        for _ in range(60):
+            tau, base, alpha_lam, lower, upper = self.draw(rng)
+            u, code = _piece(tau, _piece_constants(base, alpha_lam, lower, upper))
+            u_ref, code_ref = piece_where_form(tau, base, alpha_lam, lower, upper)
+            assert u.tobytes() == u_ref.tobytes()
+            np.testing.assert_array_equal(code, code_ref)
+            t, weighted = base + tau, alpha_lam > 0
+            seen.update({
+                "t = alpha lam": np.sum(weighted & (t == alpha_lam)),
+                "t = -alpha lam": np.sum(weighted & (t == -alpha_lam)),
+                "unweighted, t < 0": np.sum(~weighted & (t < 0)),
+                "unweighted, t = +0": np.sum(~weighted & (t == 0) & ~np.signbit(t)),
+                "unweighted, t = -0": np.sum(~weighted & (t == 0) & np.signbit(t)),
+                "infinite lower": np.sum(np.isinf(lower)),
+                "infinite upper": np.sum(np.isinf(upper)),
+                "fixed": np.sum(lower == upper),
+                "free": np.sum(code < _ZERO),
+                "zeroed": np.sum(code == _ZERO),
+                "at lower": np.sum(code == _LO),
+                "at upper": np.sum(code == _HI),
+            })
+        assert len(seen) == 12 and min(seen.values()) > 0, seen
 
 
 class TestCholeskySolve:
@@ -507,7 +577,7 @@ class TestRaySearch:
     @staticmethod
     def theta(y, base, tau0, J, alpha, lam, lower, upper):
         """The dual function of ``_dual_solve`` and its gradient J u."""
-        u, _ = _piece(tau0 - alpha * (J.T @ y), base, alpha * lam, lower, upper)
+        u, _ = _piece(tau0 - alpha * (J.T @ y), _piece_constants(base, alpha * lam, lower, upper))
         r, F = u - tau0, J @ u
         return float(r @ r) / (2 * alpha) + float(lam @ np.abs(base + u)) + float(y @ F), F
 

@@ -1,34 +1,52 @@
-"""Count the Python-level calls of one pass over the analytic corpus.
+"""Count the Python-level calls of one pass over a benchmark suite.
 
-    python tools/dispatch.py
+    python tools/dispatch.py [--suite corpus|scca]
 
 Run from the repository root; the package is imported from ``src/``.
-One ``run_benchmark(corpus_suite())`` pass runs first as a warm-up, then
-a second runs under cProfile; its cells are built before the profile
-starts, so only the solves are counted.  The script prints the total
-number of calls of the profiled pass, the calls per outer iteration, and
-the calls made from each ``pgcon`` module (calls made from anywhere
-else, numpy's own Python code for one, are grouped by top-level package).
+``--suite corpus`` (the default) passes over the 12 analytic corpus
+instances; ``--suite scca`` over the four SCCA gate cells, n in {200,
+400} x lambda in {1e-2, 1e-3} on data seed 1 with ``alpha0 = 1e-3``.
+One ``run_benchmark`` pass runs first as a warm-up, then a second runs
+under cProfile; its problems are built before the profile starts, so
+only the solves are counted.  The script prints the total number of
+calls of the profiled pass, the calls per outer iteration, and the calls
+made from each ``pgcon`` module (calls made from anywhere else, numpy's
+own Python code for one, are grouped by top-level package).
 
 At the corpus's sizes (n <= 3) an iteration costs little arithmetic and
 many numpy and Python calls, so the call count follows the dispatch cost
 of an iteration.  Unlike a wall time it is the same from run to run for
 a given Python and numpy; it differs between numpy versions, so it is a
 measurement to compare, not a bound.
+
+cProfile sees only calls of Python functions and of builtin functions
+and methods.  It does not see a ufunc call (``np.minimum(a, b)``,
+``a + b``, ``a > 0``), and it sees ``np.where`` or ``np.putmask`` only
+as the Python dispatcher in front of the C function.  So the count
+understates the elementwise work of an iteration, and a change that
+trades ``np.where`` selections for ufuncs removes more work than the
+count shows.
 """
 
 from __future__ import annotations
 
+import argparse
 import collections
 import cProfile
-import pstats
+import dataclasses
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from pgcon.bench import corpus_suite, run_benchmark  # noqa: E402
+from pgcon.bench import corpus_suite, run_benchmark, scca_suite  # noqa: E402
+from pgcon.driver import SolverConfig  # noqa: E402
+
+SUITES = {
+    "corpus": corpus_suite,
+    "scca": lambda: scca_suite([200, 400], [1e-2, 1e-3], [1], SolverConfig(alpha0=1e-3)),
+}
 
 
 def _origin(filename: str) -> str:
@@ -44,29 +62,42 @@ def _origin(filename: str) -> str:
     return "<builtin>" if filename.startswith("~") else path.stem
 
 
-def count() -> tuple[int, int, dict]:
+def _prebuilt(cells):
+    """The cells with their problems built now and no metrics."""
+    return [dataclasses.replace(c, make=lambda prob=c.make()[0]: (prob, None)) for c in cells]
+
+
+def count(suite: str = "corpus") -> tuple[int, int, dict]:
     """(total calls, outer iterations, calls by calling module) of one
-    profiled corpus pass."""
-    run_benchmark(corpus_suite())
-    cells = corpus_suite()
+    profiled pass over ``suite``."""
+    run_benchmark(SUITES[suite]())
+    cells = _prebuilt(SUITES[suite]())
     prof = cProfile.Profile()
     prof.enable()
     results = run_benchmark(cells)
     prof.disable()
-    stats = pstats.Stats(prof)
+    # the raw entries, one per code object: pstats keys them by (file,
+    # line, name) and keeps one of the dataclass-generated __init__s,
+    # which all read <string>:2, so its total hangs on import order
+    entries = prof.getstats()
+    total = sum(e.callcount for e in entries)
     by_module = collections.Counter()
-    for (_, _, _, _, callers) in stats.stats.values():
-        for (filename, _, _), caller_stats in callers.items():
-            by_module[_origin(filename)] += caller_stats[0]
+    for e in entries:
+        caller = _origin("~" if isinstance(e.code, str) else e.code.co_filename)
+        for sub in e.calls or ():
+            by_module[caller] += sub.callcount
     # the profiled top-level calls have no caller
-    by_module["<top level>"] = stats.total_calls - sum(by_module.values())
+    by_module["<top level>"] = total - sum(by_module.values())
     iterations = sum(r.report.iterations for r in results)
-    return stats.total_calls, iterations, dict(by_module)
+    return total, iterations, dict(by_module)
 
 
 def main() -> int:
-    total, iterations, by_module = count()
-    print(f"calls per corpus pass: {total}")
+    parser = argparse.ArgumentParser(description="Count the calls of one suite pass.")
+    parser.add_argument("--suite", choices=sorted(SUITES), default="corpus")
+    suite = parser.parse_args().suite
+    total, iterations, by_module = count(suite)
+    print(f"calls per {suite} pass: {total}")
     print(f"outer iterations: {iterations}")
     print(f"calls per iteration: {total / iterations:.1f}")
     print("calls made from:")
