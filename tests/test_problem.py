@@ -45,6 +45,29 @@ class TestBox:
         with pytest.raises(ValueError, match=r"1-D arrays of shape \(n,\)"):
             BoxSet(lower, upper)
 
+    @pytest.mark.parametrize("lower, upper, match", [
+        ([np.nan, 0.0], [1.0, 1.0], "NaN"),
+        ([0.0, 0.0], [1.0, np.nan], "NaN"),
+        ([np.inf, 0.0], [np.inf, 1.0], "lower_i = inf"),
+        ([0.0, -np.inf], [1.0, -np.inf], "upper_i = -inf"),
+    ], ids=["nan-lower", "nan-upper", "inf-lower", "-inf-upper"])
+    def test_rejects_non_finite_ends(self, lower, upper, match):
+        # -inf below and +inf above are the only infinite bounds
+        with pytest.raises(ValueError, match=match):
+            BoxSet(np.array(lower), np.array(upper))
+
+    @pytest.mark.parametrize("x0", [[np.nan], [np.inf], [-np.inf]],
+                             ids=["nan", "inf", "-inf"])
+    def test_start_must_be_finite(self, x0):
+        # the problem's start and a run's start; the free box admits any
+        # finite point, so a non-finite one would reach f
+        p = quadratic_1d()
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            ProblemInstance(p.name, p.n, p.m, p.f_eval, p.g_eval, p.c_eval,
+                            p.J_eval, p.reg, p.box, x0=np.array(x0))
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            SolverConfig(x0=x0)
+
     def test_fixed_components(self):
         box = BoxSet(np.array([0.0, 1.0, -np.inf, 2.0]), np.array([1.0, 1.0, np.inf, 2.0]))
         np.testing.assert_array_equal(box.fixed, [False, True, False, True])
@@ -58,6 +81,11 @@ class TestRegularizer:
         rng = np.random.default_rng(0)
         for _ in range(50):
             assert reg.value(rng.standard_normal(2)) >= 0.0
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_weight(self, w):
+        with pytest.raises(ValueError, match="l1 weights must be finite"):
+            L1Regularizer(np.array([1.0, w]))
 
     def test_convexity_random(self):
         rng = np.random.default_rng(1)

@@ -19,11 +19,11 @@ for mod in pkgutil.iter_modules(pgcon.__path__):
     importlib.import_module("pgcon." + mod.name)
 from pgcon import cli, corpus, driver, scca
 inst = corpus.get_instance("quad-ineq-1")
-config = driver.SolverConfig(**inst.config_overrides, check_invariants=True)
+config = driver.SolverConfig(**inst.config_overrides)
 assert driver.solve(inst.problem, config).status == "KktPoint"
 data = scca.scca_generate(48, 48, 48, 0)
 assert driver.solve(scca.scca_problem(data, 1e-2),
-                    driver.SolverConfig(alpha0=1e-3, check_invariants=True)).iterations > 0
+                    driver.SolverConfig(alpha0=1e-3)).iterations > 0
 with tempfile.TemporaryDirectory() as out:
     assert cli.main(["bench", "--suite", "corpus", "--out", out]) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0].startswith("scipy")))

@@ -6,7 +6,8 @@
 Run from the repository root; the package is imported from ``src/`` and
 the fuzz generator and ``rank_deficient_l1`` from ``tests/``.  Each solve
 maps to ``[status, iterations, ledger sha256, invariant violations]``,
-all with ``check_invariants=True``:
+the last the number of step inequalities the solve's own check found
+broken.  The sweep:
 
 * the fuzz sweep: ``test_fuzz.fuzz_case`` draws of rng 99 x 60 and rngs
   5, 6, 7 x 150, plus both ``rank_deficient_l1`` instances (512 solves);
@@ -18,13 +19,13 @@ all with ``check_invariants=True``:
 BLAS runs on one thread, so a sweep loads one core.  The gate grid's
 ledgers are the same on one and two threads (``tests/test_scca.py`` pins
 one cell); the other solves have not been compared.  With
-``--gate-seeds 1,2,3`` a sweep is 536 solves and takes about 30 s on one
-core.  ``--compare`` prints every solve whose
-fingerprint differs, or that only one side has: first those whose status
-changed, then those whose iterations changed, then those where only the
-ledger or the violation count changed.  It ends with the status counts of
-each side and the size of each of the three groups, and exits 1 when any
-solve differs.
+``--gate-seeds 1,2,3`` a sweep is 536 solves and takes 28 s on one core
+(Python 3.11, numpy 2.4.6, a 2-vCPU Xeon VM).  ``--compare`` prints every
+solve whose fingerprint differs, or that only one side has: first those
+whose status changed, then those whose iterations changed, then those
+where only the ledger or the violation count changed.  It ends with the
+status counts of each side and the size of each of the three groups, and
+exits 1 when any solve differs.
 """
 
 from __future__ import annotations
@@ -67,15 +68,15 @@ def sweep(gate_seeds):
             yield f"fuzz/rng{seed}/{trial}", p, cfg
     for args in RANK_DEFICIENT:
         yield (f"rank_deficient_l1{args}", rank_deficient_l1(*args),
-               SolverConfig(alpha0=1.0, max_iter=200, check_invariants=True))
+               SolverConfig(alpha0=1.0, max_iter=200))
     for inst in corpus():
         yield (f"corpus/{inst.name}", inst.problem,
-               SolverConfig(check_invariants=True, **inst.config_overrides))
+               SolverConfig(**inst.config_overrides))
     for seed in gate_seeds:
         for n, lam in GATE_CELLS:
             data = scca.scca_generate(n, n, n, seed)
             yield (f"gate/seed{seed}/n{n}/lam{lam:g}", scca.scca_problem(data, lam),
-                   SolverConfig(alpha0=1e-3, check_invariants=True))
+                   SolverConfig(alpha0=1e-3))
 
 
 def fingerprint(rep) -> list:
