@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,8 +43,8 @@ class BenchCell:
 class BenchResult:
     """One cell's outcome.  A cell whose factory, solve or metrics raised
     has status "Error", the message in ``error`` and None for every value
-    it did not reach.  The iteration count, ``chi`` and ``c_norm`` are
-    the report's."""
+    it did not reach.  The iteration count, solve time, ``chi`` and
+    ``c_norm`` are the report's."""
 
     instance: str
     seed: int
@@ -53,7 +52,6 @@ class BenchResult:
     status: str
     n: Optional[int] = None
     m: Optional[int] = None
-    time_s: Optional[float] = None
     metrics: Optional[scca_mod.SccaMetrics] = None
     report: Optional[SolveReport] = None
     error: str = ""
@@ -104,12 +102,10 @@ def _run_cell(cell: BenchCell) -> BenchResult:
     try:
         prob, metrics_fn = cell.make()
         res.n, res.m = prob.n, prob.m
-        t0 = time.perf_counter()
         report = solve(prob, cell.config)
-        res.time_s = time.perf_counter() - t0
         res.status, res.report = report.status, report
         if metrics_fn is not None:
-            res.metrics = metrics_fn(report, res.time_s)
+            res.metrics = metrics_fn(report, report.wall_time)
     except Exception as exc:  # individual failures recorded, suite continues
         res.status, res.error = "Error", f"{type(exc).__name__}: {exc}"
     return res
@@ -131,7 +127,8 @@ def result_row(r: BenchResult) -> dict:
     row = {"instance": r.instance, "n": r.n, "m": r.m,
            "lambda": r.lam if r.lam == r.lam else None, "seed": r.seed,
            "status": r.status, "iters": None if rep is None else rep.iterations,
-           "time_s": r.time_s, "chi": None if rep is None else rep.chi,
+           "time_s": None if rep is None else rep.wall_time,
+           "chi": None if rep is None else rep.chi,
            "c_norm": None if rep is None else rep.c_norm}
     for col in _METRIC_COLUMNS:
         row[col] = None if r.metrics is None else getattr(r.metrics, col)

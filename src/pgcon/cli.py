@@ -71,8 +71,8 @@ def _print_results(results):
     for r in results:
         lam = f" lambda={r.lam:g}" if r.lam == r.lam else ""
         line = f"{r.instance}{lam} seed={r.seed}: {r.status}"
-        if r.time_s is not None:
-            line += f" ({r.time_s:.1f}s)"
+        if r.report is not None:
+            line += f" ({r.report.wall_time:.1f}s)"
         if r.metrics is not None:
             line += f" rho={r.metrics.rho_xy:.4f} sr={r.metrics.sr:.4f} sl={r.metrics.sl}"
         if r.error:

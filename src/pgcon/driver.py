@@ -22,7 +22,6 @@ import operator
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -49,18 +48,18 @@ TAU_INIT = 1.0
 TOL_STEP = 1e-12
 
 _POSITIVE_FIELDS = ("alpha0", "tol_c", "tol_stat", "tol_comp", "time_limit")
-# the value types each declared field type accepts (x0 is converted instead)
+# the value types each declared field type accepts
 _FIELD_KINDS = {"int": int, "float": (int, float)}
 
 
-@dataclass(eq=False)
+@dataclass
 class SolverConfig:
-    """What a run chooses: the start ``x0``, the first proximal parameter
-    ``alpha0``, the KKT tolerances (``tol_c`` also marks a stationary point
-    of the violation infeasible) and the budgets.  The method's fixed
-    parameters are constants next to the function that reads each."""
+    """What a run chooses: the first proximal parameter ``alpha0``, the
+    KKT tolerances (``tol_c`` also marks a stationary point of the
+    violation infeasible) and the budgets.  The start is the problem's
+    ``x0``.  The method's fixed parameters are constants next to the
+    function that reads each."""
 
-    x0: Optional[np.ndarray] = None
     alpha0: float = 10.0
     tol_c: float = 1e-6
     tol_stat: float = 1e-4
@@ -73,10 +72,10 @@ class SolverConfig:
 
     def validate(self):
         for f in dataclasses.fields(self):
-            kinds = _FIELD_KINDS.get(f.type)
+            kinds = _FIELD_KINDS[f.type]
             val = getattr(self, f.name)
             # bool is an int subclass, but no field takes one
-            if kinds and (not isinstance(val, kinds) or isinstance(val, bool)):
+            if not isinstance(val, kinds) or isinstance(val, bool):
                 raise ValueError(f"{f.name}={val!r} must be of type {f.type}")
             if f.type == "float":
                 # an int is stored as the float it names, so it hashes as one
@@ -90,22 +89,9 @@ class SolverConfig:
                 raise ValueError(f"{name}={val!r} must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.x0 is not None:
-            self.x0 = np.asarray(self.x0, dtype=float)
-            if not np.isfinite(self.x0).all():
-                raise ValueError("x0 must be finite")
-
-    def __eq__(self, other):
-        # the generated __eq__ compares x0 arrays with ==, which is ambiguous
-        if not isinstance(other, SolverConfig):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in _FIELD_NAMES}
-        if out["x0"] is not None:
-            out["x0"] = np.asarray(out["x0"]).tolist()
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
@@ -183,10 +169,10 @@ def _hash_point(x) -> str:
 _SIGN_CHARS = np.frombuffer(b"0+-", dtype="S1")
 
 
-def _sign_pattern(x, reg_weights, zero_tol=1e-12) -> str:
-    """One of "+", "-", "0" per weighted component of x."""
+def _sign_pattern(x, reg_weights) -> str:
+    """One of "+", "-", "0" per weighted component of x, 0 within 1e-12."""
     x_reg = np.asarray(x)[reg_weights > 0]
-    code = (x_reg > zero_tol) + 2 * (x_reg < -zero_tol)
+    code = (x_reg > 1e-12) + 2 * (x_reg < -1e-12)
     return _SIGN_CHARS[code].tobytes().decode()
 
 
@@ -279,15 +265,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     """
     t_start = time.perf_counter()
 
-    if cfg.x0 is not None:
-        x_init = np.asarray(cfg.x0, dtype=float)
-        if x_init.shape != (p.n,):
-            raise ValueError(f"{p.name}: x0 has shape {x_init.shape}, "
-                             f"the problem needs ({p.n},)")
-    elif p.x0 is not None:
-        x_init = p.x0
-    else:
-        x_init = np.zeros(p.n)
+    x_init = p.x0 if p.x0 is not None else np.zeros(p.n)
     box = p.box
     x = project_box(x_init, box)
     if not np.array_equal(x, x_init):
@@ -303,21 +281,20 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     monitor = _InvariantMonitor(box.is_orthant())
     records: list[IterationRecord] = []
     isp_streak = 0
-    isp_last_alpha = np.inf
     stall_streak = 0
     y = np.zeros(p.m)
     z = np.zeros(p.n)
     g_r = np.zeros(p.n)
     new_point = True
 
-    def finish(status_, iters):
+    def finish(status_):
         monitor.check_shifted_merit(records)
         y_un, z_un, g_r_un = scale.unscale_multipliers(y, z, g_r)
         chi_fin = (kkt_parts(g_val, c_val, J_val, box, p.reg.weights, x,
                              y_un, z_un, g_r_un).chi if records else np.inf)
         return SolveReport(
             status=status_, x=x.copy(), y=y_un, z=z_un, g_r=g_r_un, chi=chi_fin,
-            c_norm=_norm(c_val), iterations=iters, records=records,
+            c_norm=_norm(c_val), iterations=len(records), records=records,
             objective=f_val + p.reg.value(x), f_unscaled=f_val,
             wall_time=time.perf_counter() - t_start,
             invariant_violations=monitor.violations, config_hash=cfg.config_hash(),
@@ -325,7 +302,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
 
     for k in range(cfg.max_iter):
         if time.perf_counter() - t_start > cfg.time_limit:
-            return finish("TimeLimit", k)
+            return finish("TimeLimit")
 
         if new_point:
             # the method's scaled copies of the caller's values at x
@@ -341,13 +318,13 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         if normal.v_inf is None:  # the zero step, free of alpha: kept for x
             zero_normal = normal
         if normal.infeasible_stationary:
-            if isp_streak and alpha <= isp_last_alpha * (1 + 1e-12):
+            # a streak's previous iteration holds the last record
+            if isp_streak and alpha <= records[-1].alpha * (1 + 1e-12):
                 isp_streak += 1
             else:
                 isp_streak = 1
-            isp_last_alpha = alpha
             if isp_streak >= 3:
-                return finish("InfeasibleStationary", k)
+                return finish("InfeasibleStationary")
         else:
             isp_streak = 0
 
@@ -358,7 +335,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             # data): record what we have instead of propagating
             warnings.warn(f"{p.name}: tangential subproblem failed at "
                           f"iteration {k}: {exc}")
-            return finish("Stalled", k)
+            return finish("Stalled")
         y, z, g_r = tang.y, tang.z, tang.g_r
         w = tang.w
         s = w - x
@@ -411,17 +388,17 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
                 and max(parts.stationarity, parts.subgradient_margin) <= cfg.tol_stat
                 and parts.complementarity <= cfg.tol_comp):
             records[-1].accepted = False
-            return finish("KktPoint", k + 1)
+            return finish("KktPoint")
 
         if tau_new < glob.TAU_FLOOR:
-            return finish("MeritCollapse", k + 1)
+            return finish("MeritCollapse")
         tau = tau_new
 
         vanished = s_norm / alpha <= TOL_STEP
         if vanished:
             stall_streak += 1
             if stall_streak >= 5:
-                return finish("Stalled", k + 1)
+                return finish("Stalled")
         else:
             stall_streak = 0
 
@@ -442,9 +419,9 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             prev_accepted = len(records) < 2 or records[-2].accepted
             alpha = glob.update_alpha(alpha, accepted, lipschitz, prev_accepted)
         if alpha < glob.ALPHA_FLOOR:
-            return finish("Stalled", k + 1)
+            return finish("Stalled")
 
-    return finish("MaxIter", cfg.max_iter)
+    return finish("MaxIter")
 
 
 def identification_trackers(records) -> tuple:
@@ -488,13 +465,12 @@ def ledger_to_csv(records) -> str:
     return buf.getvalue()
 
 
-def report_to_json(report: SolveReport, extra: Optional[dict] = None) -> str:
+def report_to_json(report: SolveReport, extra: dict) -> str:
     """Every ``SolveReport`` field except the records, arrays as lists."""
     out = {}
     for f in dataclasses.fields(SolveReport):
         if f.name != "records":
             val = getattr(report, f.name)
             out[f.name] = val.tolist() if isinstance(val, np.ndarray) else val
-    if extra:
-        out.update(extra)
+    out.update(extra)
     return json.dumps(out, indent=2, sort_keys=True)

@@ -91,8 +91,8 @@ class BoxSet:
         fixed.flags.writeable = False
         return fixed
 
-    def contains(self, x, tol: float = 0.0) -> bool:
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+    def contains(self, x) -> bool:
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def is_orthant(self) -> bool:
         """True when the box is exactly the nonnegative orthant."""
@@ -157,7 +157,11 @@ class ProblemInstance:
         if self.reg.dim != self.n or self.box.dim != self.n:
             raise ValueError("regularizer/box dimension mismatch")
         if self.x0 is not None:
-            x0 = _as_float_array(self.x0, self.n)
+            # numpy would broadcast a scalar or length-1 start to every component
+            x0 = np.asarray(self.x0, dtype=float)
+            if x0.shape != (self.n,):
+                raise ValueError(f"{self.name}: x0 has shape {x0.shape}, "
+                                 f"the problem needs ({self.n},)")
             if not np.isfinite(x0).all():
                 raise ValueError("x0 must be finite")
             object.__setattr__(self, "x0", x0)
@@ -411,9 +415,12 @@ def _problem_from_spec(spec: dict) -> ProblemInstance:
     if box_spec is None:
         box = BoxSet.free(n)
     else:
+        for k in ("lower", "upper"):
+            if np.ndim(box_spec[k]) != 1:
+                raise ValueError(f"box.{k} must be a list of n = {n} bounds, "
+                                 f"got {box_spec[k]!r}")
         # float() reads the "inf" and "-inf" sentinels
         box = BoxSet(*(np.array([float(t) for t in box_spec[k]]) for k in ("lower", "upper")))
-    x0 = np.asarray(d["x0"], dtype=float) if "x0" in d else None
 
     return ProblemInstance(
         name=spec.get("name", "quadratic"),
@@ -425,5 +432,5 @@ def _problem_from_spec(spec: dict) -> ProblemInstance:
         J_eval=lambda x: A.copy(),
         reg=L1Regularizer(w),
         box=box,
-        x0=x0,
+        x0=d.get("x0"),
     )

@@ -141,8 +141,7 @@ def pattern_vectors(n_x: int, n_y: int) -> tuple[np.ndarray, np.ndarray]:
     return bx, by
 
 
-def scca_generate(n_x: int, n_y: int, N: int, seed: int,
-                  noise_std: float = NOISE_STD) -> SccaData:
+def scca_generate(n_x: int, n_y: int, N: int, seed: int) -> SccaData:
     """Draw one synthetic dataset; deterministic under (sizes, seed)."""
     if n_x % 8 or n_y % 8:
         raise ValueError("n_x and n_y must be divisible by 8")
@@ -150,8 +149,8 @@ def scca_generate(n_x: int, n_y: int, N: int, seed: int,
         raise ValueError("N must be at least 1")
     rng = np.random.default_rng(seed)
     bx, by = pattern_vectors(n_x, n_y)
-    a = bx + noise_std * _standard_normal(rng, n_x)
-    b = by + noise_std * _standard_normal(rng, n_y)
+    a = bx + NOISE_STD * _standard_normal(rng, n_x)
+    b = by + NOISE_STD * _standard_normal(rng, n_y)
     u = _standard_normal(rng, N)
     return SccaData(a=a, b=b, s=float(u @ u), N=N, seed=seed)
 

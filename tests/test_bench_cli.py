@@ -6,13 +6,14 @@ import pytest
 
 from pgcon.bench import (
     corpus_suite,
+    result_row,
     results_to_csv,
     run_benchmark,
     scca_suite,
     RESULT_COLUMNS,
 )
 from pgcon.cli import build_parser, load_config, main
-from pgcon.driver import SolverConfig
+from pgcon.driver import SolverConfig, _hash_point
 
 
 class TestBench:
@@ -23,6 +24,9 @@ class TestBench:
         csv = results_to_csv(results)
         assert csv.splitlines()[0] == ",".join(RESULT_COLUMNS)
         assert len(csv.splitlines()) == len(results) + 1
+        # a row's solve time is the report's own clock
+        for r in results:
+            assert result_row(r)["time_s"] == r.report.wall_time
 
     def test_scca_cells_carry_metrics(self):
         cells = scca_suite([64], [1e-2], [0], SolverConfig(alpha0=1e-3))
@@ -121,7 +125,6 @@ class TestConfigIO:
         assert cfg.tol_c == 1e-8
         assert cfg.max_iter == 77
         assert cfg.time_limit == float("inf")
-        assert load_config(None, ["x0=[1, 2]"]).x0.tolist() == [1.0, 2.0]
         with pytest.raises(ValueError):
             load_config(None, ["max_iter=1.5"])
         # JSON true is a bool, which no field takes
@@ -154,11 +157,15 @@ class TestConfigIO:
                      "--out", str(tmp_path / "o")])
         assert code == 64
         assert "unknown config keys: ['check_invariants']" in capsys.readouterr().err
+        # the start is the problem's, not a config key
+        code = main(["solve", "--problem", str(path), "--out", str(tmp_path / "o"),
+                     "--set", "x0=[1, 2]"])
+        assert code == 64
+        assert "unknown config keys: ['x0']" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     # one value per field: its --set text and the same value in a --config file
     SAME_VALUE = {
-        "x0": ("[1, 2]", [1, 2]),
         "alpha0": ("1", 1),
         "tol_c": ("1e-8", 1e-8),
         "tol_stat": ("2", 2),
@@ -206,14 +213,17 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "KktPoint"
         assert report["x"] == pytest.approx([1.0, 0.0], abs=1e-6)
-        assert (out / "ledger.csv").exists()
+        # the run starts at the file's data.x0
+        row0 = (out / "ledger.csv").read_text().splitlines()[1]
+        assert row0.split(",")[1] == _hash_point([0.5, 0.5])
 
     # a 1-D quadratic with one more key, or its data with one more entry
     QUAD_1D = '{"kind": "quadratic", "n": 1, "data": {"Q": [[1.0]], "c": [0.0]%s}%s}'
 
     @pytest.mark.parametrize("content, names", [
         ("[1, 2]", "holds list"),
-        (QUAD_1D % ("", ', "box": {"lower": 0.0, "upper": 1.0}'), "not iterable"),
+        (QUAD_1D % ("", ', "box": {"lower": 0.0, "upper": 1.0}'),
+         "box.lower must be a list of n = 1 bounds, got 0.0"),
         (QUAD_1D % ("", ', "l1_weights": [[0.5, 0.5]]'), "1-D array"),
         (QUAD_1D % ("", ', "l1_weights": ["inf"]'), "l1 weights must be finite"),
         (QUAD_1D % ("", ', "l1_weights": [NaN]'), "l1 weights must be finite"),
@@ -222,8 +232,9 @@ class TestCli:
         (QUAD_1D % ("", ', "box": {"lower": ["-inf"], "upper": ["-inf"]}'),
          "upper_i = -inf"),
         (QUAD_1D % (', "x0": [NaN]', ""), "x0 must be finite"),
+        (QUAD_1D % (', "x0": 0.5', ""), "x0 has shape (), the problem needs (1,)"),
     ], ids=["list", "scalar-bounds", "2d-weights", "inf-weight", "nan-weight",
-            "nan-lower", "inf-lower", "-inf-upper", "nan-x0"])
+            "nan-lower", "inf-lower", "-inf-upper", "nan-x0", "scalar-x0"])
     def test_malformed_problem_file_exit_64(self, tmp_path, capsys, content, names):
         path = tmp_path / "p.json"
         path.write_text(content)
@@ -289,17 +300,6 @@ class TestCli:
         assert report["status"] == "Error"
         assert report["error"] == "ValueError: box has lower_i > upper_i"
         assert not (out / "ledger.csv").exists()
-
-    def test_wrong_shape_x0_writes_error_report(self, tmp_path):
-        prob = {"name": "x", "kind": "analytic:eq-quad-1"}
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps(prob))
-        out = tmp_path / "o"
-        assert main(["solve", "--problem", str(path), "--out", str(out),
-                     "--set", "x0=0.5"]) == 1
-        report = json.loads((out / "report.json").read_text())
-        assert report["status"] == "Error"
-        assert "x0 has shape (), the problem needs (2,)" in report["error"]
 
     def test_corpus_check_exit_zero(self, tmp_path):
         assert main(["corpus-check", "--out", str(tmp_path / "o")]) == 0

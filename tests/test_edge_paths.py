@@ -1,6 +1,8 @@
 """Status-taxonomy branches and loader paths that the mainline tests do
 not reach."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,8 +39,8 @@ class TestStatusBranches:
     def test_projection_warning(self):
         inst = get_instance("eq-quad-1")
         with pytest.warns(UserWarning, match="projected"):
-            solve(inst.problem, SolverConfig(x0=np.array([-1.0, 2.0]),
-                                             max_iter=2))
+            solve(dataclasses.replace(inst.problem, x0=np.array([-1.0, 2.0])),
+                  SolverConfig(max_iter=2))
 
 
 class TestLoaders:

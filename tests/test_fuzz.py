@@ -77,6 +77,7 @@ def test_solver_never_raises_and_keeps_invariants():
             p, cfg = fuzz_case(rng, trial)
             rep = solve(p, cfg)
             assert rep.status in STATUSES
+            assert rep.iterations == len(rep.records), trial
             statuses[rep.status] = statuses.get(rep.status, 0) + 1
             assert rep.invariant_violations == [], (trial, rep.invariant_violations)
     assert statuses.get("KktPoint", 0) >= 45

@@ -15,6 +15,7 @@ from pgcon.driver import SolverConfig, kkt_residual, solve
 from pgcon.globalization import ALPHA_CAP, ALPHA_MAX
 from pgcon.problem import check_derivatives
 from pgcon.scca import (
+    NOISE_STD,
     ndtri,
     pattern_vectors,
     scca_generate,
@@ -50,16 +51,15 @@ class TestGenerate:
         assert not np.array_equal(d1.a, d3.a)
         assert d1.s != d3.s
 
-    def test_zero_noise_rank_one_block_pattern(self):
-        data = scca_generate(32, 32, 16, seed=0, noise_std=0.0)
+    def test_factors_are_block_pattern_plus_drawn_noise(self):
+        data = scca_generate(32, 32, 16, seed=0)
         bx, by = pattern_vectors(32, 32)
-        # the factors are the block patterns themselves, and s = u'u of
-        # the latent series, drawn after the two noise vectors
-        np.testing.assert_array_equal(data.a, bx)
-        np.testing.assert_array_equal(data.b, by)
+        # the factors are the block patterns plus NOISE_STD times the
+        # deviates of the first two draws, and s = u'u of the latent
+        # series, drawn after them
         rng = np.random.default_rng(0)
-        rng.random(32)
-        rng.random(32)
+        np.testing.assert_array_equal(data.a, bx + NOISE_STD * ndtri(rng.random(32)))
+        np.testing.assert_array_equal(data.b, by + NOISE_STD * ndtri(rng.random(32)))
         u = ndtri(rng.random(16))
         assert data.s == float(u @ u) > 0
 
@@ -183,11 +183,15 @@ class TestInit:
         np.testing.assert_allclose(x0[-2:], [1.0, 1.0])
 
     def test_noiseless_recovers_blocks(self):
-        data = scca_generate(32, 32, 32, seed=0, noise_std=0.0)
+        data = scca_generate(32, 32, 32, seed=0)
+        bx, by = pattern_vectors(32, 32)
+        rng = np.random.default_rng(0)
+        np.testing.assert_array_equal(data.a, bx + NOISE_STD * ndtri(rng.random(32)))
+        # the same draw with the noise taken out of both factors
+        data = dataclasses.replace(data, a=bx, b=by)
         x0 = scca_init(data)
         met = scca_metrics(x0[:32], x0[32:64], data, zero_tol=1e-10)
         assert met.rho_xy == pytest.approx(1.0, abs=1e-6)
-        bx, _ = pattern_vectors(32, 32)
         wx = x0[:32]
         # recovered direction proportional to the pattern
         scale = wx[0] / bx[0]
