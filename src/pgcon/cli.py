@@ -141,13 +141,17 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def outputs(sp):
+        sp.add_argument("--out", default="pgcon-out", help="output directory")
+        sp.add_argument("--verbose", "-v", action="store_true")
+
     def common(sp):
+        # corpus-check runs no solve, so it reads no config
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--set", action="append", default=[], metavar="K=V",
                         help="config override, its value JSON, "
                              "applied over --config (repeatable)")
-        sp.add_argument("--out", default="pgcon-out", help="output directory")
-        sp.add_argument("--verbose", "-v", action="store_true")
+        outputs(sp)
 
     sp = sub.add_parser("solve", help="solve a problem file")
     sp.add_argument("--problem", required=True, help="JSON problem file")
@@ -163,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_bench)
 
     sp = sub.add_parser("corpus-check", help="validate oracle instances")
-    common(sp)
+    outputs(sp)
     sp.set_defaults(func=_cmd_corpus_check)
     return ap
 

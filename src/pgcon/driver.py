@@ -110,8 +110,9 @@ _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SolverConfig))
 
 def kkt_residual(p: ProblemInstance, x, y, z, g_r):
     """(chi, parts) of ``geometry.kkt_parts`` at x for the supplied
-    multiplier estimates."""
-    x = np.asarray(x, dtype=float)
+    multiplier estimates: the entry for points from outside the solver,
+    so it converts its arguments to float arrays."""
+    x, y, z, g_r = (np.asarray(a, dtype=float) for a in (x, y, z, g_r))
     parts = kkt_parts(p.g(x), p.c(x), p.J(x), p.box, p.reg.weights, x, y, z, g_r)
     return parts.chi, parts
 
@@ -171,7 +172,7 @@ _SIGN_CHARS = np.frombuffer(b"0+-", dtype="S1")
 
 def _sign_pattern(x, reg_weights) -> str:
     """One of "+", "-", "0" per weighted component of x, 0 within 1e-12."""
-    x_reg = np.asarray(x)[reg_weights > 0]
+    x_reg = x[reg_weights > 0]
     code = (x_reg > 1e-12) + 2 * (x_reg < -1e-12)
     return _SIGN_CHARS[code].tobytes().decode()
 
@@ -189,7 +190,6 @@ class _InvariantMonitor:
     def __init__(self, orthant: bool):
         self.orthant = orthant
         self.violations = []
-        self.prev_tau = None
 
     def _add(self, k, name, margin):
         self.violations.append({"k": k, "check": name, "margin": float(margin)})
@@ -203,38 +203,40 @@ class _InvariantMonitor:
             if lhs < rhs - self.SLACK:
                 self._add(k, name, rhs - lhs)
 
-    def check_iteration(self, k, *, normal, tang, x, c_val, J, alpha, tau, A_k,
-                        c_norm, cJs_norm, s_norm, v_norm, u_norm, v_unit_norm):
-        if self.prev_tau is not None and tau < self.prev_tau:
+    def check_iteration(self, rec, *, tau_prev, normal, z, x, c_val, J, A_k,
+                        cJs_norm, v_unit_norm):
+        """Check iteration ``rec.k`` from its ledger row, the merit weight
+        ``tau_prev`` it started from and what the row does not hold."""
+        k, alpha, tau, c_norm = rec.k, rec.alpha, rec.tau, rec.c_norm
+        if tau < tau_prev:
             # the update's defining inequality after any decrease
             gain = c_norm - cJs_norm
             if tau * A_k > (1.0 - glob.SIGMA_C) * gain + self.SLACK:
                 self._add(k, "tau_update_inequality",
                           tau * A_k - (1.0 - glob.SIGMA_C) * gain)
-        if s_norm / alpha <= TOL_STEP:
+        if rec.norm_s / alpha <= TOL_STEP:
             # a vanishing trial step must come from vanishing parts
             cap = max(10.0 * TOL_STEP * alpha,
                       1e-8 * (1.0 + float(np.maximum.reduce(np.abs(x), initial=0.0))))
-            if v_norm > cap or u_norm > cap:
-                self._add(k, "step_parts_vanish", max(v_norm, u_norm))
-        if normal.delta > 0 and normal.beta > 0:
-            ratio = _norm(normal.v_cauchy) / normal.beta
+            if rec.norm_v > cap or rec.norm_u > cap:
+                self._add(k, "step_parts_vanish", max(rec.norm_v, rec.norm_u))
+        if rec.delta > 0 and rec.beta > 0:
+            ratio = _norm(normal.v_cauchy) / rec.beta
             lhs = (0.5 * float(np.dot(c_val, c_val))
                    - model_value(c_val, J, normal.v_cauchy))
             self._check_bound(k, "cauchy_decrease", lhs, self.KAPPA1 * ratio,
-                              ratio, KAPPA_V * alpha * normal.delta, J)
+                              ratio, KAPPA_V * alpha * rec.delta, J)
             if c_norm > 0:
                 gain = c_norm - _norm(c_val + J @ normal.v)
                 self._check_bound(k, "linearized_gain", gain,
                                   (self.KAPPA1 / c_norm) * v_unit_norm ** 2,
                                   1.0, KAPPA_V * alpha, J)
         if self.orthant:
-            rhs = _norm(np.minimum(x, -tang.z))
-            if s_norm < rhs - self.SLACK:
-                self._add(k, "step_bounds_complementarity", rhs - s_norm)
-        if self.prev_tau is not None and tau > self.prev_tau + 1e-15:
-            self._add(k, "tau_monotone", tau - self.prev_tau)
-        self.prev_tau = tau
+            rhs = _norm(np.minimum(x, -z))
+            if rec.norm_s < rhs - self.SLACK:
+                self._add(k, "step_bounds_complementarity", rhs - rec.norm_s)
+        if tau > tau_prev + 1e-15:
+            self._add(k, "tau_monotone", tau - tau_prev)
 
     def check_shifted_merit(self, records):
         """The shifted merit tau*(f + r - f_lb) + ||c||, f_lb one below the
@@ -345,7 +347,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         v_unit_norm = _norm(normal.v_unit)
         comp_v1 = max(parts.stationarity, v_unit_norm, parts.complementarity)
 
-        s_norm, v_norm, u_norm = _norm(s), _norm(normal.v), _norm(tang.u)
+        s_norm = _norm(s)
         r_w = reg.value(w)
         A_k = glob.compute_Ak(g_s, s, alpha, r_w, r_val)
         cJs_norm = _norm(c_s + J_s @ s)
@@ -366,15 +368,10 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             # the step; alpha then shrinks
             phi_new, accepted = np.inf, False
 
-        monitor.check_iteration(
-            k, normal=normal, tang=tang, x=x, c_val=c_s, J=J_s, alpha=alpha,
-            tau=tau_new, A_k=A_k, c_norm=c_norm, cJs_norm=cJs_norm,
-            s_norm=s_norm, v_norm=v_norm, u_norm=u_norm, v_unit_norm=v_unit_norm,
-        )
-
         records.append(IterationRecord(
             k=k, x_hash=x_hash, delta=normal.delta, beta=normal.beta,
-            norm_v=v_norm, norm_u=u_norm, norm_s=s_norm, tau=tau_new, alpha=alpha,
+            norm_v=_norm(normal.v), norm_u=_norm(tang.u), norm_s=s_norm,
+            tau=tau_new, alpha=alpha,
             merit_before=phi_old, merit_after=phi_new, accepted=accepted,
             chi=parts.chi, chi_stat=parts.stationarity, chi_comp=parts.complementarity,
             chi_bar=comp_v1, c_norm=c_norm, f_val=f_s, r_val=r_val,
@@ -382,6 +379,10 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             sign_pattern=sign_pattern,
             tang_iters=tang.iterations, tang_evals=tang.evaluations,
         ))
+        monitor.check_iteration(
+            records[-1], tau_prev=tau, normal=normal, z=z, x=x, c_val=c_s, J=J_s,
+            A_k=A_k, cJs_norm=cJs_norm, v_unit_norm=v_unit_norm,
+        )
 
         # g_r must lie in lam * d|x| within tol_stat, not only in lam * d|w|
         if (parts.feasibility <= cfg.tol_c

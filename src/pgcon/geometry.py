@@ -48,7 +48,6 @@ class ActiveSet:
 
 
 def _active_masks(x, box: BoxSet):
-    x = np.asarray(x, dtype=float)
     tol = box.active_tol
     at_lo = np.isfinite(box.lower) & (x - box.lower <= tol)
     at_hi = np.isfinite(box.upper) & (box.upper - x <= tol)
@@ -57,7 +56,7 @@ def _active_masks(x, box: BoxSet):
 
 def project_box(x, box: BoxSet) -> np.ndarray:
     """Componentwise clamp of x into the box (Euclidean projection)."""
-    return np.minimum(np.maximum(np.asarray(x, dtype=float), box.lower), box.upper)
+    return np.minimum(np.maximum(x, box.lower), box.upper)
 
 
 def project_tangent_cone(d, x, box: BoxSet) -> np.ndarray:
@@ -67,7 +66,6 @@ def project_tangent_cone(d, x, box: BoxSet) -> np.ndarray:
     directions (nonpositive at upper; zero when the variable is fixed),
     elsewhere the cone is all of R.
     """
-    d = np.asarray(d, dtype=float)
     at_lo, at_hi = _active_masks(x, box)
     out = d.copy()
     out[at_lo] = np.maximum(out[at_lo], 0.0)
@@ -84,7 +82,7 @@ def compute_delta(x, grad, box: BoxSet):
     exactly when x is first-order stationary for minimizing 0.5*||c(x)||^2
     over the box.
     """
-    direction = project_tangent_cone(-np.asarray(grad, dtype=float), x, box)
+    direction = project_tangent_cone(-grad, x, box)
     return _norm(direction), direction
 
 
@@ -136,10 +134,8 @@ def kkt_parts(grad, resid, J, box: BoxSet, lam, point, y, z, g_r) -> KktParts:
     pointing at an infinite bound gives m_i = |z_i|, a sign violation; on
     the nonnegative orthant m_i = |min(x_i, -z_i)|.
     """
-    point = np.asarray(point, dtype=float)
     zero_tol = 1e-12 * (1.0 + float(np.maximum.reduce(np.abs(point), initial=0.0)))
     g_r_proj = nearest_subgradient(point, g_r, lam, zero_tol)
-    z = np.asarray(z, dtype=float)
     slack = np.where(z < 0, point - box.lower, box.upper - point)
     m = np.minimum(slack, np.abs(z))
     m[(z == 0.0) | box.fixed] = 0.0

@@ -50,7 +50,6 @@ def merit_from_parts(f_val: float, r_val: float, c_norm: float, tau: float) -> f
 
 def compute_Ak(g, s, alpha: float, r_at_xs: float, r_at_x: float) -> float:
     """Curvature-plus-regularizer part of the directional-derivative bound."""
-    s = np.asarray(s, dtype=float)
     return float(np.dot(g, s)) + float(np.dot(s, s)) / (2.0 * alpha) + r_at_xs - r_at_x
 
 
@@ -71,7 +70,6 @@ def update_tau(tau_prev: float, tau_trial_val: float) -> float:
 def sufficient_decrease(phi_new: float, phi_old: float, tau: float, alpha: float,
                         s, ck_norm: float, ck_Jk_sk_norm: float) -> bool:
     """Merit decrease test with an absolute slack for cancellation noise."""
-    s = np.asarray(s, dtype=float)
     rhs = -ETA_PHI * (tau / (4.0 * alpha) * float(np.dot(s, s))
                       + SIGMA_C * (ck_norm - ck_Jk_sk_norm))
     slack = 1e-14 * (1.0 + abs(phi_old))

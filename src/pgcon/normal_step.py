@@ -44,7 +44,7 @@ ETA_M = 1e-4
 
 
 def model_value(c_val, J_val, v) -> float:
-    r = np.asarray(c_val, dtype=float) + np.asarray(J_val, dtype=float) @ v
+    r = c_val + J_val @ v
     return 0.5 * float(np.dot(r, r))
 
 
@@ -87,7 +87,6 @@ def solve_tr_inf(x, c_val, J_val, alpha, delta, box: BoxSet):
     The radius is capped at KAPPA_V/sqrt(n) times alpha*delta so the
     2-norm bound required of any normal step holds automatically.
     """
-    x = np.asarray(x, dtype=float)
     radius = min(KAPPA_V_INF, KAPPA_V / np.sqrt(x.shape[0])) * alpha * delta
     lo = np.maximum(box.lower - x, -radius)
     hi = np.minimum(box.upper - x, radius)
@@ -101,12 +100,9 @@ def compute_normal_step(x, c_val, J_val, alpha, box: BoxSet, tol_c: float) -> No
     zero; if the violation is above tol_c this flags an infeasible
     stationary point (the caller decides when to declare it).
     """
-    x = np.asarray(x, dtype=float)
-    c_val = np.asarray(c_val, dtype=float)
-    J = np.asarray(J_val, dtype=float)
     n = x.shape[0]
 
-    grad = J.T @ c_val
+    grad = J_val.T @ c_val
     delta, _ = compute_delta(x, grad, box)
     v_unit = project_box(x - grad, box) - x
     tol_delta = 1e-12 * (1.0 + _norm(grad))
@@ -118,8 +114,8 @@ def compute_normal_step(x, c_val, J_val, alpha, box: BoxSet, tol_c: float) -> No
             delta=delta, infeasible_stationary=bool(_norm(c_val) > tol_c),
         )
 
-    beta, v_c, _ = cauchy_search(x, c_val, J, alpha, delta, box, grad, v_unit)
-    v_inf = solve_tr_inf(x, c_val, J, alpha, delta, box)
-    v = v_c if model_value(c_val, J, v_c) < model_value(c_val, J, v_inf) else v_inf
+    beta, v_c, _ = cauchy_search(x, c_val, J_val, alpha, delta, box, grad, v_unit)
+    v_inf = solve_tr_inf(x, c_val, J_val, alpha, delta, box)
+    v = v_c if model_value(c_val, J_val, v_c) < model_value(c_val, J_val, v_inf) else v_inf
     return NormalStepResult(v=v, v_cauchy=v_c, v_inf=v_inf, v_unit=v_unit,
                             beta=beta, delta=delta)

@@ -174,23 +174,22 @@ class ProblemInstance:
 
     def g(self, x) -> np.ndarray:
         v = _as_float_array(self.g_eval(np.asarray(x, dtype=float)), self.n)
-        if not np.logical_and.reduce(np.isfinite(v), axis=None):
-            bad = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise EvaluationError(f"{self.name}: gradient component {bad} is not finite")
-        return v
+        return self._finite(v, "gradient")
 
     def c(self, x) -> np.ndarray:
         v = np.asarray(self.c_eval(np.asarray(x, dtype=float)), dtype=float).reshape(self.m)
-        if not np.logical_and.reduce(np.isfinite(v), axis=None):
-            bad = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise EvaluationError(f"{self.name}: constraint component {bad} is not finite")
-        return v
+        return self._finite(v, "constraint")
 
     def J(self, x) -> np.ndarray:
         v = np.asarray(self.J_eval(np.asarray(x, dtype=float)), dtype=float).reshape(self.m, self.n)
+        return self._finite(v, "Jacobian")
+
+    def _finite(self, v: np.ndarray, what: str) -> np.ndarray:
+        """v, or EvaluationError naming its first entry that is not finite."""
         if not np.logical_and.reduce(np.isfinite(v), axis=None):
-            i, j = np.argwhere(~np.isfinite(v))[0]
-            raise EvaluationError(f"{self.name}: Jacobian entry ({i},{j}) is not finite")
+            bad = np.argwhere(~np.isfinite(v))[0].tolist()
+            where = bad[0] if v.ndim == 1 else tuple(bad)
+            raise EvaluationError(f"{self.name}: {what} entry {where} is not finite")
         return v
 
 
@@ -379,6 +378,15 @@ def load_problem(source) -> ProblemInstance:
         raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
 
+def _spec_array(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape``, or ValueError naming it and
+    both shapes; the strings "inf" and "-inf" read as infinite bounds."""
+    a = np.asarray(value, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, the problem needs {shape}")
+    return a
+
+
 def _problem_from_spec(spec: dict) -> ProblemInstance:
     kind = spec.get("kind", "quadratic")
 
@@ -400,27 +408,22 @@ def _problem_from_spec(spec: dict) -> ProblemInstance:
     n = int(spec["n"])
     m = int(spec.get("m", 0))
     d = spec["data"]
-    Q = np.asarray(d["Q"], dtype=float).reshape(n, n)
+    Q = _spec_array(d["Q"], "data.Q", (n, n))
     Q = 0.5 * (Q + Q.T)  # same f; Q x is its gradient, also for an asymmetric Q
-    lin = np.asarray(d["c"], dtype=float).reshape(n)
+    lin = _spec_array(d["c"], "data.c", (n,))
     const = float(d.get("const", 0.0))
     if m:
-        A = np.asarray(d["A"], dtype=float).reshape(m, n)
-        b = np.asarray(d["b"], dtype=float).reshape(m)
+        A = _spec_array(d["A"], "data.A", (m, n))
+        b = _spec_array(d["b"], "data.b", (m,))
     else:
         A = np.zeros((0, n))
         b = np.zeros(0)
-    w = np.asarray(spec.get("l1_weights", np.zeros(n)), dtype=float)
+    w = _spec_array(spec.get("l1_weights", np.zeros(n)), "l1_weights", (n,))
     box_spec = spec.get("box")
     if box_spec is None:
         box = BoxSet.free(n)
     else:
-        for k in ("lower", "upper"):
-            if np.ndim(box_spec[k]) != 1:
-                raise ValueError(f"box.{k} must be a list of n = {n} bounds, "
-                                 f"got {box_spec[k]!r}")
-        # float() reads the "inf" and "-inf" sentinels
-        box = BoxSet(*(np.array([float(t) for t in box_spec[k]]) for k in ("lower", "upper")))
+        box = BoxSet(*(_spec_array(box_spec[k], f"box.{k}", (n,)) for k in ("lower", "upper")))
 
     return ProblemInstance(
         name=spec.get("name", "quadratic"),

@@ -49,33 +49,31 @@ def _armijo(G, x, r, direction, t, lo, hi):
 def solve_qp(G, c0, lower, upper) -> QpSolution:
     """Projected-Newton solve; see the module docstring.  A solve that
     takes 50*max(d, 1) iterations ends with status "max_iter"."""
-    G, c0 = np.asarray(G, dtype=float), np.asarray(c0, dtype=float)
-    lo, hi = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-    if (lo > hi).any():
+    if (lower > upper).any():
         raise ValueError("box has lower_i > upper_i")
     d = G.shape[1]
-    x = np.minimum(np.maximum(np.zeros(d), lo), hi)
+    x = np.minimum(np.maximum(np.zeros(d), lower), upper)
     r = c0 + G @ x
     tol = 1e-10 * float(np.linalg.norm(G)) * float(np.linalg.norm(r))
     status = "solved"
     for iters in range(1, 50 * max(d, 1) + 1):
         g = G.T @ r
-        held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+        held = ((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0))
         free = (~held).nonzero()[0]
         if float(np.maximum.reduce(np.abs(g[free]), initial=0.0)) <= tol:
             break
         step = np.zeros(d)
         step[free] = np.linalg.lstsq(G[:, free], -r, rcond=1e-9)[0]
-        xt = _armijo(G, x, r, step, 1.0, lo, hi)
+        xt = _armijo(G, x, r, step, 1.0, lower, upper)
         if xt is None:  # projected gradient, from the minimizer along -g
             step = np.where(held, 0.0, -g)
             t = float(step @ step) / float(np.sum((G @ step) ** 2))
-            xt = _armijo(G, x, r, step, t, lo, hi)
+            xt = _armijo(G, x, r, step, t, lower, upper)
         if xt is None:
             break  # no descent left at working precision
         x, r = xt, c0 + G @ xt
     else:
         g, status = G.T @ r, "max_iter"
-        held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+        held = ((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0))
     return QpSolution(primal=x, bound_duals=np.where(held, -g, 0.0),
                       iterations=iters, status=status)

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 NOISE_STD = 0.1  # entry variance 0.01
+# |w_i| at most this counts as zero in scca_metrics' sparsity counts
+ZERO_TOL = 1e-8
 
 # Cephes ndtri: on the centre |p - 1/2| <= 1/2 - exp(-2) the deviate is
 # p - 1/2 times a rational function of its square; on the tails it is
@@ -225,7 +227,7 @@ def scca_init(data: SccaData) -> np.ndarray:
     return np.concatenate([a / (r * (a @ a)), b / (r * (b @ b)), [1.0, 1.0]])
 
 
-def scca_metrics(w_x, w_y, data: SccaData, zero_tol: float = 1e-8) -> SccaMetrics:
+def scca_metrics(w_x, w_y, data: SccaData) -> SccaMetrics:
     """Correlation, sparsity ratios, support-error count, and constraint
     violations for a candidate weight pair."""
     w_x = np.asarray(w_x, dtype=float)
@@ -235,11 +237,11 @@ def scca_metrics(w_x, w_y, data: SccaData, zero_tol: float = 1e-8) -> SccaMetric
     vx, vy = data.s * p * p, data.s * q * q
     rho = data.s * p * q / math.sqrt(vx * vy) if vx > 0 and vy > 0 else 0.0
 
-    nnz_x = int(np.count_nonzero(np.abs(w_x) > zero_tol))
-    nnz_y = int(np.count_nonzero(np.abs(w_y) > zero_tol))
+    nnz_x = int(np.count_nonzero(np.abs(w_x) > ZERO_TOL))
+    nnz_y = int(np.count_nonzero(np.abs(w_y) > ZERO_TOL))
     # nonzeros outside the ground-truth blocks: first quarter of x, last quarter of y
-    sl = int(np.count_nonzero(np.abs(w_x[nx // 4:]) > zero_tol)
-             + np.count_nonzero(np.abs(w_y[: 3 * ny // 4]) > zero_tol))
+    sl = int(np.count_nonzero(np.abs(w_x[nx // 4:]) > ZERO_TOL)
+             + np.count_nonzero(np.abs(w_y[: 3 * ny // 4]) > ZERO_TOL))
     return SccaMetrics(
         rho_xy=rho,
         sr_x=(nx - nnz_x) / nx,

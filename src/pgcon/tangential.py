@@ -346,15 +346,10 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
 
     The dual solve starts from ``y0``, the previous call's y, or from zero.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    g = np.asarray(g, dtype=float)
-    J = np.asarray(J, dtype=float)
-    m = J.shape[0]
     base = x + v
     lam = reg.weights
 
-    y0 = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float)
+    y0 = np.zeros(J.shape[0]) if y0 is None else y0
     y, u, code, iterations, evaluations = _dual_solve(
         base, -(alpha * g + v), J, alpha, lam, box.lower, box.upper, y0)
 

@@ -223,8 +223,22 @@ class TestCli:
     @pytest.mark.parametrize("content, names", [
         ("[1, 2]", "holds list"),
         (QUAD_1D % ("", ', "box": {"lower": 0.0, "upper": 1.0}'),
-         "box.lower must be a list of n = 1 bounds, got 0.0"),
-        (QUAD_1D % ("", ', "l1_weights": [[0.5, 0.5]]'), "1-D array"),
+         "box.lower has shape (), the problem needs (1,)"),
+        (QUAD_1D % ("", ', "l1_weights": [[0.5, 0.5]]'),
+         "l1_weights has shape (1, 2), the problem needs (1,)"),
+        (QUAD_1D % ("", ', "l1_weights": [0.5, 0.5]'),
+         "l1_weights has shape (2,), the problem needs (1,)"),
+        (QUAD_1D % ("", ', "box": {"lower": [0.0], "upper": [1.0, 1.0]}'),
+         "box.upper has shape (2,), the problem needs (1,)"),
+        ('{"kind": "quadratic", "n": 1, "data": {"Q": [[1.0]], "c": [0.0, 1.0]}}',
+         "data.c has shape (2,), the problem needs (1,)"),
+        (QUAD_1D % (', "A": [[1.0]], "b": [0.0, 1.0]', ', "m": 1'),
+         "data.b has shape (2,), the problem needs (1,)"),
+        ('{"kind": "quadratic", "n": 2, "m": 1, "data": {"Q": [[1, 0], [0, 1]], '
+         '"c": [0, 0], "A": [[1.0]], "b": [0.0]}}',
+         "data.A has shape (1, 1), the problem needs (1, 2)"),
+        ('{"kind": "quadratic", "n": 2, "data": {"Q": [1, 0, 0, 1], "c": [0, 0]}}',
+         "data.Q has shape (4,), the problem needs (2, 2)"),
         (QUAD_1D % ("", ', "l1_weights": ["inf"]'), "l1 weights must be finite"),
         (QUAD_1D % ("", ', "l1_weights": [NaN]'), "l1 weights must be finite"),
         (QUAD_1D % ("", ', "box": {"lower": [NaN], "upper": [1.0]}'), "must not be NaN"),
@@ -233,8 +247,9 @@ class TestCli:
          "upper_i = -inf"),
         (QUAD_1D % (', "x0": [NaN]', ""), "x0 must be finite"),
         (QUAD_1D % (', "x0": 0.5', ""), "x0 has shape (), the problem needs (1,)"),
-    ], ids=["list", "scalar-bounds", "2d-weights", "inf-weight", "nan-weight",
-            "nan-lower", "inf-lower", "-inf-upper", "nan-x0", "scalar-x0"])
+    ], ids=["list", "scalar-bounds", "2d-weights", "long-weights", "long-upper", "long-c",
+            "long-b", "short-A", "flat-Q", "inf-weight", "nan-weight", "nan-lower",
+            "inf-lower", "-inf-upper", "nan-x0", "scalar-x0"])
     def test_malformed_problem_file_exit_64(self, tmp_path, capsys, content, names):
         path = tmp_path / "p.json"
         path.write_text(content)
@@ -303,6 +318,14 @@ class TestCli:
 
     def test_corpus_check_exit_zero(self, tmp_path):
         assert main(["corpus-check", "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("flag", [["--set", "alpha0=1"], ["--config", "cfg.json"]],
+                             ids=["set", "config"])
+    def test_corpus_check_takes_no_config(self, tmp_path, flag):
+        # corpus-check runs no solve: a config flag is a usage error
+        out = tmp_path / "o"
+        assert main(["corpus-check", *flag, "--out", str(out)]) == 64
+        assert not out.exists()
 
     def test_infeasible_exit_two(self, tmp_path):
         # the certified-infeasible corpus instance through the problem-file path

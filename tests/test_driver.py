@@ -228,13 +228,71 @@ class TestSolveBehavior:
 
 
 class TestInvariantMonitor:
-    """The Cauchy-decrease and linearized-gain bounds fall as ||J||_2^2
+    """Each per-iteration check fires on an input that breaks it and passes
+    one on its boundary.
+
+    The Cauchy-decrease and linearized-gain bounds fall as ||J||_2^2
     grows, so the monitor tests each at ||J||_2^2 = 0 first and forms
     ||J||_2^2 only when that test fails.  No solve of the fingerprint sweep
-    takes the second test; these inputs do."""
+    takes the second test; the inputs of ``check`` do."""
 
-    @staticmethod
-    def check(factor, monkeypatch):
+    # an iteration k = 0 that breaks nothing: tau unchanged, a unit trial
+    # step, no normal step (delta = 0, so the Cauchy bounds are skipped)
+    ROW = dict(k=0, alpha=1.0, tau=1.0, c_norm=1.0, norm_s=1.0, norm_v=0.0, norm_u=1.0,
+               delta=0.0, beta=0.0)
+    ARGS = dict(tau_prev=1.0, normal=None, z=np.zeros(2), x=np.ones(2), c_val=np.zeros(1),
+                J=np.zeros((1, 2)), A_k=0.0, cJs_norm=0.0, v_unit_norm=0.0)
+
+    @classmethod
+    def iterate(cls, row, orthant=False, **args):
+        """The violations of one iteration: ``row`` over ``ROW`` is its
+        ledger row, ``args`` over ``ARGS`` the rest of the call."""
+        monitor = driver._InvariantMonitor(orthant)
+        monitor.check_iteration(types.SimpleNamespace(**{**cls.ROW, **row}),
+                                **{**cls.ARGS, **args})
+        return monitor.violations
+
+    def test_neutral_iteration_passes(self):
+        assert self.iterate({}) == []
+        assert self.iterate({}, orthant=True) == []
+
+    def test_tau_monotone(self):
+        assert self.iterate({"tau": 1.0 + 1e-15}) == []
+        assert self.iterate({"tau": 1.25}) == [
+            {"k": 0, "check": "tau_monotone", "margin": 0.25}]
+
+    def test_tau_decrease_at_first_iteration_checks_its_inequality(self):
+        # tau drops from TAU_INIT at k = 0: tau A_k <= (1 - SIGMA_C)(|c| - |c + J s|)
+        gain = 1.0 - 0.5  # c_norm - cJs_norm
+        bound = (1.0 - globalization.SIGMA_C) * gain
+        start = dict(tau_prev=driver.TAU_INIT, cJs_norm=0.5)
+        assert self.iterate({"tau": 0.5}, A_k=bound / 0.5, **start) == []
+        violations = self.iterate({"tau": 0.5}, A_k=bound / 0.5 + 0.5, **start)
+        assert violations == [{"k": 0, "check": "tau_update_inequality",
+                               "margin": pytest.approx(0.25, abs=1e-15)}]
+        # the inequality binds only a decreased tau
+        assert self.iterate({}, A_k=bound / 0.5 + 0.5, **start) == []
+
+    def test_step_parts_vanish(self):
+        # a vanished step (|s| / alpha <= TOL_STEP) allows parts up to
+        # 1e-8 (1 + |x|_inf) = 2e-8 here
+        row = {"norm_s": 0.0, "norm_v": 2e-8, "norm_u": 2e-8}
+        assert self.iterate(row) == []
+        assert self.iterate({**row, "norm_u": 3e-8}) == [
+            {"k": 0, "check": "step_parts_vanish", "margin": 3e-8}]
+        # a step that did not vanish bounds nothing
+        assert self.iterate({**row, "norm_s": 1e-11, "norm_u": 1.0}) == []
+
+    def test_step_bounds_complementarity(self):
+        # on the orthant |s| >= |min(x, -z)| = |(1, 0)| = 1
+        args = {"x": np.ones(2), "z": np.array([-3.0, 0.0])}
+        assert self.iterate({"norm_s": 1.0}, orthant=True, **args) == []
+        assert self.iterate({"norm_s": 0.5}, orthant=True, **args) == [
+            {"k": 0, "check": "step_bounds_complementarity", "margin": 0.5}]
+        assert self.iterate({"norm_s": 0.5}, **args) == []
+
+    @classmethod
+    def check(cls, factor, monkeypatch):
         """One iteration whose two bounds at ||J||_2^2 = 0 are ``factor``
         times their left sides; here ||J||_2^2 = 1 halves each bound.
         Returns (violations, the margins of the formula with the SVD)."""
@@ -248,8 +306,6 @@ class TestInvariantMonitor:
         v_c = np.array([p, np.sqrt(factor * lhs / K1 - p * p)])
         gain = c_norm - _norm(c + J @ v_c)
         v1n = np.sqrt(factor * gain / K1)
-        normal = types.SimpleNamespace(delta=delta, beta=beta, v=v_c, v_cauchy=v_c)
-        tang = types.SimpleNamespace(u=np.zeros(2), z=np.zeros(2))
 
         jtj = np.linalg.norm(J, 2) ** 2
         ratio = _norm(v_c) / beta
@@ -261,13 +317,13 @@ class TestInvariantMonitor:
         svds = []
         norm = np.linalg.norm
         monkeypatch.setattr(np.linalg, "norm", lambda *a: svds.append(a) or norm(*a))
-        monitor = driver._InvariantMonitor(orthant=False)
-        monitor.check_iteration(
-            0, normal=normal, tang=tang, x=np.ones(2), c_val=c, J=J, alpha=alpha,
-            tau=1.0, A_k=0.0, c_norm=c_norm, cJs_norm=1.0, s_norm=_norm(v_c),
-            v_norm=_norm(v_c), u_norm=0.0, v_unit_norm=v1n)
+        violations = cls.iterate(
+            dict(alpha=alpha, c_norm=c_norm, norm_s=_norm(v_c), norm_v=_norm(v_c),
+                 norm_u=0.0, delta=delta, beta=beta),
+            normal=types.SimpleNamespace(v=v_c, v_cauchy=v_c), c_val=c, J=J,
+            cJs_norm=1.0, v_unit_norm=v1n)
         assert len(svds) == (2 if factor > 1 else 0)
-        return monitor.violations, (float(rhs - lhs), float(rhs2 - gain))
+        return violations, (float(rhs - lhs), float(rhs2 - gain))
 
     def test_pass_at_zero_forms_no_svd(self, monkeypatch):
         assert self.check(0.5, monkeypatch)[0] == []

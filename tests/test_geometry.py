@@ -69,7 +69,7 @@ class TestProjectBox:
 class TestTangentCone:
     def test_boundary_forces_sign(self):
         box = BoxSet.nonnegative(2)
-        out = project_tangent_cone([-1.0, 1.0], [0.0, 1.0], box)
+        out = project_tangent_cone(np.array([-1.0, 1.0]), np.array([0.0, 1.0]), box)
         np.testing.assert_allclose(out, [0.0, 1.0])
 
     def test_interior_identity(self):
@@ -99,8 +99,8 @@ class TestTangentCone:
 
     def test_fixed_variable_zeroed(self):
         box = BoxSet(np.array([1.0]), np.array([1.0]))
-        assert project_tangent_cone([5.0], [1.0], box)[0] == 0.0
-        assert project_tangent_cone([-5.0], [1.0], box)[0] == 0.0
+        assert project_tangent_cone(np.array([5.0]), np.array([1.0]), box)[0] == 0.0
+        assert project_tangent_cone(np.array([-5.0]), np.array([1.0]), box)[0] == 0.0
 
 
 class TestDelta:

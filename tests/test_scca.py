@@ -166,7 +166,7 @@ class TestProblem:
         p = scca_problem(data, 1e-3)
         x0 = p.x0
         nx = data.n_x
-        met = scca_metrics(x0[:nx], x0[nx:nx + data.n_y], data, zero_tol=0.0)
+        met = scca_metrics(x0[:nx], x0[nx:nx + data.n_y], data)
         assert p.f(x0) == pytest.approx(-met.rho_xy, abs=1e-12)
 
 
@@ -178,7 +178,7 @@ class TestInit:
         # the variances s (w_x'a)^2 and s (w_y'b)^2
         assert data.s * (wx @ data.a) ** 2 == pytest.approx(1.0, abs=1e-14)
         assert data.s * (wy @ data.b) ** 2 == pytest.approx(1.0, abs=1e-14)
-        met = scca_metrics(wx, wy, data, zero_tol=0.0)
+        met = scca_metrics(wx, wy, data)
         assert max(met.voc_x, met.voc_y) <= 1e-14
         np.testing.assert_allclose(x0[-2:], [1.0, 1.0])
 
@@ -190,7 +190,7 @@ class TestInit:
         # the same draw with the noise taken out of both factors
         data = dataclasses.replace(data, a=bx, b=by)
         x0 = scca_init(data)
-        met = scca_metrics(x0[:32], x0[32:64], data, zero_tol=1e-10)
+        met = scca_metrics(x0[:32], x0[32:64], data)
         assert met.rho_xy == pytest.approx(1.0, abs=1e-6)
         wx = x0[:32]
         # recovered direction proportional to the pattern
