@@ -91,7 +91,7 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
@@ -257,13 +257,15 @@ class _InvariantMonitor:
 def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     """Run the full method on one problem instance.
 
-    f, g, c and J are evaluated once per point and kept in the caller's
-    units.  The method works on copies scaled by the factors of
-    ``scale_factors``; the KKT stop test, the ledger's chi, chi_stat and
-    chi_comp, and the report are in the caller's units.  What depends on
-    the point alone (the scaled copies, the ledger's hash, active set and
-    sign pattern, and a zero normal step, which does not depend on alpha)
-    is formed when the point changes; a rejected trial reuses it.
+    f and c are evaluated once per trial point, g and J once per point
+    the method moves to (not at a trial that ends the run), and all are
+    kept in the caller's units.  The method works on copies scaled by the
+    factors of ``scale_factors``; the KKT stop test, the ledger's chi,
+    chi_stat and chi_comp, and the report are in the caller's units.  What
+    depends on the point alone (the scaled copies, the ledger's hash,
+    active set and sign pattern, and a zero normal step, which does not
+    depend on alpha) is formed when the point changes; a rejected trial
+    reuses it.
     """
     t_start = time.perf_counter()
 
@@ -289,11 +291,16 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     g_r = np.zeros(p.n)
     new_point = True
 
-    def finish(status_):
+    def finish(status_, tested=None):
+        # tested: the stop test's unscaled (y, z, g_r) and chi, when it
+        # ran at this x with these multipliers
         monitor.check_shifted_merit(records)
-        y_un, z_un, g_r_un = scale.unscale_multipliers(y, z, g_r)
-        chi_fin = (kkt_parts(g_val, c_val, J_val, box, p.reg.weights, x,
-                             y_un, z_un, g_r_un).chi if records else np.inf)
+        if tested is not None:
+            (y_un, z_un, g_r_un), chi_fin = tested
+        else:
+            y_un, z_un, g_r_un = scale.unscale_multipliers(y, z, g_r)
+            chi_fin = (kkt_parts(g_val, c_val, J_val, box, p.reg.weights, x,
+                                 y_un, z_un, g_r_un).chi if records else np.inf)
         return SolveReport(
             status=status_, x=x.copy(), y=y_un, z=z_un, g_r=g_r_un, chi=chi_fin,
             c_norm=_norm(c_val), iterations=len(records), records=records,
@@ -342,8 +349,9 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         w = tang.w
         s = w - x
 
-        parts = kkt_parts(g_val, c_val, J_val, box, p.reg.weights, x,
-                          *scale.unscale_multipliers(y, z, g_r))
+        unscaled = scale.unscale_multipliers(y, z, g_r)
+        parts = kkt_parts(g_val, c_val, J_val, box, p.reg.weights, x, *unscaled)
+        tested = (unscaled, parts.chi)
         v_unit_norm = _norm(normal.v_unit)
         comp_v1 = max(parts.stationarity, v_unit_norm, parts.complementarity)
 
@@ -361,11 +369,9 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
                                             _norm(c_fac * c_w), tau_new)
             accepted = glob.sufficient_decrease(phi_new, phi_old, tau_new, alpha, s,
                                                 c_norm, cJs_norm)
-            if accepted:
-                g_w, J_w = p.g(w), p.J(w)
         except EvaluationError:
-            # a non-finite value or derivative at the trial point rejects
-            # the step; alpha then shrinks
+            # a non-finite value at the trial point rejects the step; alpha
+            # then shrinks
             phi_new, accepted = np.inf, False
 
         records.append(IterationRecord(
@@ -389,19 +395,28 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
                 and max(parts.stationarity, parts.subgradient_margin) <= cfg.tol_stat
                 and parts.complementarity <= cfg.tol_comp):
             records[-1].accepted = False
-            return finish("KktPoint")
+            return finish("KktPoint", tested)
 
         if tau_new < glob.TAU_FLOOR:
-            return finish("MeritCollapse")
+            return finish("MeritCollapse", tested)
         tau = tau_new
 
         vanished = s_norm / alpha <= TOL_STEP
         if vanished:
             stall_streak += 1
             if stall_streak >= 5:
-                return finish("Stalled")
+                return finish("Stalled", tested)
         else:
             stall_streak = 0
+
+        if accepted:
+            # the derivatives at w, only for a step that is taken; a
+            # non-finite one rejects it as a non-finite value would have
+            try:
+                g_w, J_w = p.g(w), p.J(w)
+            except EvaluationError:
+                accepted = records[-1].accepted = False
+                records[-1].merit_after = np.inf
 
         lipschitz = None
         if accepted and not vanished:

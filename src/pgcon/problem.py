@@ -153,9 +153,10 @@ class ProblemInstance:
 
     def __post_init__(self):
         if self.m > self.n:
-            raise ValueError("require m <= n")
-        if self.reg.dim != self.n or self.box.dim != self.n:
-            raise ValueError("regularizer/box dimension mismatch")
+            raise ValueError(f"require m <= n, got m = {self.m}, n = {self.n}")
+        for what, dim in (("l1 weights have", self.reg.dim), ("box bounds have", self.box.dim)):
+            if dim != self.n:
+                raise ValueError(f"{what} length {dim}, the problem has n = {self.n}")
         if self.x0 is not None:
             # numpy would broadcast a scalar or length-1 start to every component
             x0 = np.asarray(self.x0, dtype=float)

@@ -199,20 +199,49 @@ def _ray_maximizer(t, Jd, alpha, alpha_lam, lower, upper, slope):
     return float(pos[k] + rate[k] / kappa[k])
 
 
+def _cholesky(M):
+    """Rows of L, M = L L' for symmetric positive definite M, up to the
+    diagonal, and the reciprocals of L's diagonal, in Python floats.
+
+    From M's lower triangle by LAPACK's dpotf2 formulas: L_jj is the root
+    of a_jj less the sum of L_jk^2, and L_ij is a_ij less the sum of L_ik
+    L_jk, times 1 / L_jj.  Raises ``np.linalg.LinAlgError`` when a pivot
+    is not positive, as a NaN in M makes it.
+    """
+    L, inv = [], []
+    for i, a in enumerate(M.tolist()):
+        row = []
+        for j in range(i):
+            s, row_j = 0.0, L[j]
+            for k in range(j):
+                s += row[k] * row_j[k]
+            row.append((a[j] - s) * inv[j])
+        s = 0.0
+        for l_ik in row:
+            s += l_ik * l_ik
+        pivot = a[i] - s
+        if not pivot > 0.0:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        row.append(math.sqrt(pivot))
+        inv.append(1.0 / row[i])
+        L.append(row)
+    return L, inv
+
+
 def _cholesky_solve(M, b):
     """Solve M d = b for symmetric positive definite M by Cholesky, M = L L'.
 
-    The two triangular substitutions run in Python floats, which beat
-    numpy calls at the m <= 5 of the shipped problems.  Like OpenBLAS's
-    trsm they multiply by the reciprocal of L's diagonal and subtract the
-    solved entries one by one, so for m = 1 d equals LAPACK's
-    dpotrf/dpotrs answer bit for bit; for m >= 2 the bits differ (the
-    factor differs, and OpenBLAS fuses multiply-adds).  Raises
-    ``np.linalg.LinAlgError`` when the factorization fails or d is not
-    finite, as a NaN in M or a NaN or inf in b leaves it.
+    The factor (``_cholesky``) and both triangular substitutions run in
+    Python floats, which beat numpy calls at the m <= 5 of the shipped
+    problems.  The factor is numpy's bit for bit for m <= 2; for m >= 3
+    OpenBLAS fuses multiply-adds and the bits differ, so d depends on no
+    BLAS kernel.  Like OpenBLAS's trsm the substitutions multiply by the
+    reciprocal of L's diagonal, so for m = 1 d equals LAPACK's
+    dpotrf/dpotrs answer bit for bit.  Raises ``np.linalg.LinAlgError``
+    when the factorization fails or d is not finite, as a NaN or inf in b
+    leaves it.
     """
-    L = np.linalg.cholesky(M).tolist()
-    inv = [1.0 / row[i] for i, row in enumerate(L)]
+    L, inv = _cholesky(M)
     d = b.tolist()
     m = len(d)
     for i in range(m):  # L z = b

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -76,6 +77,11 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             SolverConfig.from_dict({"nonsense": 1})
+
+    def test_no_iteration_budget_rejected(self):
+        """SolverConfig's max_iter >= 1 check."""
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            SolverConfig(max_iter=0)
 
     @pytest.mark.parametrize("kwargs", [
         {}, {"alpha0": 1e-3, "max_iter": 7}, {"tol_c": 1e-9, "time_limit": 1},
@@ -453,6 +459,42 @@ class TestReportUnits:
             box=BoxSet.free(1))
         with pytest.raises(EvaluationError):
             solve(p, SolverConfig())
+
+
+class TestFinalIteration:
+    """The iteration that ends a run reports its stop test's certificate
+    and evaluates no derivative at its trial point."""
+
+    @staticmethod
+    def kkt_runs():
+        for inst in corpus():
+            rep = solve(inst.problem, SolverConfig(**inst.config_overrides))
+            if rep.status == "KktPoint":
+                yield inst, rep
+
+    def test_kkt_point_chi_is_the_callers_residual(self):
+        runs = list(self.kkt_runs())
+        assert len(runs) == 11
+        for inst, rep in runs:
+            assert rep.chi == kkt_residual(inst.problem, rep.x, rep.y, rep.z, rep.g_r)[0]
+
+    def test_derivatives_once_per_point_moved_to(self):
+        # the start, then each accepted step but the last row, which a
+        # KktPoint run rejects: its trial was certified, not moved to
+        for inst, _ in self.kkt_runs():
+            calls = collections.Counter()
+
+            def counted(name, fn):
+                def call(x):
+                    calls[name] += 1
+                    return fn(x)
+                return call
+
+            p = dataclasses.replace(inst.problem, g_eval=counted("g", inst.problem.g_eval),
+                                    J_eval=counted("J", inst.problem.J_eval))
+            rep = solve(p, SolverConfig(**inst.config_overrides))
+            moved = sum(r.accepted for r in rep.records)
+            assert calls == {"g": 1 + moved, "J": 1 + moved}, inst.name
 
 
 class TestStartPoint:

@@ -119,6 +119,55 @@ class TestRegularizer:
         assert self.margin(reg, np.zeros(2), np.array([2.0, -2.0])) == 0.0
 
 
+class TestEntryChecks:
+    """Each entry check rejects a malformed input and names what is wrong."""
+
+    @staticmethod
+    def instance(n=2, m=0, reg=None, box=None):
+        return ProblemInstance(
+            name="entry", n=n, m=m, f_eval=lambda x: 0.0, g_eval=lambda x: np.zeros(n),
+            c_eval=lambda x: np.zeros(m), J_eval=lambda x: np.zeros((m, n)),
+            reg=L1Regularizer(np.zeros(n)) if reg is None else reg,
+            box=BoxSet.free(n) if box is None else box)
+
+    def test_more_rows_than_variables(self):
+        """ProblemInstance's m <= n check names m and n."""
+        with pytest.raises(ValueError, match="require m <= n, got m = 3, n = 2"):
+            self.instance(m=3)
+
+    def test_weights_of_the_wrong_length(self):
+        """ProblemInstance's length check names the l1 weights and both lengths."""
+        with pytest.raises(ValueError,
+                           match="l1 weights have length 3, the problem has n = 2"):
+            self.instance(reg=L1Regularizer(np.zeros(3)))
+
+    def test_box_of_the_wrong_length(self):
+        """ProblemInstance's length check names the box and both lengths."""
+        with pytest.raises(ValueError,
+                           match="box bounds have length 1, the problem has n = 2"):
+            self.instance(box=BoxSet.free(1))
+
+    def test_two_dimensional_weights(self):
+        """L1Regularizer's 1-D check, built directly rather than by the loader."""
+        with pytest.raises(ValueError, match=r"1-D array of shape \(n,\), got shape \(1, 2\)"):
+            L1Regularizer(np.ones((1, 2)))
+
+    def test_negative_weight(self):
+        """L1Regularizer's nonnegativity check."""
+        with pytest.raises(ValueError, match="l1 weights must be nonnegative"):
+            L1Regularizer(np.array([1.0, -0.5]))
+
+    def test_bounds_of_different_lengths(self):
+        """BoxSet's shape check of the upper bounds, in _as_float_array."""
+        with pytest.raises(ValueError, match=r"expected shape \(2,\), got \(3,\)"):
+            BoxSet(np.zeros(2), np.ones(3))
+
+    def test_zero_difference_step(self):
+        """check_derivatives' h <= 0 check."""
+        with pytest.raises(ValueError, match="step size must be positive"):
+            check_derivatives(quadratic_1d(), np.zeros(1), h=0.0)
+
+
 class TestDerivativeCheck:
     def test_quadratic_exact(self):
         p = quadratic_1d()

@@ -18,6 +18,7 @@ from pgcon.tangential import (
     _POS,
     _ZERO,
     TangentialError,
+    _cholesky,
     _cholesky_solve,
     _piece,
     _piece_constants,
@@ -448,7 +449,7 @@ class TestPieceClipForm:
 
 
 class TestCholeskySolve:
-    """The dual Newton system's solve: numpy's Cholesky and two
+    """The dual Newton system's solve: a Cholesky factor and two
     substitutions in Python floats."""
 
     @staticmethod
@@ -475,6 +476,26 @@ class TestCholeskySolve:
     def test_indefinite_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             _cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_factor_equals_numpy_for_up_to_two_rows(self, m):
+        # draws scaled by 10^-3 to 10^3
+        for M, _ in self.systems(m, 3000, 10 + m):
+            L, _ = _cholesky(M)
+            ours = np.zeros((m, m))
+            for i, row in enumerate(L):
+                ours[i, :i + 1] = row
+            assert ours.tobytes() == np.linalg.cholesky(M).tobytes()
+
+    @pytest.mark.parametrize("where", [(1, 1), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_nan_in_the_matrix_fails_a_pivot(self, where):
+        # a NaN pivot fails "> 0"; an off-diagonal NaN makes the next one NaN
+        M = np.array([[2.0, 0.5], [0.5, 2.0]])
+        M[where] = M[where[::-1]] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            _cholesky(M)
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_solve(M, np.ones(2))
 
 
 class TestFallback:

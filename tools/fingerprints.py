@@ -18,7 +18,10 @@ broken.  The sweep:
 
 BLAS runs on one thread, so a sweep loads one core.  The gate grid's
 ledgers are the same on one and two threads (``tests/test_scca.py`` pins
-one cell); the other solves have not been compared.  With
+one cell); the other solves have not been compared.  The ledger hashes
+depend on the OpenBLAS kernel, which OpenBLAS picks for the CPU and
+``OPENBLAS_CORETYPE`` overrides: compare files written under one kernel,
+or compare only statuses and iterations across kernels.  With
 ``--gate-seeds 1,2,3`` a sweep is 536 solves and takes 28 s on one core
 (Python 3.11, numpy 2.4.6, a 2-vCPU Xeon VM).  ``--compare`` prints every
 solve whose fingerprint differs, or that only one side has: first those
