@@ -15,6 +15,7 @@ MeritCollapse         merit weight driven below its floor
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import globalization as glob
 from .geometry import _norm, active_set, kkt_parts, project_box
-from .normal_step import ETA_M, GAMMA, KAPPA_V, compute_normal_step, model_value
+from .normal_step import ETA_M, GAMMA, KAPPA_V, compute_normal_step
 from .problem import EvaluationError, L1Regularizer, ProblemInstance, scale_factors
 from .tangential import TangentialError, solve_tangential
 
@@ -52,13 +53,14 @@ _POSITIVE_FIELDS = ("alpha0", "tol_c", "tol_stat", "tol_comp", "time_limit")
 _FIELD_KINDS = {"int": int, "float": (int, float)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """What a run chooses: the first proximal parameter ``alpha0``, the
     KKT tolerances (``tol_c`` also marks a stationary point of the
     violation infeasible) and the budgets.  The start is the problem's
     ``x0``.  The method's fixed parameters are constants next to the
-    function that reads each."""
+    function that reads each.  A config is frozen, so its hash is formed
+    once, on the first call of ``config_hash``."""
 
     alpha0: float = 10.0
     tol_c: float = 1e-6
@@ -80,7 +82,7 @@ class SolverConfig:
             if f.type == "float":
                 # an int is stored as the float it names, so it hashes as one
                 try:
-                    setattr(self, f.name, float(val))
+                    object.__setattr__(self, f.name, float(val))
                 except OverflowError:
                     raise ValueError(f"{f.name} is too large for a float") from None
         for name in _POSITIVE_FIELDS:
@@ -101,6 +103,10 @@ class SolverConfig:
         return cls(**d)
 
     def config_hash(self) -> str:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
@@ -170,9 +176,10 @@ def _hash_point(x) -> str:
 _SIGN_CHARS = np.frombuffer(b"0+-", dtype="S1")
 
 
-def _sign_pattern(x, reg_weights) -> str:
-    """One of "+", "-", "0" per weighted component of x, 0 within 1e-12."""
-    x_reg = x[reg_weights > 0]
+def _sign_pattern(x, weighted) -> str:
+    """One of "+", "-", "0" per weighted component of x (the indices
+    ``weighted``), 0 within 1e-12."""
+    x_reg = x[weighted]
     code = (x_reg > 1e-12) + 2 * (x_reg < -1e-12)
     return _SIGN_CHARS[code].tobytes().decode()
 
@@ -222,8 +229,7 @@ class _InvariantMonitor:
                 self._add(k, "step_parts_vanish", max(rec.norm_v, rec.norm_u))
         if rec.delta > 0 and rec.beta > 0:
             ratio = _norm(normal.v_cauchy) / rec.beta
-            lhs = (0.5 * float(np.dot(c_val, c_val))
-                   - model_value(c_val, J, normal.v_cauchy))
+            lhs = 0.5 * float(np.dot(c_val, c_val)) - normal.model_cauchy
             self._check_bound(k, "cauchy_decrease", lhs, self.KAPPA1 * ratio,
                               ratio, KAPPA_V * alpha * rec.delta, J)
             if c_norm > 0:
@@ -278,11 +284,12 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     f_val, g_val, c_val, J_val = p.f(x), p.g(x), p.c(x), p.J(x)
     scale = scale_factors(g_val, J_val)
     f_fac, c_fac = scale.objective_factor, scale.constraint_factors
-    reg = L1Regularizer(f_fac * p.reg.weights)
+    reg = p.reg if f_fac == 1.0 else L1Regularizer(f_fac * p.reg.weights)
+    weighted = (reg.weights > 0).nonzero()[0]
     r_val = reg.value(x)
     tau, alpha = TAU_INIT, cfg.alpha0
 
-    monitor = _InvariantMonitor(box.is_orthant())
+    monitor = _InvariantMonitor(box.orthant)
     records: list[IterationRecord] = []
     isp_streak = 0
     stall_streak = 0
@@ -319,7 +326,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             c_s, J_s = c_fac * c_val, c_fac[:, None] * J_val
             c_norm = _norm(c_s)
             x_hash, aset = _hash_point(x), active_set(x, box)
-            sign_pattern = _sign_pattern(x, reg.weights)
+            sign_pattern = _sign_pattern(x, weighted)
             zero_normal = None
             new_point = False
         normal = (zero_normal if zero_normal is not None else

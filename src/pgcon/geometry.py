@@ -49,8 +49,8 @@ class ActiveSet:
 
 def _active_masks(x, box: BoxSet):
     tol = box.active_tol
-    at_lo = np.isfinite(box.lower) & (x - box.lower <= tol)
-    at_hi = np.isfinite(box.upper) & (box.upper - x <= tol)
+    at_lo = box.lower_finite & (x - box.lower <= tol)
+    at_hi = box.upper_finite & (box.upper - x <= tol)
     return at_lo, at_hi
 
 
@@ -67,10 +67,8 @@ def project_tangent_cone(d, x, box: BoxSet) -> np.ndarray:
     elsewhere the cone is all of R.
     """
     at_lo, at_hi = _active_masks(x, box)
-    out = d.copy()
-    out[at_lo] = np.maximum(out[at_lo], 0.0)
-    out[at_hi] = np.minimum(out[at_hi], 0.0)
-    return out
+    out = np.maximum(d, 0.0, out=d.copy(), where=at_lo)
+    return np.minimum(out, 0.0, out=out, where=at_hi)
 
 
 def compute_delta(x, grad, box: BoxSet):
@@ -99,8 +97,9 @@ def active_set(x, box: BoxSet) -> ActiveSet:
 
 def nearest_subgradient(x, v, lam, zero_tol):
     """The point of lam * d|x| nearest to v: lam_i sign(x_i) where |x_i| >
-    zero_tol, v_i clamped to [-lam_i, lam_i] elsewhere."""
-    return np.where(np.abs(x) > zero_tol, lam * np.sign(x),
+    zero_tol, v_i clamped to [-lam_i, lam_i] elsewhere.  There x_i is
+    nonzero and lam_i >= 0, so copysign gives the bits of lam_i sign(x_i)."""
+    return np.where(np.abs(x) > zero_tol, np.copysign(lam, x),
                     np.minimum(np.maximum(v, -lam), lam))
 
 

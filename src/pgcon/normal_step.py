@@ -57,28 +57,30 @@ class NormalStepResult:
     beta: float
     delta: float
     infeasible_stationary: bool = False
+    model_cauchy: Optional[float] = None  # m(v_cauchy); None for the zero step
 
 
 def cauchy_search(x, c_val, J_val, alpha, delta, box: BoxSet, grad, v_unit):
     """Backtracking projected line search along -grad, where grad = J'c.
 
-    v_unit is the trial at beta = 1.  Returns (beta, v_c, backtracks)
-    where beta = GAMMA**i for the smallest i such that v(beta) fits the
-    trust region and achieves the fraction ETA_M of first-order model
-    decrease.  When no i up to MAX_BACKTRACKS qualifies the search ends at
-    its limit beta = 0, the zero step, which passes both tests by
-    construction.
+    v_unit is the trial at beta = 1.  Returns (beta, v_c, backtracks,
+    m(v_c)) where beta = GAMMA**i for the smallest i such that v(beta)
+    fits the trust region and achieves the fraction ETA_M of first-order
+    model decrease.  When no i up to MAX_BACKTRACKS qualifies the search
+    ends at its limit beta = 0, the zero step, which passes both tests by
+    construction and whose model value is m(0) = ||c||^2 / 2.
     """
     radius = KAPPA_V * alpha * delta
     m0 = 0.5 * float(np.dot(c_val, c_val))
     beta, v = 1.0, v_unit
     for i in range(MAX_BACKTRACKS + 1):
         if _norm(v) <= radius:
-            if model_value(c_val, J_val, v) <= m0 + ETA_M * float(np.dot(grad, v)):
-                return beta, v, i
+            m_v = model_value(c_val, J_val, v)
+            if m_v <= m0 + ETA_M * float(np.dot(grad, v)):
+                return beta, v, i, m_v
         beta *= GAMMA
         v = project_box(x - beta * grad, box) - x
-    return 0.0, np.zeros_like(x), MAX_BACKTRACKS + 1
+    return 0.0, np.zeros_like(x), MAX_BACKTRACKS + 1, m0
 
 
 def solve_tr_inf(x, c_val, J_val, alpha, delta, box: BoxSet):
@@ -114,8 +116,8 @@ def compute_normal_step(x, c_val, J_val, alpha, box: BoxSet, tol_c: float) -> No
             delta=delta, infeasible_stationary=bool(_norm(c_val) > tol_c),
         )
 
-    beta, v_c, _ = cauchy_search(x, c_val, J_val, alpha, delta, box, grad, v_unit)
+    beta, v_c, _, m_c = cauchy_search(x, c_val, J_val, alpha, delta, box, grad, v_unit)
     v_inf = solve_tr_inf(x, c_val, J_val, alpha, delta, box)
-    v = v_c if model_value(c_val, J_val, v_c) < model_value(c_val, J_val, v_inf) else v_inf
+    v = v_c if m_c < model_value(c_val, J_val, v_inf) else v_inf
     return NormalStepResult(v=v, v_cauchy=v_c, v_inf=v_inf, v_unit=v_unit,
-                            beta=beta, delta=delta)
+                            beta=beta, delta=delta, model_cauchy=m_c)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -43,6 +44,11 @@ def _as_float_array(v, n=None):
     return a
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class BoxSet:
     """Axis-aligned box {x : lower <= x <= upper}; a lower bound may be
@@ -66,37 +72,43 @@ class BoxSet:
             raise ValueError("box has lower_i = inf or upper_i = -inf")
         if np.any(lo > hi):
             raise ValueError("box has lower_i > upper_i")
-        lo.flags.writeable = hi.flags.writeable = False
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "lower", _read_only(lo))
+        object.__setattr__(self, "upper", _read_only(hi))
 
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
 
     @functools.cached_property
+    def lower_finite(self) -> np.ndarray:
+        """Where the lower bound is finite."""
+        return _read_only(np.isfinite(self.lower))
+
+    @functools.cached_property
+    def upper_finite(self) -> np.ndarray:
+        """Where the upper bound is finite."""
+        return _read_only(np.isfinite(self.upper))
+
+    @functools.cached_property
     def active_tol(self) -> np.ndarray:
         """Per-component tolerance 1e-10 * (1 + |bound|) within which a
         component counts as at its bound; infinite bounds count as 0."""
-        lo = np.where(np.isfinite(self.lower), np.abs(self.lower), 0.0)
-        hi = np.where(np.isfinite(self.upper), np.abs(self.upper), 0.0)
-        tol = 1e-10 * (1.0 + np.maximum(lo, hi))
-        tol.flags.writeable = False
-        return tol
+        lo = np.where(self.lower_finite, np.abs(self.lower), 0.0)
+        hi = np.where(self.upper_finite, np.abs(self.upper), 0.0)
+        return _read_only(1e-10 * (1.0 + np.maximum(lo, hi)))
 
     @functools.cached_property
     def fixed(self) -> np.ndarray:
         """Where lower == upper: a fixed variable."""
-        fixed = self.lower == self.upper
-        fixed.flags.writeable = False
-        return fixed
+        return _read_only(self.lower == self.upper)
+
+    @functools.cached_property
+    def orthant(self) -> bool:
+        """True when the box is exactly the nonnegative orthant."""
+        return bool(np.all(self.lower == 0.0) and not self.upper_finite.any())
 
     def contains(self, x) -> bool:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
-    def is_orthant(self) -> bool:
-        """True when the box is exactly the nonnegative orthant."""
-        return bool(np.all(self.lower == 0.0) and np.all(np.isinf(self.upper)))
 
     @staticmethod
     def free(n: int) -> "BoxSet":
@@ -110,19 +122,19 @@ class BoxSet:
 @dataclass(frozen=True)
 class L1Regularizer:
     """Weighted l1 term r(x) = sum_i weights_i * |x_i|, weights_i finite
-    and >= 0."""
+    and >= 0.  The weights are a read-only copy, as a box's bounds are."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _as_float_array(self.weights)
+        w = np.array(_as_float_array(self.weights))
         if w.ndim != 1:
             raise ValueError(f"l1 weights must be a 1-D array of shape (n,), got shape {w.shape}")
         if not np.logical_and.reduce(np.isfinite(w), axis=None):
             raise ValueError("l1 weights must be finite")
         if np.any(w < 0):
             raise ValueError("l1 weights must be nonnegative")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _read_only(w))
 
     @property
     def dim(self) -> int:
@@ -138,6 +150,7 @@ class ProblemInstance:
 
     Evaluators must be pure functions of x; the solver caches their values
     per iterate and relies on repeat calls returning identical results.
+    ``x0`` is a read-only copy of the start the caller gave.
     """
 
     name: str
@@ -159,17 +172,17 @@ class ProblemInstance:
                 raise ValueError(f"{what} length {dim}, the problem has n = {self.n}")
         if self.x0 is not None:
             # numpy would broadcast a scalar or length-1 start to every component
-            x0 = np.asarray(self.x0, dtype=float)
+            x0 = np.array(self.x0, dtype=float)
             if x0.shape != (self.n,):
                 raise ValueError(f"{self.name}: x0 has shape {x0.shape}, "
                                  f"the problem needs ({self.n},)")
             if not np.isfinite(x0).all():
                 raise ValueError("x0 must be finite")
-            object.__setattr__(self, "x0", x0)
+            object.__setattr__(self, "x0", _read_only(x0))
 
     def f(self, x) -> float:
         v = float(self.f_eval(np.asarray(x, dtype=float)))
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise EvaluationError(f"{self.name}: f(x) is not finite")
         return v
 
@@ -255,8 +268,8 @@ def scale_factors(g0, J0) -> ScaleInfo:
     so the scaled problem has the same minimizers, and c_i and row i of J
     by the i-th constraint factor.
     """
-    gn = float(np.max(np.abs(g0), initial=0.0))
-    Jn = np.max(np.abs(J0), axis=1, initial=0.0)
+    gn = float(np.maximum.reduce(np.abs(g0), initial=0.0))
+    Jn = np.maximum.reduce(np.abs(J0), axis=1, initial=0.0)
     return ScaleInfo(objective_factor=100.0 / gn if gn > 100.0 else 1.0,
                      constraint_factors=np.where(Jn > 100.0, 100.0 / Jn, 1.0))
 
@@ -311,7 +324,8 @@ def add_slacks(
 
     n_tot = n + m_ineq
     m_tot = m_eq + m_ineq
-    neg_eye = -np.eye(m_ineq)  # the slack block of every Jacobian
+    # the slack blocks of every gradient and Jacobian
+    zero_slack, neg_eye = np.zeros(m_ineq), -np.eye(m_ineq)
 
     def c_all(z):
         x, s = z[:n], z[n:]
@@ -335,7 +349,7 @@ def add_slacks(
         n=n_tot,
         m=m_tot,
         f_eval=lambda z: f_eval(z[:n]),
-        g_eval=lambda z: np.concatenate([np.asarray(g_eval(z[:n]), dtype=float), np.zeros(m_ineq)]),
+        g_eval=lambda z: np.concatenate((g_eval(z[:n]), zero_slack)),
         c_eval=c_all,
         J_eval=J_all,
         reg=L1Regularizer(np.concatenate([w, np.zeros(m_ineq)])),

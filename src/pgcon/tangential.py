@@ -62,7 +62,7 @@ _NEWTON_BUDGET = 50  # Newton steps plus refinement solves per dual solve
 _MAX_BACKTRACKS = 60
 _ARMIJO = 1e-4
 _KKT_BAR = 1e-8  # absolute part of the tangential KKT bar (see kkt_bar)
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 # where a component of w(y) sits, in this order: free (by the sign of w),
 # zeroed, at a bound; so free = code < _ZERO and at a bound = code > _ZERO
 _POS, _NEG, _ZERO, _LO, _HI = 0, 1, 2, 3, 4
@@ -199,27 +199,30 @@ def _ray_maximizer(t, Jd, alpha, alpha_lam, lower, upper, slope):
     return float(pos[k] + rate[k] / kappa[k])
 
 
-def _cholesky(M):
-    """Rows of L, M = L L' for symmetric positive definite M, up to the
-    diagonal, and the reciprocals of L's diagonal, in Python floats.
+def _cholesky(G, alpha=1.0, mu=0.0):
+    """Rows of L, M = L L' for the symmetric positive definite M = alpha G
+    + mu I, up to the diagonal, and the reciprocals of L's diagonal, in
+    Python floats.
 
-    From M's lower triangle by LAPACK's dpotf2 formulas: L_jj is the root
-    of a_jj less the sum of L_jk^2, and L_ij is a_ij less the sum of L_ik
-    L_jk, times 1 / L_jj.  Raises ``np.linalg.LinAlgError`` when a pivot
-    is not positive, as a NaN in M makes it.
+    Each entry a_ij of M's lower triangle is alpha g_ij, plus mu on the
+    diagonal: the operations of numpy's ``alpha * G`` and diagonal shift.
+    From those, by LAPACK's dpotf2 formulas: L_jj is the root of a_jj less
+    the sum of L_jk^2, and L_ij is a_ij less the sum of L_ik L_jk, times
+    1 / L_jj.  Raises ``np.linalg.LinAlgError`` when a pivot is not
+    positive, as a NaN in G makes it.
     """
     L, inv = [], []
-    for i, a in enumerate(M.tolist()):
+    for i, g in enumerate(G.tolist()):
         row = []
         for j in range(i):
             s, row_j = 0.0, L[j]
             for k in range(j):
                 s += row[k] * row_j[k]
-            row.append((a[j] - s) * inv[j])
+            row.append((alpha * g[j] - s) * inv[j])
         s = 0.0
         for l_ik in row:
             s += l_ik * l_ik
-        pivot = a[i] - s
+        pivot = alpha * g[i] + mu - s
         if not pivot > 0.0:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         row.append(math.sqrt(pivot))
@@ -228,8 +231,9 @@ def _cholesky(M):
     return L, inv
 
 
-def _cholesky_solve(M, b):
-    """Solve M d = b for symmetric positive definite M by Cholesky, M = L L'.
+def _cholesky_solve(G, b, alpha=1.0, mu=0.0):
+    """Solve M d = b for the symmetric positive definite M = alpha G + mu I
+    by Cholesky, M = L L'.
 
     The factor (``_cholesky``) and both triangular substitutions run in
     Python floats, which beat numpy calls at the m <= 5 of the shipped
@@ -241,7 +245,7 @@ def _cholesky_solve(M, b):
     when the factorization fails or d is not finite, as a NaN or inf in b
     leaves it.
     """
-    L, inv = _cholesky(M)
+    L, inv = _cholesky(G, alpha, mu)
     d = b.tolist()
     m = len(d)
     for i in range(m):  # L z = b
@@ -257,6 +261,17 @@ def _cholesky_solve(M, b):
     if not all(map(math.isfinite, d)):
         raise np.linalg.LinAlgError("non-finite solution")
     return np.array(d)
+
+
+def _converged(F, Ju_abs) -> bool:
+    """The dual solve's stop test |F_i| <= 4 eps (1 + (|J| |u|)_i) for
+    every row i, in Python floats: the m rows are too few for numpy.
+    -bar <= f <= bar is |f| <= bar, a NaN in either failing both."""
+    for f, b in zip(F.tolist(), Ju_abs.tolist()):
+        bar = 4.0 * _EPS * (1.0 + b)
+        if not -bar <= f <= bar:
+            return False
+    return True
 
 
 def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
@@ -298,7 +313,7 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     theta_y = None  # theta at y, once the line search has formed it
     iterations = 0
     refine = False
-    while not np.logical_and.reduce(np.abs(F) <= 4.0 * _EPS * (1.0 + abs_J @ np.abs(u))):
+    while not _converged(F, abs_J @ np.abs(u)):
         if iterations == _NEWTON_BUDGET:
             raise TangentialError(f"dual solve ran out of its Newton budget "
                                   f"({_NEWTON_BUDGET} steps), |J u| = {_norm(F):.3g}")
@@ -314,10 +329,8 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         # J_F J_F' singular; the floor keeps dependent rows of J from
         # failing the factorization by roundoff
         mu = max(1e-8 * min(F_norm, 1.0), 1e-14 * m) * scale
-        M = alpha * (J_F @ J_F.T)
-        M.flat[:: m + 1] += mu
         try:
-            d = _cholesky_solve(M, F)
+            d = _cholesky_solve(J_F @ J_F.T, F, alpha, mu)
         except np.linalg.LinAlgError:
             raise TangentialError("dual Newton system failed its Cholesky "
                                   "factorization") from None
@@ -392,7 +405,11 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     # to the residual and z the rest
     grad = g + (u + v) / alpha
     resid = -(grad + J.T @ y)
-    z = np.where(code > _ZERO, resid - nearest_subgradient(w, resid, lam, 0.0), 0.0)
+    z = np.zeros(w.shape)
+    at_bound = (code > _ZERO).nonzero()[0]
+    if at_bound.size:
+        r = resid[at_bound]
+        z[at_bound] = r - nearest_subgradient(w[at_bound], r, lam[at_bound], 0.0)
     g_r = resid - z
 
     kkt = kkt_parts(grad, J @ u, J, box, lam, w, y, z, g_r)

@@ -356,6 +356,33 @@ class TestCli:
         assert "max_iter=True must be of type int" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_override_without_equals_exit_64(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "x", "kind": "analytic:box-qp-1"}))
+        code = main(["solve", "--problem", str(path), "--out", str(tmp_path / "o"),
+                     "--set", "alpha0"])
+        assert code == 64
+        assert ("pgcon: override 'alpha0' is not of the form key=value"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_solve_verbose_prints_its_status_line(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "x", "kind": "analytic:box-qp-1"}))
+        assert main(["solve", "--problem", str(path), "--out", str(tmp_path / "o"),
+                     "--verbose"]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert capsys.readouterr().out == (
+            f"box-qp-1: KktPoint in {report['iterations']} iterations, "
+            f"chi={report['chi']:.3e}, ||c||={report['c_norm']:.3e}\n")
+
+    def test_corpus_check_verbose_prints_each_instance(self, tmp_path, capsys):
+        assert main(["corpus-check", "--out", str(tmp_path / "o"), "--verbose"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        listed = json.loads((tmp_path / "o" / "corpus.json").read_text())
+        assert lines == [f"{i['name']}: oracle certified ({i['expected']})" for i in listed] + [
+            f"corpus-check: {len(listed)} oracle instances certified"]
+
     @pytest.mark.parametrize("bad", [{"max_iter": True}, {"max_iter": "50"},
                                      {"alpha0": "0.5"}, {"max_iter": 2.5}],
                              ids=["bool-for-int", "str-for-int", "str-for-float",

@@ -39,7 +39,7 @@ class TestValidation:
         assert any(i.expected_status == "InfeasibleStationary" for i in insts)
         assert any(i.problem.m == 0 for i in insts)  # pure box problems
         assert any(np.any(i.problem.reg.weights > 0) for i in insts)
-        assert any(i.problem.box.is_orthant() for i in insts)
+        assert any(i.problem.box.orthant for i in insts)
 
     def test_get_instance_unknown(self):
         with pytest.raises(KeyError):

@@ -94,6 +94,15 @@ class TestConfig:
         payload = json.dumps(out, sort_keys=True).encode()
         assert cfg.config_hash() == hashlib.sha256(payload).hexdigest()[:16]
 
+    def test_frozen_so_its_kept_hash_stays_true(self):
+        cfg = SolverConfig()
+        first = cfg.config_hash()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.alpha0 = 1.0
+        assert cfg.config_hash() == first
+        other = dataclasses.replace(cfg, alpha0=1.0)
+        assert other.config_hash() == SolverConfig(alpha0=1.0).config_hash() != first
+
 
 class TestKktResidual:
     def make_1d(self):
@@ -326,8 +335,9 @@ class TestInvariantMonitor:
         violations = cls.iterate(
             dict(alpha=alpha, c_norm=c_norm, norm_s=_norm(v_c), norm_v=_norm(v_c),
                  norm_u=0.0, delta=delta, beta=beta),
-            normal=types.SimpleNamespace(v=v_c, v_cauchy=v_c), c_val=c, J=J,
-            cJs_norm=1.0, v_unit_norm=v1n)
+            normal=types.SimpleNamespace(
+                v=v_c, v_cauchy=v_c, model_cauchy=normal_step.model_value(c, J, v_c)),
+            c_val=c, J=J, cJs_norm=1.0, v_unit_norm=v1n)
         assert len(svds) == (2 if factor > 1 else 0)
         return violations, (float(rhs - lhs), float(rhs2 - gain))
 

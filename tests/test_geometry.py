@@ -287,6 +287,35 @@ class TestCertificateEquivalence:
         # fixed, one-sided and free components and exact zeros in z all drawn
         assert kinds == 15
 
+    def test_copysign_is_lam_times_sign(self):
+        # where |x| > zero_tol >= 0, x is nonzero, so copysign(lam, x) has
+        # the bits of lam * sign(x); lam = 0 gives a signed zero in both
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300, 2.5, -2.5])
+        x, lam = (a.ravel() for a in np.meshgrid(specials, [0.0, -0.0, 1e-300, 0.5, 3.0]))
+        lam = np.abs(lam)
+        with np.errstate(invalid="ignore"):
+            for zero_tol in (0.0, 1e-12):
+                sel = np.abs(x) > zero_tol
+                assert _bits(np.copysign(lam, x)[sel]) == _bits((lam * np.sign(x))[sel])
+                assert _bits(nearest_subgradient(x, -x, lam, zero_tol)) == _bits(
+                    np.where(sel, lam * np.sign(x), np.minimum(np.maximum(-x, -lam), lam)))
+
+    def test_where_clamp_matches_the_mask_form(self):
+        # project_tangent_cone's where= clamps against the masked stores
+        # they replaced, signed zeros, NaN and fixed variables included
+        rng = np.random.default_rng(25)
+        for _ in range(400):
+            n = int(rng.integers(1, 12))
+            box, x, _ = random_box_case(rng, n)
+            d = rng.standard_normal(n)
+            d[rng.random(n) < 0.3] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf])
+            at_lo = np.isfinite(box.lower) & (x - box.lower <= box.active_tol)
+            at_hi = np.isfinite(box.upper) & (box.upper - x <= box.active_tol)
+            ref = d.copy()
+            ref[at_lo] = np.maximum(ref[at_lo], 0.0)
+            ref[at_hi] = np.minimum(ref[at_hi], 0.0)
+            assert _bits(project_tangent_cone(d, x, box)) == _bits(ref)
+
     def test_nearest_subgradient_matches_clip(self):
         specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 0.25, -3.0])
         grid = np.array(np.meshgrid(specials, specials, [0.0, -0.0, 0.5, 2.0, np.inf]))

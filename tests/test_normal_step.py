@@ -47,8 +47,8 @@ class TestCauchySearch:
         J = np.array([[1.0]])
         box = BoxSet.nonnegative(1)
         delta = np.linalg.norm(J.T @ c)
-        beta, v, i = search(x, c, J, 1.0, delta, box)
-        assert beta == 1.0 and i == 0
+        beta, v, i, m_v = search(x, c, J, 1.0, delta, box)
+        assert beta == 1.0 and i == 0 and m_v == 0.0
         np.testing.assert_allclose(v, [1.0])
 
     def test_radius_binding_backtracks(self):
@@ -60,7 +60,7 @@ class TestCauchySearch:
         box = BoxSet.free(2)
         delta = float(np.linalg.norm(J.T @ c))
         alpha = 1e-6  # radius 1e-3 * delta
-        beta, v, i = search(x, c, J, alpha, delta, box)
+        beta, v, i, _ = search(x, c, J, alpha, delta, box)
         assert i > 0
         assert np.linalg.norm(v) <= KAPPA_V * alpha * delta + 1e-15
         ob, ov = grid_oracle_beta(x, c, J, alpha, delta, box)
@@ -84,9 +84,11 @@ class TestCauchySearch:
                 continue
             # KAPPA_V * alpha spans 1e-1 .. 1e3, so the radius binds in some draws
             alpha = float(10 ** rng.uniform(-4, 0))
-            beta, v, i = search(x, c, J, alpha, delta, box)
+            beta, v, i, m_v = search(x, c, J, alpha, delta, box)
             ob, ov = grid_oracle_beta(x, c, J, alpha, delta, box)
             assert beta == ob
+            # the model value it returns is that of its step, bit for bit
+            assert m_v == model_value(c, J, v)
             np.testing.assert_allclose(v, ov, atol=1e-14)
             # first-order decrease direction: grad' v < 0 always at return
             assert float(grad0 @ v) < 0
@@ -98,9 +100,10 @@ class TestCauchySearch:
         J = np.array([[1.0]])
         box = BoxSet.free(1)
         # delta tiny: the norm condition needs beta ~ delta, below the cap
-        beta, v, i = search(x, c, J, 1e-33, 1e-15, box)
+        beta, v, i, m_v = search(x, c, J, 1e-33, 1e-15, box)
         assert beta == 0.0 and i == 6
         np.testing.assert_array_equal(v, [0.0])
+        assert m_v == model_value(c, J, v) == 0.5
 
     def test_step_norm_monotonicity_in_beta(self):
         # ||v(beta)|| nondecreasing and ||v(beta)||/beta nonincreasing
@@ -195,8 +198,8 @@ class TestComputeNormalStep:
             res = compute_normal_step(x, c, J, alpha, box, 1e-6)
             if res.delta == 0.0:
                 continue
-            beta, v_c, _ = search(x, c, J, alpha, res.delta, box)
-            assert beta == res.beta
+            beta, v_c, _, m_c = search(x, c, J, alpha, res.delta, box)
+            assert beta == res.beta and m_c == res.model_cauchy
             np.testing.assert_array_equal(v_c, res.v_cauchy)
             m_v = model_value(c, J, res.v)
             assert m_v <= model_value(c, J, v_c) + 1e-12
@@ -211,8 +214,9 @@ class TestComputeNormalStep:
         # the unit trial overshoots the radius, so the search ends at zero
         x, c, J = np.array([5.0]), np.array([-1.0]), np.array([[1.0]])
         res = compute_normal_step(x, c, J, 1e-4, BoxSet.free(1), 1e-6)
-        beta, _, backtracks = search(x, c, J, 1e-4, res.delta, BoxSet.free(1))
+        beta, _, backtracks, m_c = search(x, c, J, 1e-4, res.delta, BoxSet.free(1))
         assert (beta, backtracks) == (0.0, 1) and res.beta == 0.0
+        assert m_c == res.model_cauchy == model_value(c, J, res.v_cauchy)
         np.testing.assert_array_equal(res.v_cauchy, [0.0])
         np.testing.assert_array_equal(res.v_unit, [1.0])  # the beta = 1 trial
         np.testing.assert_array_equal(res.v, res.v_inf)

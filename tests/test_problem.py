@@ -35,8 +35,8 @@ class TestBox:
             BoxSet(np.array([1.0]), np.array([0.0]))
 
     def test_orthant_detection(self):
-        assert BoxSet.nonnegative(3).is_orthant()
-        assert not BoxSet.free(3).is_orthant()
+        assert BoxSet.nonnegative(3).orthant
+        assert not BoxSet.free(3).orthant
 
     @pytest.mark.parametrize("lower, upper", [
         (0.0, 1.0), (np.zeros((2, 2)), np.ones(2)), (np.zeros((1, 3)), np.ones((1, 3)))],
@@ -117,6 +117,32 @@ class TestRegularizer:
     def test_subdifferential_boundary_at_zero(self):
         reg = L1Regularizer(np.array([2.0, 2.0]))
         assert self.margin(reg, np.zeros(2), np.array([2.0, -2.0])) == 0.0
+
+
+class TestCallerArrays:
+    """A problem keeps read-only copies of the caller's weights and start,
+    so editing the caller's arrays afterwards leaves it unchanged."""
+
+    @staticmethod
+    def build(w, x0):
+        p = quadratic_1d()
+        return ProblemInstance(p.name, p.n, p.m, p.f_eval, p.g_eval, p.c_eval,
+                               p.J_eval, L1Regularizer(w), p.box, x0=x0)
+
+    def test_editing_the_callers_arrays_leaves_the_problem(self):
+        w, x0 = np.array([0.5]), np.array([2.0])
+        p = self.build(w, x0)
+        w[0], x0[0] = 7.0, -3.0
+        assert p.reg.weights[0] == 0.5 and p.x0[0] == 2.0
+        # a solve that reads p.reg as is (objective factor 1) sees no edit
+        assert solve(p, SolverConfig()).objective == solve(
+            self.build(np.array([0.5]), np.array([2.0])), SolverConfig()).objective
+
+    def test_assigning_into_the_problem_raises(self):
+        p = self.build(np.array([0.5]), np.array([2.0]))
+        for a in (p.reg.weights, p.x0):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
 
 
 class TestEntryChecks:
@@ -399,7 +425,7 @@ class TestJsonRoundtrip:
         assert p.f(x) == pytest.approx(0.5 * x @ Q @ x + lin @ x)
         np.testing.assert_allclose(p.c(x), A @ x - b)
         assert p.reg.weights[1] == 0.5
-        assert p.box.is_orthant()
+        assert p.box.orthant
         np.testing.assert_allclose(p.x0, [0.5, 0.5])
         # a symmetric Q keeps its bits in f and g
         np.testing.assert_array_equal(p.g(x), Q @ x + lin)

@@ -20,6 +20,7 @@ from pgcon.tangential import (
     TangentialError,
     _cholesky,
     _cholesky_solve,
+    _converged,
     _piece,
     _piece_constants,
     _ray_maximizer,
@@ -487,6 +488,21 @@ class TestCholeskySolve:
                 ours[i, :i + 1] = row
             assert ours.tobytes() == np.linalg.cholesky(M).tobytes()
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_scale_and_shift_equal_numpys(self, m):
+        # the factor of alpha G + mu I formed inside equals that of the
+        # matrix numpy forms, bit for bit
+        rng = np.random.default_rng(30 + m)
+        for G, _ in self.systems(m, 1000, 20 + m):
+            alpha = float(10.0 ** rng.uniform(-4, 2))
+            mu = float(rng.choice([0.0, 1e-14, 1e-8])) * float(np.trace(G))
+            M = alpha * G
+            M.flat[:: m + 1] += mu
+            # repr is exact for floats and tells -0.0 from 0.0
+            assert repr(_cholesky(G, alpha, mu)) == repr(_cholesky(M))
+            b = rng.standard_normal(m)
+            assert _cholesky_solve(G, b, alpha, mu).tobytes() == _cholesky_solve(M, b).tobytes()
+
     @pytest.mark.parametrize("where", [(1, 1), (0, 1)], ids=["diagonal", "off-diagonal"])
     def test_nan_in_the_matrix_fails_a_pivot(self, where):
         # a NaN pivot fails "> 0"; an off-diagonal NaN makes the next one NaN
@@ -496,6 +512,26 @@ class TestCholeskySolve:
             _cholesky(M)
         with pytest.raises(np.linalg.LinAlgError):
             _cholesky_solve(M, np.ones(2))
+
+
+def test_stop_test_equals_numpys():
+    # the Python-float stop test against the numpy form it replaced, on
+    # rows exactly at the bar, just over it, and at +-0, inf and NaN
+    rng = np.random.default_rng(31)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    seen = collections.Counter()
+    for _ in range(3000):
+        m = int(rng.integers(1, 4))
+        Ju_abs = np.abs(rng.standard_normal(m)) * 10.0 ** rng.integers(-3, 4, m)
+        bar = 4.0 * np.finfo(float).eps * (1.0 + Ju_abs)
+        F = rng.choice([-1.0, 1.0], m) * bar * rng.choice([0.5, 1.0, 1.0 + 2 ** -52, 2.0], m)
+        odd = rng.random(m) < 0.1
+        F[odd] = rng.choice(specials, odd.sum())
+        ref = bool(np.logical_and.reduce(np.abs(F) <= 4.0 * np.finfo(float).eps * (1.0 + Ju_abs)))
+        assert _converged(F, Ju_abs) == ref
+        seen[ref] += 1
+        seen["at the bar"] += np.sum(np.abs(F) == bar)
+    assert min(seen.values()) > 100, seen
 
 
 class TestFallback:
