@@ -29,7 +29,8 @@ import numpy as np
 from . import globalization as glob
 from .geometry import _norm, active_set, kkt_parts, project_box
 from .normal_step import ETA_M, GAMMA, KAPPA_V, compute_normal_step
-from .problem import EvaluationError, L1Regularizer, ProblemInstance, scale_factors
+from .problem import (EvaluationError, L1Regularizer, ProblemInstance, _float_array,
+                      scale_factors)
 from .tangential import TangentialError, solve_tangential
 
 __all__ = [
@@ -117,8 +118,10 @@ _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(SolverConfig))
 def kkt_residual(p: ProblemInstance, x, y, z, g_r):
     """(chi, parts) of ``geometry.kkt_parts`` at x for the supplied
     multiplier estimates: the entry for points from outside the solver,
-    so it converts its arguments to float arrays."""
-    x, y, z, g_r = (np.asarray(a, dtype=float) for a in (x, y, z, g_r))
+    so it checks their shapes, x, z and g_r (n,) and y (m,)."""
+    n, m = (p.n,), (p.m,)
+    x, y, z, g_r = (_float_array(x, "x", n), _float_array(y, "y", m),
+                    _float_array(z, "z", n), _float_array(g_r, "g_r", n))
     parts = kkt_parts(p.g(x), p.c(x), p.J(x), p.box, p.reg.weights, x, y, z, g_r)
     return parts.chi, parts
 
@@ -297,10 +300,10 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     z = np.zeros(p.n)
     g_r = np.zeros(p.n)
     new_point = True
+    # the last stop test's unscaled (y, z, g_r) and chi, while x is where it ran
+    tested = None
 
-    def finish(status_, tested=None):
-        # tested: the stop test's unscaled (y, z, g_r) and chi, when it
-        # ran at this x with these multipliers
+    def finish(status_):
         monitor.check_shifted_merit(records)
         if tested is not None:
             (y_un, z_un, g_r_un), chi_fin = tested
@@ -402,17 +405,17 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
                 and max(parts.stationarity, parts.subgradient_margin) <= cfg.tol_stat
                 and parts.complementarity <= cfg.tol_comp):
             records[-1].accepted = False
-            return finish("KktPoint", tested)
+            return finish("KktPoint")
 
         if tau_new < glob.TAU_FLOOR:
-            return finish("MeritCollapse", tested)
+            return finish("MeritCollapse")
         tau = tau_new
 
         vanished = s_norm / alpha <= TOL_STEP
         if vanished:
             stall_streak += 1
             if stall_streak >= 5:
-                return finish("Stalled", tested)
+                return finish("Stalled")
         else:
             stall_streak = 0
 
@@ -435,7 +438,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             x = w
             f_val, r_val, c_val = f_w, r_w, c_w
             g_val, J_val = g_w, J_w
-            new_point = True
+            new_point, tested = True, None
         if not (accepted and vanished):
             # a vanishing accepted step says nothing about the proximal
             # scale; growing alpha on it would reset the stationarity streak

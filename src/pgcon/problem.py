@@ -37,10 +37,15 @@ class EvaluationError(RuntimeError):
     """A problem evaluator produced a NaN or Inf."""
 
 
-def _as_float_array(v, n=None):
-    a = np.asarray(v, dtype=float)
-    if n is not None and a.shape != (n,):
-        raise ValueError(f"expected shape ({n},), got {a.shape}")
+def _float_array(value, what: str, shape: Optional[tuple] = None) -> np.ndarray:
+    """``value`` as a float array of ``shape`` (any length of 1-D when
+    ``shape`` is None), or ValueError naming ``what`` and both shapes.
+    Every array that enters pgcon passes here; the strings "inf" and
+    "-inf" read as infinite bounds."""
+    a = np.asarray(value, dtype=float)
+    if (a.ndim != 1) if shape is None else (a.shape != shape):
+        need = "(n,)" if shape is None else shape
+        raise ValueError(f"{what} has shape {a.shape}, the problem needs {need}")
     return a
 
 
@@ -61,11 +66,8 @@ class BoxSet:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.array(_as_float_array(self.lower))
-        if lo.ndim != 1:
-            raise ValueError(f"box bounds must be 1-D arrays of shape (n,), "
-                             f"got lower of shape {lo.shape}")
-        hi = np.array(_as_float_array(self.upper, lo.shape[0]))
+        lo = np.array(_float_array(self.lower, "box.lower"))
+        hi = np.array(_float_array(self.upper, "box.upper", lo.shape))
         if np.isnan(lo).any() or np.isnan(hi).any():
             raise ValueError("box bounds must not be NaN")
         if (lo == np.inf).any() or (hi == -np.inf).any():
@@ -74,10 +76,6 @@ class BoxSet:
             raise ValueError("box has lower_i > upper_i")
         object.__setattr__(self, "lower", _read_only(lo))
         object.__setattr__(self, "upper", _read_only(hi))
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
 
     @functools.cached_property
     def lower_finite(self) -> np.ndarray:
@@ -127,18 +125,12 @@ class L1Regularizer:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(_as_float_array(self.weights))
-        if w.ndim != 1:
-            raise ValueError(f"l1 weights must be a 1-D array of shape (n,), got shape {w.shape}")
+        w = np.array(_float_array(self.weights, "l1_weights"))
         if not np.logical_and.reduce(np.isfinite(w), axis=None):
             raise ValueError("l1 weights must be finite")
         if np.any(w < 0):
             raise ValueError("l1 weights must be nonnegative")
         object.__setattr__(self, "weights", _read_only(w))
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[0]
 
     def value(self, x) -> float:
         return float(np.dot(self.weights, np.abs(x)))
@@ -167,15 +159,11 @@ class ProblemInstance:
     def __post_init__(self):
         if self.m > self.n:
             raise ValueError(f"require m <= n, got m = {self.m}, n = {self.n}")
-        for what, dim in (("l1 weights have", self.reg.dim), ("box bounds have", self.box.dim)):
-            if dim != self.n:
-                raise ValueError(f"{what} length {dim}, the problem has n = {self.n}")
+        _float_array(self.reg.weights, "l1_weights", (self.n,))
+        _float_array(self.box.lower, "box.lower", (self.n,))
         if self.x0 is not None:
             # numpy would broadcast a scalar or length-1 start to every component
-            x0 = np.array(self.x0, dtype=float)
-            if x0.shape != (self.n,):
-                raise ValueError(f"{self.name}: x0 has shape {x0.shape}, "
-                                 f"the problem needs ({self.n},)")
+            x0 = np.array(_float_array(self.x0, f"{self.name}: x0", (self.n,)))
             if not np.isfinite(x0).all():
                 raise ValueError("x0 must be finite")
             object.__setattr__(self, "x0", _read_only(x0))
@@ -187,19 +175,19 @@ class ProblemInstance:
         return v
 
     def g(self, x) -> np.ndarray:
-        v = _as_float_array(self.g_eval(np.asarray(x, dtype=float)), self.n)
-        return self._finite(v, "gradient")
+        return self._checked(self.g_eval(np.asarray(x, dtype=float)), "gradient", (self.n,))
 
     def c(self, x) -> np.ndarray:
-        v = np.asarray(self.c_eval(np.asarray(x, dtype=float)), dtype=float).reshape(self.m)
-        return self._finite(v, "constraint")
+        return self._checked(self.c_eval(np.asarray(x, dtype=float)), "constraint", (self.m,))
 
     def J(self, x) -> np.ndarray:
-        v = np.asarray(self.J_eval(np.asarray(x, dtype=float)), dtype=float).reshape(self.m, self.n)
-        return self._finite(v, "Jacobian")
+        return self._checked(self.J_eval(np.asarray(x, dtype=float)), "Jacobian",
+                             (self.m, self.n))
 
-    def _finite(self, v: np.ndarray, what: str) -> np.ndarray:
-        """v, or EvaluationError naming its first entry that is not finite."""
+    def _checked(self, v, what: str, shape: tuple) -> np.ndarray:
+        """v as a float array of ``shape``, or ValueError naming it and both
+        shapes, or EvaluationError naming its first entry that is not finite."""
+        v = _float_array(v, f"{self.name}: {what}", shape)
         if not np.logical_and.reduce(np.isfinite(v), axis=None):
             bad = np.argwhere(~np.isfinite(v))[0].tolist()
             where = bad[0] if v.ndim == 1 else tuple(bad)
@@ -235,7 +223,7 @@ def check_derivatives(p: ProblemInstance, x, h: Optional[float] = None) -> Deriv
 
     Returns the max over components of |fd - analytic| / (1 + |analytic|).
     """
-    x = _as_float_array(x, p.n)
+    x = _float_array(x, "x", (p.n,))
     if h is None:
         h = 1e-6 * (1.0 + float(np.max(np.abs(x), initial=0.0)))
     if h <= 0:
@@ -299,9 +287,9 @@ def add_slacks(
     weights are extended by zeros on the slack block.  ``x0``, if given, is
     the start point over (x, s).
     """
-    x_lower = _as_float_array(x_lower, n)
-    x_upper = _as_float_array(x_upper, n)
-    w = np.zeros(n) if l1_weights is None else _as_float_array(l1_weights, n)
+    x_lower = _float_array(x_lower, "x_lower", (n,))
+    x_upper = _float_array(x_upper, "x_upper", (n,))
+    w = np.zeros(n) if l1_weights is None else _float_array(l1_weights, "l1_weights", (n,))
 
     if m_ineq == 0:
         return ProblemInstance(
@@ -317,8 +305,8 @@ def add_slacks(
             x0=x0,
         )
 
-    c_lower = _as_float_array(c_lower, m_ineq)
-    c_upper = _as_float_array(c_upper, m_ineq)
+    c_lower = _float_array(c_lower, "c_lower", (m_ineq,))
+    c_upper = _float_array(c_upper, "c_upper", (m_ineq,))
     if np.any(c_lower > c_upper):
         raise ValueError("inequality bounds have c_lower_i > c_upper_i")
 
@@ -331,16 +319,16 @@ def add_slacks(
         x, s = z[:n], z[n:]
         parts = []
         if m_eq:
-            parts.append(np.asarray(cE_eval(x), dtype=float).reshape(m_eq))
-        parts.append(np.asarray(cI_eval(x), dtype=float).reshape(m_ineq) - s)
+            parts.append(_float_array(cE_eval(x), f"{name}: cE", (m_eq,)))
+        parts.append(_float_array(cI_eval(x), f"{name}: cI", (m_ineq,)) - s)
         return np.concatenate(parts)
 
     def J_all(z):
         x = z[:n]
         Jm = np.zeros((m_tot, n_tot))
         if m_eq:
-            Jm[:m_eq, :n] = np.asarray(JE_eval(x), dtype=float).reshape(m_eq, n)
-        Jm[m_eq:, :n] = np.asarray(JI_eval(x), dtype=float).reshape(m_ineq, n)
+            Jm[:m_eq, :n] = _float_array(JE_eval(x), f"{name}: JE", (m_eq, n))
+        Jm[m_eq:, :n] = _float_array(JI_eval(x), f"{name}: JI", (m_ineq, n))
         Jm[m_eq:, n:] = neg_eye
         return Jm
 
@@ -393,15 +381,6 @@ def load_problem(source) -> ProblemInstance:
         raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
 
-def _spec_array(value, name: str, shape: tuple) -> np.ndarray:
-    """``value`` as a float array of ``shape``, or ValueError naming it and
-    both shapes; the strings "inf" and "-inf" read as infinite bounds."""
-    a = np.asarray(value, dtype=float)
-    if a.shape != shape:
-        raise ValueError(f"{name} has shape {a.shape}, the problem needs {shape}")
-    return a
-
-
 def _problem_from_spec(spec: dict) -> ProblemInstance:
     kind = spec.get("kind", "quadratic")
 
@@ -423,22 +402,22 @@ def _problem_from_spec(spec: dict) -> ProblemInstance:
     n = int(spec["n"])
     m = int(spec.get("m", 0))
     d = spec["data"]
-    Q = _spec_array(d["Q"], "data.Q", (n, n))
+    Q = _float_array(d["Q"], "data.Q", (n, n))
     Q = 0.5 * (Q + Q.T)  # same f; Q x is its gradient, also for an asymmetric Q
-    lin = _spec_array(d["c"], "data.c", (n,))
+    lin = _float_array(d["c"], "data.c", (n,))
     const = float(d.get("const", 0.0))
     if m:
-        A = _spec_array(d["A"], "data.A", (m, n))
-        b = _spec_array(d["b"], "data.b", (m,))
+        A = _float_array(d["A"], "data.A", (m, n))
+        b = _float_array(d["b"], "data.b", (m,))
     else:
         A = np.zeros((0, n))
         b = np.zeros(0)
-    w = _spec_array(spec.get("l1_weights", np.zeros(n)), "l1_weights", (n,))
+    w = _float_array(spec.get("l1_weights", np.zeros(n)), "l1_weights", (n,))
     box_spec = spec.get("box")
     if box_spec is None:
         box = BoxSet.free(n)
     else:
-        box = BoxSet(*(_spec_array(box_spec[k], f"box.{k}", (n,)) for k in ("lower", "upper")))
+        box = BoxSet(*(_float_array(box_spec[k], f"box.{k}", (n,)) for k in ("lower", "upper")))
 
     return ProblemInstance(
         name=spec.get("name", "quadratic"),

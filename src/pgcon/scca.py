@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemInstance, add_slacks
+from .problem import ProblemInstance, _float_array, add_slacks
 
 __all__ = [
     "SccaData",
@@ -230,9 +230,8 @@ def scca_init(data: SccaData) -> np.ndarray:
 def scca_metrics(w_x, w_y, data: SccaData) -> SccaMetrics:
     """Correlation, sparsity ratios, support-error count, and constraint
     violations for a candidate weight pair."""
-    w_x = np.asarray(w_x, dtype=float)
-    w_y = np.asarray(w_y, dtype=float)
     nx, ny = data.n_x, data.n_y
+    w_x, w_y = _float_array(w_x, "w_x", (nx,)), _float_array(w_y, "w_y", (ny,))
     p, q = float(w_x @ data.a), float(w_y @ data.b)
     vx, vy = data.s * p * p, data.s * q * q
     rho = data.s * p * q / math.sqrt(vx * vy) if vx > 0 and vy > 0 else 0.0

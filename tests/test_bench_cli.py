@@ -383,6 +383,25 @@ class TestCli:
         assert lines == [f"{i['name']}: oracle certified ({i['expected']})" for i in listed] + [
             f"corpus-check: {len(listed)} oracle instances certified"]
 
+    def test_bench_verbose_prints_a_cells_error(self, tmp_path, capsys):
+        """cli.py's bench error row: a cell that raises prints its error on
+        its row, and the run exits 1."""
+        assert main(["bench", "--suite", "scca", "--n", "8", "--lambda", "-1",
+                     "--verbose", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().out == (
+            "scca-8 lambda=-1 seed=0: Error  [ValueError: lam must be positive]\n")
+
+    def test_out_is_a_file_exit_1(self, tmp_path, capsys):
+        """cli.py's catch-all: an --out that names an existing file is an
+        error of the run (1), not of its usage (64)."""
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "x", "kind": "analytic:box-qp-1"}))
+        out = tmp_path / "o"
+        out.write_text("")
+        assert main(["solve", "--problem", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("pgcon: FileExistsError: ")
+        assert out.read_text() == ""
+
     @pytest.mark.parametrize("bad", [{"max_iter": True}, {"max_iter": "50"},
                                      {"alpha0": "0.5"}, {"max_iter": 2.5}],
                              ids=["bool-for-int", "str-for-int", "str-for-float",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,16 @@ class TestValidation:
         )
         with pytest.raises(RuntimeError):
             validate_corpus([broken])
+
+    def test_feasible_infeasible_stationary_oracle_rejected(self):
+        """corpus.py's infeasible-stationary oracle check: an oracle point
+        where c = 0 certifies no infeasible stationarity."""
+        inst = get_instance("infeas-1")
+        assert inst.expected_status == "InfeasibleStationary"
+        feasible = dataclasses.replace(
+            inst, problem=dataclasses.replace(inst.problem, c_eval=lambda x: np.zeros(1)))
+        with pytest.raises(RuntimeError, match="infeas-1: infeasible-stationary oracle failed"):
+            validate_corpus([feasible])
 
     def test_variety(self):
         insts = corpus()

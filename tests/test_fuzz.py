@@ -87,7 +87,9 @@ def test_five_vanishing_steps_end_stalled():
     # rng 7, trial 8 (n = m = 3): of 510 draws from
     # rngs 5, 6, 7 (150 each) and 99 (60), one of the five that leave
     # through the vanishing-step exit (rng 5 #89, rng 6 #36, rng 7 #102
-    # and rng 99 #37 are the others), at a point with ||c|| = 0.196
+    # and rng 99 #37 are the others), at a point with ||c|| = 0.196.  The
+    # iteration it ends at is rounding: 45 under OpenBLAS's SkylakeX kernel,
+    # 50 under Haswell, Zen and Sandybridge, so only the exit is pinned
     rng = np.random.default_rng(7)
     for trial in range(9):
         p, cfg = fuzz_case(rng, trial)
@@ -95,7 +97,7 @@ def test_five_vanishing_steps_end_stalled():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = solve(p, cfg)
-    assert (rep.status, rep.iterations) == ("Stalled", 45)
+    assert rep.status == "Stalled"
     assert abs(np.linalg.norm(p.c_eval(rep.x)) - 0.196) < 5e-4
     vanished = [r.norm_s / r.alpha <= TOL_STEP for r in rep.records]
     assert vanished[-6:] == [False] + [True] * 5

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pgcon.driver import SolverConfig, solve
+from pgcon.corpus import get_instance
+from pgcon.driver import SolverConfig, kkt_residual, solve
 from pgcon.geometry import kkt_parts
 from pgcon.problem import (
     BoxSet,
@@ -37,13 +40,6 @@ class TestBox:
     def test_orthant_detection(self):
         assert BoxSet.nonnegative(3).orthant
         assert not BoxSet.free(3).orthant
-
-    @pytest.mark.parametrize("lower, upper", [
-        (0.0, 1.0), (np.zeros((2, 2)), np.ones(2)), (np.zeros((1, 3)), np.ones((1, 3)))],
-        ids=["scalar", "2-D lower", "2-D both"])
-    def test_bounds_must_be_1d(self, lower, upper):
-        with pytest.raises(ValueError, match=r"1-D arrays of shape \(n,\)"):
-            BoxSet(lower, upper)
 
     @pytest.mark.parametrize("lower, upper, match", [
         ([np.nan, 0.0], [1.0, 1.0], "NaN"),
@@ -145,8 +141,73 @@ class TestCallerArrays:
                 a[0] = 1.0
 
 
+# n = 3, m = 2: min 0.5 |x - t|^2  s.t.  A x = b, with J_eval returning A'
+# in place of A.  Reshaped to (2, 3) it would be a wrong J of the right
+# shape, and the solve would run to MaxIter; with A it ends KktPoint
+_A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
+_T = np.array([1.0, -1.0, 2.0])
+
+
+def transposed_jacobian():
+    return ProblemInstance(
+        name="transposed", n=3, m=2, f_eval=lambda x: 0.5 * float((x - _T) @ (x - _T)),
+        g_eval=lambda x: x - _T, c_eval=lambda x: _A @ x - np.array([1.0, 0.5]),
+        J_eval=lambda x: _A.T, reg=L1Regularizer(np.zeros(3)), box=BoxSet.free(3))
+
+
+def kkt_of_eq_quad_1(**replaced):
+    """kkt_residual at eq-quad-1's oracle, with some multipliers replaced."""
+    inst = get_instance("eq-quad-1")
+    mult = dict(y=inst.oracle_y, z=inst.oracle_z, g_r=inst.oracle_g_r) | replaced
+    return kkt_residual(inst.problem, inst.oracle_x, **mult)
+
+
+def flat_inequality_jacobian():
+    """add_slacks with m_ineq = 1 and JI returning the row as a 1-D array."""
+    p = add_slacks("flat", 2, lambda x: 0.0, lambda x: np.zeros(2), None, None,
+                   lambda x: np.array([x[0] + x[1]]), lambda x: np.ones(2), 0, 1,
+                   np.full(2, -np.inf), np.full(2, np.inf), [-1.0], [1.0])
+    return p.J(np.zeros(3))
+
+
 class TestEntryChecks:
     """Each entry check rejects a malformed input and names what is wrong."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: BoxSet(0.0, 1.0), "box.lower has shape (), the problem needs (n,)"),
+        (lambda: BoxSet(np.zeros((2, 2)), np.ones(2)),
+         "box.lower has shape (2, 2), the problem needs (n,)"),
+        (lambda: BoxSet(np.zeros((1, 3)), np.ones((1, 3))),
+         "box.lower has shape (1, 3), the problem needs (n,)"),
+        (lambda: BoxSet(np.zeros(2), np.ones(3)),
+         "box.upper has shape (3,), the problem needs (2,)"),
+        (lambda: L1Regularizer(np.ones((1, 2))),
+         "l1_weights has shape (1, 2), the problem needs (n,)"),
+        (lambda: TestEntryChecks.instance(reg=L1Regularizer(np.zeros(3))),
+         "l1_weights has shape (3,), the problem needs (2,)"),
+        (lambda: TestEntryChecks.instance(box=BoxSet.free(1)),
+         "box.lower has shape (1,), the problem needs (2,)"),
+        (lambda: transposed_jacobian().J(np.zeros(3)),
+         "transposed: Jacobian has shape (3, 2), the problem needs (2, 3)"),
+        (lambda: solve(transposed_jacobian(), SolverConfig()),
+         "transposed: Jacobian has shape (3, 2), the problem needs (2, 3)"),
+        (lambda: dataclasses.replace(transposed_jacobian(),
+                                     c_eval=lambda x: (_A @ x)[:, None]).c(np.zeros(3)),
+         "transposed: constraint has shape (2, 1), the problem needs (2,)"),
+        (flat_inequality_jacobian, "flat: JI has shape (2,), the problem needs (1, 2)"),
+        (lambda: kkt_of_eq_quad_1(g_r=[0.0]), "g_r has shape (1,), the problem needs (2,)"),
+        (lambda: kkt_of_eq_quad_1(z=0.0), "z has shape (), the problem needs (2,)"),
+    ], ids=["bounds-scalar", "bounds-2d-lower", "bounds-2d-both", "bounds-of-different-lengths",
+            "weights-2d", "weights-of-the-wrong-length", "box-of-the-wrong-length",
+            "transposed-jacobian", "transposed-jacobian-solve", "constraint-column",
+            "add-slacks-flat-JI", "kkt-residual-length-1-g_r", "kkt-residual-scalar-z"])
+    def test_names_the_array_and_both_shapes(self, make, message):
+        """One shape rule, ``problem._float_array``, at every entry: a
+        malformed array raises ValueError naming it and both shapes, before
+        any iteration of a solve."""
+        with pytest.raises(ValueError) as err:
+            make()
+        assert message in str(err.value)
 
     @staticmethod
     def instance(n=2, m=0, reg=None, box=None):
@@ -161,32 +222,10 @@ class TestEntryChecks:
         with pytest.raises(ValueError, match="require m <= n, got m = 3, n = 2"):
             self.instance(m=3)
 
-    def test_weights_of_the_wrong_length(self):
-        """ProblemInstance's length check names the l1 weights and both lengths."""
-        with pytest.raises(ValueError,
-                           match="l1 weights have length 3, the problem has n = 2"):
-            self.instance(reg=L1Regularizer(np.zeros(3)))
-
-    def test_box_of_the_wrong_length(self):
-        """ProblemInstance's length check names the box and both lengths."""
-        with pytest.raises(ValueError,
-                           match="box bounds have length 1, the problem has n = 2"):
-            self.instance(box=BoxSet.free(1))
-
-    def test_two_dimensional_weights(self):
-        """L1Regularizer's 1-D check, built directly rather than by the loader."""
-        with pytest.raises(ValueError, match=r"1-D array of shape \(n,\), got shape \(1, 2\)"):
-            L1Regularizer(np.ones((1, 2)))
-
     def test_negative_weight(self):
         """L1Regularizer's nonnegativity check."""
         with pytest.raises(ValueError, match="l1 weights must be nonnegative"):
             L1Regularizer(np.array([1.0, -0.5]))
-
-    def test_bounds_of_different_lengths(self):
-        """BoxSet's shape check of the upper bounds, in _as_float_array."""
-        with pytest.raises(ValueError, match=r"expected shape \(2,\), got \(3,\)"):
-            BoxSet(np.zeros(2), np.ones(3))
 
     def test_zero_difference_step(self):
         """check_derivatives' h <= 0 check."""
