@@ -263,7 +263,7 @@ def validate_corpus(instances=None) -> list[CorpusInstance]:
         p = inst.problem
         if inst.expected_status == "InfeasibleStationary":
             c_val = p.c(inst.oracle_x)
-            delta, _ = compute_delta(inst.oracle_x, p.J(inst.oracle_x).T @ c_val, p.box)
+            delta = compute_delta(inst.oracle_x, p.J(inst.oracle_x).T @ c_val, p.box)
             c_norm = float(np.linalg.norm(c_val))
             if delta > 1e-12 or c_norm <= 1e-6:
                 raise RuntimeError(

@@ -384,6 +384,28 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             # then shrinks
             phi_new, accepted = np.inf, False
 
+        # every decision before the one ledger row: the stop, by priority,
+        # then the derivatives at w for a step taken with no stop
+        vanished = s_norm / alpha <= TOL_STEP
+        stall_streak = stall_streak + 1 if vanished else 0
+        stop = None
+        # g_r must lie in lam * d|x| within tol_stat, not only in lam * d|w|
+        if (parts.feasibility <= cfg.tol_c
+                and max(parts.stationarity, parts.subgradient_margin) <= cfg.tol_stat
+                and parts.complementarity <= cfg.tol_comp):
+            stop, accepted = "KktPoint", False
+        elif tau_new < glob.TAU_FLOOR:
+            stop = "MeritCollapse"
+        elif stall_streak >= 5:
+            stop = "Stalled"
+        elif accepted:
+            # the derivatives at w; a non-finite one rejects the step as a
+            # non-finite value would have
+            try:
+                g_w, J_w = p.g(w), p.J(w)
+            except EvaluationError:
+                phi_new, accepted = np.inf, False
+
         records.append(IterationRecord(
             k=k, x_hash=x_hash, delta=normal.delta, beta=normal.beta,
             norm_v=_norm(normal.v), norm_u=_norm(tang.u), norm_s=s_norm,
@@ -399,34 +421,9 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             records[-1], tau_prev=tau, normal=normal, z=z, x=x, c_val=c_s, J=J_s,
             A_k=A_k, cJs_norm=cJs_norm, v_unit_norm=v_unit_norm,
         )
-
-        # g_r must lie in lam * d|x| within tol_stat, not only in lam * d|w|
-        if (parts.feasibility <= cfg.tol_c
-                and max(parts.stationarity, parts.subgradient_margin) <= cfg.tol_stat
-                and parts.complementarity <= cfg.tol_comp):
-            records[-1].accepted = False
-            return finish("KktPoint")
-
-        if tau_new < glob.TAU_FLOOR:
-            return finish("MeritCollapse")
+        if stop is not None:
+            return finish(stop)
         tau = tau_new
-
-        vanished = s_norm / alpha <= TOL_STEP
-        if vanished:
-            stall_streak += 1
-            if stall_streak >= 5:
-                return finish("Stalled")
-        else:
-            stall_streak = 0
-
-        if accepted:
-            # the derivatives at w, only for a step that is taken; a
-            # non-finite one rejects it as a non-finite value would have
-            try:
-                g_w, J_w = p.g(w), p.J(w)
-            except EvaluationError:
-                accepted = records[-1].accepted = False
-                records[-1].merit_after = np.inf
 
         lipschitz = None
         if accepted and not vanished:

@@ -74,14 +74,12 @@ def project_tangent_cone(d, x, box: BoxSet) -> np.ndarray:
 def compute_delta(x, grad, box: BoxSet):
     """Stationarity measure of the squared-violation function over the box.
 
-    grad = J'c is the gradient of 0.5*||c(x)||^2.  Returns (delta, dir)
-    where dir is the projection of -grad onto the tangent cone at x and
-    delta = ||dir||_2.  delta = 0 at any feasible x and, more generally,
-    exactly when x is first-order stationary for minimizing 0.5*||c(x)||^2
-    over the box.
+    grad = J'c is the gradient of 0.5*||c(x)||^2.  Returns delta, the
+    2-norm of the projection of -grad onto the tangent cone at x.
+    delta = 0 at any feasible x and, more generally, exactly when x is
+    first-order stationary for minimizing 0.5*||c(x)||^2 over the box.
     """
-    direction = project_tangent_cone(-grad, x, box)
-    return _norm(direction), direction
+    return _norm(project_tangent_cone(-grad, x, box))
 
 
 def active_set(x, box: BoxSet) -> ActiveSet:

@@ -105,7 +105,7 @@ def compute_normal_step(x, c_val, J_val, alpha, box: BoxSet, tol_c: float) -> No
     n = x.shape[0]
 
     grad = J_val.T @ c_val
-    delta, _ = compute_delta(x, grad, box)
+    delta = compute_delta(x, grad, box)
     v_unit = project_box(x - grad, box) - x
     tol_delta = 1e-12 * (1.0 + _norm(grad))
 

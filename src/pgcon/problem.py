@@ -337,7 +337,8 @@ def add_slacks(
         n=n_tot,
         m=m_tot,
         f_eval=lambda z: f_eval(z[:n]),
-        g_eval=lambda z: np.concatenate((g_eval(z[:n]), zero_slack)),
+        g_eval=lambda z: np.concatenate((_float_array(g_eval(z[:n]), f"{name}: g", (n,)),
+                                         zero_slack)),
         c_eval=c_all,
         J_eval=J_all,
         reg=L1Regularizer(np.concatenate([w, np.zeros(m_ineq)])),

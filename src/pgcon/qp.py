@@ -6,11 +6,12 @@ Optim. 1991) from zero clipped into the box.  Each iteration holds the
 components at a bound whose gradient points outward, takes the
 rank-truncated least-squares step on the rest (near-null directions of G
 carry no model decrease), and backtracks along its projection onto the
-box to an Armijo decrease, or along the projected gradient when that
-path gives none.  Many bounds change per iteration; active components
-are exact bound values.  The solve ends "solved" when the unheld
-gradient is at most 1e-10*||G||_F*||r0||, r0 = c0 + G x0 (|G'r| never
-exceeds ||G||_F*||r0|| on a decreasing path), or when no descent is left.
+box to an Armijo decrease.  Many bounds change per iteration; active
+components are exact bound values.  The solve ends "solved" when the
+unheld gradient is at most 1e-10*||G||_F*||r0||, r0 = c0 + G x0 (|G'r|
+never exceeds ||G||_F*||r0|| on a decreasing path), or when the path
+gives no decrease: the normal step compares the answer with the Cauchy
+point, which alone supplies the decrease the method needs.
 
 Dual sign convention:  G'(c0 + G x) + z = 0  with  z_i <= 0 when x_i is
 at its lower bound, z_i >= 0 at its upper bound, z_i = 0 otherwise.
@@ -33,24 +34,23 @@ class QpSolution:
     status: str  # "solved" | "max_iter"
 
 
-def _armijo(G, x, r, direction, t, lo, hi):
-    """The first clip(x + t*direction) over t, t/2, ... (60 halvings) whose
-    model change (G s)'(r + 0.5 G s) is at most 1e-4 times a negative r'G s."""
-    for _ in range(60):
-        xt = np.minimum(np.maximum(x + t * direction, lo), hi)
+def _armijo(G, x, r, direction, lo, hi):
+    """The first clip(x + t*direction) over t = 1, 1/2, ... (60 halvings)
+    whose model change (G s)'(r + 0.5 G s) is at most 1e-4 times a
+    negative r'G s, or None when none is."""
+    for i in range(60):
+        xt = np.minimum(np.maximum(x + 0.5 ** i * direction, lo), hi)
         Gs = G @ (xt - x)
         slope = float(r @ Gs)
         if slope < 0.0 and float(Gs @ (r + 0.5 * Gs)) <= 1e-4 * slope:
             return xt
-        t *= 0.5
     return None
 
 
 def solve_qp(G, c0, lower, upper) -> QpSolution:
-    """Projected-Newton solve; see the module docstring.  A solve that
-    takes 50*max(d, 1) iterations ends with status "max_iter"."""
-    if (lower > upper).any():
-        raise ValueError("box has lower_i > upper_i")
+    """Projected-Newton solve over a box with lower <= upper; see the
+    module docstring.  A solve that takes 50*max(d, 1) iterations ends
+    with status "max_iter"."""
     d = G.shape[1]
     x = np.minimum(np.maximum(np.zeros(d), lower), upper)
     r = c0 + G @ x
@@ -64,11 +64,7 @@ def solve_qp(G, c0, lower, upper) -> QpSolution:
             break
         step = np.zeros(d)
         step[free] = np.linalg.lstsq(G[:, free], -r, rcond=1e-9)[0]
-        xt = _armijo(G, x, r, step, 1.0, lower, upper)
-        if xt is None:  # projected gradient, from the minimizer along -g
-            step = np.where(held, 0.0, -g)
-            t = float(step @ step) / float(np.sum((G @ step) ** 2))
-            xt = _armijo(G, x, r, step, t, lower, upper)
+        xt = _armijo(G, x, r, step, lower, upper)
         if xt is None:
             break  # no descent left at working precision
         x, r = xt, c0 + G @ xt

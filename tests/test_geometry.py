@@ -107,8 +107,9 @@ class TestDelta:
     def test_feasible_point_zero(self):
         box = BoxSet.nonnegative(2)
         J = np.array([[1.0, 1.0]])
-        delta, direction = compute_delta([0.5, 0.5], J.T @ np.zeros(1), box)
+        delta = compute_delta([0.5, 0.5], J.T @ np.zeros(1), box)
         assert delta == 0.0
+        direction = project_tangent_cone(-(J.T @ np.zeros(1)), [0.5, 0.5], box)
         np.testing.assert_allclose(direction, np.zeros(2))
 
     def test_corner_value(self):
@@ -116,8 +117,9 @@ class TestDelta:
         box = BoxSet.nonnegative(2)
         J = np.array([[1.0, 1.0]])
         c = np.array([-1.0])
-        delta, direction = compute_delta([0.0, 0.0], J.T @ c, box)
+        delta = compute_delta([0.0, 0.0], J.T @ c, box)
         assert delta == pytest.approx(np.sqrt(2.0))
+        direction = project_tangent_cone(-(J.T @ c), [0.0, 0.0], box)
         np.testing.assert_allclose(direction, [1.0, 1.0])
 
     def test_interior_norm(self):
@@ -125,7 +127,7 @@ class TestDelta:
         rng = np.random.default_rng(2)
         J = rng.standard_normal((2, 3))
         c = rng.standard_normal(2)
-        delta, _ = compute_delta(np.zeros(3), J.T @ c, box)
+        delta = compute_delta(np.zeros(3), J.T @ c, box)
         assert delta == pytest.approx(np.linalg.norm(J.T @ c))
 
 

@@ -79,7 +79,7 @@ class TestCauchySearch:
             box = BoxSet(lo, np.full(n, np.inf))
             x = project_box(rng.standard_normal(n), box)
             grad0 = J.T @ c
-            delta, _ = compute_delta(x, grad0, box)
+            delta = compute_delta(x, grad0, box)
             if delta < 1e-10:
                 continue
             # KAPPA_V * alpha spans 1e-1 .. 1e3, so the radius binds in some draws

@@ -170,6 +170,14 @@ def flat_inequality_jacobian():
     return p.J(np.zeros(3))
 
 
+def long_inequality_gradient():
+    """add_slacks with n = 2 and g returning three entries."""
+    p = add_slacks("long", 2, lambda x: 0.0, lambda x: np.zeros(3), None, None,
+                   lambda x: np.array([x[0] + x[1]]), lambda x: np.ones((1, 2)), 0, 1,
+                   np.full(2, -np.inf), np.full(2, np.inf), [-1.0], [1.0])
+    return p.g(np.zeros(3))
+
+
 class TestEntryChecks:
     """Each entry check rejects a malformed input and names what is wrong."""
 
@@ -195,12 +203,14 @@ class TestEntryChecks:
                                      c_eval=lambda x: (_A @ x)[:, None]).c(np.zeros(3)),
          "transposed: constraint has shape (2, 1), the problem needs (2,)"),
         (flat_inequality_jacobian, "flat: JI has shape (2,), the problem needs (1, 2)"),
+        (long_inequality_gradient, "long: g has shape (3,), the problem needs (2,)"),
         (lambda: kkt_of_eq_quad_1(g_r=[0.0]), "g_r has shape (1,), the problem needs (2,)"),
         (lambda: kkt_of_eq_quad_1(z=0.0), "z has shape (), the problem needs (2,)"),
     ], ids=["bounds-scalar", "bounds-2d-lower", "bounds-2d-both", "bounds-of-different-lengths",
             "weights-2d", "weights-of-the-wrong-length", "box-of-the-wrong-length",
             "transposed-jacobian", "transposed-jacobian-solve", "constraint-column",
-            "add-slacks-flat-JI", "kkt-residual-length-1-g_r", "kkt-residual-scalar-z"])
+            "add-slacks-flat-JI", "add-slacks-long-g", "kkt-residual-length-1-g_r",
+            "kkt-residual-scalar-z"])
     def test_names_the_array_and_both_shapes(self, make, message):
         """One shape rule, ``problem._float_array``, at every entry: a
         malformed array raises ValueError naming it and both shapes, before

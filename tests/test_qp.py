@@ -82,3 +82,47 @@ class TestKernel:
         free_grad = grad[z == 0.0]
         tol = 1e-10 * np.linalg.norm(G) * np.linalg.norm(c0)
         assert np.abs(free_grad).max(initial=0.0) <= tol
+
+
+class TestExits:
+    """The kernel's two exits short of its gradient test."""
+
+    def test_no_descent_left_ends_in_the_box(self, monkeypatch):
+        # runs _armijo's `return None` and solve_qp's no-descent `break`:
+        # the trust-region subproblem of fuzz rng 7 #108, whose Newton path
+        # stops giving an Armijo decrease before the gradient test passes.
+        # The iteration count moves with the BLAS kernel, so it is not pinned.
+        G = np.array([[-0.3308714856245393, 0.6613789366010102],
+                      [-0.7734350036082451, 1.5672129296601351]])
+        c0 = np.array([-0.3244007758709751, -0.36472585722695317])
+        radius = 0.007308083799400975
+        lower, upper = np.full(2, -radius), np.full(2, radius)
+        real, answers = qp_mod._armijo, []
+
+        def armijo(*args):
+            answers.append(real(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(qp_mod, "_armijo", armijo)
+        sol = qp_mod.solve_qp(G, c0, lower, upper)
+        assert answers[-1] is None
+        assert sol.status == "solved"
+        assert np.all((lower <= sol.primal) & (sol.primal <= upper))
+
+        def model(x):
+            return 0.5 * float(np.sum((c0 + G @ x) ** 2))
+
+        assert model(sol.primal) <= model(np.zeros(2))
+
+    def test_max_iter_exit_forms_the_duals_at_the_last_point(self, monkeypatch):
+        # runs the loop's `else` branch: a stand-in _armijo that returns the
+        # point it was given never converges.  From x = 0, component 0 sits
+        # on its lower bound with an outward gradient 2, so it is held with
+        # dual -2; component 1 is free
+        monkeypatch.setattr(qp_mod, "_armijo", lambda G, x, r, direction, lo, hi: x)
+        sol = qp_mod.solve_qp(np.eye(2), np.array([2.0, -4.0]), np.array([0.0, -1.0]),
+                              np.ones(2))
+        assert sol.status == "max_iter"
+        assert sol.iterations == 100
+        np.testing.assert_array_equal(sol.primal, [0.0, 0.0])
+        np.testing.assert_array_equal(sol.bound_duals, [-2.0, 0.0])

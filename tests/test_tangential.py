@@ -10,6 +10,7 @@ from pgcon.bench import corpus_suite, run_benchmark
 from pgcon.driver import SolverConfig, solve
 from pgcon.geometry import kkt_parts
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
+from pgcon.scca import scca_generate, scca_problem
 from pgcon.tangential import (
     _ARMIJO,
     _HI,
@@ -478,6 +479,12 @@ class TestCholeskySolve:
         with pytest.raises(np.linalg.LinAlgError):
             _cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
+    def test_non_finite_right_hand_side_raises(self):
+        # runs the substitutions' finite check: the factor of I is fine, and
+        # the inf in b passes through to d
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite solution"):
+            _cholesky_solve(np.eye(1), np.array([np.inf]))
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_factor_equals_numpy_for_up_to_two_rows(self, m):
         # draws scaled by 10^-3 to 10^3
@@ -569,6 +576,23 @@ class TestFallback:
             solve_tangential(np.zeros(2), np.zeros(2), np.ones(2), J, 1.0,
                              L1Regularizer(np.zeros(2)), BoxSet.free(2))
 
+    def test_line_search_that_never_rises_fails(self, monkeypatch):
+        # runs the dual line search's failure: a stand-in _piece gives the
+        # start its true piece and every trial point NaN, so no trial passes
+        # the Armijo test in _MAX_BACKTRACKS halvings
+        calls = []
+
+        def nan_trials(tau, consts):
+            calls.append(tau)
+            u, code = _piece(tau, consts)
+            return (u if len(calls) == 1 else np.full_like(u, np.nan)), code
+
+        monkeypatch.setattr(tangential, "_piece", nan_trials)
+        with pytest.raises(TangentialError, match="line search failed after 60 backtracks"):
+            solve_tangential(np.zeros(2), np.zeros(2), np.array([1.0, 2.0]), np.ones((1, 2)),
+                             1.0, L1Regularizer(np.zeros(2)), BoxSet.free(2))
+        assert len(calls) == 61
+
     def test_driver_run_stalls_naming_the_cause(self):
         # min g'x s.t. J x = 0 from x = 0: the first tangential subproblem
         # is the one above
@@ -580,6 +604,19 @@ class TestFallback:
             box=BoxSet.free(2), x0=np.zeros(2))
         with pytest.warns(UserWarning, match="iteration 0: .*Newton budget"):
             rep = solve(p, SolverConfig(alpha0=1.0))
+        assert rep.status == "Stalled"
+        assert rep.iterations == 0
+
+    def test_kkt_bar_miss_stalls_an_scca_cell(self):
+        # runs the KKT-bar raise, on a known defect: the dual solve's
+        # refinement carries a component across its kink without rechecking
+        # its piece, so the answer of this cell's first tangential solve
+        # misses the bar.  The fix the ROADMAP describes (recheck the piece
+        # after a refined step) ends this cell KktPoint; this test changes
+        # with it
+        p = scca_problem(scca_generate(3200, 3200, 3200, seed=1), 1e-3)
+        with pytest.warns(UserWarning, match="iteration 0: .*misses the tangential KKT bar"):
+            rep = solve(p, SolverConfig(alpha0=1e-3))
         assert rep.status == "Stalled"
         assert rep.iterations == 0
 
@@ -710,6 +747,13 @@ class TestRaySearch:
         assert s == np.inf
         vals = [along(step) for step in np.linspace(0.0, 100.0, 101)]
         assert np.all(np.diff(vals) > 0.0)
+
+    def test_direction_that_moves_no_component(self):
+        # runs the early `inf`: J'd = 0 moves no component of w, so the ray
+        # crosses no kink and theta rises along it without bound
+        n = 3
+        assert _ray_maximizer(np.ones(n), np.zeros(n), 1.0, np.zeros(n), np.full(n, -1.0),
+                              np.ones(n), 1.0) == np.inf
 
     def test_tiny_and_zero_directions_raise_no_warning(self):
         # ends of (J'd)_i = 1e-300 overflow to inf and (J'd)_i = 0 has none;
