@@ -3,7 +3,7 @@
 Subcommands:
   solve         solve one problem from a JSON problem file (one SCCA
                 cell is a problem file of kind "scca")
-  bench         run a benchmark suite (corpus and/or an SCCA grid)
+  bench         run a benchmark suite (the corpus or an SCCA grid)
   corpus-check  validate every built-in oracle instance
 
 solve and bench build cells and run them through
@@ -106,12 +106,10 @@ def _cmd_bench(args) -> int:
                                          ("--seed", args.seed)) if value]
         if grid:
             raise ValueError(f"{', '.join(grid)}: --suite corpus runs no SCCA grid")
-    cells = []
-    if args.suite in ("corpus", "all"):
-        cells += corpus_suite(cfg)
-    if args.suite in ("scca", "all"):
-        cells += scca_suite(args.n or [200], args.lam or [1e-2, 1e-3, 1e-4],
-                            args.seed or [0], cfg)
+        cells = corpus_suite(cfg)
+    else:
+        cells = scca_suite(args.n or [200], args.lam or [1e-2, 1e-3, 1e-4],
+                           args.seed or [0], cfg)
     results = run_benchmark(cells)
     out = _out_dir(args)
     (out / "results.csv").write_text(results_to_csv(results))
@@ -159,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("bench", help="run a benchmark suite")
-    sp.add_argument("--suite", choices=["corpus", "scca", "all"], default="corpus")
+    sp.add_argument("--suite", choices=["corpus", "scca"], default="corpus")
     sp.add_argument("--n", type=int, action="append", help="SCCA sizes (repeatable)")
     sp.add_argument("--lambda", dest="lam", type=float, action="append")
     sp.add_argument("--seed", type=int, action="append")

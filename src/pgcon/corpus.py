@@ -284,7 +284,7 @@ def corpus() -> list[CorpusInstance]:
 
 
 def get_instance(name: str) -> CorpusInstance:
-    for inst in _build():
+    for inst in corpus():
         if inst.name == name:
             return inst
     raise KeyError(f"no corpus instance named {name!r}")

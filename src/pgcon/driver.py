@@ -49,7 +49,6 @@ TAU_INIT = 1.0
 # a trial step with ||s|| / alpha at most this has vanished
 TOL_STEP = 1e-12
 
-_POSITIVE_FIELDS = ("alpha0", "tol_c", "tol_stat", "tol_comp", "time_limit")
 # the value types each declared field type accepts
 _FIELD_KINDS = {"int": int, "float": (int, float)}
 
@@ -71,27 +70,23 @@ class SolverConfig:
     time_limit: float = 3600.0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         for f in dataclasses.fields(self):
             kinds = _FIELD_KINDS[f.type]
             val = getattr(self, f.name)
             # bool is an int subclass, but no field takes one
             if not isinstance(val, kinds) or isinstance(val, bool):
                 raise ValueError(f"{f.name}={val!r} must be of type {f.type}")
+            if not val > 0:
+                raise ValueError(f"{f.name}={val!r} must be positive")
             if f.type == "float":
                 # an int is stored as the float it names, so it hashes as one
                 try:
                     object.__setattr__(self, f.name, float(val))
                 except OverflowError:
                     raise ValueError(f"{f.name} is too large for a float") from None
-        for name in _POSITIVE_FIELDS:
-            val = getattr(self, name)
-            if not val > 0:
-                raise ValueError(f"{name}={val!r} must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if self.alpha0 > glob.ALPHA_MAX:
+            # the method never takes alpha above ALPHA_MAX itself
+            raise ValueError(f"alpha0={self.alpha0!r} must be at most {glob.ALPHA_MAX:g}")
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in _FIELD_NAMES}
@@ -278,10 +273,9 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     """
     t_start = time.perf_counter()
 
-    x_init = p.x0 if p.x0 is not None else np.zeros(p.n)
     box = p.box
-    x = project_box(x_init, box)
-    if not np.array_equal(x, x_init):
+    x = project_box(p.x0, box)
+    if not np.array_equal(x, p.x0):
         warnings.warn(f"{p.name}: starting point projected into the box")
 
     f_val, g_val, c_val, J_val = p.f(x), p.g(x), p.c(x), p.J(x)

@@ -142,7 +142,8 @@ class ProblemInstance:
 
     Evaluators must be pure functions of x; the solver caches their values
     per iterate and relies on repeat calls returning identical results.
-    ``x0`` is a read-only copy of the start the caller gave.
+    ``x0`` is a read-only copy of the start the caller gave, or zeros
+    when none is given.
     """
 
     name: str
@@ -161,12 +162,12 @@ class ProblemInstance:
             raise ValueError(f"require m <= n, got m = {self.m}, n = {self.n}")
         _float_array(self.reg.weights, "l1_weights", (self.n,))
         _float_array(self.box.lower, "box.lower", (self.n,))
-        if self.x0 is not None:
-            # numpy would broadcast a scalar or length-1 start to every component
-            x0 = np.array(_float_array(self.x0, f"{self.name}: x0", (self.n,)))
-            if not np.isfinite(x0).all():
-                raise ValueError("x0 must be finite")
-            object.__setattr__(self, "x0", _read_only(x0))
+        # numpy would broadcast a scalar or length-1 start to every component
+        x0 = (np.zeros(self.n) if self.x0 is None
+              else np.array(_float_array(self.x0, f"{self.name}: x0", (self.n,))))
+        if not np.isfinite(x0).all():
+            raise ValueError("x0 must be finite")
+        object.__setattr__(self, "x0", _read_only(x0))
 
     def f(self, x) -> float:
         v = float(self.f_eval(np.asarray(x, dtype=float)))
@@ -226,8 +227,8 @@ def check_derivatives(p: ProblemInstance, x, h: Optional[float] = None) -> Deriv
     x = _float_array(x, "x", (p.n,))
     if h is None:
         h = 1e-6 * (1.0 + float(np.max(np.abs(x), initial=0.0)))
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got h={h!r}")
 
     g = p.g(x)
     g_fd = np.empty(p.n)
@@ -285,28 +286,13 @@ def add_slacks(
     The output instance has equality constraints [cE(x); cI(x) - s] = 0 and
     box [x_lower; c_lower] <= (x, s) <= [x_upper; c_upper].  Regularizer
     weights are extended by zeros on the slack block.  ``x0``, if given, is
-    the start point over (x, s).
+    the start point over (x, s).  Either block of rows may be empty.
     """
     x_lower = _float_array(x_lower, "x_lower", (n,))
     x_upper = _float_array(x_upper, "x_upper", (n,))
     w = np.zeros(n) if l1_weights is None else _float_array(l1_weights, "l1_weights", (n,))
-
-    if m_ineq == 0:
-        return ProblemInstance(
-            name=name,
-            n=n,
-            m=m_eq,
-            f_eval=f_eval,
-            g_eval=g_eval,
-            c_eval=(cE_eval if m_eq else (lambda x: np.zeros(0))),
-            J_eval=(JE_eval if m_eq else (lambda x: np.zeros((0, n)))),
-            reg=L1Regularizer(w),
-            box=BoxSet(x_lower, x_upper),
-            x0=x0,
-        )
-
-    c_lower = _float_array(c_lower, "c_lower", (m_ineq,))
-    c_upper = _float_array(c_upper, "c_upper", (m_ineq,))
+    c_lower = _float_array(c_lower if m_ineq else (), "c_lower", (m_ineq,))
+    c_upper = _float_array(c_upper if m_ineq else (), "c_upper", (m_ineq,))
     if np.any(c_lower > c_upper):
         raise ValueError("inequality bounds have c_lower_i > c_upper_i")
 
@@ -320,15 +306,17 @@ def add_slacks(
         parts = []
         if m_eq:
             parts.append(_float_array(cE_eval(x), f"{name}: cE", (m_eq,)))
-        parts.append(_float_array(cI_eval(x), f"{name}: cI", (m_ineq,)) - s)
-        return np.concatenate(parts)
+        if m_ineq:
+            parts.append(_float_array(cI_eval(x), f"{name}: cI", (m_ineq,)) - s)
+        return np.concatenate(parts) if parts else zero_slack
 
     def J_all(z):
         x = z[:n]
         Jm = np.zeros((m_tot, n_tot))
         if m_eq:
             Jm[:m_eq, :n] = _float_array(JE_eval(x), f"{name}: JE", (m_eq, n))
-        Jm[m_eq:, :n] = _float_array(JI_eval(x), f"{name}: JI", (m_ineq, n))
+        if m_ineq:
+            Jm[m_eq:, :n] = _float_array(JI_eval(x), f"{name}: JI", (m_ineq, n))
         Jm[m_eq:, n:] = neg_eye
         return Jm
 
@@ -341,7 +329,7 @@ def add_slacks(
                                          zero_slack)),
         c_eval=c_all,
         J_eval=J_all,
-        reg=L1Regularizer(np.concatenate([w, np.zeros(m_ineq)])),
+        reg=L1Regularizer(np.concatenate([w, zero_slack])),
         box=BoxSet(np.concatenate([x_lower, c_lower]), np.concatenate([x_upper, c_upper])),
         x0=x0,
     )

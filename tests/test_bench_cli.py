@@ -427,6 +427,16 @@ class TestCli:
         assert code == 64
         assert not (tmp_path / "o").exists()
 
+    def test_alpha0_infinity_exit_64(self, tmp_path, capsys):
+        # JSON's Infinity is a float, but above ALPHA_MAX: a usage error
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"name": "x", "kind": "analytic:eq-quad-1"}))
+        code = main(["solve", "--problem", str(path), "--out",
+                     str(tmp_path / "o"), "--set", "alpha0=Infinity"])
+        assert code == 64
+        assert "pgcon: alpha0=inf must be at most 1e+06" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_max_backtracks_exit_64(self, tmp_path):
         # the Cauchy search's budget is a constant now: an unknown key
         path = tmp_path / "p.json"
@@ -471,6 +481,12 @@ class TestCli:
     def test_scca_subcommand_is_gone(self, tmp_path):
         out = tmp_path / "scca"
         assert main(["scca", "--n", "48", "--lambda", "1e-2", "--out", str(out)]) == 64
+        assert not out.exists()
+
+    def test_bench_suite_all_is_gone(self, tmp_path):
+        # a bench run builds the cells of one suite
+        out = tmp_path / "bench"
+        assert main(["bench", "--suite", "all", "--out", str(out)]) == 64
         assert not out.exists()
 
     def test_solve_scca_problem_file_writes_its_ledger(self, tmp_path):
@@ -526,9 +542,10 @@ class TestCli:
         cfg_path.write_text(json.dumps({"alpha0": 0.5, "max_iter": 3}))
         for sets, alpha0 in (([], 0.5), (["--set", "alpha0=0.25"], 0.25)):
             seen.clear()
-            code = main(["bench", "--suite", "all", "--n", "32", "--lambda", "1e-2",
-                         "--lambda", "1e-3", "--config", str(cfg_path),
-                         "--out", str(tmp_path / "out")] + sets)
-            assert code == 0
+            for suite in (["corpus"], ["scca", "--n", "32", "--lambda", "1e-2",
+                                       "--lambda", "1e-3"]):
+                code = main(["bench", "--suite", *suite, "--config", str(cfg_path),
+                             "--out", str(tmp_path / "out")] + sets)
+                assert code == 0
             # the corpus cells and both SCCA cells take one config
             assert len(seen) > 2 and set(seen) == {(alpha0, 3)}

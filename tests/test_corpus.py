@@ -53,6 +53,17 @@ class TestValidation:
         assert any(np.any(i.problem.reg.weights > 0) for i in insts)
         assert any(i.problem.box.orthant for i in insts)
 
+    def test_get_instance_certifies(self, monkeypatch):
+        # a test or an analytic:<id> file gets no instance whose oracle is wrong
+        import pgcon.corpus
+
+        build = pgcon.corpus._build
+        off = [dataclasses.replace(i, oracle_x=i.oracle_x + 0.1) if i.name == "box-qp-1"
+               else i for i in build()]
+        monkeypatch.setattr(pgcon.corpus, "_build", lambda: off)
+        with pytest.raises(RuntimeError, match="box-qp-1: oracle KKT residual"):
+            get_instance("eq-quad-1")
+
     def test_get_instance_unknown(self):
         with pytest.raises(KeyError):
             get_instance("does-not-exist")

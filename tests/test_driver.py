@@ -79,9 +79,19 @@ class TestConfig:
             SolverConfig.from_dict({"nonsense": 1})
 
     def test_no_iteration_budget_rejected(self):
-        """SolverConfig's max_iter >= 1 check."""
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        """SolverConfig's positivity check on its int field max_iter."""
+        with pytest.raises(ValueError, match="max_iter=0 must be positive"):
             SolverConfig(max_iter=0)
+
+    @pytest.mark.parametrize("alpha0", [np.inf, 1e12, np.nextafter(1e6, np.inf)])
+    def test_alpha0_above_alpha_max_rejected(self, alpha0):
+        # the method never takes alpha above ALPHA_MAX itself; a start above
+        # it ended Stalled (alpha0 = inf at iteration 0)
+        with pytest.raises(ValueError, match="alpha0=.* must be at most 1e\\+06"):
+            SolverConfig(alpha0=alpha0)
+
+    def test_alpha0_at_alpha_max_accepted(self):
+        assert SolverConfig(alpha0=1e6).alpha0 == globalization.ALPHA_MAX
 
     @pytest.mark.parametrize("kwargs", [
         {}, {"alpha0": 1e-3, "max_iter": 7}, {"tol_c": 1e-9, "time_limit": 1},

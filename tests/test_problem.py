@@ -178,6 +178,13 @@ def long_inequality_gradient():
     return p.g(np.zeros(3))
 
 
+def equalities_only(long):
+    """add_slacks with m_ineq = 0, n = 1 and cE or g returning two entries."""
+    return add_slacks("plain", 1, lambda x: 0.0, lambda x: np.zeros(1 + (long == "g")),
+                      lambda x: np.zeros(1 + (long == "cE")), lambda x: np.ones((1, 1)),
+                      None, None, 1, 0, [0.0], [np.inf])
+
+
 class TestEntryChecks:
     """Each entry check rejects a malformed input and names what is wrong."""
 
@@ -204,12 +211,17 @@ class TestEntryChecks:
          "transposed: constraint has shape (2, 1), the problem needs (2,)"),
         (flat_inequality_jacobian, "flat: JI has shape (2,), the problem needs (1, 2)"),
         (long_inequality_gradient, "long: g has shape (3,), the problem needs (2,)"),
+        (lambda: equalities_only("cE").c(np.zeros(1)),
+         "plain: cE has shape (2,), the problem needs (1,)"),
+        (lambda: equalities_only("g").g(np.zeros(1)),
+         "plain: g has shape (2,), the problem needs (1,)"),
         (lambda: kkt_of_eq_quad_1(g_r=[0.0]), "g_r has shape (1,), the problem needs (2,)"),
         (lambda: kkt_of_eq_quad_1(z=0.0), "z has shape (), the problem needs (2,)"),
     ], ids=["bounds-scalar", "bounds-2d-lower", "bounds-2d-both", "bounds-of-different-lengths",
             "weights-2d", "weights-of-the-wrong-length", "box-of-the-wrong-length",
             "transposed-jacobian", "transposed-jacobian-solve", "constraint-column",
-            "add-slacks-flat-JI", "add-slacks-long-g", "kkt-residual-length-1-g_r",
+            "add-slacks-flat-JI", "add-slacks-long-g", "add-slacks-no-inequalities-long-cE",
+            "add-slacks-no-inequalities-long-g", "kkt-residual-length-1-g_r",
             "kkt-residual-scalar-z"])
     def test_names_the_array_and_both_shapes(self, make, message):
         """One shape rule, ``problem._float_array``, at every entry: a
@@ -241,6 +253,13 @@ class TestEntryChecks:
         """check_derivatives' h <= 0 check."""
         with pytest.raises(ValueError, match="step size must be positive"):
             check_derivatives(quadratic_1d(), np.zeros(1), h=0.0)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_difference_step_not_finite(self, h):
+        """check_derivatives names h where it enters, before an evaluator
+        sees x + h e_i."""
+        with pytest.raises(ValueError, match="step size must be positive and finite, got h="):
+            check_derivatives(get_instance("circle-1").problem, np.ones(2), h=h)
 
 
 class TestDerivativeCheck:
@@ -391,6 +410,12 @@ class TestAddSlacks:
         assert p.n == 1 and p.m == 1
         assert p.x0.tolist() == [2.0]
 
+    def test_no_rows_at_all(self):
+        p = add_slacks("free", 2, lambda x: 0.0, lambda x: np.zeros(2), None, None,
+                       None, None, 0, 0, np.zeros(2), np.ones(2))
+        assert p.c(np.zeros(2)).shape == (0,) and p.J(np.zeros(2)).shape == (0, 2)
+        np.testing.assert_array_equal(p.x0, np.zeros(2))
+
     def test_feasibility_equivalence_random(self):
         # (x, s) feasible for output iff x feasible for input
         rng = np.random.default_rng(3)
@@ -497,3 +522,14 @@ class TestJsonRoundtrip:
         }
         p = load_problem(spec)
         assert np.isneginf(p.box.lower[0]) and p.box.upper[0] == 3.0
+
+    def test_mixed_bound_lists(self):
+        # numbers and sentinels in one list, as a JSON file writes them
+        spec = {
+            "name": "mixed", "kind": "quadratic", "n": 2, "m": 0,
+            "data": {"Q": [[1.0, 0.0], [0.0, 1.0]], "c": [0.0, 0.0]},
+            "box": {"lower": [0, "-inf"], "upper": ["inf", 1]},
+        }
+        p = load_problem(spec)
+        assert p.box.lower.tolist() == [0.0, -np.inf]
+        assert p.box.upper.tolist() == [np.inf, 1.0]

@@ -9,11 +9,11 @@ import pgcon.qp as qp_mod
 from qp_oracle import enumerate_qp
 
 
-class TestSubspaceBranches:
-    """The kernel's subspace step where two bounds block it at once."""
+class TestBoundTies:
+    """The kernel where two bounds are reached at once."""
 
     @pytest.mark.parametrize("upper1", [2.0, np.nextafter(2.0, 0.0)])
-    def test_ratio_tie_blocks_least_index(self, upper1):
+    def test_ends_exactly_on_both_bounds(self, upper1):
         # the kernel on min 0.5||x - (2, 4)||^2: from the interior point 0
         # toward the target (2, 4) both upper bounds are reached at step
         # length 0.5, exactly or one ulp apart; the solve ends on both
