@@ -19,6 +19,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import operator
 import time
 import warnings
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import globalization as glob
 from .geometry import _norm, active_set, kkt_parts, project_box
-from .normal_step import ETA_M, GAMMA, KAPPA_V, compute_normal_step
+from .normal_step import ETA_M, GAMMA, KAPPA_V, compute_normal_step, normal_point
 from .problem import (EvaluationError, L1Regularizer, ProblemInstance, _float_array,
                       scale_factors)
 from .tangential import TangentialError, solve_tangential
@@ -208,10 +209,11 @@ class _InvariantMonitor:
             if lhs < rhs - self.SLACK:
                 self._add(k, name, rhs - lhs)
 
-    def check_iteration(self, rec, *, tau_prev, normal, z, x, c_val, J, A_k,
+    def check_iteration(self, rec, *, tau_prev, normal, z, x, m0, J, A_k,
                         cJs_norm, v_unit_norm):
         """Check iteration ``rec.k`` from its ledger row, the merit weight
-        ``tau_prev`` it started from and what the row does not hold."""
+        ``tau_prev`` it started from and what the row does not hold; ``m0``
+        is the normal model's value ||c||^2 / 2 at the zero step."""
         k, alpha, tau, c_norm = rec.k, rec.alpha, rec.tau, rec.c_norm
         if tau < tau_prev:
             # the update's defining inequality after any decrease
@@ -227,11 +229,12 @@ class _InvariantMonitor:
                 self._add(k, "step_parts_vanish", max(rec.norm_v, rec.norm_u))
         if rec.delta > 0 and rec.beta > 0:
             ratio = _norm(normal.v_cauchy) / rec.beta
-            lhs = 0.5 * float(np.dot(c_val, c_val)) - normal.model_cauchy
+            lhs = m0 - normal.model_cauchy
             self._check_bound(k, "cauchy_decrease", lhs, self.KAPPA1 * ratio,
                               ratio, KAPPA_V * alpha * rec.delta, J)
             if c_norm > 0:
-                gain = c_norm - _norm(c_val + J @ normal.v)
+                # ||c + J v|| from the model value m(v) = ||c + J v||^2 / 2
+                gain = c_norm - math.sqrt(2.0 * normal.model)
                 self._check_bound(k, "linearized_gain", gain,
                                   (self.KAPPA1 / c_norm) * v_unit_norm ** 2,
                                   1.0, KAPPA_V * alpha, J)
@@ -267,9 +270,9 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     factors of ``scale_factors``; the KKT stop test, the ledger's chi,
     chi_stat and chi_comp, and the report are in the caller's units.  What
     depends on the point alone (the scaled copies, the ledger's hash,
-    active set and sign pattern, and a zero normal step, which does not
-    depend on alpha) is formed when the point changes; a rejected trial
-    reuses it.
+    active set and sign pattern, and the normal step's ``normal_point``,
+    with the zero step where it is zero for every alpha) is formed when
+    the point changes; a rejected trial reuses it.
     """
     t_start = time.perf_counter()
 
@@ -321,15 +324,12 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             # the method's scaled copies of the caller's values at x
             f_s, g_s = f_fac * f_val, f_fac * g_val
             c_s, J_s = c_fac * c_val, c_fac[:, None] * J_val
-            c_norm = _norm(c_s)
-            x_hash, aset = _hash_point(x), active_set(x, box)
+            point = normal_point(x, c_s, J_s, box, cfg.tol_c)
+            c_norm, v_unit_norm = point.c_norm, _norm(point.v_unit)
+            x_hash, aset = _hash_point(x), active_set(x, box, point.masks)
             sign_pattern = _sign_pattern(x, weighted)
-            zero_normal = None
             new_point = False
-        normal = (zero_normal if zero_normal is not None else
-                  compute_normal_step(x, c_s, J_s, alpha, box, cfg.tol_c))
-        if normal.v_inf is None:  # the zero step, free of alpha: kept for x
-            zero_normal = normal
+        normal = compute_normal_step(x, c_s, J_s, alpha, box, point)
         if normal.infeasible_stationary:
             # a streak's previous iteration holds the last record
             if isp_streak and alpha <= records[-1].alpha * (1 + 1e-12):
@@ -356,7 +356,6 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         unscaled = scale.unscale_multipliers(y, z, g_r)
         parts = kkt_parts(g_val, c_val, J_val, box, p.reg.weights, x, *unscaled)
         tested = (unscaled, parts.chi)
-        v_unit_norm = _norm(normal.v_unit)
         comp_v1 = max(parts.stationarity, v_unit_norm, parts.complementarity)
 
         s_norm = _norm(s)
@@ -412,7 +411,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             tang_iters=tang.iterations, tang_evals=tang.evaluations,
         ))
         monitor.check_iteration(
-            records[-1], tau_prev=tau, normal=normal, z=z, x=x, c_val=c_s, J=J_s,
+            records[-1], tau_prev=tau, normal=normal, z=z, x=x, m0=point.m0, J=J_s,
             A_k=A_k, cJs_norm=cJs_norm, v_unit_norm=v_unit_norm,
         )
         if stop is not None:

@@ -23,6 +23,7 @@ from .problem import BoxSet
 
 __all__ = [
     "ActiveSet",
+    "active_masks",
     "project_box",
     "project_tangent_cone",
     "compute_delta",
@@ -47,7 +48,9 @@ class ActiveSet:
     at_upper: tuple
 
 
-def _active_masks(x, box: BoxSet):
+def active_masks(x, box: BoxSet):
+    """(at_lower, at_upper): the components within ``box.active_tol`` of a
+    finite lower / upper bound; a fixed variable is in both."""
     tol = box.active_tol
     at_lo = box.lower_finite & (x - box.lower <= tol)
     at_hi = box.upper_finite & (box.upper - x <= tol)
@@ -59,33 +62,36 @@ def project_box(x, box: BoxSet) -> np.ndarray:
     return np.minimum(np.maximum(x, box.lower), box.upper)
 
 
-def project_tangent_cone(d, x, box: BoxSet) -> np.ndarray:
+def project_tangent_cone(d, x, box: BoxSet, masks=None) -> np.ndarray:
     """Euclidean projection of d onto the tangent cone of the box at x.
 
     At a lower-active component the cone admits only nonnegative
     directions (nonpositive at upper; zero when the variable is fixed),
-    elsewhere the cone is all of R.
+    elsewhere the cone is all of R.  ``masks`` is ``active_masks(x, box)``
+    when the caller has it.
     """
-    at_lo, at_hi = _active_masks(x, box)
+    at_lo, at_hi = active_masks(x, box) if masks is None else masks
     out = np.maximum(d, 0.0, out=d.copy(), where=at_lo)
     return np.minimum(out, 0.0, out=out, where=at_hi)
 
 
-def compute_delta(x, grad, box: BoxSet):
+def compute_delta(x, grad, box: BoxSet, masks=None):
     """Stationarity measure of the squared-violation function over the box.
 
     grad = J'c is the gradient of 0.5*||c(x)||^2.  Returns delta, the
     2-norm of the projection of -grad onto the tangent cone at x.
     delta = 0 at any feasible x and, more generally, exactly when x is
     first-order stationary for minimizing 0.5*||c(x)||^2 over the box.
+    ``masks`` is ``active_masks(x, box)`` when the caller has it.
     """
-    return _norm(project_tangent_cone(-grad, x, box))
+    return _norm(project_tangent_cone(-grad, x, box, masks))
 
 
-def active_set(x, box: BoxSet) -> ActiveSet:
+def active_set(x, box: BoxSet, masks=None) -> ActiveSet:
     """Classify components at their lower/upper bound at x, within
-    ``box.active_tol``."""
-    at_lo, at_hi = _active_masks(x, box)
+    ``box.active_tol``; ``masks`` is ``active_masks(x, box)`` when the
+    caller has it."""
+    at_lo, at_hi = active_masks(x, box) if masks is None else masks
     at_hi = at_hi & ~at_lo  # fixed variables count as lower
     return ActiveSet(
         at_lower=tuple(at_lo.nonzero()[0].tolist()),

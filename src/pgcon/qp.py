@@ -63,7 +63,7 @@ def solve_qp(G, c0, lower, upper) -> QpSolution:
         if float(np.maximum.reduce(np.abs(g[free]), initial=0.0)) <= tol:
             break
         step = np.zeros(d)
-        step[free] = np.linalg.lstsq(G[:, free], -r, rcond=1e-9)[0]
+        step[free] = np.linalg.lstsq(G.take(free, axis=1), -r, rcond=1e-9)[0]
         xt = _armijo(G, x, r, step, lower, upper)
         if xt is None:
             break  # no descent left at working precision

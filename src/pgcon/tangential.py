@@ -323,7 +323,9 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
             scale = alpha * float(np.maximum.reduce(np.einsum("ij,ij->i", J, J), initial=0.0))
         iterations += 1
         free = (code < _ZERO).nonzero()[0]
-        J_F = J[:, free]
+        # J[:, free] by the faster take, in the layout J[:, free] has: the
+        # rounding of J_F J_F' depends on it
+        J_F = J.T.take(free, axis=0).T
         F_norm = _norm(F)
         # regularized as in SSNAL, since rows of J with no free entry make
         # J_F J_F' singular; the floor keeps dependent rows of J from

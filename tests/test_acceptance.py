@@ -204,8 +204,7 @@ def test_criterion_6_identification(corpus_runs):
 def test_criterion_7_derivative_and_generator_checks():
     worst = 0.0
     for inst in corpus():
-        x = inst.problem.x0 if inst.problem.x0 is not None else np.zeros(inst.problem.n)
-        rep = check_derivatives(inst.problem, x)
+        rep = check_derivatives(inst.problem, inst.problem.x0)
         worst = max(worst, rep.max_err)
     data = scca_generate(200, 200, 200, seed=2)
     prob = scca_problem(data, 1e-2)

@@ -265,7 +265,7 @@ class TestInvariantMonitor:
     # step, no normal step (delta = 0, so the Cauchy bounds are skipped)
     ROW = dict(k=0, alpha=1.0, tau=1.0, c_norm=1.0, norm_s=1.0, norm_v=0.0, norm_u=1.0,
                delta=0.0, beta=0.0)
-    ARGS = dict(tau_prev=1.0, normal=None, z=np.zeros(2), x=np.ones(2), c_val=np.zeros(1),
+    ARGS = dict(tau_prev=1.0, normal=None, z=np.zeros(2), x=np.ones(2), m0=0.0,
                 J=np.zeros((1, 2)), A_k=0.0, cJs_norm=0.0, v_unit_norm=0.0)
 
     @classmethod
@@ -346,8 +346,9 @@ class TestInvariantMonitor:
             dict(alpha=alpha, c_norm=c_norm, norm_s=_norm(v_c), norm_v=_norm(v_c),
                  norm_u=0.0, delta=delta, beta=beta),
             normal=types.SimpleNamespace(
-                v=v_c, v_cauchy=v_c, model_cauchy=normal_step.model_value(c, J, v_c)),
-            c_val=c, J=J, cJs_norm=1.0, v_unit_norm=v1n)
+                v_cauchy=v_c, model_cauchy=normal_step.model_value(c, J, v_c),
+                model=normal_step.model_value(c, J, v_c)),
+            m0=0.5 * float(np.dot(c, c)), J=J, cJs_norm=1.0, v_unit_norm=v1n)
         assert len(svds) == (2 if factor > 1 else 0)
         return violations, (float(rhs - lhs), float(rhs2 - gain))
 
@@ -561,38 +562,44 @@ def test_each_point_evaluated_once(name):
 
 @pytest.mark.parametrize("inst", corpus(), ids=lambda inst: inst.name)
 def test_zero_normal_step_kept_for_the_point(inst, monkeypatch):
-    # a zero normal step does not depend on alpha, so a rejected trial
-    # reuses it: one normal step per point where it is zero, and the
-    # ledger of a solve that recomputes it on every trial
-    def solve_counting(keep_zero):
-        calls = []  # (x, zero step); x is a new array at each accepted point
+    # what the normal step reads of the point, a zero step among it (it does
+    # not depend on alpha), is formed once per point and reused by a
+    # rejected trial: the ledger is that of a solve that forms it again on
+    # every trial
+    cfg = SolverConfig(**inst.config_overrides)
 
-        def compute(x, *args):
-            res = normal_step.compute_normal_step(x, *args)
-            calls.append((x, res.v_inf is None))
-            if res.v_inf is None and not keep_zero:
-                res = dataclasses.replace(res, v_inf=res.v)  # looks active: not kept
+    def solve_counting(keep_point):
+        points, steps = [], []  # x is a new array at each accepted point
+
+        def form(x, *args):
+            points.append(x)
+            return normal_step.normal_point(x, *args)
+
+        def compute(x, c, J, alpha, box, point):
+            if not keep_point:
+                point = normal_step.normal_point(x, c, J, box, cfg.tol_c)
+            res = normal_step.compute_normal_step(x, c, J, alpha, box, point)
+            steps.append((x, point, res))
             return res
 
+        monkeypatch.setattr(driver, "normal_point", form)
         monkeypatch.setattr(driver, "compute_normal_step", compute)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rep = solve(inst.problem, SolverConfig(**inst.config_overrides))
-        return ledger_to_csv(rep.records), calls
+            rep = solve(inst.problem, cfg)
+        # one step per trial, the last of an InfeasibleStationary end unrecorded
+        assert len(steps) == len(rep.records) + (rep.status == "InfeasibleStationary")
+        return ledger_to_csv(rep.records), points, steps
 
-    def repeats(calls):
-        """Zero steps computed at a point that already had one."""
-        seen = set()
-        for x, zero in calls:
-            if zero:
-                yield id(x) in seen
-                seen.add(id(x))
-
-    kept, calls = solve_counting(True)
-    again, all_calls = solve_counting(False)
+    kept, points, steps = solve_counting(True)
+    again, _, _ = solve_counting(False)
     assert kept == again
-    assert not any(repeats(calls))
-    assert len(calls) == len(all_calls) - sum(repeats(all_calls))
+    # one point per x the solve visits, and each trial's step from it
+    assert len({id(x) for x in points}) == len(points)
+    assert [id(x) for x in points] == list(dict.fromkeys(id(x) for x, _, _ in steps))
+    for _, point, res in steps:
+        assert (point.zero is not None) == (not np.any(res.v))
+        assert point.zero is None or res is point.zero
 
 
 def rank_deficient_l1(seed, n_lo, n_hi):

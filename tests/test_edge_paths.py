@@ -50,7 +50,10 @@ class TestLoaders:
             "data": {"n_x": 64, "n_y": 64, "N": 64, "seed": 3, "lam": 1e-2},
         })
         assert p.n == 130 and p.m == 2
-        assert p.x0 is not None
+        # scca_init's closed-form start, not the zero default: nonzero
+        # weights and both slacks at 1
+        assert np.all(p.x0[:128] != 0.0)
+        np.testing.assert_array_equal(p.x0[128:], [1.0, 1.0])
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

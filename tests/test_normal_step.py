@@ -1,6 +1,10 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
+import pgcon.driver as driver
 import pgcon.normal_step as normal_step
 from pgcon.corpus import corpus
 from pgcon.driver import SolverConfig, solve
@@ -12,16 +16,24 @@ from pgcon.normal_step import (
     cauchy_search,
     compute_normal_step,
     model_value,
+    normal_point,
     solve_tr_inf,
 )
 from pgcon.problem import BoxSet
+from test_fuzz import fuzz_case
 
 
 def search(x, c, J, alpha, delta, box):
-    """cauchy_search from its own J'c and unit trial, as compute_normal_step
-    calls it."""
-    grad = J.T @ c
-    return cauchy_search(x, c, J, alpha, delta, box, grad, project_box(x - grad, box) - x)
+    """cauchy_search from the point's own J'c and unit trial, with the
+    given delta."""
+    point = dataclasses.replace(normal_point(x, c, J, box, 1e-6), delta=delta)
+    return cauchy_search(x, c, J, alpha, box, point)
+
+
+def step(x, c, J, alpha, box, tol_c=1e-6):
+    """compute_normal_step at alpha from the point's own data, as the
+    driver calls it."""
+    return compute_normal_step(x, c, J, alpha, box, normal_point(x, c, J, box, tol_c))
 
 
 def grid_oracle_beta(x, c, J, alpha, delta, box, imax=200):
@@ -173,8 +185,7 @@ class TestTrInf:
 class TestComputeNormalStep:
     def test_feasible_point_no_step(self):
         box = BoxSet.nonnegative(2)
-        res = compute_normal_step(np.array([1.0, 0.5]), np.zeros(1),
-                                  np.array([[1.0, 1.0]]), 1.0, box, 1e-6)
+        res = step(np.array([1.0, 0.5]), np.zeros(1), np.array([[1.0, 1.0]]), 1.0, box)
         assert res.delta == 0.0
         assert not res.infeasible_stationary
         np.testing.assert_allclose(res.v, np.zeros(2))
@@ -182,8 +193,7 @@ class TestComputeNormalStep:
     def test_infeasible_stationary_signal(self):
         # J'c = 0 with large violation
         box = BoxSet.nonnegative(1)
-        res = compute_normal_step(np.array([0.0]), np.array([1.0]),
-                                  np.array([[0.0]]), 1.0, box, 1e-6)
+        res = step(np.array([0.0]), np.array([1.0]), np.array([[0.0]]), 1.0, box)
         assert res.infeasible_stationary
 
     def test_selection_never_worse_than_cauchy(self):
@@ -195,15 +205,21 @@ class TestComputeNormalStep:
             box = BoxSet.nonnegative(n)
             x = rng.random(n)
             alpha = float(10 ** rng.uniform(-3, 1))
-            res = compute_normal_step(x, c, J, alpha, box, 1e-6)
+            res = step(x, c, J, alpha, box)
             if res.delta == 0.0:
                 continue
             beta, v_c, _, m_c = search(x, c, J, alpha, res.delta, box)
             assert beta == res.beta and m_c == res.model_cauchy
             np.testing.assert_array_equal(v_c, res.v_cauchy)
             m_v = model_value(c, J, res.v)
+            assert m_v == res.model
             assert m_v <= model_value(c, J, v_c) + 1e-12
-            assert m_v <= model_value(c, J, res.v_inf) + 1e-12
+            # the trust-region point, solved here where the screen skipped it
+            v_inf = (solve_tr_inf(x, c, J, alpha, res.delta, box) if res.v_inf is None
+                     else res.v_inf)
+            assert m_v <= model_value(c, J, v_inf) + 1e-12
+            if res.v_inf is None:
+                assert res.v is res.v_cauchy and m_c < model_value(c, J, v_inf)
             assert m_v <= 0.5 * float(c @ c) + 1e-12
             assert np.linalg.norm(c) - np.linalg.norm(c + J @ res.v) >= -1e-12
             assert np.all(x + res.v >= box.lower - 1e-12)
@@ -213,13 +229,16 @@ class TestComputeNormalStep:
         monkeypatch.setattr(normal_step, "MAX_BACKTRACKS", 0)
         # the unit trial overshoots the radius, so the search ends at zero
         x, c, J = np.array([5.0]), np.array([-1.0]), np.array([[1.0]])
-        res = compute_normal_step(x, c, J, 1e-4, BoxSet.free(1), 1e-6)
+        point = normal_point(x, c, J, BoxSet.free(1), 1e-6)
+        np.testing.assert_array_equal(point.v_unit, [1.0])  # the beta = 1 trial
+        res = compute_normal_step(x, c, J, 1e-4, BoxSet.free(1), point)
         beta, _, backtracks, m_c = search(x, c, J, 1e-4, res.delta, BoxSet.free(1))
         assert (beta, backtracks) == (0.0, 1) and res.beta == 0.0
         assert m_c == res.model_cauchy == model_value(c, J, res.v_cauchy)
         np.testing.assert_array_equal(res.v_cauchy, [0.0])
-        np.testing.assert_array_equal(res.v_unit, [1.0])  # the beta = 1 trial
-        np.testing.assert_array_equal(res.v, res.v_inf)
+        # m(0) = 1/2 lies above the screen's bound (1 - 1e-6)^2 / 2, so the
+        # trust-region QP runs, and its point wins
+        assert res.v_inf is not None and res.v is res.v_inf
         assert model_value(c, J, res.v) < model_value(c, J, res.v_cauchy)
 
     def test_v_zero_iff_delta_zero(self):
@@ -229,11 +248,72 @@ class TestComputeNormalStep:
             J = rng.standard_normal((2, 4))
             c = rng.standard_normal(2) * rng.choice([0.0, 1.0])
             x = rng.random(4)
-            res = compute_normal_step(x, c, J, 1.0, box, 1e-6)
+            res = step(x, c, J, 1.0, box)
             if res.delta <= 1e-12 * (1 + np.linalg.norm(J.T @ c)):
                 assert np.linalg.norm(res.v) == 0.0
             else:
                 assert np.linalg.norm(res.v) > 0.0
+
+
+class TestScreen:
+    """The trust-region QP is skipped only where its point cannot win."""
+
+    @staticmethod
+    def at_radius(r):
+        """c = 1, J = 1, x = 0 in a free box: the Cauchy point is v = -1 with
+        m = 0, and the trust-region point -min(r, 1) has m = (1 - r)^2 / 2
+        for r < 1, a tie at r = 1.  The radius r is alpha / 100 here, and the
+        screen's margin 1e-10 (|c| + r rho) about 2e-10."""
+        x, c, J, box = np.zeros(1), np.ones(1), np.ones((1, 1)), BoxSet.free(1)
+        res = step(x, c, J, 100.0 * r, box)
+        assert res.model_cauchy == 0.0 and res.v_cauchy[0] == -1.0
+        return res
+
+    def test_skips_the_qp_outside_its_margin(self):
+        # 1 - r = 1e-9 is five times the margin: skipped
+        res = self.at_radius(1.0 - 1e-9)
+        assert res.v_inf is None and res.v is res.v_cauchy and res.model == 0.0
+
+    def test_runs_the_qp_inside_its_margin(self):
+        # the Cauchy point still wins, but 1 - r = 1e-12 lies inside the
+        # margin, so the QP runs
+        res = self.at_radius(1.0 - 1e-12)
+        assert res.v_inf is not None and res.v is res.v_cauchy
+        assert model_value(np.ones(1), np.ones((1, 1)), res.v_inf) > 0.0
+
+    def test_a_tie_goes_to_the_qp(self):
+        # at r = 1 the QP reaches v = -1 too; the trust-region point wins
+        # a tie, so the screen must not skip it
+        res = self.at_radius(1.0)
+        assert res.v_inf is not None and res.v is res.v_inf and res.model == 0.0
+
+    def test_screened_steps_lose_to_no_qp_point(self, monkeypatch):
+        # solve the QP anyway at every active normal step of the corpus and
+        # of 30 fuzz draws: where it was skipped, the Cauchy point beats it
+        counts = {"active": 0, "screened": 0, "qp_won": 0}
+
+        def compute(x, c, J, alpha, box, point):
+            res = normal_step.compute_normal_step(x, c, J, alpha, box, point)
+            if point.zero is None:
+                counts["active"] += 1
+                if res.v_inf is None:
+                    counts["screened"] += 1
+                    v_inf = solve_tr_inf(x, c, J, alpha, point.delta, box)
+                    assert res.model_cauchy < model_value(c, J, v_inf)
+                counts["qp_won"] += res.v is res.v_inf
+            return res
+
+        monkeypatch.setattr(driver, "compute_normal_step", compute)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for inst in corpus():
+                solve(inst.problem, SolverConfig(**inst.config_overrides))
+            # the QP runs only at the 3 steps its point wins
+            assert counts == {"active": 29, "screened": 26, "qp_won": 3}
+            rng = np.random.default_rng(99)
+            for trial in range(30):
+                solve(*fuzz_case(rng, trial))
+        assert counts["screened"] > 26  # the draws skip QPs too
 
 
 def test_corpus_solves_with_no_backtracking_budget(monkeypatch):
