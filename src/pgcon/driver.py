@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import globalization as glob
-from .geometry import _norm, active_set, kkt_parts, project_box
+from .geometry import PointData, _norm, active_set, kkt_parts, project_box
 from .normal_step import ETA_M, GAMMA, KAPPA_V, compute_normal_step, normal_point
 from .problem import (EvaluationError, L1Regularizer, ProblemInstance, _float_array,
                       scale_factors)
@@ -118,7 +118,8 @@ def kkt_residual(p: ProblemInstance, x, y, z, g_r):
     n, m = (p.n,), (p.m,)
     x, y, z, g_r = (_float_array(x, "x", n), _float_array(y, "y", m),
                     _float_array(z, "z", n), _float_array(g_r, "g_r", n))
-    parts = kkt_parts(p.g(x), p.c(x), p.J(x), p.box, p.reg.weights, x, y, z, g_r)
+    parts = kkt_parts(p.g(x), p.c(x), p.J(x).T @ y, p.box, p.reg.weights,
+                      PointData(x, p.box), z, g_r)
     return parts.chi, parts
 
 
@@ -272,7 +273,10 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     depends on the point alone (the scaled copies, the ledger's hash,
     active set and sign pattern, and the normal step's ``normal_point``,
     with the zero step where it is zero for every alpha) is formed when
-    the point changes; a rejected trial reuses it.
+    the point changes; a rejected trial reuses it.  So does the stop
+    test's ``PointData``: formed for the start, then taken from the
+    tangential step that certified the accepted trial point, it serves
+    every stop test at x, ``finish``'s included.
     """
     t_start = time.perf_counter()
 
@@ -280,6 +284,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     x = project_box(p.x0, box)
     if not np.array_equal(x, p.x0):
         warnings.warn(f"{p.name}: starting point projected into the box")
+    x_point = PointData(x, box)
 
     f_val, g_val, c_val, J_val = p.f(x), p.g(x), p.c(x), p.J(x)
     scale = scale_factors(g_val, J_val)
@@ -306,8 +311,8 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             (y_un, z_un, g_r_un), chi_fin = tested
         else:
             y_un, z_un, g_r_un = scale.unscale_multipliers(y, z, g_r)
-            chi_fin = (kkt_parts(g_val, c_val, J_val, box, p.reg.weights, x,
-                                 y_un, z_un, g_r_un).chi if records else np.inf)
+            chi_fin = (kkt_parts(g_val, c_val, J_val.T @ y_un, box, p.reg.weights,
+                                 x_point, z_un, g_r_un).chi if records else np.inf)
         return SolveReport(
             status=status_, x=x.copy(), y=y_un, z=z_un, g_r=g_r_un, chi=chi_fin,
             c_norm=_norm(c_val), iterations=len(records), records=records,
@@ -342,7 +347,8 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             isp_streak = 0
 
         try:
-            tang = solve_tangential(x, normal.v, g_s, J_s, alpha, reg, box, y0=y)
+            tang = solve_tangential(x, normal.v, g_s, J_s, alpha, reg, box, y0=y,
+                                    point=x_point)
         except TangentialError as exc:
             # subproblem failure (degenerate or numerically rank-deficient
             # data): record what we have instead of propagating
@@ -353,8 +359,9 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         w = tang.w
         s = w - x
 
-        unscaled = scale.unscale_multipliers(y, z, g_r)
-        parts = kkt_parts(g_val, c_val, J_val, box, p.reg.weights, x, *unscaled)
+        unscaled = y_un, z_un, g_r_un = scale.unscale_multipliers(y, z, g_r)
+        parts = kkt_parts(g_val, c_val, J_val.T @ y_un, box, p.reg.weights, x_point,
+                          z_un, g_r_un)
         tested = (unscaled, parts.chi)
         comp_v1 = max(parts.stationarity, v_unit_norm, parts.complementarity)
 
@@ -382,9 +389,11 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         vanished = s_norm / alpha <= TOL_STEP
         stall_streak = stall_streak + 1 if vanished else 0
         stop = None
-        # g_r must lie in lam * d|x| within tol_stat, not only in lam * d|w|
+        # g_r must lie in lam * d|x| within tol_stat, not only in lam * d|w|;
+        # a NaN part fails its comparison
         if (parts.feasibility <= cfg.tol_c
-                and max(parts.stationarity, parts.subgradient_margin) <= cfg.tol_stat
+                and parts.stationarity <= cfg.tol_stat
+                and parts.subgradient_margin <= cfg.tol_stat
                 and parts.complementarity <= cfg.tol_comp):
             stop, accepted = "KktPoint", False
         elif tau_new < glob.TAU_FLOOR:
@@ -425,7 +434,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             d_grad = f_fac * (g_w - g_val) + (J_w - J_val).T @ (c_fac * y)
             lipschitz = _norm(d_grad) / s_norm
         if accepted:
-            x = w
+            x, x_point = w, tang.point
             f_val, r_val, c_val = f_w, r_w, c_w
             g_val, J_val = g_w, J_w
             new_point, tested = True, None

@@ -7,9 +7,12 @@ componentwise clamps; no iterative solve is needed.  ``kkt_parts`` is the
 one KKT certificate: the driver's stop test, ledger and ``kkt_residual``,
 the tangential step's check against its bar, and the corpus oracles all
 call it, and it measures stationarity with the l1 subgradient projected
-onto lam * d|x| at the point it certifies.  It runs on every iteration,
-so its reductions call numpy's ufuncs directly rather than through the
-``ndarray`` methods' Python wrappers.
+onto lam * d|x| at the point it certifies.  It runs twice on every
+iteration, at the trial point and at the iterate, so what it reads of the
+point and the box alone is a ``PointData``, formed once per point, and
+J'y comes from the caller, who forms it once.  Its reductions call
+numpy's ufuncs directly rather than through the ``ndarray`` methods'
+Python wrappers.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "compute_delta",
     "active_set",
     "KktParts",
+    "PointData",
     "kkt_parts",
     "nearest_subgradient",
 ]
@@ -99,17 +103,18 @@ def active_set(x, box: BoxSet, masks=None) -> ActiveSet:
     )
 
 
-def nearest_subgradient(x, v, lam, zero_tol):
-    """The point of lam * d|x| nearest to v: lam_i sign(x_i) where |x_i| >
-    zero_tol, v_i clamped to [-lam_i, lam_i] elsewhere.  There x_i is
-    nonzero and lam_i >= 0, so copysign gives the bits of lam_i sign(x_i)."""
-    return np.where(np.abs(x) > zero_tol, np.copysign(lam, x),
-                    np.minimum(np.maximum(v, -lam), lam))
+def nearest_subgradient(x, v, lam, nonzero):
+    """The point of lam * d|x| nearest to v: lam_i sign(x_i) where
+    ``nonzero``, v_i clamped to [-lam_i, lam_i] elsewhere.  ``nonzero`` is
+    |x| > tol for some tol >= 0, so there x_i is a nonzero number, and with
+    lam_i >= 0 copysign gives the bits of lam_i sign(x_i)."""
+    return np.where(nonzero, np.copysign(lam, x), np.minimum(np.maximum(v, -lam), lam))
 
 
 @dataclass(frozen=True)
 class KktParts:
-    """The parts of a KKT certificate; ``chi`` is the largest."""
+    """The parts of a KKT certificate; ``chi`` is the largest, NaN when one
+    is NaN."""
 
     stationarity: float
     feasibility: float
@@ -119,34 +124,55 @@ class KktParts:
 
     @property
     def chi(self) -> float:
-        return max(self.stationarity, self.feasibility, self.complementarity,
-                   self.box_violation, self.subgradient_margin)
+        parts = (self.stationarity, self.feasibility, self.complementarity,
+                 self.box_violation, self.subgradient_margin)
+        # the builtin max keeps a finite first value over a later NaN
+        return math.nan if any(map(math.isnan, parts)) else max(parts)
 
 
-def kkt_parts(grad, resid, J, box: BoxSet, lam, point, y, z, g_r) -> KktParts:
-    """Certify ``point`` for min f + sum lam_i |x_i| s.t. c = 0 in the box.
+class PointData:
+    """What ``kkt_parts`` reads of its point x and the box alone: max|x|,
+    where |x| > 1e-12 (1 + max|x|) (the l1 projection's zero tolerance),
+    x - lower, upper - x and the box violation.  It holds no l1 weight, so
+    one point's data serves a certificate with any weights."""
 
-    ``grad`` is the smooth gradient and ``resid`` the constraint residual
-    at ``point``.  Stationarity is ||grad + P(g_r) + J'y + z|| with P the
-    projection onto lam * d|point| (``nearest_subgradient``, zero
-    tolerance 1e-12 (1 + max|point|)), and ``subgradient_margin`` is
-    max|g_r - P(g_r)|, so a g_r outside lam * d|point| shows in both.
-    Complementarity is ||m|| with m_i = min(slack_i, |z_i|), slack_i the
-    distance to the bound z_i points at (z_i < 0 at lower, z_i > 0 at
-    upper), and m_i = 0 where z_i = 0 or the variable is fixed.  A z_i
-    pointing at an infinite bound gives m_i = |z_i|, a sign violation; on
-    the nonnegative orthant m_i = |min(x_i, -z_i)|.
+    __slots__ = ("x", "x_max", "nonzero", "lo_gap", "hi_gap", "box_violation")
+
+    def __init__(self, x, box: BoxSet):
+        abs_x = np.abs(x)
+        self.x = x
+        self.x_max = float(np.maximum.reduce(abs_x, initial=0.0))
+        self.nonzero = abs_x > 1e-12 * (1.0 + self.x_max)
+        self.lo_gap, self.hi_gap = x - box.lower, box.upper - x
+        self.box_violation = float(np.maximum.reduce(
+            np.maximum(box.lower - x, x - box.upper), initial=0.0))
+
+
+def kkt_parts(grad, resid, Jty, box: BoxSet, lam, point: PointData, z, g_r) -> KktParts:
+    """Certify ``point.x`` for min f + sum lam_i |x_i| s.t. c = 0 in the box.
+
+    ``grad`` is the smooth gradient, ``resid`` the constraint residual and
+    ``Jty`` J'y at the point, whose ``PointData`` is ``point``.
+    Stationarity is ||grad + P(g_r) + J'y + z|| with P the projection onto
+    lam * d|x| (``nearest_subgradient``, zero tolerance 1e-12 (1 +
+    max|x|)), and ``subgradient_margin`` is max|g_r - P(g_r)|, so a g_r
+    outside lam * d|x| shows in both.  Complementarity is ||m|| with m_i =
+    min(slack_i, |z_i|), slack_i the distance to the bound z_i points at
+    (z_i < 0 at lower, z_i > 0 at upper), and m_i = 0 where z_i = 0 or the
+    variable is fixed.  A z_i pointing at an infinite bound gives m_i =
+    |z_i|, a sign violation; on the nonnegative orthant m_i = |min(x_i,
+    -z_i)|.
     """
-    zero_tol = 1e-12 * (1.0 + float(np.maximum.reduce(np.abs(point), initial=0.0)))
-    g_r_proj = nearest_subgradient(point, g_r, lam, zero_tol)
-    slack = np.where(z < 0, point - box.lower, box.upper - point)
-    m = np.minimum(slack, np.abs(z))
-    m[(z == 0.0) | box.fixed] = 0.0
+    g_r_proj = nearest_subgradient(point.x, g_r, lam, point.nonzero)
+    m = np.minimum(np.where(z < 0, point.lo_gap, point.hi_gap), np.abs(z))
+    exempt = z == 0.0
+    if box.has_fixed:
+        exempt |= box.fixed
+    m[exempt] = 0.0
     return KktParts(
-        stationarity=_norm(grad + g_r_proj + J.T @ y + z),
+        stationarity=_norm(grad + g_r_proj + Jty + z),
         feasibility=_norm(resid),
         complementarity=_norm(m),
-        box_violation=float(np.maximum.reduce(
-            np.maximum(box.lower - point, point - box.upper), initial=0.0)),
+        box_violation=point.box_violation,
         subgradient_margin=float(np.maximum.reduce(np.abs(g_r - g_r_proj), initial=0.0)),
     )

@@ -101,9 +101,24 @@ class BoxSet:
         return _read_only(self.lower == self.upper)
 
     @functools.cached_property
+    def has_lower(self) -> bool:
+        """True when some lower bound is finite."""
+        return bool(self.lower_finite.any())
+
+    @functools.cached_property
+    def has_upper(self) -> bool:
+        """True when some upper bound is finite."""
+        return bool(self.upper_finite.any())
+
+    @functools.cached_property
+    def has_fixed(self) -> bool:
+        """True when some variable is fixed."""
+        return bool(self.fixed.any())
+
+    @functools.cached_property
     def orthant(self) -> bool:
         """True when the box is exactly the nonnegative orthant."""
-        return bool(np.all(self.lower == 0.0) and not self.upper_finite.any())
+        return bool(np.all(self.lower == 0.0)) and not self.has_upper
 
     def contains(self, x) -> bool:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))

@@ -23,7 +23,10 @@ stationarity, with z = 0 off the bounds and g_r the point of lam * d|w|
 nearest to the residual (``geometry.nearest_subgradient``).  The answer
 is certified by ``geometry.kkt_parts``, the solver's one KKT
 certificate, with the step's gradient g + (u + v)/alpha and residual J u
-at w, against ``kkt_bar``.
+at w, against ``kkt_bar``.  J'y is formed once, for the residual that
+gives z and g_r and for the certificate, and w's ``PointData`` once, for
+the certificate and the bar; the result carries it, and the driver's
+stop test reads it once w is accepted.
 
 When the Newton budget runs out, the line search or a Cholesky
 factorization fails, or the answer misses the tangential KKT bar, the
@@ -44,7 +47,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import KktParts, _norm, kkt_parts, nearest_subgradient, project_box
+from .geometry import (KktParts, PointData, _norm, kkt_parts, nearest_subgradient,
+                       project_box)
 from .problem import BoxSet, L1Regularizer
 # unused here, but perfbench/layers.py rebinds tangential.solve_qp and build_tangential_qp
 from .qp import solve_qp  # noqa: F401
@@ -82,6 +86,7 @@ class TangentialResult:
     iterations: int  # Newton steps and refinement solves
     evaluations: int  # _piece evaluations of the dual solve
     kkt: KktParts  # the certificate of (w, y, z, g_r), feasibility = |J u|
+    point: PointData  # w's, x's once the step is taken
 
 
 def build_tangential_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
@@ -122,13 +127,18 @@ def build_tangential_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
     return (H, q_lin, Aeq, beq, lo, hi), reg_idx
 
 
-def _piece_constants(base, alpha_lam, lower, upper):
-    """What ``_piece`` reads that does not depend on y, once per dual solve."""
+def _piece_constants(base, alpha_lam, box: BoxSet):
+    """What ``_piece`` reads that does not depend on y, once per dual solve;
+    the bound passes only for a side where the box has a finite bound."""
     neg_al = 0.0 - alpha_lam  # +0.0, not -0.0, where lam_i = 0
     weighted = alpha_lam > 0
+    passes = []
+    if box.has_upper:
+        passes.append((np.greater_equal, box.upper, _HI, box.upper - base))
+    if box.has_lower:  # last: the lower bound wins where lower = upper
+        passes.append((np.less_equal, box.lower, _LO, box.lower - base))
     return (base + 0.0, neg_al, alpha_lam, np.where(weighted, neg_al, -np.inf),
-            np.where(weighted, alpha_lam, -np.inf), -base, lower, upper,
-            lower - base, upper - base)
+            np.where(weighted, alpha_lam, -np.inf), -base, passes)
 
 
 def _piece(tau, consts):
@@ -141,10 +151,14 @@ def _piece(tau, consts):
     bound less base, through the masks.  t < cut_neg (-alpha lam) is _NEG
     and t <= cut_zero (alpha lam) _NEG or zeroed; both cuts are -inf where
     lam_i = 0, so such a component stays _POS (t = -inf ends at the lower
-    bound).  base + 0.0 keeps t off -0.0, so k is +0.0 exactly where
-    lam_i = 0 however np.maximum breaks a tie of zeros.
+    bound where the lower pass runs).  base + 0.0 keeps t off -0.0, so k
+    is +0.0 exactly where lam_i = 0 however np.maximum breaks a tie of
+    zeros.  A side with no finite bound gets no pass: an infinite bound
+    catches only an infinite s, whose u is infinite with or without the
+    pass (unless base + tau overflowed), so J u is not finite and the dual
+    solve fails either way.
     """
-    base, neg_al, alpha_lam, cut_neg, cut_zero, neg_base, lower, upper, lo_off, hi_off = consts
+    base, neg_al, alpha_lam, cut_neg, cut_zero, neg_base, passes = consts
     t = base + tau
     k = np.minimum(np.maximum(t, neg_al), alpha_lam)
     s, u = t - k, tau - k
@@ -152,8 +166,8 @@ def _piece(tau, consts):
     code = np.add(low, low, dtype=np.int8)
     code -= t < cut_neg
     np.putmask(u, code == _ZERO, neg_base)
-    # the lower bound wins where lower = upper
-    for at, c, off in ((s >= upper, _HI, hi_off), (s <= lower, _LO, lo_off)):
+    for beyond, bound, c, off in passes:
+        at = beyond(s, bound)
         np.putmask(code, at, c)
         np.putmask(u, at, off)
     return u, code
@@ -274,7 +288,7 @@ def _converged(F, Ju_abs) -> bool:
     return True
 
 
-def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
+def _dual_solve(base, tau0, J, alpha, lam, box: BoxSet, y):
     """Semismooth Newton on F(y) = J u(y) = 0 from y.
 
     The dual function theta(y) = (1/2 alpha)||u - tau0||^2 + lam'|x+v+u|
@@ -295,7 +309,7 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     """
     m = J.shape[0]
     alpha_lam = alpha * lam
-    consts = _piece_constants(base, alpha_lam, lower, upper)
+    consts = _piece_constants(base, alpha_lam, box)
     abs_J = np.abs(J)
     evaluations = 0
 
@@ -351,8 +365,8 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
         if free.size == 0:
             # M = mu I makes d ~ F/mu far too long: start at the ray's maximizer
             t = base + (tau0 - alpha * (J.T @ y))
-            step = min(step, _ray_maximizer(t, J.T @ d, alpha, alpha_lam, lower, upper,
-                                            slope))
+            step = min(step, _ray_maximizer(t, J.T @ d, alpha, alpha_lam, box.lower,
+                                            box.upper, slope))
         for _ in range(_MAX_BACKTRACKS):
             y_try = y + step * d
             u_try, code_try, F_try = evaluate(y_try)
@@ -372,52 +386,61 @@ def _dual_solve(base, tau0, J, alpha, lam, lower, upper, y):
     return y, u, code, iterations, evaluations
 
 
-def kkt_bar(x, w, alpha) -> float:
-    """The tangential KKT residual a dual answer must meet.
+def kkt_bar(x_max, w_max, alpha) -> float:
+    """The tangential KKT residual a dual answer must meet, from max|x|
+    and max|w|.
 
     Stationarity holds (u + v)/alpha, and u + v = w - x is rounded at about
     eps max(|x|, |w|), so below alpha ~ 1e-9 a correct answer's rounding
     alone would exceed a bare 1e-8.
     """
-    scale = max(np.maximum.reduce(np.abs(x), initial=0.0),
-                np.maximum.reduce(np.abs(w), initial=0.0))
-    return _KKT_BAR + 4.0 * _EPS * float(scale) / alpha
+    return _KKT_BAR + 4.0 * _EPS * max(x_max, w_max) / alpha
 
 
 def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
-                     y0: Optional[np.ndarray] = None) -> TangentialResult:
+                     y0: Optional[np.ndarray] = None,
+                     point: Optional[PointData] = None) -> TangentialResult:
     """Solve the tangential subproblem and recover multipliers.
 
     The dual solve starts from ``y0``, the previous call's y, or from zero.
+    ``point`` is x's ``PointData``, formed here when not given; the result
+    carries w's, which certifies w here and serves as x's once the step
+    is taken.
     """
     base = x + v
     lam = reg.weights
 
     y0 = np.zeros(J.shape[0]) if y0 is None else y0
     y, u, code, iterations, evaluations = _dual_solve(
-        base, -(alpha * g + v), J, alpha, lam, box.lower, box.upper, y0)
+        base, -(alpha * g + v), J, alpha, lam, box, y0)
 
     # a free component can round a hair past its bound
     w = project_box(base + u, box)
-    np.putmask(w, code == _LO, box.lower)
-    np.putmask(w, code == _HI, box.upper)
+    at_bound = (code > _ZERO).nonzero()[0]
+    if at_bound.size:
+        np.putmask(w, code == _LO, box.lower)
+        np.putmask(w, code == _HI, box.upper)
     u = w - base
     # stationarity: g + (u + v)/alpha + J'y + g_r + z = 0 with z = 0 off
     # the bounds; at a bound g_r takes the value lam * d|w| allows nearest
     # to the residual and z the rest
+    Jty = J.T @ y
     grad = g + (u + v) / alpha
-    resid = -(grad + J.T @ y)
+    resid = -(grad + Jty)
     z = np.zeros(w.shape)
-    at_bound = (code > _ZERO).nonzero()[0]
     if at_bound.size:
-        r = resid[at_bound]
-        z[at_bound] = r - nearest_subgradient(w[at_bound], r, lam[at_bound], 0.0)
-    g_r = resid - z
+        r, w_b = resid[at_bound], w[at_bound]
+        z[at_bound] = r - nearest_subgradient(w_b, r, lam[at_bound], np.abs(w_b) > 0.0)
+        g_r = resid - z
+    else:
+        g_r = resid  # resid - 0.0, bit for bit
 
-    kkt = kkt_parts(grad, J @ u, J, box, lam, w, y, z, g_r)
-    bar = kkt_bar(x, w, alpha)
+    w_point = PointData(w, box)
+    kkt = kkt_parts(grad, J @ u, Jty, box, lam, w_point, z, g_r)
+    x_max = (PointData(x, box) if point is None else point).x_max
+    bar = kkt_bar(x_max, w_point.x_max, alpha)
     if not kkt.chi <= bar:
         raise TangentialError(f"dual answer misses the tangential KKT bar: residual "
                               f"{kkt.chi:.3g} > {bar:.3g}")
     return TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w, iterations=iterations,
-                            evaluations=evaluations, kkt=kkt)
+                            evaluations=evaluations, kkt=kkt, point=w_point)

@@ -14,7 +14,7 @@ from pgcon.driver import (
     ledger_to_csv,
     solve,
 )
-from pgcon.geometry import active_set, kkt_parts
+from pgcon.geometry import PointData, active_set, kkt_parts
 from pgcon.problem import BoxSet, check_derivatives
 from pgcon.qp import solve_qp
 from pgcon.scca import pattern_vectors, scca_generate, scca_metrics, scca_problem
@@ -165,8 +165,9 @@ def test_criterion_5_qp_oracle_equivalence():
         model, ref_model = (0.5 * float(np.sum((c0 + G @ v) ** 2)) for v in (x, ref[0]))
         worst_model = max(worst_model, abs(model - ref_model) / (1.0 + ref_model))
         n = G.shape[1]
-        kkt = kkt_parts(G.T @ (c0 + G @ x), np.zeros(0), np.zeros((0, n)), BoxSet(lower, upper),
-                        np.zeros(n), x, np.zeros(0), z, np.zeros(n))
+        box = BoxSet(lower, upper)
+        kkt = kkt_parts(G.T @ (c0 + G @ x), np.zeros(0), np.zeros(n), box, np.zeros(n),
+                        PointData(x, box), z, np.zeros(n))
         worst_kkt = max(worst_kkt, kkt.chi)
         if np.linalg.matrix_rank(G) == n:
             # the minimizer is unique only where G has full column rank

@@ -17,8 +17,9 @@ from pgcon.driver import (
     ledger_to_csv,
     solve,
 )
-from pgcon.geometry import _norm, active_set
+from pgcon.geometry import KktParts, _norm, active_set
 from pgcon.problem import BoxSet, EvaluationError, L1Regularizer, ProblemInstance
+from test_fuzz import fuzz_case
 
 
 class TestConfig:
@@ -169,6 +170,73 @@ class TestKktResidual:
                                   np.array([0.3]), np.zeros(1))
         assert parts.complementarity == pytest.approx(0.3)
 
+    def test_nan_in_g_r_reaches_chi(self):
+        # a NaN g_r at a nonzero x_i leaves stationarity finite (P(g_r)_i
+        # is lam_i sign(x_i)) and makes the membership margin NaN; chi
+        # used to drop it, as max keeps a finite first value
+        inst = get_instance("l1-lin-1")
+        rep = solve(inst.problem, SolverConfig())
+        assert rep.x[0] != 0.0
+        g_r = rep.g_r.copy()
+        g_r[0] = np.nan
+        chi, parts = kkt_residual(inst.problem, rep.x, rep.y, rep.z, g_r)
+        assert np.isfinite(parts.stationarity)
+        assert np.isnan(parts.subgradient_margin)
+        assert np.isnan(chi)
+
+    @pytest.mark.parametrize("part", [f.name for f in dataclasses.fields(KktParts)])
+    def test_chi_is_nan_when_any_part_is(self, part):
+        finite = KktParts(*(0.25 * (i + 1) for i in range(5)))
+        assert finite.chi == 1.25
+        assert np.isnan(dataclasses.replace(finite, **{part: np.nan}).chi)
+
+    @pytest.mark.parametrize("part", ["stationarity", "feasibility", "complementarity",
+                                      "subgradient_margin"])
+    def test_stop_test_fails_on_a_nan_part(self, part, monkeypatch):
+        # l1-lin-1 ends KktPoint in 2 iterations; with one of the parts the
+        # stop test reads planted NaN it never stops there
+        real = driver.kkt_parts
+        monkeypatch.setattr(driver, "kkt_parts", lambda *args: dataclasses.replace(
+            real(*args), **{part: np.nan}))
+        rep = solve(get_instance("l1-lin-1").problem, SolverConfig(max_iter=20))
+        assert rep.status in ("Stalled", "MaxIter")
+        assert rep.iterations > 2
+
+
+class TestPointDataReuse:
+    """The stop test at x reads x's PointData: formed for the start, then
+    the one the tangential step formed for the accepted trial point.  A
+    report's chi is kkt_residual's, which forms everything afresh, bit for
+    bit."""
+
+    @staticmethod
+    def solves():
+        for inst in corpus():
+            yield inst.name, inst.problem, SolverConfig(**inst.config_overrides)
+        for n, lam in ((200, 1e-2), (200, 1e-3), (400, 1e-2), (400, 1e-3)):
+            yield (f"gate n{n} lam{lam:g}", scca.scca_problem(scca.scca_generate(n, n, n, 1), lam),
+                   SolverConfig(alpha0=1e-3))
+        # the tangential step certifies with the l1 weights times 0.836,
+        # the stop test with the caller's: PointData holds no weight
+        rng = np.random.default_rng(6)
+        for trial in range(150):
+            p, cfg = fuzz_case(rng, trial)
+        yield "fuzz rng6 #149", p, cfg
+
+    def test_report_chi_is_kkt_residual(self):
+        names = []
+        for name, p, cfg in self.solves():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rep = solve(p, cfg)
+            chi, _ = kkt_residual(p, rep.x, rep.y, rep.z, rep.g_r)
+            assert np.float64(chi).tobytes() == np.float64(rep.chi).tobytes(), name
+            if name == "degen-1":
+                # rejected trials reuse x's data
+                assert not all(r.accepted for r in rep.records[:-1])
+            names.append(name)
+        assert len(names) == 17 and "degen-1" in names
+
 
 class TestSolveBehavior:
     def test_immediate_kkt_at_start(self):
@@ -238,7 +306,7 @@ class TestSolveBehavior:
         monitor.check_shifted_merit(recs)
         assert [v["check"] for v in monitor.violations] == ["shifted_merit_monotone"]
 
-    def test_min_cap_holds_alpha_after_a_rejection(self):
+    def test_alpha_holds_after_a_rejection(self):
         # no accepted step that directly follows a rejection raises alpha,
         # except by the flat-Lagrangian jump above the cap
         held = 0

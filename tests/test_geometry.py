@@ -1,8 +1,11 @@
+import collections
+
 import numpy as np
 import pytest
 
 from pgcon.driver import kkt_residual
 from pgcon.geometry import (
+    PointData,
     _norm,
     active_set,
     compute_delta,
@@ -193,8 +196,8 @@ def random_box_case(rng, n):
 def complementarity(box, x, z):
     """kkt_parts' complementarity of bound duals z at x."""
     n = x.shape[0]
-    return kkt_parts(np.zeros(n), np.zeros(0), np.zeros((0, n)), box, np.zeros(n), x,
-                     np.zeros(0), z, np.zeros(n)).complementarity
+    return kkt_parts(np.zeros(n), np.zeros(0), np.zeros(n), box, np.zeros(n),
+                     PointData(x, box), z, np.zeros(n)).complementarity
 
 
 # hand-built cases of test_driver.TestKktResidual and test_tangential.TestVerify,
@@ -254,8 +257,8 @@ class TestComplementarityConsumers:
         for n, box, x, z in self.cases():
             u = 0.1 * np.ones(n)
             w = (x - u) + u
-            parts = kkt_parts(u, np.zeros(0), np.zeros((0, n)), box, np.zeros(n), w,
-                              np.zeros(0), z, np.zeros(n))
+            parts = kkt_parts(u, np.zeros(0), np.zeros(n), box, np.zeros(n),
+                              PointData(w, box), z, np.zeros(n))
             comp, sign = box_complementarity_loop(w, z, box.lower, box.upper)
             assert parts.complementarity == float(np.linalg.norm(comp + sign))
 
@@ -269,9 +272,52 @@ def clip_subgradient(x, v, lam, zero_tol):
     return np.where(np.abs(x) > zero_tol, lam * np.sign(x), np.clip(v, -lam, lam))
 
 
+def kkt_parts_of_point(grad, resid, J, box, lam, x, y, z, g_r):
+    """kkt_parts as it was written before ``PointData``: everything formed
+    from x, J and y on each call."""
+    zero_tol = 1e-12 * (1.0 + float(np.maximum.reduce(np.abs(x), initial=0.0)))
+    g_r_proj = np.where(np.abs(x) > zero_tol, np.copysign(lam, x),
+                        np.minimum(np.maximum(g_r, -lam), lam))
+    slack = np.where(z < 0, x - box.lower, box.upper - x)
+    m = np.minimum(slack, np.abs(z))
+    m[(z == 0.0) | box.fixed] = 0.0
+    return (_norm(grad + g_r_proj + J.T @ y + z), _norm(resid), _norm(m),
+            float(np.maximum.reduce(np.maximum(box.lower - x, x - box.upper), initial=0.0)),
+            float(np.maximum.reduce(np.abs(g_r - g_r_proj), initial=0.0)))
+
+
 class TestCertificateEquivalence:
     """kkt_parts and nearest_subgradient give the bits of the formulas
     they replaced."""
+
+    def test_kkt_parts_through_point_data(self):
+        # boxes with an infinite side, fixed variables, z = +-0.0 and points
+        # outside the box; x near 0 against the zero tolerance
+        rng = np.random.default_rng(26)
+        seen = collections.Counter()
+        for trial in range(400):
+            n, m = int(rng.integers(1, 12)), int(rng.integers(0, 4))
+            box, x, z = random_box_case(rng, n)
+            side = trial % 3  # 1: no finite upper bound, 2: no finite lower bound
+            if side:
+                lo = np.full(n, -np.inf) if side == 2 else box.lower
+                box = BoxSet(lo, np.full(n, np.inf) if side == 1 else box.upper)
+            x = np.where(rng.random(n) < 0.2, rng.choice([0.0, -0.0, 1e-13, -1e-11], n), x)
+            z = np.where(z == 0.0, rng.choice([0.0, -0.0], n), z)
+            lam = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+            J, y = rng.standard_normal((m, n)), rng.standard_normal(m)
+            (grad, g_r), resid = rng.standard_normal((2, n)), rng.standard_normal(m)
+            parts = kkt_parts(grad, resid, J.T @ y, box, lam, PointData(x, box), z, g_r)
+            ref = kkt_parts_of_point(grad, resid, J, box, lam, x, y, z, g_r)
+            got = (parts.stationarity, parts.feasibility, parts.complementarity,
+                   parts.box_violation, parts.subgradient_margin)
+            assert _bits(got) == _bits(ref)
+            seen.update({"no finite upper": not box.has_upper,
+                         "no finite lower": not box.has_lower,
+                         "fixed": box.has_fixed, "no fixed": not box.has_fixed,
+                         "z = -0.0": bool(np.any((z == 0.0) & np.signbit(z))),
+                         "outside": not box.contains(x), "box violation": ref[3] > 0.0})
+        assert len(seen) == 7 and min(seen.values()) >= 20, seen
 
     def test_complementarity_is_norm_of_comp_plus_sign(self):
         rng = np.random.default_rng(23)
@@ -299,7 +345,7 @@ class TestCertificateEquivalence:
             for zero_tol in (0.0, 1e-12):
                 sel = np.abs(x) > zero_tol
                 assert _bits(np.copysign(lam, x)[sel]) == _bits((lam * np.sign(x))[sel])
-                assert _bits(nearest_subgradient(x, -x, lam, zero_tol)) == _bits(
+                assert _bits(nearest_subgradient(x, -x, lam, sel)) == _bits(
                     np.where(sel, lam * np.sign(x), np.minimum(np.maximum(-x, -lam), lam)))
 
     def test_where_clamp_matches_the_mask_form(self):
@@ -330,5 +376,6 @@ class TestCertificateEquivalence:
                     idx = rng.permutation(x.size)[:size]
                     for zero_tol in (0.0, 0.5):
                         args = (x[idx], v[idx], np.abs(lam[idx]), zero_tol)
-                        assert (_bits(nearest_subgradient(*args))
+                        nonzero = np.abs(x[idx]) > zero_tol
+                        assert (_bits(nearest_subgradient(*args[:3], nonzero))
                                 == _bits(clip_subgradient(*args)))

@@ -81,25 +81,25 @@ class TestUpdateAlpha:
     def test_rejected_always_shrinks(self):
         assert update_alpha(10.0, False) == 5.0
 
-    def test_min_cap(self):
+    def test_accepted_doubles_up_to_cap(self):
         assert update_alpha(4.0, True) == 8.0
         assert update_alpha(8.0, True) == 10.0
 
-    def test_min_cap_doubles_unless_curvature_is_small(self):
+    def test_doubles_unless_curvature_is_small(self):
         # no estimate (None: not computed, unlike l = 0, the flat case), or
         # an estimate above 1/(2 cap), gives the doubling
         for ell in (None, 0.05 * (1 + 1e-12), 0.5, 1e300, np.inf):
             assert update_alpha(1e-3, True, lipschitz=ell) == 2e-3
             assert update_alpha(4.0, True, lipschitz=ell) == 8.0
 
-    def test_min_cap_never_exceeds_cap(self):
+    def test_doubling_never_exceeds_cap(self):
         # the blind doubling stops at the cap, also from above it
         for alpha in (1e-3, 4.0, 8.0, 10.0, 1e3, ALPHA_MAX):
             for ell in (None, 0.06, 1.0, np.inf):
                 out = update_alpha(alpha, True, lipschitz=ell)
                 assert out == min(2.0 * alpha, ALPHA_CAP)
 
-    def test_min_cap_takes_inverse_lipschitz_bound_on_small_estimate(self):
+    def test_takes_inverse_lipschitz_bound_on_small_estimate(self):
         # 0 < l <= 1/(2 cap): alpha = min(ALPHA_MAX, 1/(2 l)), whatever
         # alpha was before
         assert 1.0 / (2.0 * ALPHA_CAP) == 0.05
@@ -111,12 +111,12 @@ class TestUpdateAlpha:
             for ell in (4e-7, 1e-12, 1e-300, 5e-324):
                 assert update_alpha(alpha, True, lipschitz=ell) == ALPHA_MAX
 
-    def test_min_cap_flat_lagrangian_gives_alpha_max(self):
+    def test_flat_lagrangian_gives_alpha_max(self):
         assert ALPHA_MAX == 1e6
         for alpha in (1e-3, 10.0, ALPHA_MAX):
             assert update_alpha(alpha, True, lipschitz=0.0) == ALPHA_MAX
 
-    def test_min_cap_never_exceeds_alpha_max(self):
+    def test_never_exceeds_alpha_max(self):
         for alpha in (1e-3, 10.0, 1e5, ALPHA_MAX):
             for ell in (None, 0.0, 5e-324, 1e-9, 0.05, 1.0):
                 assert update_alpha(alpha, True, lipschitz=ell) <= ALPHA_MAX
@@ -128,7 +128,7 @@ class TestUpdateAlpha:
                 assert update_alpha(1e-3, False, lipschitz=ell,
                                     prev_accepted=prev) == 5e-4
 
-    def test_min_cap_holds_after_rejection(self):
+    def test_holds_after_rejection(self):
         # the first acceptance after a rejection keeps alpha, so the next
         # trial does not repeat the alpha just rejected
         for ell in (None, 0.05 * (1 + 1e-12), 0.5, np.inf):
@@ -143,7 +143,7 @@ class TestUpdateAlpha:
         assert update_alpha(1.25, True, prev_accepted=True) == 2.5
         assert update_alpha(1.25, True) == 2.5
 
-    def test_min_cap_flat_jump_fires_after_rejection(self):
+    def test_flat_jump_fires_after_rejection(self):
         for alpha in (1e-3, 10.0, ALPHA_MAX):
             for prev in (True, False):
                 assert update_alpha(alpha, True, lipschitz=0.05,

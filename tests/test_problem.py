@@ -5,7 +5,7 @@ import pytest
 
 from pgcon.corpus import get_instance
 from pgcon.driver import SolverConfig, kkt_residual, solve
-from pgcon.geometry import kkt_parts
+from pgcon.geometry import PointData, kkt_parts
 from pgcon.problem import (
     BoxSet,
     EvaluationError,
@@ -95,8 +95,9 @@ class TestRegularizer:
     def margin(reg, x, g_r):
         """kkt_parts' membership margin of g_r in reg's lam * d|x|."""
         n = x.shape[0]
-        return kkt_parts(np.zeros(n), np.zeros(0), np.zeros((0, n)), BoxSet.free(n),
-                         reg.weights, x, np.zeros(0), np.zeros(n), g_r).subgradient_margin
+        box = BoxSet.free(n)
+        return kkt_parts(np.zeros(n), np.zeros(0), np.zeros(n), box, reg.weights,
+                         PointData(x, box), np.zeros(n), g_r).subgradient_margin
 
     def test_subgradient_at_nonzero(self):
         reg = L1Regularizer(np.array([1.0, 1.0]))

@@ -8,7 +8,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from pgcon import tangential
 from pgcon.bench import corpus_suite, run_benchmark
 from pgcon.driver import SolverConfig, solve
-from pgcon.geometry import kkt_parts
+from pgcon.geometry import PointData, kkt_parts
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
 from pgcon.scca import scca_generate, scca_problem
 from pgcon.tangential import (
@@ -39,8 +39,8 @@ def certify(args, res, **change):
     x, v, g, J, alpha, reg, box = args
     a = {name: getattr(res, name) for name in ("u", "y", "z", "g_r")} | change
     w = x + v + a["u"] if "u" in change else res.w
-    return kkt_parts(g + (a["u"] + v) / alpha, J @ a["u"], J, box, reg.weights, w,
-                     a["y"], a["z"], a["g_r"])
+    return kkt_parts(g + (a["u"] + v) / alpha, J @ a["u"], J.T @ a["y"], box, reg.weights,
+                     PointData(w, box), a["z"], a["g_r"])
 
 
 class TestBuild:
@@ -358,7 +358,7 @@ class TestDegenerate:
         alpha_lam = np.array([0.5, 0.5, 0.0, 0.0, 0.5])
         lower = np.array([-np.inf, -np.inf, -np.inf, -1.0, -np.inf])
         upper = np.array([np.inf, np.inf, 1.0, np.inf, np.inf])
-        u, code = _piece(tau, _piece_constants(base, alpha_lam, lower, upper))
+        u, code = _piece(tau, _piece_constants(base, alpha_lam, BoxSet(lower, upper)))
         np.testing.assert_array_equal(code, [_ZERO, _ZERO, _HI, _LO, _POS])
         np.testing.assert_array_equal(u, [-0.25, 0.25, 0.75, -0.75, 0.0])
 
@@ -428,7 +428,7 @@ class TestPieceClipForm:
         seen = collections.Counter()
         for _ in range(60):
             tau, base, alpha_lam, lower, upper = self.draw(rng)
-            u, code = _piece(tau, _piece_constants(base, alpha_lam, lower, upper))
+            u, code = _piece(tau, _piece_constants(base, alpha_lam, BoxSet(lower, upper)))
             u_ref, code_ref = piece_where_form(tau, base, alpha_lam, lower, upper)
             assert u.tobytes() == u_ref.tobytes()
             np.testing.assert_array_equal(code, code_ref)
@@ -448,6 +448,24 @@ class TestPieceClipForm:
                 "at upper": np.sum(code == _HI),
             })
         assert len(seen) == 12 and min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("finite", ["lower", "upper", "neither"])
+    def test_a_side_with_no_finite_bound_gets_no_pass(self, finite):
+        # the where form tests both sides everywhere; _piece skips a side
+        # whose bounds are all infinite, with the same bits
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            tau, base, alpha_lam, lower, upper = self.draw(rng)
+            if finite != "lower":
+                lower = np.full_like(lower, -np.inf)
+            if finite != "upper":
+                upper = np.full_like(upper, np.inf)
+            box = BoxSet(lower, upper)
+            assert (box.has_lower, box.has_upper) == (finite == "lower", finite == "upper")
+            u, code = _piece(tau, _piece_constants(base, alpha_lam, box))
+            u_ref, code_ref = piece_where_form(tau, base, alpha_lam, lower, upper)
+            assert u.tobytes() == u_ref.tobytes()
+            np.testing.assert_array_equal(code, code_ref)
 
 
 class TestCholeskySolve:
@@ -630,11 +648,12 @@ class TestFallback:
         reg, box = L1Regularizer(np.zeros(2)), BoxSet.free(2)
         res = solve_tangential(x, v, g, J, alpha, reg, box,
                                y0=np.array([0.9499999999999998]))
-        assert 1e-8 < res.kkt.chi <= kkt_bar(x, res.w, alpha)
+        bar = kkt_bar(float(np.max(np.abs(x))), float(np.max(np.abs(res.w))), alpha)
+        assert 1e-8 < res.kkt.chi <= bar
         assert float(np.linalg.norm(J @ res.u)) < 1e-15
         # the bar still tells a wrong multiplier apart
         off = certify((x, v, g, J, alpha, reg, box), res, y=res.y + 1e-6)
-        assert off.chi > kkt_bar(x, res.w, alpha)
+        assert off.chi > bar
 
 
 class TestWarmStart:
@@ -671,7 +690,8 @@ class TestRaySearch:
     @staticmethod
     def theta(y, base, tau0, J, alpha, lam, lower, upper):
         """The dual function of ``_dual_solve`` and its gradient J u."""
-        u, _ = _piece(tau0 - alpha * (J.T @ y), _piece_constants(base, alpha * lam, lower, upper))
+        u, _ = _piece(tau0 - alpha * (J.T @ y),
+                      _piece_constants(base, alpha * lam, BoxSet(lower, upper)))
         r, F = u - tau0, J @ u
         return float(r @ r) / (2 * alpha) + float(lam @ np.abs(base + u)) + float(y @ F), F
 

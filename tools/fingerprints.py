@@ -7,7 +7,12 @@ Run from the repository root; the package is imported from ``src/`` and
 the fuzz generator and ``rank_deficient_l1`` from ``tests/``.  Each solve
 maps to ``[status, iterations, ledger sha256, invariant violations]``,
 the last the number of step inequalities the solve's own check found
-broken.  The sweep:
+broken.  Each ``KktPoint`` answer is also checked from outside the
+solver: ``kkt_residual`` on the caller's problem must give the report's
+chi (by ``==``, so a NaN fails) and meet the config's three tolerances.
+A sweep prints every answer that fails and exits 1 when one does; the
+fingerprints are written either way, in the same four-entry format.
+The sweep:
 
 * the fuzz sweep: ``test_fuzz.fuzz_case`` draws of rng 99 x 60 and rngs
   5, 6, 7 x 150, plus both ``rank_deficient_l1`` instances (512 solves);
@@ -53,7 +58,7 @@ import numpy as np  # noqa: E402
 
 from pgcon import scca  # noqa: E402
 from pgcon.corpus import corpus  # noqa: E402
-from pgcon.driver import SolverConfig, ledger_to_csv, solve  # noqa: E402
+from pgcon.driver import SolverConfig, kkt_residual, ledger_to_csv, solve  # noqa: E402
 from test_driver import rank_deficient_l1  # noqa: E402
 from test_fuzz import fuzz_case  # noqa: E402
 
@@ -82,20 +87,45 @@ def sweep(gate_seeds):
                    SolverConfig(alpha0=1e-3))
 
 
+def false_answer(rep, p, cfg) -> list:
+    """What is false in ``rep`` on the caller's problem ``p``: for a
+    ``KktPoint``, a chi other than ``kkt_residual``'s or a part above its
+    tolerance (a NaN fails both).  Other statuses are not checked yet."""
+    if rep.status != "KktPoint":
+        return []
+    chi, parts = kkt_residual(p, rep.x, rep.y, rep.z, rep.g_r)
+    bad = [f"chi {rep.chi!r}, kkt_residual {chi!r}"] if chi != rep.chi else []
+    for name, tol in (("feasibility", cfg.tol_c), ("stationarity", cfg.tol_stat),
+                      ("subgradient_margin", cfg.tol_stat), ("complementarity", cfg.tol_comp)):
+        value = getattr(parts, name)
+        if not value <= tol:
+            bad.append(f"{name} {value!r} > {tol!r}")
+    return bad
+
+
 def fingerprint(rep) -> list:
     sha = hashlib.sha256(ledger_to_csv(rep.records).encode()).hexdigest()
     return [rep.status, rep.iterations, sha, len(rep.invariant_violations)]
 
 
-def run(out: Path, gate_seeds) -> None:
-    prints = {}
+def run(out: Path, gate_seeds) -> int:
+    """Write the sweep's fingerprints to ``out``; return the number of
+    false answers."""
+    prints, false = {}, 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for key, p, cfg in sweep(gate_seeds):
-            prints[key] = fingerprint(solve(p, cfg))
+            rep = solve(p, cfg)
+            prints[key] = fingerprint(rep)
+            bad = false_answer(rep, p, cfg)
+            if bad:
+                false += 1
+                print(f"{key}: false {rep.status}: " + "; ".join(bad))
     out.write_text(json.dumps(prints, indent=1, sort_keys=True) + "\n")
     statuses = collections.Counter(fp[0] for fp in prints.values())
-    print(f"{len(prints)} solves -> {out}: {dict(sorted(statuses.items()))}")
+    print(f"{len(prints)} solves -> {out}: {dict(sorted(statuses.items()))}, "
+          f"{false} false answers")
+    return false
 
 
 def compare(path_a: Path, path_b: Path) -> int:
@@ -131,8 +161,7 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     if args.out is None:
         ap.error("give an output file or --compare A B")
-    run(args.out, [int(s) for s in args.gate_seeds.split(",")])
-    return 0
+    return 1 if run(args.out, [int(s) for s in args.gate_seeds.split(",")]) else 0
 
 
 if __name__ == "__main__":
