@@ -4,12 +4,10 @@ termination taxonomy, per-iteration ledger, and identification trackers.
 Status taxonomy
 ---------------
 KktPoint              all three KKT tolerances met
-InfeasibleStationary  stationary for the violation but c != 0 (certified)
+InfeasibleStationary  ||c|| > tol_c and delta <= tol_stat ||c||, thrice (certified)
 MaxIter / TimeLimit   budget exhausted
-Stalled               proximal parameter collapsed below its floor, the step
-                      vanished repeatedly without passing the KKT test, or a
-                      subproblem failed on degenerate data
-MeritCollapse         merit weight driven below its floor
+Stalled               proximal parameter collapsed below its floor, or the
+                      tangential subproblem failed on degenerate data
 """
 
 from __future__ import annotations
@@ -297,7 +295,6 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     monitor = _InvariantMonitor(box.orthant)
     records: list[IterationRecord] = []
     isp_streak = 0
-    stall_streak = 0
     y = np.zeros(p.m)
     z = np.zeros(p.n)
     g_r = np.zeros(p.n)
@@ -329,7 +326,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             # the method's scaled copies of the caller's values at x
             f_s, g_s = f_fac * f_val, f_fac * g_val
             c_s, J_s = c_fac * c_val, c_fac[:, None] * J_val
-            point = normal_point(x, c_s, J_s, box, cfg.tol_c)
+            point = normal_point(x, c_s, J_s, box, cfg.tol_c, cfg.tol_stat)
             c_norm, v_unit_norm = point.c_norm, _norm(point.v_unit)
             x_hash, aset = _hash_point(x), active_set(x, box, point.masks)
             sign_pattern = _sign_pattern(x, weighted)
@@ -384,23 +381,16 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             # then shrinks
             phi_new, accepted = np.inf, False
 
-        # every decision before the one ledger row: the stop, by priority,
-        # then the derivatives at w for a step taken with no stop
-        vanished = s_norm / alpha <= TOL_STEP
-        stall_streak = stall_streak + 1 if vanished else 0
-        stop = None
-        # g_r must lie in lam * d|x| within tol_stat, not only in lam * d|w|;
-        # a NaN part fails its comparison
-        if (parts.feasibility <= cfg.tol_c
-                and parts.stationarity <= cfg.tol_stat
-                and parts.subgradient_margin <= cfg.tol_stat
-                and parts.complementarity <= cfg.tol_comp):
-            stop, accepted = "KktPoint", False
-        elif tau_new < glob.TAU_FLOOR:
-            stop = "MeritCollapse"
-        elif stall_streak >= 5:
-            stop = "Stalled"
-        elif accepted:
+        # every decision before the one ledger row: the KKT stop, then the
+        # derivatives at w for a step taken with no stop.  g_r must lie in
+        # lam * d|x| within tol_stat, not only in lam * d|w|; a NaN part
+        # fails its comparison
+        kkt = (parts.feasibility <= cfg.tol_c
+               and parts.stationarity <= cfg.tol_stat
+               and parts.subgradient_margin <= cfg.tol_stat
+               and parts.complementarity <= cfg.tol_comp)
+        accepted = accepted and not kkt
+        if accepted:
             # the derivatives at w; a non-finite one rejects the step as a
             # non-finite value would have
             try:
@@ -423,10 +413,11 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             records[-1], tau_prev=tau, normal=normal, z=z, x=x, m0=point.m0, J=J_s,
             A_k=A_k, cJs_norm=cJs_norm, v_unit_norm=v_unit_norm,
         )
-        if stop is not None:
-            return finish(stop)
+        if kkt:
+            return finish("KktPoint")
         tau = tau_new
 
+        vanished = s_norm / alpha <= TOL_STEP
         lipschitz = None
         if accepted and not vanished:
             # local Lipschitz estimate of the scaled Lagrangian's gradient

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "ALPHA_FLOOR",
-    "TAU_FLOOR",
     "SIGMA_C",
     "EPS_TAU",
     "ETA_PHI",
@@ -29,7 +28,6 @@ __all__ = [
 ]
 
 ALPHA_FLOOR = 1e-16
-TAU_FLOOR = 1e-12
 # share of the linearized violation decrease the merit weight keeps back
 SIGMA_C = 0.1
 # a decreased merit weight drops at least to (1 - EPS_TAU) times its value
@@ -55,10 +53,13 @@ def compute_Ak(g, s, alpha: float, r_at_xs: float, r_at_x: float) -> float:
 
 def tau_trial(A_k: float, ck_norm: float, ck_Jk_sk_norm: float) -> float:
     """Largest merit weight keeping the step a descent direction; inf when
-    the step already reduces the smooth-plus-regularized model."""
-    if A_k <= 0.0:
+    the step already reduces the smooth-plus-regularized model, or when its
+    linearized gain ||c|| - ||c + J s|| is not positive: a rounding, which
+    no weight mends, so the weight is kept and stays positive."""
+    gain = ck_norm - ck_Jk_sk_norm
+    if A_k <= 0.0 or gain <= 0.0:
         return np.inf
-    return (1.0 - SIGMA_C) * (ck_norm - ck_Jk_sk_norm) / A_k
+    return (1.0 - SIGMA_C) * gain / A_k
 
 
 def update_tau(tau_prev: float, tau_trial_val: float) -> float:

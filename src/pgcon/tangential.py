@@ -28,9 +28,9 @@ gives z and g_r and for the certificate, and w's ``PointData`` once, for
 the certificate and the bar; the result carries it, and the driver's
 stop test reads it once w is accepted.
 
-When the Newton budget runs out, the line search or a Cholesky
-factorization fails, or the answer misses the tangential KKT bar, the
-solve raises TangentialError naming that cause.
+When the line search or a Cholesky factorization fails, or the answer
+misses the tangential KKT bar, the solve raises TangentialError naming
+that cause; a miss names the Newton steps taken, budget exits included.
 
 The split QP (build_tangential_qp) writes each regularized component as
 w_i = p_i - q_i with p_i, q_i >= 0, which turns the subproblem into a
@@ -302,10 +302,11 @@ def _dual_solve(base, tau0, J, alpha, lam, box: BoxSet, y):
     Once a unit step leaves the piece (the codes) unchanged, or cuts the
     residual as the model predicts, the model is exact there and the
     remaining residual is refined in place, u_F -= alpha J_F' d and
-    y += d, until |J u| <= 4 eps (1 + |J| |u|) row by row.  Returns (y, u,
+    y += d, until |J u| <= 4 eps (1 + |J| |u|) row by row or the budget
+    is spent; the caller's KKT bar judges either iterate.  Returns (y, u,
     code, iterations, evaluations), with evaluations the ``_piece`` calls
-    made; raises TangentialError when the budget runs out, the line
-    search fails or a Cholesky factorization fails.
+    made; raises TangentialError when the line search or a Cholesky
+    factorization fails.
     """
     m = J.shape[0]
     alpha_lam = alpha * lam
@@ -327,10 +328,7 @@ def _dual_solve(base, tau0, J, alpha, lam, box: BoxSet, y):
     theta_y = None  # theta at y, once the line search has formed it
     iterations = 0
     refine = False
-    while not _converged(F, abs_J @ np.abs(u)):
-        if iterations == _NEWTON_BUDGET:
-            raise TangentialError(f"dual solve ran out of its Newton budget "
-                                  f"({_NEWTON_BUDGET} steps), |J u| = {_norm(F):.3g}")
+    while iterations < _NEWTON_BUDGET and not _converged(F, abs_J @ np.abs(u)):
         if iterations == 0:
             # the largest squared row norm of J, in alpha units; a solve
             # that starts at its answer takes no step and never needs it
@@ -440,7 +438,8 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     x_max = (PointData(x, box) if point is None else point).x_max
     bar = kkt_bar(x_max, w_point.x_max, alpha)
     if not kkt.chi <= bar:
-        raise TangentialError(f"dual answer misses the tangential KKT bar: residual "
-                              f"{kkt.chi:.3g} > {bar:.3g}")
+        raise TangentialError(f"dual answer misses the tangential KKT bar after "
+                              f"{iterations} of {_NEWTON_BUDGET} Newton steps: "
+                              f"residual {kkt.chi:.3g} > {bar:.3g}")
     return TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w, iterations=iterations,
                             evaluations=evaluations, kkt=kkt, point=w_point)

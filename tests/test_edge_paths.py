@@ -14,13 +14,6 @@ from pgcon.scca import scca_generate
 
 
 class TestStatusBranches:
-    def test_merit_collapse(self, monkeypatch):
-        # force the floor above the initial weight: the first update trips it
-        monkeypatch.setattr(glob, "TAU_FLOOR", 1.1)
-        inst = get_instance("l1-sign-1")
-        rep = solve(inst.problem, SolverConfig())
-        assert rep.status == "MeritCollapse"
-
     def test_alpha_floor_stall(self, monkeypatch):
         monkeypatch.setattr(glob, "ALPHA_FLOOR", 1.0)
         # steep curvature rejects large-alpha steps repeatedly

@@ -1,5 +1,5 @@
 """tools/fingerprints.py's check of each answer against the caller's
-problem: it must catch a false KktPoint report."""
+problem: it must catch a false report of each kind it checks."""
 
 import dataclasses
 import importlib.util
@@ -11,6 +11,7 @@ import pytest
 
 from pgcon.corpus import get_instance
 from pgcon.driver import SolverConfig, solve
+from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "fingerprints.py"
 
@@ -40,5 +41,37 @@ def test_false_kkt_point_is_caught(fingerprints):
     assert len(bad) == 2 and bad[0].startswith("chi ") and bad[1].startswith("stationarity ")
     # a NaN chi never matches
     assert fingerprints.false_answer(dataclasses.replace(rep, chi=np.nan), p, cfg)
-    # other statuses are not checked yet
+    # the multipliers are checked only for a KktPoint
     assert fingerprints.false_answer(dataclasses.replace(moved, status="MaxIter"), p, cfg) == []
+
+
+def test_false_infeasible_stationary_is_caught(fingerprints):
+    # c(x) = x1 + 0.1 x2 + 1 over x1 >= 0 is met at x2 = -10, but at x = 0
+    # only x2 can move: J'c = (1, 0.1), delta = 0.1 and ||c|| = 1, so a
+    # report of InfeasibleStationary there is false.  With x2 >= 0 too,
+    # delta = 0 and the same report is true
+    def problem(lower2):
+        return ProblemInstance(
+            name="fake-isp", n=2, m=1, f_eval=lambda x: 0.0, g_eval=lambda x: np.zeros(2),
+            c_eval=lambda x: np.array([x[0] + 0.1 * x[1] + 1.0]),
+            J_eval=lambda x: np.array([[1.0, 0.1]]), reg=L1Regularizer(np.zeros(2)),
+            box=BoxSet(np.array([0.0, lower2]), np.full(2, np.inf)), x0=np.zeros(2))
+
+    cfg = SolverConfig()
+    true_isp = problem(0.0)
+    rep = solve(true_isp, cfg)
+    assert (rep.status, rep.x.tolist(), rep.c_norm) == ("InfeasibleStationary", [0.0, 0.0], 1.0)
+    assert fingerprints.false_answer(rep, true_isp, cfg) == []
+    bad = fingerprints.false_answer(rep, problem(-np.inf), cfg)
+    assert bad == [f"delta 0.1 > tol_stat |c(x)| {cfg.tol_stat!r}"]
+
+
+def test_non_positive_tau_is_caught(fingerprints):
+    p = get_instance("l1-lin-1").problem
+    cfg = SolverConfig()
+    rep = solve(p, cfg)
+    assert len(rep.records) == 2
+    rows = [dataclasses.replace(r) for r in rep.records]
+    rows[0].tau, rows[1].tau = 0.0, -1e-3
+    bad = fingerprints.false_answer(dataclasses.replace(rep, records=rows), p, cfg)
+    assert bad == ["tau 0.0 in row 0", "tau -0.001 in row 1"]

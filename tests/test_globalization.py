@@ -38,7 +38,10 @@ class TestTauTrial:
         assert tau_trial(1.0, 3.0, 1.0) == pytest.approx(1.8)
 
     def test_zero_gain_with_positive_curvature(self):
-        assert tau_trial(2.0, 1.0, 1.0) == 0.0
+        # no positive weight makes a step with no linearized gain descend:
+        # the weight is kept, so it stays positive
+        assert tau_trial(2.0, 1.0, 1.0) == np.inf
+        assert tau_trial(2.0, 1.0, 1.0 + 1e-15) == np.inf
 
 
 class TestUpdateTau:

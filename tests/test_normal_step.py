@@ -26,14 +26,15 @@ from test_fuzz import fuzz_case
 def search(x, c, J, alpha, delta, box):
     """cauchy_search from the point's own J'c and unit trial, with the
     given delta."""
-    point = dataclasses.replace(normal_point(x, c, J, box, 1e-6), delta=delta)
+    point = dataclasses.replace(normal_point(x, c, J, box, 1e-6, 1e-4), delta=delta)
     return cauchy_search(x, c, J, alpha, box, point)
 
 
-def step(x, c, J, alpha, box, tol_c=1e-6):
+def step(x, c, J, alpha, box, tol_c=1e-6, tol_stat=1e-4):
     """compute_normal_step at alpha from the point's own data, as the
     driver calls it."""
-    return compute_normal_step(x, c, J, alpha, box, normal_point(x, c, J, box, tol_c))
+    return compute_normal_step(x, c, J, alpha, box,
+                               normal_point(x, c, J, box, tol_c, tol_stat))
 
 
 def grid_oracle_beta(x, c, J, alpha, delta, box, imax=200):
@@ -196,6 +197,21 @@ class TestComputeNormalStep:
         res = step(np.array([0.0]), np.array([1.0]), np.array([[0.0]]), 1.0, box)
         assert res.infeasible_stationary
 
+    @pytest.mark.parametrize("tol_c", [1e-6, 2.0])
+    def test_relative_infeasibility_test_at_its_margin(self, tol_c):
+        # c = 1 and J = a in a free box: delta = a and ||c|| = 1, so the
+        # margin tol_stat ||c|| is tol_stat itself.  At or one ulp below it
+        # the step is zero, flagged where ||c|| > tol_c; one ulp above it
+        # the step moves
+        tol_stat = 1e-4
+        x, c, box = np.zeros(1), np.ones(1), BoxSet.free(1)
+        for a, zero in ((np.nextafter(tol_stat, 0.0), True), (tol_stat, True),
+                        (np.nextafter(tol_stat, 1.0), False)):
+            res = step(x, c, np.array([[a]]), 1.0, box, tol_c, tol_stat)
+            assert res.delta == a
+            assert (not np.any(res.v)) == zero
+            assert res.infeasible_stationary == (zero and tol_c < 1.0)
+
     def test_selection_never_worse_than_cauchy(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
@@ -229,7 +245,7 @@ class TestComputeNormalStep:
         monkeypatch.setattr(normal_step, "MAX_BACKTRACKS", 0)
         # the unit trial overshoots the radius, so the search ends at zero
         x, c, J = np.array([5.0]), np.array([-1.0]), np.array([[1.0]])
-        point = normal_point(x, c, J, BoxSet.free(1), 1e-6)
+        point = normal_point(x, c, J, BoxSet.free(1), 1e-6, 1e-4)
         np.testing.assert_array_equal(point.v_unit, [1.0])  # the beta = 1 trial
         res = compute_normal_step(x, c, J, 1e-4, BoxSet.free(1), point)
         beta, _, backtracks, m_c = search(x, c, J, 1e-4, res.delta, BoxSet.free(1))
@@ -249,7 +265,8 @@ class TestComputeNormalStep:
             c = rng.standard_normal(2) * rng.choice([0.0, 1.0])
             x = rng.random(4)
             res = step(x, c, J, 1.0, box)
-            if res.delta <= 1e-12 * (1 + np.linalg.norm(J.T @ c)):
+            if res.delta <= max(1e-12 * (1 + np.linalg.norm(J.T @ c)),
+                                1e-4 * np.linalg.norm(c)):
                 assert np.linalg.norm(res.v) == 0.0
             else:
                 assert np.linalg.norm(res.v) > 0.0

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import pgcon.driver as driver
 from pgcon.corpus import get_instance
 from pgcon.driver import SolverConfig, kkt_residual, solve
 from pgcon.geometry import PointData, kkt_parts
@@ -11,6 +12,7 @@ from pgcon.problem import (
     EvaluationError,
     L1Regularizer,
     ProblemInstance,
+    ScaleInfo,
     add_slacks,
     check_derivatives,
     load_problem,
@@ -364,6 +366,63 @@ class TestScaling:
         assert scaled.f_unscaled == base.f(scaled.x)
         assert scaled.objective == base.f(scaled.x) + base.reg.value(scaled.x)
         assert scaled.c_norm == float(np.linalg.norm(base.c(scaled.x)))
+
+    @staticmethod
+    def hs50():
+        """Hock & Schittkowski problem 50 from the book's start: g_3 = 948
+        there, so f is scaled by 100/948."""
+        A = np.array([[1.0, 2.0, 3.0, 0.0, 0.0], [0.0, 1.0, 2.0, 3.0, 0.0],
+                      [0.0, 0.0, 1.0, 2.0, 3.0]])
+
+        def g(x):
+            a, b, c, d = x[:-1] - x[1:]
+            return np.array([2 * a, 2 * (b - a), 4 * c ** 3 - 2 * b, 2 * d - 4 * c ** 3, -2 * d])
+
+        return ProblemInstance(
+            name="hs50", n=5, m=3,
+            f_eval=lambda x: float((x[0] - x[1]) ** 2 + (x[1] - x[2]) ** 2
+                                   + (x[2] - x[3]) ** 4 + (x[3] - x[4]) ** 2),
+            g_eval=g, c_eval=lambda x: A @ x - 6.0, J_eval=lambda x: A.copy(),
+            reg=L1Regularizer(np.zeros(5)), box=BoxSet.free(5),
+            x0=np.array([35.0, -31.0, 11.0, 5.0, -5.0]))
+
+    @staticmethod
+    def hs26():
+        """Hock & Schittkowski problem 26 from the farther start the book
+        states, (-2.6, 2, 4): J = (5, -10.4, 256) there, so c is scaled by
+        100/256."""
+        return ProblemInstance(
+            name="hs26", n=3, m=1,
+            f_eval=lambda x: float((x[0] - x[1]) ** 2 + (x[1] - x[2]) ** 4),
+            g_eval=lambda x: np.array([2 * (x[0] - x[1]),
+                                       4 * (x[1] - x[2]) ** 3 - 2 * (x[0] - x[1]),
+                                       -4 * (x[1] - x[2]) ** 3]),
+            c_eval=lambda x: np.array([(1 + x[1] ** 2) * x[0] + x[2] ** 4 - 3]),
+            J_eval=lambda x: np.array([[1 + x[1] ** 2, 2 * x[0] * x[1], 4 * x[2] ** 3]]),
+            reg=L1Regularizer(np.zeros(3)), box=BoxSet.free(3),
+            x0=np.array([-2.6, 2.0, 4.0]))
+
+    @pytest.mark.parametrize("name, factors", [("hs50", (100 / 948, [1.0, 1.0, 1.0])),
+                                               ("hs26", (1.0, [100 / 256]))])
+    def test_known_answer_needs_scaling(self, name, factors, monkeypatch):
+        # f* = 0 at x = 1.  Scaled, HS 50 ends in 45 iterations and HS 26 in
+        # 352; with factors of 1 they take 120 and 1306 (the same under
+        # OpenBLAS's SkylakeX and Haswell kernels)
+        p = getattr(self, name)()
+        info = scale_factors(p.g(p.x0), p.J(p.x0))
+        assert (info.objective_factor, info.constraint_factors.tolist()) == factors
+        cfg = SolverConfig()
+        rep = solve(p, cfg)
+        assert rep.status == "KktPoint" and abs(rep.objective) <= 1e-6
+        chi, parts = kkt_residual(p, rep.x, rep.y, rep.z, rep.g_r)
+        assert chi == rep.chi <= cfg.tol_stat
+        assert parts.feasibility <= cfg.tol_c and parts.complementarity <= cfg.tol_comp
+        assert rep.invariant_violations == []
+        monkeypatch.setattr(driver, "scale_factors", lambda g0, J0: ScaleInfo(
+            objective_factor=1.0, constraint_factors=np.ones(J0.shape[0])))
+        unscaled = solve(p, cfg)
+        assert unscaled.status == "KktPoint"
+        assert unscaled.iterations > rep.iterations
 
 
 class TestAddSlacks:

@@ -563,8 +563,9 @@ class TestFallback:
     """The dual solve has no fallback: a failure raises, naming its cause."""
 
     # a nearly singular square J, as in fuzz rng 99 #12: u = 0 and y =
-    # -J'^{-1} g ~ 2e8, so the rounding of alpha J'y alone, ~1e-8, keeps
-    # |J u| far above the 4 eps (1 + |J| |u|) stopping bar
+    # -J'^{-1} g ~ 2e8, so the rounding of alpha J'y alone, ~1e-8 alpha,
+    # keeps |J u| far above the 4 eps (1 + |J| |u|) stopping bar, and the
+    # dual solve ends on its Newton budget
     J = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-8]])
     G = np.array([1.0, -1.0])
 
@@ -580,9 +581,17 @@ class TestFallback:
         assert res.iterations <= 3
 
     def test_nearly_singular_jacobian_exhausts_newton_budget(self):
-        with pytest.raises(TangentialError, match="Newton budget"):
-            solve_tangential(np.zeros(2), np.zeros(2), self.G, self.J, 1.0,
-                             L1Regularizer(np.zeros(2)), BoxSet.free(2))
+        # the KKT bar judges the budget's iterate as any other: at alpha = 1
+        # its residual, 6.9e-9, meets the bar 1e-8; at alpha = 10 the
+        # rounding grows tenfold (6.87e-8 under OpenBLAS's SkylakeX kernel,
+        # 6.86e-8 under Haswell) and the miss names the budget
+        args = (np.zeros(2), np.zeros(2), self.G, self.J)
+        reg, box = L1Regularizer(np.zeros(2)), BoxSet.free(2)
+        res = solve_tangential(*args, 1.0, reg, box)
+        assert res.iterations == 50 and res.kkt.chi <= 1e-8
+        with pytest.raises(TangentialError, match=r"misses the tangential KKT bar after "
+                                                  r"50 of 50 Newton steps: residual 6\.8[0-9]e-08 > 1e-08"):
+            solve_tangential(*args, 10.0, reg, box)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_jacobian_fails_the_cholesky(self, bad):
@@ -613,17 +622,21 @@ class TestFallback:
 
     def test_driver_run_stalls_naming_the_cause(self):
         # min g'x s.t. J x = 0 from x = 0: the first tangential subproblem
-        # is the one above
+        # is the one above at alpha = 1, whose budget iterate passes; the
+        # flat Lagrangian then takes alpha to ALPHA_MAX, and the second
+        # misses the bar by rounding alone (7.06e-3 under the SkylakeX
+        # kernel, 6.93e-3 under Haswell)
         J, g = self.J, self.G
         p = ProblemInstance(
             name="near-singular", n=2, m=2, f_eval=lambda x: float(g @ x),
             g_eval=lambda x: g.copy(), c_eval=lambda x: J @ x,
             J_eval=lambda x: J.copy(), reg=L1Regularizer(np.zeros(2)),
             box=BoxSet.free(2), x0=np.zeros(2))
-        with pytest.warns(UserWarning, match="iteration 0: .*Newton budget"):
+        with pytest.warns(UserWarning, match=r"iteration 1: .*KKT bar after 50 of 50 "
+                                             r"Newton steps: residual 0\.00[67][0-9]* > 1e-08"):
             rep = solve(p, SolverConfig(alpha0=1.0))
         assert rep.status == "Stalled"
-        assert rep.iterations == 0
+        assert rep.iterations == 1 and rep.records[0].tang_iters == 50
 
     def test_kkt_bar_miss_stalls_an_scca_cell(self):
         # runs the KKT-bar raise, on a known defect: the dual solve's
@@ -788,8 +801,9 @@ class TestRaySearch:
     @pytest.mark.parametrize("seed, trial, status", [
         (7, 37, "KktPoint"), (99, 32, "InfeasibleStationary"), (5, 84, "KktPoint")])
     def test_fuzz_solves_that_a_partial_walk_stalls(self, seed, trial, status):
-        # stepping only to the first kink crawls one kink per Newton step and
-        # ends these Stalled on the Newton budget
+        # stepping only to the first kink crawls one kink per Newton step,
+        # and these end Stalled when the Newton budget's iterate misses the
+        # KKT bar
         rng = np.random.default_rng(seed)
         for k in range(trial + 1):
             p, cfg = fuzz_case(rng, k)

@@ -7,11 +7,13 @@ Run from the repository root; the package is imported from ``src/`` and
 the fuzz generator and ``rank_deficient_l1`` from ``tests/``.  Each solve
 maps to ``[status, iterations, ledger sha256, invariant violations]``,
 the last the number of step inequalities the solve's own check found
-broken.  Each ``KktPoint`` answer is also checked from outside the
-solver: ``kkt_residual`` on the caller's problem must give the report's
-chi (by ``==``, so a NaN fails) and meet the config's three tolerances.
-A sweep prints every answer that fails and exits 1 when one does; the
-fingerprints are written either way, in the same four-entry format.
+broken.  Each answer is also checked from outside the solver, on the
+caller's problem (``false_answer``): for every status the point, the
+objective, ``c_norm``, chi and each ledger row's tau; for a ``KktPoint``
+the KKT residual, and for an ``InfeasibleStationary`` the certificate
+delta <= tol_stat ||c|| with ||c|| > tol_c.  A sweep prints every answer
+that fails and exits 1 when one does; the fingerprints are written
+either way, in the same four-entry format.
 The sweep:
 
 * the fuzz sweep: ``test_fuzz.fuzz_case`` draws of rng 99 x 60 and rngs
@@ -59,6 +61,7 @@ import numpy as np  # noqa: E402
 from pgcon import scca  # noqa: E402
 from pgcon.corpus import corpus  # noqa: E402
 from pgcon.driver import SolverConfig, kkt_residual, ledger_to_csv, solve  # noqa: E402
+from pgcon.geometry import _norm, compute_delta  # noqa: E402
 from test_driver import rank_deficient_l1  # noqa: E402
 from test_fuzz import fuzz_case  # noqa: E402
 
@@ -88,18 +91,40 @@ def sweep(gate_seeds):
 
 
 def false_answer(rep, p, cfg) -> list:
-    """What is false in ``rep`` on the caller's problem ``p``: for a
-    ``KktPoint``, a chi other than ``kkt_residual``'s or a part above its
-    tolerance (a NaN fails both).  Other statuses are not checked yet."""
-    if rep.status != "KktPoint":
-        return []
-    chi, parts = kkt_residual(p, rep.x, rep.y, rep.z, rep.g_r)
-    bad = [f"chi {rep.chi!r}, kkt_residual {chi!r}"] if chi != rep.chi else []
-    for name, tol in (("feasibility", cfg.tol_c), ("stationarity", cfg.tol_stat),
-                      ("subgradient_margin", cfg.tol_stat), ("complementarity", cfg.tol_comp)):
-        value = getattr(parts, name)
-        if not value <= tol:
-            bad.append(f"{name} {value!r} > {tol!r}")
+    """What is false in ``rep`` on the caller's problem ``p``.  Every
+    status: x lies in the box, ``objective`` is f(x) + r(x) and ``c_norm``
+    is ||c(x)||, both by ``==``, chi is finite once a ledger row exists,
+    and every row's tau is positive.  A ``KktPoint``: ``kkt_residual``
+    gives the report's chi and meets the config's three tolerances.  An
+    ``InfeasibleStationary``: ||c(x)|| > tol_c, and delta(x) <= tol_stat
+    ||c(x)||, delta the norm of J'c projected on the box's tangent cone.
+    A NaN fails every check it reaches."""
+    x, c_x = rep.x, p.c(rep.x)
+    c_norm, objective = _norm(c_x), p.f(x) + p.reg.value(x)
+    bad = [] if p.box.contains(x) else ["x outside the box"]
+    if rep.objective != objective:
+        bad.append(f"objective {rep.objective!r}, f + r {objective!r}")
+    if rep.c_norm != c_norm:
+        bad.append(f"c_norm {rep.c_norm!r}, |c(x)| {c_norm!r}")
+    if rep.records and not np.isfinite(rep.chi):
+        bad.append(f"chi {rep.chi!r} after {len(rep.records)} rows")
+    bad += [f"tau {r.tau!r} in row {r.k}" for r in rep.records if not r.tau > 0]
+    if rep.status == "KktPoint":
+        chi, parts = kkt_residual(p, x, rep.y, rep.z, rep.g_r)
+        if chi != rep.chi:
+            bad.append(f"chi {rep.chi!r}, kkt_residual {chi!r}")
+        for name, tol in (("feasibility", cfg.tol_c), ("stationarity", cfg.tol_stat),
+                          ("subgradient_margin", cfg.tol_stat),
+                          ("complementarity", cfg.tol_comp)):
+            value = getattr(parts, name)
+            if not value <= tol:
+                bad.append(f"{name} {value!r} > {tol!r}")
+    elif rep.status == "InfeasibleStationary":
+        delta = compute_delta(x, p.J(x).T @ c_x, p.box)
+        if not c_norm > cfg.tol_c:
+            bad.append(f"|c(x)| {c_norm!r} <= tol_c {cfg.tol_c!r}")
+        if not delta <= cfg.tol_stat * c_norm:
+            bad.append(f"delta {delta!r} > tol_stat |c(x)| {cfg.tol_stat * c_norm!r}")
     return bad
 
 
