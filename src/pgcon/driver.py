@@ -4,7 +4,7 @@ termination taxonomy, per-iteration ledger, and identification trackers.
 Status taxonomy
 ---------------
 KktPoint              all three KKT tolerances met
-InfeasibleStationary  ||c|| > tol_c and delta <= tol_stat ||c||, thrice (certified)
+InfeasibleStationary  ||c|| > tol_c and delta <= tol_inf ||c||, thrice (certified)
 MaxIter / TimeLimit   budget exhausted
 Stalled               proximal parameter collapsed below its floor, or the
                       tangential subproblem failed on degenerate data
@@ -55,8 +55,9 @@ _FIELD_KINDS = {"int": int, "float": (int, float)}
 @dataclass(frozen=True)
 class SolverConfig:
     """What a run chooses: the first proximal parameter ``alpha0``, the
-    KKT tolerances (``tol_c`` also marks a stationary point of the
-    violation infeasible) and the budgets.  The start is the problem's
+    KKT tolerances and the budgets.  ``tol_stat`` also sets the
+    infeasibility test's tol_inf = tol_stat min(1, max|J(x0)|), and
+    ``tol_c`` the violation it certifies.  The start is the problem's
     ``x0``.  The method's fixed parameters are constants next to the
     function that reads each.  A config is frozen, so its hash is formed
     once, on the first call of ``config_hash``."""
@@ -287,6 +288,9 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     f_val, g_val, c_val, J_val = p.f(x), p.g(x), p.c(x), p.J(x)
     scale = scale_factors(g_val, J_val)
     f_fac, c_fac = scale.objective_factor, scale.constraint_factors
+    # delta/||c|| scales with J: tol_stat applies in units of the start's
+    # largest |J_ij|, capped at 1, which scaling leaves unchanged
+    tol_inf = cfg.tol_stat * min(1.0, float(np.abs(J_val).max(initial=0.0)))
     reg = p.reg if f_fac == 1.0 else L1Regularizer(f_fac * p.reg.weights)
     weighted = (reg.weights > 0).nonzero()[0]
     r_val = reg.value(x)
@@ -326,7 +330,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             # the method's scaled copies of the caller's values at x
             f_s, g_s = f_fac * f_val, f_fac * g_val
             c_s, J_s = c_fac * c_val, c_fac[:, None] * J_val
-            point = normal_point(x, c_s, J_s, box, cfg.tol_c, cfg.tol_stat)
+            point = normal_point(x, c_s, J_s, box, cfg.tol_c, tol_inf)
             c_norm, v_unit_norm = point.c_norm, _norm(point.v_unit)
             x_hash, aset = _hash_point(x), active_set(x, box, point.masks)
             sign_pattern = _sign_pattern(x, weighted)

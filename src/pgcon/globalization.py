@@ -53,9 +53,10 @@ def compute_Ak(g, s, alpha: float, r_at_xs: float, r_at_x: float) -> float:
 
 def tau_trial(A_k: float, ck_norm: float, ck_Jk_sk_norm: float) -> float:
     """Largest merit weight keeping the step a descent direction; inf when
-    the step already reduces the smooth-plus-regularized model, or when its
-    linearized gain ||c|| - ||c + J s|| is not positive: a rounding, which
-    no weight mends, so the weight is kept and stays positive."""
+    the step already reduces the smooth-plus-regularized model, or its
+    linearized gain ||c|| - ||c + J s|| is not positive, which no weight
+    mends: rounding, or with v = 0 the J u of a budget-cut dual answer
+    (within the KKT bar).  The weight is kept, and the merit test judges."""
     gain = ck_norm - ck_Jk_sk_norm
     if A_k <= 0.0 or gain <= 0.0:
         return np.inf

@@ -92,20 +92,19 @@ class NormalPoint:
     zero: Optional[NormalStepResult]  # the step when x is stationary for ||c||, free of alpha
 
 
-def normal_point(x, c_val, J_val, box: BoxSet, tol_c: float, tol_stat: float) -> NormalPoint:
-    """The normal step's data at x.  When the projected-gradient measure
-    delta is at most tol_stat ||c|| (or 1e-12 (1 + ||J'c||)) the step is
-    zero for every alpha; if ||c|| > tol_c this flags an infeasible
-    stationary point (the caller decides when to declare it).  delta/||c||
-    is the projected gradient of ||c||, by which Byrd, Curtis & Nocedal
-    (SIAM J. Optim. 2010) detect infeasibility."""
+def normal_point(x, c_val, J_val, box: BoxSet, tol_c: float, tol_inf: float) -> NormalPoint:
+    """The normal step's data at x.  When delta <= tol_inf ||c|| (or
+    1e-12 (1 + ||J'c||)) the step is zero for every alpha; if ||c|| > tol_c
+    this flags an infeasible stationary point, which the caller declares.
+    delta/||c||, the projected gradient of ||c||, is how Byrd, Curtis &
+    Nocedal (SIAM J. Optim. 2010) detect infeasibility."""
     grad = J_val.T @ c_val
     masks = active_masks(x, box)
     delta = compute_delta(x, grad, box, masks)
     cc = float(c_val.dot(c_val))
     m0, c_norm = 0.5 * cc, math.sqrt(cc)
     zero, rho = None, 0.0
-    if delta <= max(1e-12 * (1.0 + _norm(grad)), tol_stat * c_norm):
+    if delta <= max(1e-12 * (1.0 + _norm(grad)), tol_inf * c_norm):
         v = np.zeros(x.shape[0])
         zero = NormalStepResult(v=v, v_cauchy=v, v_inf=None, beta=0.0, delta=delta,
                                 model_cauchy=m0, model=m0,

@@ -303,10 +303,10 @@ def _dual_solve(base, tau0, J, alpha, lam, box: BoxSet, y):
     residual as the model predicts, the model is exact there and the
     remaining residual is refined in place, u_F -= alpha J_F' d and
     y += d, until |J u| <= 4 eps (1 + |J| |u|) row by row or the budget
-    is spent; the caller's KKT bar judges either iterate.  Returns (y, u,
-    code, iterations, evaluations), with evaluations the ``_piece`` calls
-    made; raises TangentialError when the line search or a Cholesky
-    factorization fails.
+    is spent; the KKT bar judges either, so J u may exceed this bar.
+    Returns (y, u, code, iterations, evaluations), with evaluations the
+    ``_piece`` calls made; raises TangentialError when the line search
+    or a Cholesky factorization fails.
     """
     m = J.shape[0]
     alpha_lam = alpha * lam

@@ -637,15 +637,16 @@ def test_zero_normal_step_kept_for_the_point(inst, monkeypatch):
     cfg = SolverConfig(**inst.config_overrides)
 
     def solve_counting(keep_point):
-        points, steps = [], []  # x is a new array at each accepted point
+        points, steps, tol_inf = [], [], []  # x is a new array at each accepted point
 
         def form(x, *args):
             points.append(x)
+            tol_inf.append(args[-1])
             return normal_step.normal_point(x, *args)
 
         def compute(x, c, J, alpha, box, point):
             if not keep_point:
-                point = normal_step.normal_point(x, c, J, box, cfg.tol_c, cfg.tol_stat)
+                point = normal_step.normal_point(x, c, J, box, cfg.tol_c, tol_inf[-1])
             res = normal_step.compute_normal_step(x, c, J, alpha, box, point)
             steps.append((x, point, res))
             return res

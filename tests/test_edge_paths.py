@@ -29,6 +29,20 @@ class TestStatusBranches:
         rep = solve(p, SolverConfig(alpha0=10.0))
         assert rep.status == "Stalled"
 
+    def test_small_jacobian_is_not_certified_infeasible(self):
+        # c(x) = 5e-5 (x - 1) is met at x = 1.  At x = 0, delta / ||c|| = 5e-5
+        # lies below tol_stat, but in units of the start's J it is 1, so no
+        # point is flagged; the step's radius scales with delta, so the run
+        # moves towards x = 1 slowly and ends on its budget
+        p = ProblemInstance(
+            name="small-J", n=1, m=1, f_eval=lambda x: 0.0, g_eval=lambda x: np.zeros(1),
+            c_eval=lambda x: np.array([5e-5 * (x[0] - 1.0)]),
+            J_eval=lambda x: np.array([[5e-5]]), reg=L1Regularizer(np.zeros(1)),
+            box=BoxSet.free(1), x0=np.zeros(1))
+        rep = solve(p, SolverConfig(max_iter=100))
+        assert rep.status == "MaxIter"
+        assert 0.0 < rep.x[0] < 1.0 and rep.c_norm < 5e-5
+
     def test_projection_warning(self):
         inst = get_instance("eq-quad-1")
         with pytest.warns(UserWarning, match="projected"):

@@ -63,7 +63,20 @@ def test_false_infeasible_stationary_is_caught(fingerprints):
     assert (rep.status, rep.x.tolist(), rep.c_norm) == ("InfeasibleStationary", [0.0, 0.0], 1.0)
     assert fingerprints.false_answer(rep, true_isp, cfg) == []
     bad = fingerprints.false_answer(rep, problem(-np.inf), cfg)
-    assert bad == [f"delta 0.1 > tol_stat |c(x)| {cfg.tol_stat!r}"]
+    assert bad == [f"delta 0.1 > tol_stat min(1, max|J(x0)|) |c(x)| {cfg.tol_stat!r}"]
+
+
+def test_false_infeasible_stationary_on_a_small_jacobian_is_caught(fingerprints):
+    # c(x) = 5e-5 (x - 1) is met at x = 1; at x = 0, delta / ||c|| = 5e-5
+    # is below tol_stat but not below tol_stat max|J(x0)| = 5e-9
+    p = ProblemInstance(
+        name="small-J", n=1, m=1, f_eval=lambda x: 0.0, g_eval=lambda x: np.zeros(1),
+        c_eval=lambda x: np.array([5e-5 * (x[0] - 1.0)]), J_eval=lambda x: np.array([[5e-5]]),
+        reg=L1Regularizer(np.zeros(1)), box=BoxSet.free(1), x0=np.zeros(1))
+    cfg = SolverConfig(max_iter=1)
+    rep = dataclasses.replace(solve(p, cfg), status="InfeasibleStationary")
+    bad = fingerprints.false_answer(rep, p, cfg)
+    assert len(bad) == 1 and bad[0].startswith("delta ")
 
 
 def test_non_positive_tau_is_caught(fingerprints):

@@ -30,11 +30,11 @@ def search(x, c, J, alpha, delta, box):
     return cauchy_search(x, c, J, alpha, box, point)
 
 
-def step(x, c, J, alpha, box, tol_c=1e-6, tol_stat=1e-4):
+def step(x, c, J, alpha, box, tol_c=1e-6, tol_inf=1e-4):
     """compute_normal_step at alpha from the point's own data, as the
     driver calls it."""
     return compute_normal_step(x, c, J, alpha, box,
-                               normal_point(x, c, J, box, tol_c, tol_stat))
+                               normal_point(x, c, J, box, tol_c, tol_inf))
 
 
 def grid_oracle_beta(x, c, J, alpha, delta, box, imax=200):
@@ -200,17 +200,26 @@ class TestComputeNormalStep:
     @pytest.mark.parametrize("tol_c", [1e-6, 2.0])
     def test_relative_infeasibility_test_at_its_margin(self, tol_c):
         # c = 1 and J = a in a free box: delta = a and ||c|| = 1, so the
-        # margin tol_stat ||c|| is tol_stat itself.  At or one ulp below it
+        # margin tol_inf ||c|| is tol_inf itself.  At or one ulp below it
         # the step is zero, flagged where ||c|| > tol_c; one ulp above it
         # the step moves
-        tol_stat = 1e-4
+        tol_inf = 1e-4
         x, c, box = np.zeros(1), np.ones(1), BoxSet.free(1)
-        for a, zero in ((np.nextafter(tol_stat, 0.0), True), (tol_stat, True),
-                        (np.nextafter(tol_stat, 1.0), False)):
-            res = step(x, c, np.array([[a]]), 1.0, box, tol_c, tol_stat)
+        for a, zero in ((np.nextafter(tol_inf, 0.0), True), (tol_inf, True),
+                        (np.nextafter(tol_inf, 1.0), False)):
+            res = step(x, c, np.array([[a]]), 1.0, box, tol_c, tol_inf)
             assert res.delta == a
             assert (not np.any(res.v)) == zero
             assert res.infeasible_stationary == (zero and tol_c < 1.0)
+
+    def test_tolerance_in_units_of_the_start_jacobian(self):
+        # c = 5e-5 (x - 1) at x = 0: delta / ||c|| = 5e-5 is below tol_stat,
+        # yet the violation is met at x = 1.  With tol_inf = tol_stat
+        # max|J(x0)|, as the driver passes it, the step moves
+        x, c, J, box = np.zeros(1), np.array([-5e-5]), np.array([[5e-5]]), BoxSet.free(1)
+        assert step(x, c, J, 1.0, box, tol_inf=1e-4).infeasible_stationary
+        res = step(x, c, J, 1.0, box, tol_inf=1e-4 * 5e-5)
+        assert not res.infeasible_stationary and res.v[0] > 0.0
 
     def test_selection_never_worse_than_cauchy(self):
         rng = np.random.default_rng(21)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from pgcon import tangential
+from pgcon import globalization, tangential
 from pgcon.bench import corpus_suite, run_benchmark
 from pgcon.driver import SolverConfig, solve
 from pgcon.geometry import PointData, kkt_parts
@@ -592,6 +592,23 @@ class TestFallback:
         with pytest.raises(TangentialError, match=r"misses the tangential KKT bar after "
                                                   r"50 of 50 Newton steps: residual 6\.8[0-9]e-08 > 1e-08"):
             solve_tangential(*args, 10.0, reg, box)
+
+    def test_budget_iterate_keeps_the_merit_weight(self):
+        # the budget's iterate at alpha = 1 is accepted with J u above the
+        # dual solve's stopping bar but within the KKT bar.  With a zero
+        # normal step and c along J u the linearized gain ||c|| - ||c + J u||
+        # is then negative, and tau_trial keeps the weight
+        res = solve_tangential(np.zeros(2), np.zeros(2), self.G, self.J, 1.0,
+                               L1Regularizer(np.zeros(2)), BoxSet.free(2))
+        Ju = self.J @ res.u
+        assert res.iterations == 50
+        assert not tangential._converged(Ju, np.abs(self.J) @ np.abs(res.u))
+        assert 0.0 < np.abs(Ju).max() <= res.kkt.chi <= 1e-8
+        c = Ju / np.linalg.norm(Ju)
+        gain = np.linalg.norm(c) - np.linalg.norm(c + Ju)
+        assert gain < 0.0
+        assert globalization.tau_trial(1.0, np.linalg.norm(c), np.linalg.norm(c + Ju)) == np.inf
+        assert globalization.update_tau(0.5, np.inf) == 0.5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_jacobian_fails_the_cholesky(self, bad):

@@ -11,9 +11,9 @@ broken.  Each answer is also checked from outside the solver, on the
 caller's problem (``false_answer``): for every status the point, the
 objective, ``c_norm``, chi and each ledger row's tau; for a ``KktPoint``
 the KKT residual, and for an ``InfeasibleStationary`` the certificate
-delta <= tol_stat ||c|| with ||c|| > tol_c.  A sweep prints every answer
-that fails and exits 1 when one does; the fingerprints are written
-either way, in the same four-entry format.
+delta <= tol_stat min(1, max|J(x0)|) ||c|| with ||c|| > tol_c.  A sweep
+prints every answer that fails and exits 1 when one does; the
+fingerprints are written either way, in the same four-entry format.
 The sweep:
 
 * the fuzz sweep: ``test_fuzz.fuzz_case`` draws of rng 99 x 60 and rngs
@@ -61,7 +61,7 @@ import numpy as np  # noqa: E402
 from pgcon import scca  # noqa: E402
 from pgcon.corpus import corpus  # noqa: E402
 from pgcon.driver import SolverConfig, kkt_residual, ledger_to_csv, solve  # noqa: E402
-from pgcon.geometry import _norm, compute_delta  # noqa: E402
+from pgcon.geometry import _norm, compute_delta, project_box  # noqa: E402
 from test_driver import rank_deficient_l1  # noqa: E402
 from test_fuzz import fuzz_case  # noqa: E402
 
@@ -97,8 +97,9 @@ def false_answer(rep, p, cfg) -> list:
     and every row's tau is positive.  A ``KktPoint``: ``kkt_residual``
     gives the report's chi and meets the config's three tolerances.  An
     ``InfeasibleStationary``: ||c(x)|| > tol_c, and delta(x) <= tol_stat
-    ||c(x)||, delta the norm of J'c projected on the box's tangent cone.
-    A NaN fails every check it reaches."""
+    min(1, max|J(x0)|) ||c(x)||, delta the norm of J'c projected on the
+    box's tangent cone and x0 the start projected into the box.  A NaN
+    fails every check it reaches."""
     x, c_x = rep.x, p.c(rep.x)
     c_norm, objective = _norm(c_x), p.f(x) + p.reg.value(x)
     bad = [] if p.box.contains(x) else ["x outside the box"]
@@ -121,10 +122,12 @@ def false_answer(rep, p, cfg) -> list:
                 bad.append(f"{name} {value!r} > {tol!r}")
     elif rep.status == "InfeasibleStationary":
         delta = compute_delta(x, p.J(x).T @ c_x, p.box)
+        J0 = p.J(project_box(p.x0, p.box))
+        bar = cfg.tol_stat * min(1.0, float(np.abs(J0).max(initial=0.0))) * c_norm
         if not c_norm > cfg.tol_c:
             bad.append(f"|c(x)| {c_norm!r} <= tol_c {cfg.tol_c!r}")
-        if not delta <= cfg.tol_stat * c_norm:
-            bad.append(f"delta {delta!r} > tol_stat |c(x)| {cfg.tol_stat * c_norm!r}")
+        if not delta <= bar:
+            bad.append(f"delta {delta!r} > tol_stat min(1, max|J(x0)|) |c(x)| {bar!r}")
     return bad
 
 
