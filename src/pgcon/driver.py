@@ -169,7 +169,9 @@ class SolveReport:
 
 
 def _hash_point(x) -> str:
-    return hashlib.sha256(np.ascontiguousarray(x, dtype=float).tobytes()).hexdigest()[:16]
+    """The first 16 hex digits of the sha256 of x's float64 bytes; the
+    hash reads the buffer of a contiguous float x in place."""
+    return hashlib.sha256(np.ascontiguousarray(x, dtype=float)).hexdigest()[:16]
 
 
 _SIGN_CHARS = np.frombuffer(b"0+-", dtype="S1")
@@ -179,7 +181,9 @@ def _sign_pattern(x, weighted) -> str:
     """One of "+", "-", "0" per weighted component of x (the indices
     ``weighted``), 0 within 1e-12."""
     x_reg = x[weighted]
-    code = (x_reg > 1e-12) + 2 * (x_reg < -1e-12)
+    # 1 for "+", -1 (the table's last entry) for "-", 0 for "0"
+    code = (x_reg > 1e-12).view(np.int8)
+    code -= (x_reg < -1e-12).view(np.int8)
     return _SIGN_CHARS[code].tobytes().decode()
 
 
@@ -267,8 +271,11 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
     f and c are evaluated once per trial point, g and J once per point
     the method moves to (not at a trial that ends the run), and all are
     kept in the caller's units.  The method works on copies scaled by the
-    factors of ``scale_factors``; the KKT stop test, the ledger's chi,
-    chi_stat and chi_comp, and the report are in the caller's units.  What
+    factors of ``scale_factors``, or on the values themselves where the
+    factors are exactly 1 (``ScaleInfo``); the KKT stop test, the ledger's
+    chi, chi_stat and chi_comp, and the report are in the caller's units,
+    and with factors of 1 the stop test takes the tangential step's J'y.
+    A trial forms s's once, for ||s||, A_k and the merit test.  What
     depends on the point alone (the scaled copies, the ledger's hash,
     active set and sign pattern, and the normal step's ``normal_point``,
     with the zero step where it is zero for every alpha) is formed when
@@ -287,7 +294,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
 
     f_val, g_val, c_val, J_val = p.f(x), p.g(x), p.c(x), p.J(x)
     scale = scale_factors(g_val, J_val)
-    f_fac, c_fac = scale.objective_factor, scale.constraint_factors
+    f_fac = scale.objective_factor
     # delta/||c|| scales with J: tol_stat applies in units of the start's
     # largest |J_ij|, capped at 1, which scaling leaves unchanged
     tol_inf = cfg.tol_stat * min(1.0, float(np.abs(J_val).max(initial=0.0)))
@@ -327,9 +334,10 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
             return finish("TimeLimit")
 
         if new_point:
-            # the method's scaled copies of the caller's values at x
-            f_s, g_s = f_fac * f_val, f_fac * g_val
-            c_s, J_s = c_fac * c_val, c_fac[:, None] * J_val
+            # the method's scaled copies of the caller's values at x, the
+            # values themselves where the factors are 1
+            f_s, g_s = scale.objective(f_val), scale.objective(g_val)
+            c_s, J_s = scale.constraints(c_val), scale.jacobian(J_val)
             point = normal_point(x, c_s, J_s, box, cfg.tol_c, tol_inf)
             c_norm, v_unit_norm = point.c_norm, _norm(point.v_unit)
             x_hash, aset = _hash_point(x), active_set(x, box, point.masks)
@@ -361,14 +369,16 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         s = w - x
 
         unscaled = y_un, z_un, g_r_un = scale.unscale_multipliers(y, z, g_r)
-        parts = kkt_parts(g_val, c_val, J_val.T @ y_un, box, p.reg.weights, x_point,
-                          z_un, g_r_un)
+        # with factors of 1, J and y are the tangential step's, and so is J'y
+        Jty = tang.Jty if scale.unit else J_val.T @ y_un
+        parts = kkt_parts(g_val, c_val, Jty, box, p.reg.weights, x_point, z_un, g_r_un)
         tested = (unscaled, parts.chi)
         comp_v1 = max(parts.stationarity, v_unit_norm, parts.complementarity)
 
-        s_norm = _norm(s)
+        s_sq = float(s.dot(s))
+        s_norm = math.sqrt(s_sq)
         r_w = reg.value(w)
-        A_k = glob.compute_Ak(g_s, s, alpha, r_w, r_val)
+        A_k = glob.compute_Ak(g_s, s, s_sq, alpha, r_w, r_val)
         cJs_norm = _norm(c_s + J_s @ s)
         tau_new = glob.update_tau(tau, glob.tau_trial(A_k, c_norm, cJs_norm))
 
@@ -376,9 +386,9 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         try:
             f_w = p.f(w)
             c_w = p.c(w)
-            phi_new = glob.merit_from_parts(f_fac * f_w, r_w,
-                                            _norm(c_fac * c_w), tau_new)
-            accepted = glob.sufficient_decrease(phi_new, phi_old, tau_new, alpha, s,
+            phi_new = glob.merit_from_parts(scale.objective(f_w), r_w,
+                                            _norm(scale.constraints(c_w)), tau_new)
+            accepted = glob.sufficient_decrease(phi_new, phi_old, tau_new, alpha, s_sq,
                                                 c_norm, cJs_norm)
         except EvaluationError:
             # a non-finite value at the trial point rejects the step; alpha
@@ -426,7 +436,7 @@ def solve(p: ProblemInstance, cfg: SolverConfig) -> SolveReport:
         if accepted and not vanished:
             # local Lipschitz estimate of the scaled Lagrangian's gradient
             # along s, with this iteration's y
-            d_grad = f_fac * (g_w - g_val) + (J_w - J_val).T @ (c_fac * y)
+            d_grad = scale.objective(g_w - g_val) + (J_w - J_val).T @ scale.constraints(y)
             lipschitz = _norm(d_grad) / s_norm
         if accepted:
             x, x_point = w, tang.point

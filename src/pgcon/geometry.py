@@ -12,7 +12,15 @@ iteration, at the trial point and at the iterate, so what it reads of the
 point and the box alone is a ``PointData``, formed once per point, and
 J'y comes from the caller, who forms it once.  Its reductions call
 numpy's ufuncs directly rather than through the ``ndarray`` methods'
-Python wrappers.
+Python wrappers, and its selections write through ufuncs' ``where=`` and
+``out=`` rather than ``np.where`` and boolean stores.
+
+A side of the box with no finite bound (``BoxSet.has_lower``,
+``has_upper``) costs nothing: ``project_box``, ``active_masks``,
+``project_tangent_cone``, ``PointData``'s gaps and box violation and the
+certificate's complementarity skip it, with the bits of the two-sided
+forms (max(x, -inf) is x, and at a finite x a gap to an infinite bound
+is +inf).
 """
 
 from __future__ import annotations
@@ -54,16 +62,22 @@ class ActiveSet:
 
 def active_masks(x, box: BoxSet):
     """(at_lower, at_upper): the components within ``box.active_tol`` of a
-    finite lower / upper bound; a fixed variable is in both."""
+    finite lower / upper bound; a fixed variable is in both.  A side with
+    no finite bound gets the box's all-False, read-only finite mask."""
     tol = box.active_tol
-    at_lo = box.lower_finite & (x - box.lower <= tol)
-    at_hi = box.upper_finite & (box.upper - x <= tol)
+    at_lo = box.lower_finite & (x - box.lower <= tol) if box.has_lower else box.lower_finite
+    at_hi = box.upper_finite & (box.upper - x <= tol) if box.has_upper else box.upper_finite
     return at_lo, at_hi
 
 
 def project_box(x, box: BoxSet) -> np.ndarray:
-    """Componentwise clamp of x into the box (Euclidean projection)."""
-    return np.minimum(np.maximum(x, box.lower), box.upper)
+    """Componentwise clamp of the float array x into the box (Euclidean
+    projection).  A side with no finite bound clamps nothing (max(x, -inf)
+    is x, bit for bit), so it is skipped; with neither side finite the
+    result is x itself."""
+    if box.has_lower:
+        x = np.maximum(x, box.lower)
+    return np.minimum(x, box.upper) if box.has_upper else x
 
 
 def project_tangent_cone(d, x, box: BoxSet, masks=None) -> np.ndarray:
@@ -72,11 +86,19 @@ def project_tangent_cone(d, x, box: BoxSet, masks=None) -> np.ndarray:
     At a lower-active component the cone admits only nonnegative
     directions (nonpositive at upper; zero when the variable is fixed),
     elsewhere the cone is all of R.  ``masks`` is ``active_masks(x, box)``
-    when the caller has it.
+    when the caller has it.  A side with no finite bound has no active
+    component and is skipped; with neither side finite the result is d
+    itself.
     """
+    if not (box.has_lower or box.has_upper):
+        return d
     at_lo, at_hi = active_masks(x, box) if masks is None else masks
-    out = np.maximum(d, 0.0, out=d.copy(), where=at_lo)
-    return np.minimum(out, 0.0, out=out, where=at_hi)
+    out = d.copy()
+    if box.has_lower:
+        np.maximum(out, 0.0, out=out, where=at_lo)
+    if box.has_upper:
+        np.minimum(out, 0.0, out=out, where=at_hi)
+    return out
 
 
 def compute_delta(x, grad, box: BoxSet, masks=None):
@@ -108,7 +130,8 @@ def nearest_subgradient(x, v, lam, nonzero):
     ``nonzero``, v_i clamped to [-lam_i, lam_i] elsewhere.  ``nonzero`` is
     |x| > tol for some tol >= 0, so there x_i is a nonzero number, and with
     lam_i >= 0 copysign gives the bits of lam_i sign(x_i)."""
-    return np.where(nonzero, np.copysign(lam, x), np.minimum(np.maximum(v, -lam), lam))
+    out = np.minimum(np.maximum(v, -lam), lam)
+    return np.copysign(lam, x, out=out, where=nonzero)
 
 
 @dataclass(frozen=True)
@@ -134,7 +157,14 @@ class PointData:
     """What ``kkt_parts`` reads of its point x and the box alone: max|x|,
     where |x| > 1e-12 (1 + max|x|) (the l1 projection's zero tolerance),
     x - lower, upper - x and the box violation.  It holds no l1 weight, so
-    one point's data serves a certificate with any weights."""
+    one point's data serves a certificate with any weights.
+
+    At a finite x a side with no finite bound has gaps of +inf and adds
+    nothing to the violation (max(a, -inf) is a), so its gap is None and
+    its term is left out; the violation of a box free on both sides is
+    0.0.  An x with an entry that is not finite (max|x| is not) gets the
+    two-sided forms, whose NaN the certificate must show.
+    """
 
     __slots__ = ("x", "x_max", "nonzero", "lo_gap", "hi_gap", "box_violation")
 
@@ -143,9 +173,18 @@ class PointData:
         self.x = x
         self.x_max = float(np.maximum.reduce(abs_x, initial=0.0))
         self.nonzero = abs_x > 1e-12 * (1.0 + self.x_max)
-        self.lo_gap, self.hi_gap = x - box.lower, box.upper - x
-        self.box_violation = float(np.maximum.reduce(
-            np.maximum(box.lower - x, x - box.upper), initial=0.0))
+        every = not math.isfinite(self.x_max)
+        lower, upper = every or box.has_lower, every or box.has_upper
+        self.lo_gap = x - box.lower if lower else None
+        self.hi_gap = box.upper - x if upper else None
+        if lower and upper:
+            violation = np.maximum(box.lower - x, x - box.upper)
+        elif lower or upper:
+            violation = box.lower - x if lower else x - box.upper
+        else:
+            violation = None
+        self.box_violation = (0.0 if violation is None
+                              else float(np.maximum.reduce(violation, initial=0.0)))
 
 
 def kkt_parts(grad, resid, Jty, box: BoxSet, lam, point: PointData, z, g_r) -> KktParts:
@@ -164,11 +203,14 @@ def kkt_parts(grad, resid, Jty, box: BoxSet, lam, point: PointData, z, g_r) -> K
     -z_i)|.
     """
     g_r_proj = nearest_subgradient(point.x, g_r, lam, point.nonzero)
-    m = np.minimum(np.where(z < 0, point.lo_gap, point.hi_gap), np.abs(z))
-    exempt = z == 0.0
+    # |z| is +0.0 where z = 0; a side with no gap has gaps of +inf
+    m = np.abs(z)
+    if point.lo_gap is not None:
+        np.minimum(m, point.lo_gap, out=m, where=z < 0.0)
+    if point.hi_gap is not None:
+        np.minimum(m, point.hi_gap, out=m, where=z > 0.0)
     if box.has_fixed:
-        exempt |= box.fixed
-    m[exempt] = 0.0
+        m[box.fixed] = 0.0
     return KktParts(
         stationarity=_norm(grad + g_r_proj + Jty + z),
         feasibility=_norm(resid),

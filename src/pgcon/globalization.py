@@ -46,9 +46,10 @@ def merit_from_parts(f_val: float, r_val: float, c_norm: float, tau: float) -> f
     return tau * (f_val + r_val) + c_norm
 
 
-def compute_Ak(g, s, alpha: float, r_at_xs: float, r_at_x: float) -> float:
-    """Curvature-plus-regularizer part of the directional-derivative bound."""
-    return float(np.dot(g, s)) + float(np.dot(s, s)) / (2.0 * alpha) + r_at_xs - r_at_x
+def compute_Ak(g, s, s_sq: float, alpha: float, r_at_xs: float, r_at_x: float) -> float:
+    """Curvature-plus-regularizer part of the directional-derivative bound;
+    ``s_sq`` is s's squared norm s's, which the caller forms once."""
+    return float(np.dot(g, s)) + s_sq / (2.0 * alpha) + r_at_xs - r_at_x
 
 
 def tau_trial(A_k: float, ck_norm: float, ck_Jk_sk_norm: float) -> float:
@@ -70,9 +71,10 @@ def update_tau(tau_prev: float, tau_trial_val: float) -> float:
 
 
 def sufficient_decrease(phi_new: float, phi_old: float, tau: float, alpha: float,
-                        s, ck_norm: float, ck_Jk_sk_norm: float) -> bool:
-    """Merit decrease test with an absolute slack for cancellation noise."""
-    rhs = -ETA_PHI * (tau / (4.0 * alpha) * float(np.dot(s, s))
+                        s_sq: float, ck_norm: float, ck_Jk_sk_norm: float) -> bool:
+    """Merit decrease test with an absolute slack for cancellation noise;
+    ``s_sq`` is the step's squared norm s's."""
+    rhs = -ETA_PHI * (tau / (4.0 * alpha) * s_sq
                       + SIGMA_C * (ck_norm - ck_Jk_sk_norm))
     slack = 1e-14 * (1.0 + abs(phi_old))
     return phi_new - phi_old <= rhs + slack

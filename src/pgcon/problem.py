@@ -213,15 +213,45 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class ScaleInfo:
-    """Multiplicative factors applied to f and each c_i; all in (0, 1]."""
+    """Multiplicative factors applied to f and each c_i; all in (0, 1].
+
+    A factor of exactly 1 changes no bit of what it multiplies or divides,
+    so where the factors of f (or of every c_i) are 1 the methods hand back
+    the values they were given, the same objects, and form nothing.  With
+    all factors 1 (``unit``), which ``scale_factors`` gives unless a start
+    gradient or Jacobian row exceeds 100, scaling is the identity.
+    """
 
     objective_factor: float
     constraint_factors: np.ndarray
 
+    @functools.cached_property
+    def _unit_constraints(self) -> bool:
+        return bool(np.logical_and.reduce(self.constraint_factors == 1.0))
+
+    @functools.cached_property
+    def unit(self) -> bool:
+        """True when every factor is exactly 1."""
+        return self.objective_factor == 1.0 and self._unit_constraints
+
+    def objective(self, v):
+        """f, g or a difference of gradients in the scaled problem's units."""
+        return v if self.objective_factor == 1.0 else self.objective_factor * v
+
+    def constraints(self, v):
+        """c, or the rows' multipliers y, in the scaled problem's units."""
+        return v if self._unit_constraints else self.constraint_factors * v
+
+    def jacobian(self, J):
+        """J in the scaled problem's units, row i times the i-th factor."""
+        return J if self._unit_constraints else self.constraint_factors[:, None] * J
+
     def unscale_multipliers(self, y, z, g_r) -> tuple:
         """(y, z, g_r) of the scaled problem in the original one's units."""
-        f_fac = self.objective_factor
-        return self.constraint_factors * y / f_fac, z / f_fac, g_r / f_fac
+        y, f_fac = self.constraints(y), self.objective_factor
+        if f_fac == 1.0:
+            return y, z, g_r
+        return y / f_fac, z / f_fac, g_r / f_fac
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ exact; ``_piece`` codes each component free (_POS, _NEG: the codes below
 _ZERO), zeroed or at a bound.  From the previous iteration's y, the dual
 solve finds y with F(y) = J u(y) = 0 by semismooth Newton (Li, Sun &
 Toh, SIAM J. Optim. 2018): each step solves (alpha J_F J_F' + mu I) d =
-F over the free components F (``_cholesky_solve``).  The step along d
+F over the free components F (``_cholesky_solve``).  The free set, J_F
+and J_F J_F' depend on the piece (the codes) alone, so they are formed
+once per piece and kept while the codes do not change.  The step along d
 starts at 1, except when no component is free: M is then mu I and d ~
 F/mu far too long, so it starts at the maximizer of the dual function
 along d, found by walking the kinks of its piecewise-linear derivative
@@ -25,8 +27,10 @@ is certified by ``geometry.kkt_parts``, the solver's one KKT
 certificate, with the step's gradient g + (u + v)/alpha and residual J u
 at w, against ``kkt_bar``.  J'y is formed once, for the residual that
 gives z and g_r and for the certificate, and w's ``PointData`` once, for
-the certificate and the bar; the result carries it, and the driver's
-stop test reads it once w is accepted.
+the certificate and the bar; the result carries both, and the driver's
+stop test reads the point data once w is accepted, and J'y when the
+scale factors are 1.  A bound store runs only for a side of the box
+with a finite bound.
 
 When the line search or a Cholesky factorization fails, or the answer
 misses the tangential KKT bar, the solve raises TangentialError naming
@@ -87,6 +91,7 @@ class TangentialResult:
     evaluations: int  # _piece evaluations of the dual solve
     kkt: KktParts  # the certificate of (w, y, z, g_r), feasibility = |J u|
     point: PointData  # w's, x's once the step is taken
+    Jty: np.ndarray  # J'y, the certificate's
 
 
 def build_tangential_qp(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet):
@@ -162,9 +167,9 @@ def _piece(tau, consts):
     t = base + tau
     k = np.minimum(np.maximum(t, neg_al), alpha_lam)
     s, u = t - k, tau - k
-    low = t <= cut_zero
-    code = np.add(low, low, dtype=np.int8)
-    code -= t < cut_neg
+    code = (t <= cut_zero).view(np.int8)
+    code += code
+    code -= (t < cut_neg).view(np.int8)
     np.putmask(u, code == _ZERO, neg_base)
     for beyond, bound, c, off in passes:
         at = beyond(s, bound)
@@ -304,6 +309,8 @@ def _dual_solve(base, tau0, J, alpha, lam, box: BoxSet, y):
     remaining residual is refined in place, u_F -= alpha J_F' d and
     y += d, until |J u| <= 4 eps (1 + |J| |u|) row by row or the budget
     is spent; the KKT bar judges either, so J u may exceed this bar.
+    The Newton system's free set, J_F and J_F J_F' are formed when the
+    codes differ from those they were formed for, and reused otherwise.
     Returns (y, u, code, iterations, evaluations), with evaluations the
     ``_piece`` calls made; raises TangentialError when the line search
     or a Cholesky factorization fails.
@@ -328,23 +335,27 @@ def _dual_solve(base, tau0, J, alpha, lam, box: BoxSet, y):
     theta_y = None  # theta at y, once the line search has formed it
     iterations = 0
     refine = False
+    kept = False  # code is the piece of the last Newton system formed
     while iterations < _NEWTON_BUDGET and not _converged(F, abs_J @ np.abs(u)):
         if iterations == 0:
             # the largest squared row norm of J, in alpha units; a solve
             # that starts at its answer takes no step and never needs it
             scale = alpha * float(np.maximum.reduce(np.einsum("ij,ij->i", J, J), initial=0.0))
         iterations += 1
-        free = (code < _ZERO).nonzero()[0]
-        # J[:, free] by the faster take, in the layout J[:, free] has: the
-        # rounding of J_F J_F' depends on it
-        J_F = J.T.take(free, axis=0).T
+        if not kept:
+            # one system per piece: the free set, J_F and J_F J_F' depend on
+            # the codes alone.  J[:, free] by the faster take, in the layout
+            # J[:, free] has: the rounding of J_F J_F' depends on it
+            free = (code < _ZERO).nonzero()[0]
+            J_F = J.T.take(free, axis=0).T
+            gram, kept = J_F @ J_F.T, True
         F_norm = _norm(F)
         # regularized as in SSNAL, since rows of J with no free entry make
         # J_F J_F' singular; the floor keeps dependent rows of J from
         # failing the factorization by roundoff
         mu = max(1e-8 * min(F_norm, 1.0), 1e-14 * m) * scale
         try:
-            d = _cholesky_solve(J_F @ J_F.T, F, alpha, mu)
+            d = _cholesky_solve(gram, F, alpha, mu)
         except np.linalg.LinAlgError:
             raise TangentialError("dual Newton system failed its Cholesky "
                                   "factorization") from None
@@ -378,8 +389,8 @@ def _dual_solve(base, tau0, J, alpha, lam, box: BoxSet, y):
         # a unit step that kept the piece, or that met the model's
         # prediction while a component sat exactly on a kink, ends on the
         # final piece
-        refine = step == 1.0 and (not np.logical_or.reduce(code_try != code)
-                                  or _norm(F_try) <= 1e-6 * F_norm)
+        kept = not np.logical_or.reduce(code_try != code)
+        refine = step == 1.0 and (kept or _norm(F_try) <= 1e-6 * F_norm)
         y, u, code, F, theta_y = y_try, u_try, code_try, F_try, theta_try
     return y, u, code, iterations, evaluations
 
@@ -416,8 +427,11 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
     w = project_box(base + u, box)
     at_bound = (code > _ZERO).nonzero()[0]
     if at_bound.size:
-        np.putmask(w, code == _LO, box.lower)
-        np.putmask(w, code == _HI, box.upper)
+        # a code at a bound comes from a side with a finite bound
+        if box.has_lower:
+            np.putmask(w, code == _LO, box.lower)
+        if box.has_upper:
+            np.putmask(w, code == _HI, box.upper)
     u = w - base
     # stationarity: g + (u + v)/alpha + J'y + g_r + z = 0 with z = 0 off
     # the bounds; at a bound g_r takes the value lam * d|w| allows nearest
@@ -442,4 +456,4 @@ def solve_tangential(x, v, g, J, alpha, reg: L1Regularizer, box: BoxSet,
                               f"{iterations} of {_NEWTON_BUDGET} Newton steps: "
                               f"residual {kkt.chi:.3g} > {bar:.3g}")
     return TangentialResult(u=u, y=y, z=z, g_r=g_r, w=w, iterations=iterations,
-                            evaluations=evaluations, kkt=kkt, point=w_point)
+                            evaluations=evaluations, kkt=kkt, point=w_point, Jty=Jty)

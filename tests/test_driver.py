@@ -761,6 +761,33 @@ class TestLedger:
             assert r.tang_evals >= 1  # w(y0) at least
 
 
+class TestLedgerCells:
+    """The hash and the sign pattern of a point give the ledger cells of
+    the forms they replaced."""
+
+    def test_hash_reads_the_buffer_in_place(self):
+        rng = np.random.default_rng(42)
+        for n in (0, 1, 3, 400):
+            x = rng.standard_normal(n)
+            x[: n // 3] = -0.0
+            old = hashlib.sha256(np.ascontiguousarray(x, dtype=float).tobytes())
+            assert driver._hash_point(x) == old.hexdigest()[:16]
+        # a list is read as the float array it names
+        assert driver._hash_point([0.5, 0.5]) == driver._hash_point(np.array([0.5, 0.5]))
+
+    def test_sign_pattern_matches_the_arithmetic_form(self):
+        rng = np.random.default_rng(43)
+        chars = np.frombuffer(b"0+-", dtype="S1")
+        specials = [0.0, -0.0, 1e-12, -1e-12, 2e-12, -2e-12, np.nan, np.inf, -np.inf]
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            x = np.where(rng.random(n) < 0.5, rng.choice(specials, n), rng.standard_normal(n))
+            weighted = (rng.random(n) < 0.7).nonzero()[0]
+            x_reg = x[weighted]
+            code = (x_reg > 1e-12) + 2 * (x_reg < -1e-12)
+            assert driver._sign_pattern(x, weighted) == chars[code].tobytes().decode()
+
+
 class TestTangentialFailure:
     def test_stalled_warning_names_the_cause(self, monkeypatch):
         from pgcon.tangential import TangentialError

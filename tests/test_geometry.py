@@ -1,4 +1,5 @@
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from pgcon.driver import kkt_residual
 from pgcon.geometry import (
     PointData,
+    active_masks,
     _norm,
     active_set,
     compute_delta,
@@ -379,3 +381,99 @@ class TestCertificateEquivalence:
                         nonzero = np.abs(x[idx]) > zero_tol
                         assert (_bits(nearest_subgradient(*args[:3], nonzero))
                                 == _bits(clip_subgradient(*args)))
+
+
+
+# the two-sided forms the box operations had before they skipped a side
+# with no finite bound: the references whose bits the code must give
+def project_box_two_sided(x, box):
+    return np.minimum(np.maximum(x, box.lower), box.upper)
+
+
+def active_masks_two_sided(x, box):
+    tol = box.active_tol
+    return (np.isfinite(box.lower) & (x - box.lower <= tol),
+            np.isfinite(box.upper) & (box.upper - x <= tol))
+
+
+def project_tangent_cone_two_sided(d, x, box):
+    at_lo, at_hi = active_masks_two_sided(x, box)
+    out = np.maximum(d, 0.0, out=d.copy(), where=at_lo)
+    return np.minimum(out, 0.0, out=out, where=at_hi)
+
+
+class TestBoundFreeSides:
+    """A side of the box with no finite bound is skipped by the box
+    operations and the certificate, with the bits of the two-sided forms
+    and of ``kkt_parts_of_point``'s np.where and boolean-store selections:
+    signed zeros, NaN and infinite entries, infinite gaps, fixed
+    variables, and boxes free on either side or both."""
+
+    SIDES = ("both finite", "no finite lower", "no finite upper", "free")
+
+    def draw(self, rng, n, sides):
+        box, x, z = random_box_case(rng, n)
+        lo = np.full(n, -np.inf) if sides in ("no finite lower", "free") else box.lower
+        hi = np.full(n, np.inf) if sides in ("no finite upper", "free") else box.upper
+        box = BoxSet(lo, hi)
+        specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-13, -1e-11]
+        if rng.random() < 0.5:  # a finite x takes the one-sided forms
+            specials = specials[:2] + specials[5:]
+        x = np.where(rng.random(n) < 0.25, rng.choice(specials, n), x)
+        z = np.where(rng.random(n) < 0.25, rng.choice([0.0, -0.0, np.nan], n), z)
+        d = rng.standard_normal(n)
+        d[rng.random(n) < 0.3] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf])
+        return box, x, z, d
+
+    def test_bits_match_the_two_sided_forms(self):
+        rng = np.random.default_rng(40)
+        seen = collections.Counter()
+        with np.errstate(invalid="ignore"):
+            for trial in range(800):
+                n, m = int(rng.integers(1, 12)), int(rng.integers(0, 3))
+                box, x, z, d = self.draw(rng, n, self.SIDES[trial % 4])
+                # a small random box may have no finite bound on a side by chance
+                sides = {(True, True): "both finite", (False, True): "no finite lower",
+                         (True, False): "no finite upper",
+                         (False, False): "free"}[box.has_lower, box.has_upper]
+                assert _bits(project_box(x, box)) == _bits(project_box_two_sided(x, box))
+                masks, ref_masks = active_masks(x, box), active_masks_two_sided(x, box)
+                assert all(a.dtype == bool and a.tobytes() == b.tobytes()
+                           for a, b in zip(masks, ref_masks))
+                assert (_bits(project_tangent_cone(d, x, box))
+                        == _bits(project_tangent_cone_two_sided(d, x, box)))
+                point = PointData(x, box)
+                for gap, ref in ((point.lo_gap, x - box.lower), (point.hi_gap, box.upper - x)):
+                    # a gap left out is +inf everywhere
+                    assert np.all(ref == np.inf) if gap is None else _bits(gap) == _bits(ref)
+                lam = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+                J, y = rng.standard_normal((m, n)), rng.standard_normal(m)
+                (grad, g_r), resid = rng.standard_normal((2, n)), rng.standard_normal(m)
+                parts = kkt_parts(grad, resid, J.T @ y, box, lam, point, z, g_r)
+                got = (parts.stationarity, parts.feasibility, parts.complementarity,
+                       parts.box_violation, parts.subgradient_margin)
+                ref = kkt_parts_of_point(grad, resid, J, box, lam, x, y, z, g_r)
+                # where z is NaN the store form took min(gap, NaN) and the new
+                # form skips it: complementarity is NaN either way, but its
+                # sign bit may differ
+                nan_z = bool(np.isnan(z).any()) and math.isnan(got[2]) and math.isnan(ref[2])
+                assert _bits(got[:2] + got[3:]) == _bits(ref[:2] + ref[3:])
+                assert _bits(got[2]) == _bits(ref[2]) or nan_z
+                seen.update({sides: 1, f"finite x, {sides}": bool(np.isfinite(x).all()),
+                             "NaN in x": bool(np.isnan(x).any()),
+                             "inf in x": bool(np.isinf(x).any()),
+                             "NaN in z": bool(np.isnan(z).any()),
+                             "fixed": box.has_fixed,
+                             "infinite gap": bool(np.isinf(x - box.lower).any()),
+                             "box violation": point.box_violation > 0.0})
+        assert len(seen) == 14 and min(seen.values()) >= 20, seen
+
+    def test_free_box_returns_its_input(self):
+        # nothing to clamp: the projections hand back the array they got,
+        # and the masks are the box's own all-False finite masks
+        box, x, d = BoxSet.free(3), np.array([1.0, -0.0, np.nan]), np.array([-1.0, 2.0, 0.0])
+        assert project_box(x, box) is x
+        assert project_tangent_cone(d, x, box) is d
+        assert active_masks(x, box) == (box.lower_finite, box.upper_finite)
+        point = PointData(np.array([1.0, -0.0, 2.0]), box)
+        assert (point.lo_gap, point.hi_gap, point.box_violation) == (None, None, 0.0)

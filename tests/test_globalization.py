@@ -22,10 +22,10 @@ class TestMerit:
 
 class TestAk:
     def test_zero_step(self):
-        assert compute_Ak(np.ones(3), np.zeros(3), 1.0, 5.0, 5.0) == 0.0
+        assert compute_Ak(np.ones(3), np.zeros(3), 0.0, 1.0, 5.0, 5.0) == 0.0
 
     def test_arithmetic(self):
-        val = compute_Ak(np.array([1.0]), np.array([-1.0]), 1.0, 0.0, 0.0)
+        val = compute_Ak(np.array([1.0]), np.array([-1.0]), 1.0, 1.0, 0.0, 0.0)
         assert val == pytest.approx(-0.5)
 
 
@@ -67,17 +67,15 @@ class TestUpdateTau:
 
 class TestSufficientDecrease:
     def test_flat_merit_nonzero_step_rejected(self):
-        s = np.array([1.0])
-        assert not sufficient_decrease(5.0, 5.0, 1.0, 1.0, s, 1.0, 1.0)
+        assert not sufficient_decrease(5.0, 5.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_large_drop_accepted(self):
-        s = np.array([1.0])
         rhs_mag = 1e-4 * (1.0 / 4.0)
-        assert sufficient_decrease(5.0 - 2 * rhs_mag, 5.0, 1.0, 1.0, s, 1.0, 1.0)
+        assert sufficient_decrease(5.0 - 2 * rhs_mag, 5.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_slack_tolerates_cancellation(self):
-        s = np.array([1e-9])
-        assert sufficient_decrease(5.0 + 1e-15, 5.0, 1.0, 1.0, s, 0.0, 0.0)
+        s_sq = 1e-9 * 1e-9
+        assert sufficient_decrease(5.0 + 1e-15, 5.0, 1.0, 1.0, s_sq, 0.0, 0.0)
 
 
 class TestUpdateAlpha:

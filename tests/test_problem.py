@@ -367,6 +367,55 @@ class TestScaling:
         assert scaled.objective == base.f(scaled.x) + base.reg.value(scaled.x)
         assert scaled.c_norm == float(np.linalg.norm(base.c(scaled.x)))
 
+    def test_unit_factors_hand_back_their_inputs(self):
+        # a factor of 1 changes no bit, so nothing is formed
+        info = ScaleInfo(objective_factor=1.0, constraint_factors=np.ones(2))
+        g, c, J = np.array([3.0, -0.0, 1e300]), np.array([1.0, -0.0]), np.ones((2, 3))
+        y, z, g_r = np.array([2.0, -1.0]), np.zeros(3), np.array([0.5, -0.0, 0.0])
+        assert info.unit
+        assert info.objective(g) is g and info.objective(2.5) == 2.5
+        assert info.constraints(c) is c and info.jacobian(J) is J
+        assert all(a is b for a, b in zip(info.unscale_multipliers(y, z, g_r), (y, z, g_r)))
+        assert ScaleInfo(objective_factor=1.0, constraint_factors=np.ones(0)).unit
+
+    def test_factors_other_than_one_form_scaled_copies(self):
+        g, c, J = np.array([3.0, -0.0, 1e300]), np.array([1.0, -0.0]), np.ones((2, 3))
+        y, z, g_r = np.array([2.0, -1.0]), np.array([0.0, -4.0, 1.0]), np.array([0.5, -0.0, 0.0])
+        for f_fac, c_fac in ((0.25, [1.0, 1.0]), (1.0, [1.0, 0.1]), (0.25, [0.5, 1.0])):
+            info = ScaleInfo(objective_factor=f_fac, constraint_factors=np.array(c_fac))
+            assert not info.unit
+            for got, ref in ((info.objective(g), f_fac * g),
+                             (info.constraints(c), info.constraint_factors * c),
+                             (info.jacobian(J), info.constraint_factors[:, None] * J)):
+                assert got.tobytes() == ref.tobytes()
+            # the part whose factors are 1 is handed back, the other formed
+            assert (info.objective(g) is g) == (f_fac == 1.0)
+            assert (info.jacobian(J) is J) == (c_fac == [1.0, 1.0])
+            un = info.unscale_multipliers(y, z, g_r)
+            ref = (info.constraint_factors * y / f_fac, z / f_fac, g_r / f_fac)
+            assert [a.tobytes() for a in un] == [a.tobytes() for a in ref]
+
+    def test_hs50_solves_on_scaled_copies(self, monkeypatch):
+        # HS 50's start scales f by 100/948: the tangential step gets the
+        # scaled gradient, a copy, and the run takes the 45 iterations it
+        # took when every solve formed scaled copies
+        p = self.hs50()
+        info = scale_factors(p.g(p.x0), p.J(p.x0))
+        assert not info.unit and info.constraint_factors.tolist() == [1.0, 1.0, 1.0]
+        seen = []
+        tangential = driver.solve_tangential
+
+        def spy(x, v, g, J, *args, **kwargs):
+            seen.append((g, J))
+            return tangential(x, v, g, J, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "solve_tangential", spy)
+        rep = solve(p, SolverConfig())
+        assert (rep.status, rep.iterations) == ("KktPoint", 45)
+        g0, J0 = seen[0]
+        assert g0.tobytes() == (info.objective_factor * p.g(p.x0)).tobytes()
+        assert J0.tobytes() == p.J(p.x0).tobytes()
+
     @staticmethod
     def hs50():
         """Hock & Schittkowski problem 50 from the book's start: g_3 = 948

@@ -7,6 +7,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from pgcon import globalization, tangential
 from pgcon.bench import corpus_suite, run_benchmark
+from pgcon.corpus import get_instance
 from pgcon.driver import SolverConfig, solve
 from pgcon.geometry import PointData, kkt_parts
 from pgcon.problem import BoxSet, L1Regularizer, ProblemInstance
@@ -466,6 +467,58 @@ class TestPieceClipForm:
             u_ref, code_ref = piece_where_form(tau, base, alpha_lam, lower, upper)
             assert u.tobytes() == u_ref.tobytes()
             np.testing.assert_array_equal(code, code_ref)
+
+
+class TestNewtonSystemPerPiece:
+    """``_dual_solve`` forms the free set, J_F and J_F J_F' once per piece:
+    consecutive Newton steps on an unchanged piece pass the same Gram
+    matrix to ``_cholesky_solve``, and a changed piece gets a new one."""
+
+    @pytest.mark.parametrize("cell", ["l1-sign-1", "scca-200"])
+    def test_unchanged_piece_reuses_the_gram_matrix(self, cell, monkeypatch):
+        if cell == "scca-200":
+            prob = scca_problem(scca_generate(200, 200, 200, 1), 1e-2)
+            cfg = SolverConfig(alpha0=1e-3)
+        else:
+            prob, cfg = get_instance(cell).problem, SolverConfig()
+        events = []
+        dual_solve, piece, cholesky_solve = (
+            tangential._dual_solve, tangential._piece, tangential._cholesky_solve)
+
+        def dual_spy(*args):
+            events.append(("solve", None))
+            return dual_solve(*args)
+
+        def piece_spy(*args):
+            u, code = piece(*args)
+            events.append(("piece", code.copy()))
+            return u, code
+
+        def cholesky_spy(G, *args):
+            events.append(("newton", G))
+            return cholesky_solve(G, *args)
+
+        monkeypatch.setattr(tangential, "_dual_solve", dual_spy)
+        monkeypatch.setattr(tangential, "_piece", piece_spy)
+        monkeypatch.setattr(tangential, "_cholesky_solve", cholesky_spy)
+        assert solve(prob, cfg).status == "KktPoint"
+        # the piece of a Newton step is the code of the last evaluation
+        # before it: the start or the trial the line search accepted
+        kept = changed = 0
+        for kind, value in events:
+            if kind == "solve":
+                last = None
+            elif kind == "piece":
+                code = value
+            else:
+                if last is not None and np.array_equal(last[1], code):
+                    assert value is last[0]
+                    kept += 1
+                elif last is not None:
+                    assert value is not last[0]
+                    changed += 1
+                last = (value, code)
+        assert kept > 0 and changed > 0, (kept, changed)
 
 
 class TestCholeskySolve:
